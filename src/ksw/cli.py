@@ -41,7 +41,7 @@ from .serialize import (
     space_from_json,
     weight1_from_json,
 )
-from .suite import RunReport, exit_code_from_checks, run_full_suite
+from .suite import RunReport, _check, _result, _vacuous, exit_code_from_checks, run_full_suite
 from .weil import analyze as weil_analyze
 
 
@@ -104,13 +104,7 @@ def _load_hk(form_path: str, period_path: str) -> tuple[HKStructure, dict]:
 
 def cmd_qform_inspect(args) -> int:
     space, digest = _load_space(args.form)
-    checks = [
-        {
-            "name": "qform.diagonalization",
-            "status": "pass",
-            "detail": "T^t G T diagonal with nonzero entries",
-        }
-    ]
+    checks = [_check("qform.diagonalization", True, "T^t G T diagonal with nonzero entries")]
     report = RunReport(
         command="qform inspect",
         inputs={"form": digest},
@@ -127,42 +121,25 @@ def cmd_qform_inspect(args) -> int:
 
 
 def _ks_identity_checks(ks, verbose_families: bool, seed: int = 0) -> list[dict]:
-    checks = []
-    checks.append(
-        {
-            "name": "ks.e_square",
-            "status": "pass" if kuga_satake.verify_e_square(ks) else "fail",
-            "detail": "e.e == -unit",
-        }
-    )
-    checks.append(
-        {
-            "name": "ks.j_square",
-            "status": "pass" if kuga_satake.verify_j_square(ks) else "fail",
-            "detail": "J^2 == -I on C+",
-        }
-    )
+    checks = [
+        _check("ks.e_square", kuga_satake.verify_e_square(ks), "e.e == -unit"),
+        _check("ks.j_square", kuga_satake.verify_j_square(ks), "J^2 == -I on C+"),
+    ]
     report = kuga_satake.structure_commutators(
         ks, rng=random.Random(seed), raise_on_failure=False
     )
     if verbose_families:
         for name, ok, detail in report.checks:
-            checks.append(
-                {
-                    "name": "ks.commutators.%s" % name,
-                    "status": "pass" if ok else "fail",
-                    "detail": detail,
-                }
-            )
+            checks.append(_check("ks.commutators.%s" % name, ok, detail))
     else:
         checks.append(
-            {
-                "name": "ks.commutators",
-                "status": "pass" if report.ok else "fail",
-                "detail": "four identity families"
+            _check(
+                "ks.commutators",
+                report.ok,
+                "four identity families"
                 if report.ok
                 else "failed: %s" % ", ".join(report.failed_names()),
-            }
+            )
         )
     return checks
 
@@ -214,31 +191,27 @@ def cmd_ks_verify(args) -> int:
     v0 = kuga_satake.default_v0(ks)
     h = hk.space.h
     checks.append(
-        {
-            "name": "ks.endo_rank",
-            "status": "pass" if kuga_satake.embedding_has_full_rank(ks, v0) else "fail",
-            "detail": "rank of v -> E_v equals h",
-        }
+        _check(
+            "ks.endo_rank",
+            kuga_satake.embedding_has_full_rank(ks, v0),
+            "rank of v -> E_v equals h",
+        )
     )
     checks.append(
-        {
-            "name": "ks.endo_sign_laws",
-            "status": "pass"
-            if kuga_satake.embedding_sign_laws(ks, v0, matrix_level=h <= 5)
-            else "fail",
-            "detail": "J (anti)commutes with E_v by plane membership",
-        }
+        _check(
+            "ks.endo_sign_laws",
+            kuga_satake.embedding_sign_laws(ks, v0, matrix_level=h <= 5),
+            "J (anti)commutes with E_v by plane membership",
+        )
     )
     riso = kuga_satake.odd_even_isomorphism(ks, v0)
     rinv = kuga_satake.odd_even_inverse(ks, v0)
     checks.append(
-        {
-            "name": "ks.odd_even_iso",
-            "status": "pass"
-            if rinv * riso == Matrix.identity(1 << (h - 1))
-            else "fail",
-            "detail": "R_v0 has exact two-sided inverse R_v0/(v0,v0)",
-        }
+        _check(
+            "ks.odd_even_iso",
+            rinv * riso == Matrix.identity(1 << (h - 1)),
+            "R_v0 has exact two-sided inverse R_v0/(v0,v0)",
+        )
     )
     report = RunReport(
         command="ks verify",
@@ -260,20 +233,14 @@ def cmd_weil_analyze(args) -> int:
         result = weil_analyze(weight1.j, phi)
     except WorkbenchError as exc:
         raise UsageError("weil analysis rejected the input: %s" % exc) from exc
-    checks = [
-        {
-            "name": "weil.quadratic_endo",
-            "status": "pass",
-            "detail": "phi^2 scalar negative, commutes with J",
-        }
-    ]
+    checks = [_check("weil.quadratic_endo", True, "phi^2 scalar negative, commutes with J")]
     if result.weil_space_dim is not None:
         checks.append(
-            {
-                "name": "weil.class_space_dim",
-                "status": "pass" if result.weil_space_dim == 2 else "fail",
-                "detail": "K-line kernel is 2-dimensional",
-            }
+            _check(
+                "weil.class_space_dim",
+                result.weil_space_dim == 2,
+                "K-line kernel is 2-dimensional",
+            )
         )
     report = RunReport(
         command="weil analyze",
@@ -302,18 +269,12 @@ def cmd_sym_decompose(args) -> int:
         raise UsageError(str(exc)) from exc
     blocks = [{"l": l, "dim": d} for l, d in dec.block_dims]
     checks = [
-        {
-            "name": "sympow.decompose_certificate",
-            "status": "pass",
-            "detail": dec.certificate,
-        },
-        {
-            "name": "sympow.block_totals",
-            "status": "pass"
-            if dec.total == sympow.sym_dim(space.h, args.k)
-            else "fail",
-            "detail": "dims sum to dim Sym^k",
-        },
+        _check("sympow.decompose_certificate", True, dec.certificate),
+        _check(
+            "sympow.block_totals",
+            dec.total == sympow.sym_dim(space.h, args.k),
+            "dims sum to dim Sym^k",
+        ),
     ]
     data = {
         "k": args.k,
@@ -332,22 +293,20 @@ def cmd_sym_decompose(args) -> int:
         for entry, (l, lvl) in zip(blocks, levels):
             entry["level"] = lvl
         checks.append(
-            {
-                "name": "sympow.block_level",
-                "status": "pass"
-                if all(lvl == 2 * (args.k - 2 * l) for l, lvl in levels)
-                else "fail",
-                "detail": "max |p-q| on block l is 2(k-2l)",
-            }
+            _check(
+                "sympow.block_level",
+                all(lvl == 2 * (args.k - 2 * l) for l, lvl in levels),
+                "max |p-q| on block l is 2(k-2l)",
+            )
         )
         if args.k % 2 == 1:
             part = sympow.level_two_part(hk, args.k)
             checks.append(
-                {
-                    "name": "sympow.level_filtration",
-                    "status": "pass" if len(part) == space.h else "fail",
-                    "detail": "level <= 2 part is Q^((k-1)/2).H^2, dim h",
-                }
+                _check(
+                    "sympow.level_filtration",
+                    len(part) == space.h,
+                    "level <= 2 part is Q^((k-1)/2).H^2, dim h",
+                )
             )
     report = RunReport(
         command="sym decompose",
@@ -357,6 +316,11 @@ def cmd_sym_decompose(args) -> int:
         data=data,
     )
     return _emit(report, args.json)
+
+
+def _audit_check(name: str, status: str, detail: str) -> dict:
+    """A check carrying an audit status; a tight bound passes."""
+    return _result(name, "pass" if status == betti.STATUS_TIGHT else status, detail)
 
 
 def cmd_betti_audit(args) -> int:
@@ -372,14 +336,12 @@ def cmd_betti_audit(args) -> int:
     for entry in entries:
         b3_result = betti.audit_b3(entry)
         checks.append(
-            {
-                "name": "betti.audit_b3[%s]" % entry.name,
-                "status": b3_result.status
-                if b3_result.status != betti.STATUS_TIGHT
-                else "pass",
-                "detail": "bound 2^%d = %d: %s (%s)"
+            _audit_check(
+                "betti.audit_b3[%s]" % entry.name,
+                b3_result.status,
+                "bound 2^%d = %d: %s (%s)"
                 % (b3_result.k, b3_result.bound, b3_result.status, b3_result.detail),
-            }
+            )
         )
         row = {
             "name": entry.name,
@@ -396,25 +358,16 @@ def cmd_betti_audit(args) -> int:
                 "bound": odd_result.bound,
                 "status": odd_result.status,
             }
-            status = "pass" if odd_result.status != betti.STATUS_FAIL else "fail"
-            if odd_result.status == betti.STATUS_VACUOUS:
-                status = "vacuous"
             checks.append(
-                {
-                    "name": "betti.audit_b2n_minus_1[%s]" % entry.name,
-                    "status": status,
-                    "detail": odd_result.detail,
-                }
+                _audit_check(
+                    "betti.audit_b2n_minus_1[%s]" % entry.name,
+                    odd_result.status,
+                    odd_result.detail,
+                )
             )
         except MissingHypothesisData as exc:
             row["b2n_minus_1"] = {"status": "missing-data"}
-            checks.append(
-                {
-                    "name": "betti.audit_b2n_minus_1[%s]" % entry.name,
-                    "status": "vacuous",
-                    "detail": str(exc),
-                }
-            )
+            checks.append(_vacuous("betti.audit_b2n_minus_1[%s]" % entry.name, str(exc)))
         rows.append(row)
     report = RunReport(
         command="betti audit",
@@ -431,13 +384,7 @@ def cmd_betti_bound(args) -> int:
         k = betti.bound_exponent(args.b2, div4_improve=args.div4_improve)
     except WorkbenchError as exc:
         raise UsageError(str(exc)) from exc
-    checks = [
-        {
-            "name": "betti.bound",
-            "status": "pass",
-            "detail": "b2 = %d gives k = %d, bound %d" % (args.b2, k, 2 ** k),
-        }
-    ]
+    checks = [_check("betti.bound", True, "b2 = %d gives k = %d, bound %d" % (args.b2, k, 2 ** k))]
     report = RunReport(
         command="betti bound",
         inputs={},
@@ -457,18 +404,16 @@ def cmd_corr_verify(args) -> int:
     pairs, coef, uniform = formal_corr.kunneth_coefficient(gamma, args.b3, args.n)
     ok = uniform and coef is not None and coef != 0
     checks = [
-        {
-            "name": "corr.uniform_coefficient",
-            "status": "pass" if ok else "fail",
-            "detail": "single nonzero c over all pairs"
-            if ok
-            else "no uniform nonzero coefficient",
-        },
-        {
-            "name": "corr.kunneth_block",
-            "status": "pass" if formal_corr.is_kunneth_concentrated(gamma) else "fail",
-            "detail": "no terms outside the (f^2, e^2) block",
-        },
+        _check(
+            "corr.uniform_coefficient",
+            ok,
+            "single nonzero c over all pairs" if ok else "no uniform nonzero coefficient",
+        ),
+        _check(
+            "corr.kunneth_block",
+            formal_corr.is_kunneth_concentrated(gamma),
+            "no terms outside the (f^2, e^2) block",
+        ),
     ]
     report = RunReport(
         command="corr verify",

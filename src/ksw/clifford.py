@@ -31,19 +31,26 @@ _MINUS_ONE = Fraction(-1)
 DEFAULT_CAP_H = 16
 
 
+def reorder_parity(a: int, b: int) -> int:
+    """Parity of the transpositions that merge index mask a, then b, into sorted order.
+
+    Counts the pairs (i in a, j in b) with i > j.
+    """
+    swaps = 0
+    while b:
+        low = b & -b
+        swaps += (a >> low.bit_length()).bit_count()
+        b ^= low
+    return swaps & 1
+
+
 def blade_product(a: int, b: int, diag) -> tuple[Fraction, int]:
     """Product of basis blades given the diagonal form values.
 
     Returns (coef, a ^ b) where coef is the reordering sign times the
     product of d_i over the contracted indices a & b.
     """
-    swaps = 0
-    bb = b
-    while bb:
-        low = bb & -bb
-        swaps += (a >> low.bit_length()).bit_count()
-        bb ^= low
-    coef = _MINUS_ONE if swaps & 1 else _ONE
+    coef = _MINUS_ONE if reorder_parity(a, b) else _ONE
     common = a & b
     while common:
         low = common & -common

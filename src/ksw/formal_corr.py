@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
+from .clifford import reorder_parity
 from .errors import IndexOutOfRange
 from .linalg import frac
 
@@ -38,17 +39,6 @@ _ONE = Fraction(1)
 
 SIGN_KOSZUL = "koszul"
 SIGN_BROKEN = "broken"
-
-
-def _merge_parity(a: int, b: int) -> int:
-    """Parity of the transpositions interleaving two disjoint index masks."""
-    swaps = 0
-    bb = b
-    while bb:
-        low = bb & -bb
-        swaps += (a >> low.bit_length()).bit_count()
-        bb ^= low
-    return swaps & 1
 
 
 @dataclass(frozen=True)
@@ -142,12 +132,12 @@ class GradedElement:
                 if f1 & f2 or e1 & e2:
                     continue  # odd squares vanish; e-squares vanish in both rules
                 sign = 1
-                if _merge_parity(f1, f2):
+                if reorder_parity(f1, f2):
                     sign = -sign
                 if not broken:
                     # Koszul: e's are odd, so they anticommute among
                     # themselves and cost a sign crossing each f.
-                    if _merge_parity(e1, e2):
+                    if reorder_parity(e1, e2):
                         sign = -sign
                     if (e1.bit_count() & 1) and (f2.bit_count() & 1):
                         sign = -sign

@@ -26,7 +26,7 @@ Rational = Fraction
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
-#: 61-bit Mersenne prime used by the full-rank certificate.
+#: 61-bit Mersenne prime used by the rank certificate.
 CERTIFICATE_PRIME = (1 << 61) - 1
 
 
@@ -103,9 +103,6 @@ class Matrix:
 
     def column(self, j: int) -> tuple[Fraction, ...]:
         return tuple(r[j] for r in self._rows)
-
-    def columns(self):
-        return [self.column(j) for j in range(self.cols)]
 
     def __getitem__(self, key):
         i, j = key
@@ -222,10 +219,8 @@ class Matrix:
     # -- derived --------------------------------------------------------------
 
     def rank(self) -> int:
-        return rank_and_kernel(self)[0]
-
-    def kernel(self):
-        return rank_and_kernel(self)[1]
+        rows, _ = _cleared_int_rows(self)
+        return len(_bareiss_echelon(rows, self.cols)[0])
 
     def inverse(self) -> "Matrix":
         return solve_or_invert(self)
@@ -241,16 +236,6 @@ def hstack(*mats: Matrix) -> Matrix:
     )
 
 
-def vstack(*mats: Matrix) -> Matrix:
-    cols = mats[0].cols
-    if any(m.cols != cols for m in mats):
-        raise ValueError("column counts differ")
-    out = []
-    for m in mats:
-        out.extend(m.row(i) for i in range(m.rows))
-    return Matrix(out, cols=cols)
-
-
 # -- vector helpers ------------------------------------------------------------
 
 def dot(u, v) -> Fraction:
@@ -263,10 +248,6 @@ def dot(u, v) -> Fraction:
 
 def vec_add(u, v):
     return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_sub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
 
 
 def vec_scale(c, v):
@@ -300,23 +281,32 @@ def primitive_integer_vector(v) -> tuple[int, ...]:
 
 # -- fraction-free elimination --------------------------------------------------
 
-def _cleared_int_rows(m: Matrix) -> list[list[int]]:
+def _cleared_int_rows(m: Matrix) -> tuple[list[list[int]], int]:
     """Scale each row by the lcm of its denominators.
 
-    Row scaling preserves rank and kernel, which is all the callers need.
+    Returns the integer rows and the product of the row scales.  Row
+    scaling preserves rank and kernel; the determinant divides it back out.
     """
     out = []
+    total = 1
     for row in m._rows:
         scale = 1
         for x in row:
             scale = scale * x.denominator // gcd(scale, x.denominator)
-        out.append([int(x * scale) for x in row])
-    return out
+        total *= scale
+        out.append([x.numerator * (scale // x.denominator) for x in row])
+    return out, total
 
 
-def _bareiss_echelon(rows: list[list[int]], ncols: int) -> list[int]:
-    """Fraction-free row echelon in place; returns the pivot columns."""
+def _bareiss_echelon(rows: list[list[int]], ncols: int) -> tuple[list[int], int]:
+    """Fraction-free row echelon in place; returns (pivot columns, row swaps).
+
+    Until a column is skipped, each pivot is a leading minor of the
+    row-permuted input; on a nonsingular square matrix the last pivot is
+    therefore +-det.
+    """
     pivots = []
+    swaps = 0
     prev = 1
     r = 0
     nrows = len(rows)
@@ -330,6 +320,7 @@ def _bareiss_echelon(rows: list[list[int]], ncols: int) -> list[int]:
             continue
         if p != r:
             rows[p], rows[r] = rows[r], rows[p]
+            swaps += 1
         piv = rows[r][c]
         for i in range(r + 1, nrows):
             ri = rows[i]
@@ -348,7 +339,27 @@ def _bareiss_echelon(rows: list[list[int]], ncols: int) -> list[int]:
         r += 1
         if r == nrows:
             break
-    return pivots
+    return pivots, swaps
+
+
+def _back_substitute(rows: list[list[int]], pivots: list[int], free: int, ncols: int) -> list[Fraction]:
+    """Solution of the echelon system with x[free] = 1 and every other free variable 0."""
+    x: list[Fraction] = [_ZERO] * ncols
+    x[free] = _ONE
+    for i in range(len(pivots) - 1, -1, -1):
+        p = pivots[i]
+        if p > free:
+            # deeper pivots only couple to columns > free, all still zero
+            continue
+        row = rows[i]
+        s = _ZERO
+        for j in range(p + 1, ncols):
+            xj = x[j]
+            if xj and row[j]:
+                s += row[j] * xj
+        if s:
+            x[p] = -s / row[p]
+    return x
 
 
 def rank_and_kernel(m: Matrix) -> tuple[int, list[tuple[int, ...]]]:
@@ -356,116 +367,65 @@ def rank_and_kernel(m: Matrix) -> tuple[int, list[tuple[int, ...]]]:
 
     rank + len(kernel) == cols; every kernel vector maps to zero exactly.
     """
-    rows = _cleared_int_rows(m)
-    pivots = _bareiss_echelon(rows, m.cols)
-    rank = len(pivots)
+    rows, _ = _cleared_int_rows(m)
+    pivots, _ = _bareiss_echelon(rows, m.cols)
     pivot_set = set(pivots)
-    kernel = []
-    for f in range(m.cols):
-        if f in pivot_set:
-            continue
-        x: list[Fraction] = [_ZERO] * m.cols
-        x[f] = _ONE
-        for i in range(rank - 1, -1, -1):
-            p = pivots[i]
-            if p > f:
-                # deeper pivots only couple to columns > f, all still zero
-                continue
-            row = rows[i]
-            s = _ZERO
-            for j in range(p + 1, m.cols):
-                xj = x[j]
-                if xj and row[j]:
-                    s += row[j] * xj
-            if s:
-                x[p] = -s / row[p]
-        kernel.append(primitive_integer_vector(x))
-    return rank, kernel
-
-
-def nullity(m: Matrix) -> int:
-    return m.cols - rank_and_kernel(m)[0]
+    kernel = [
+        primitive_integer_vector(_back_substitute(rows, pivots, f, m.cols))
+        for f in range(m.cols)
+        if f not in pivot_set
+    ]
+    return len(pivots), kernel
 
 
 def solve_or_invert(m: Matrix) -> Matrix:
-    """Exact inverse of a square nonsingular matrix; raises Singular otherwise."""
+    """Exact inverse of a square nonsingular matrix; raises Singular otherwise.
+
+    Column k of the inverse is the kernel vector of [m | -I] whose free
+    variable n + k is 1.
+    """
     if m.rows != m.cols:
         raise Singular("inverse of a %dx%d matrix" % (m.rows, m.cols))
     n = m.rows
-    a = [list(row) for row in m._rows]
-    inv = [
-        [_ONE if i == j else _ZERO for j in range(n)] for i in range(n)
-    ]
-    for c in range(n):
-        p = None
-        for i in range(c, n):
-            if a[i][c]:
-                p = i
-                break
-        if p is None:
-            raise Singular("matrix is singular (rank < %d)" % n)
-        if p != c:
-            a[p], a[c] = a[c], a[p]
-            inv[p], inv[c] = inv[c], inv[p]
-        piv = a[c][c]
-        if piv != _ONE:
-            a[c] = [x / piv for x in a[c]]
-            inv[c] = [x / piv for x in inv[c]]
-        for i in range(n):
-            if i == c:
-                continue
-            f = a[i][c]
-            if f:
-                ac, ic = a[c], inv[c]
-                a[i] = [x - f * y for x, y in zip(a[i], ac)]
-                inv[i] = [x - f * y for x, y in zip(inv[i], ic)]
-    return Matrix(inv, cols=n)
+    rows, _ = _cleared_int_rows(hstack(m, -Matrix.identity(n)))
+    pivots, _ = _bareiss_echelon(rows, 2 * n)
+    if any(p >= n for p in pivots):
+        raise Singular("matrix is singular (rank < %d)" % n)
+    columns = [_back_substitute(rows, pivots, n + k, 2 * n)[:n] for k in range(n)]
+    return Matrix.from_columns(columns, rows=n)
 
 
 def determinant(m: Matrix) -> Fraction:
-    """Exact determinant via fraction-free elimination."""
+    """Exact determinant: +-(last Bareiss pivot) / (product of the row scales)."""
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
-    n = m.rows
-    if n == 0:
+    if not m.rows:
         return _ONE
+    rows, scale = _cleared_int_rows(m)
+    pivots, swaps = _bareiss_echelon(rows, m.cols)
+    if len(pivots) < m.rows:
+        return _ZERO
+    last = rows[-1][-1]
+    return Fraction(-last if swaps & 1 else last, scale)
+
+
+def _rank_mod_p(m: Matrix, p: int) -> int | None:
+    """Rank of the entrywise reduction num * den^-1 mod p; None if p divides a denominator."""
     rows = []
-    scale = _ONE
     for row in m._rows:
-        s = 1
+        out = []
         for x in row:
-            s = s * x.denominator // gcd(s, x.denominator)
-        scale *= s
-        rows.append([int(x * s) for x in row])
-    sign = 1
-    prev = 1
-    for c in range(n - 1):
-        p = None
-        for i in range(c, n):
-            if rows[i][c]:
-                p = i
-                break
-        if p is None:
-            return _ZERO
-        if p != c:
-            rows[p], rows[c] = rows[c], rows[p]
-            sign = -sign
-        piv = rows[c][c]
-        for i in range(c + 1, n):
-            ri = rows[i]
-            ric = ri[c]
-            rc = rows[c]
-            for j in range(c + 1, n):
-                ri[j] = (piv * ri[j] - ric * rc[j]) // prev
-            ri[c] = 0
-        prev = piv
-    return Fraction(sign * rows[n - 1][n - 1]) / scale
-
-
-def _rank_mod_p(int_rows: list[list[int]], ncols: int, p: int) -> int:
-    rows = [[x % p for x in row] for row in int_rows]
+            den = x.denominator
+            if den == 1:
+                out.append(x.numerator % p)
+            elif den % p:
+                out.append(x.numerator * pow(den, -1, p) % p)
+            else:
+                return None
+        rows.append(out)
     rank = 0
     nrows = len(rows)
+    ncols = m.cols
     for c in range(ncols):
         piv = None
         for i in range(rank, nrows):
@@ -490,64 +450,17 @@ def _rank_mod_p(int_rows: list[list[int]], ncols: int, p: int) -> int:
     return rank
 
 
-def _rational_rank_mod_p(m: Matrix, p: int) -> int | None:
-    """Rank of the entrywise reduction num * den^-1 mod p; None if p divides a denominator."""
-    rows = []
-    for row in m._rows:
-        out = []
-        for x in row:
-            den = x.denominator % p
-            if den == 0:
-                return None
-            out.append(x.numerator % p * pow(den, -1, p) % p)
-        rows.append(out)
-    return _rank_mod_p(rows, m.cols, p)
-
-
-def rank_at_least(m: Matrix, target: int, prime: int = CERTIFICATE_PRIME) -> bool:
+def rank_at_least(m: Matrix, target: int) -> bool:
     """Sound fast test for rank(m) >= target.
 
-    A modular rank >= target certifies the exact statement (reduction can
-    only lose rank); on a shortfall the exact elimination decides.
+    A rank >= target modulo the fixed 61-bit prime certifies the exact
+    statement (reduction can only lose rank); only on a shortfall, or when
+    the prime divides a denominator, does the exact elimination decide.
     """
-    modular = _rational_rank_mod_p(m, prime)
+    modular = _rank_mod_p(m, CERTIFICATE_PRIME)
     if modular is not None and modular >= target:
         return True
-    return rank_and_kernel(m)[0] >= target
-
-
-def full_rank_certificate(m: Matrix, prime: int = CERTIFICATE_PRIME) -> bool:
-    """True iff m has full rank min(rows, cols).
-
-    Fast path: full rank modulo a fixed 61-bit prime, which certifies full
-    rank over Q exactly (a maximal minor with nonzero residue is nonzero).
-    Only if the residue vanishes does the exact elimination run.
-    """
-    target = min(m.rows, m.cols)
-    ints = _cleared_int_rows(m)
-    if _rank_mod_p(ints, m.cols, prime) == target:
-        return True
-    return rank_and_kernel(m)[0] == target
-
-
-def column_span_rank(vectors, length: int | None = None) -> int:
-    """Rank of the span of a list of equal-length vectors."""
-    vectors = list(vectors)
-    if not vectors:
-        return 0
-    return Matrix(vectors, cols=length).rank()
-
-
-def in_span(basis_vectors, target) -> bool:
-    """Exact membership of ``target`` in the span of ``basis_vectors``."""
-    basis_vectors = list(basis_vectors)
-    if is_zero_vector(target):
-        return True
-    if not basis_vectors:
-        return False
-    base = Matrix(basis_vectors)
-    aug = Matrix(basis_vectors + [list(target)])
-    return base.rank() == aug.rank()
+    return m.rank() >= target
 
 
 def same_span(vectors_a, vectors_b) -> bool:

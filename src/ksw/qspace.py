@@ -20,7 +20,7 @@ from functools import cached_property
 from math import isqrt
 
 from .errors import Degenerate, NotSymmetric
-from .linalg import Matrix, frac, solve_or_invert, vector
+from .linalg import Matrix, dot, frac, solve_or_invert, vector
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -156,13 +156,7 @@ class QuadraticSpace:
         return square_class_representative(disc)
 
     def bilinear(self, u, v) -> Fraction:
-        u, v = vector(u), vector(v)
-        s = _ZERO
-        gu = self.gram.matvec(u)
-        for a, b in zip(gu, v):
-            if a and b:
-                s += a * b
-        return s
+        return dot(self.gram.matvec(vector(u)), vector(v))
 
     def quadratic(self, v) -> Fraction:
         return self.bilinear(v, v)

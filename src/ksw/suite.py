@@ -20,7 +20,7 @@ from importlib import resources
 
 from . import betti, formal_corr, kuga_satake, sympow
 from .clifford import CliffordAlgebra, _mul_block
-from .errors import CapExceeded, NotApplicable, WorkbenchError
+from .errors import CapExceeded, NotApplicable, UsageError, WorkbenchError
 from .hodge import HKStructure, h2_spectrum, rotation_generator
 from .linalg import Matrix, same_span
 from .qspace import QuadraticSpace, same_square_class
@@ -37,6 +37,8 @@ from .weil import analyze, check_quadratic_endo, is_weil, weil_class_space
 _ONE = Fraction(1)
 
 OK_STATUSES = ("pass", "vacuous", "skipped")
+
+NO_INSTANCES = "no instances"
 
 
 @dataclass
@@ -75,16 +77,20 @@ def exit_code_from_checks(checks: list[dict]) -> int:
     return 0 if all(c["status"] in OK_STATUSES for c in checks) else 1
 
 
+def _result(name: str, status: str, detail: str = "") -> dict:
+    return {"name": name, "status": status, "detail": detail}
+
+
 def _check(name: str, ok: bool, detail: str = "") -> dict:
-    return {"name": name, "status": "pass" if ok else "fail", "detail": detail}
+    return _result(name, "pass" if ok else "fail", detail)
 
 
 def _skipped(name: str, detail: str) -> dict:
-    return {"name": name, "status": "skipped", "detail": detail}
+    return _result(name, "skipped", detail)
 
 
 def _vacuous(name: str, detail: str) -> dict:
-    return {"name": name, "status": "vacuous", "detail": detail}
+    return _result(name, "vacuous", detail)
 
 
 def default_config() -> dict:
@@ -92,9 +98,32 @@ def default_config() -> dict:
         return json.load(fh)
 
 
+def _validate_config(value, default, where: str) -> None:
+    """UsageError unless value has the JSON shape of the default (bool is not int).
+
+    Dict keys must exist in the default; list elements must match the
+    default's first element.
+    """
+    if type(value) is not type(default):
+        raise UsageError(
+            "suite config %s: expected %s, got %s"
+            % (where or "(top level)", type(default).__name__, type(value).__name__)
+        )
+    if isinstance(default, dict):
+        for key, sub in value.items():
+            path = "%s.%s" % (where, key) if where else key
+            if key not in default:
+                raise UsageError("unknown suite config key %s" % path)
+            _validate_config(sub, default[key], path)
+    elif isinstance(default, list) and default:
+        for i, item in enumerate(value):
+            _validate_config(item, default[0], "%s[%d]" % (where, i))
+
+
 def load_config(overrides: dict | None = None) -> dict:
     cfg = default_config()
     if overrides:
+        _validate_config(overrides, cfg, "")
         for key, value in overrides.items():
             if isinstance(value, dict) and isinstance(cfg.get(key), dict):
                 cfg[key].update(value)
@@ -109,6 +138,7 @@ def load_config(overrides: dict | None = None) -> dict:
 def _linalg_checks(cfg, rng) -> list[dict]:
     sub = cfg["linalg"]
     bad = []
+    count = 0
     for t in range(sub["trials"]):
         n = rng.randint(1, sub["max_size"])
         m = random_rational_matrix(rng, n, n)
@@ -116,8 +146,11 @@ def _linalg_checks(cfg, rng) -> list[dict]:
             inv = m.inverse()
         except WorkbenchError:
             continue
+        count += 1
         if m * inv != Matrix.identity(n):
             bad.append(t)
+    if not count:
+        return [_vacuous("linalg.inverse_roundtrip", NO_INSTANCES)]
     return [
         _check(
             "linalg.inverse_roundtrip",
@@ -132,6 +165,7 @@ def _qspace_checks(cfg, rng) -> list[dict]:
     lo, hi = sub["h_range"]
     sig_ok = True
     disc_ok = True
+    count = 0
     for h in range(lo, hi + 1):
         entries = [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(h)]
         base = QuadraticSpace(Matrix.diagonal(entries))
@@ -140,6 +174,7 @@ def _qspace_checks(cfg, rng) -> list[dict]:
             disc *= x
         for _ in range(sub["scrambles"]):
             scrambled = QuadraticSpace(random_congruence_scramble(rng, base.gram))
+            count += 1
             if scrambled.signature != base.signature:
                 sig_ok = False
             sdisc = _ONE
@@ -147,13 +182,12 @@ def _qspace_checks(cfg, rng) -> list[dict]:
                 sdisc *= x
             if not same_square_class(disc, sdisc):
                 disc_ok = False
+    names = ("qspace.signature_congruence", "qspace.discriminant_square_class")
+    if not count:
+        return [_vacuous(name, NO_INSTANCES) for name in names]
     return [
-        _check("qspace.signature_congruence", sig_ok, "Sylvester invariance under P^t G P"),
-        _check(
-            "qspace.discriminant_square_class",
-            disc_ok,
-            "det mod squares invariant under congruence",
-        ),
+        _check(names[0], sig_ok, "Sylvester invariance under P^t G P"),
+        _check(names[1], disc_ok, "det mod squares invariant under congruence"),
     ]
 
 
@@ -293,7 +327,9 @@ def _ks_checks(cfg, rng) -> list[dict]:
 def _hodge_checks(cfg, rng) -> list[dict]:
     checks = []
     iso_ok, skew_ok, spec_ok = True, True, True
+    count = 0
     for h, i, hk, cap in _ks_instances(cfg, rng):
+        count += 1
         d_aa, cross, half = hk.sigma_isotropy()
         iso_ok &= d_aa == 0 and cross == 0 and half == hk.period.norm > 0
         a = rotation_generator(hk)
@@ -303,6 +339,9 @@ def _hodge_checks(cfg, rng) -> list[dict]:
         spec_ok &= (
             spec.dim(2, 0) == 1 and spec.dim(0, 2) == 1 and spec.dim(1, 1) == h - 2
         )
+    if not count:
+        names = ("hodge.period_isotropy", "hodge.rotation_skew", "hodge.h2_spectrum")
+        return [_vacuous(name, NO_INSTANCES) for name in names]
     checks.append(
         _check("hodge.period_isotropy", iso_ok, "q(sigma,sigma)=0, q(sigma,sigma-bar)=2N>0")
     )
@@ -478,16 +517,21 @@ def _betti_checks(cfg, rng) -> list[dict]:
     checks = []
     lo, hi = cfg["betti"]["b2_range"]
     mono_ok = True
+    compared = 0
     prev = {}
     for b2 in range(lo, hi + 1):
         k = betti.bound_exponent(b2)
         parity = b2 % 2
-        if parity in prev and k < prev[parity]:
-            mono_ok = False
+        if parity in prev:
+            compared += 1
+            mono_ok &= k >= prev[parity]
         prev[parity] = k
-    checks.append(
-        _check("betti.bound_monotone", mono_ok, "k nondecreasing within each parity class")
-    )
+    if compared:
+        checks.append(
+            _check("betti.bound_monotone", mono_ok, "k nondecreasing within each parity class")
+        )
+    else:
+        checks.append(_vacuous("betti.bound_monotone", NO_INSTANCES))
     catalog = betti.default_catalog()
     tight_ok = all(betti.audit_b3(e).status == betti.STATUS_TIGHT for e in catalog)
     checks.append(_check("betti.catalog_tight", tight_ok, "shipped entries audit tight"))

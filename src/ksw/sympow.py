@@ -31,12 +31,7 @@ from math import comb, factorial, gcd
 
 from .errors import CapExceeded, DecompositionFailure, LevelMismatch, NotApplicable
 from .hodge import HKStructure, rotation_generator
-from .linalg import (
-    Matrix,
-    full_rank_certificate,
-    rank_and_kernel,
-    vector,
-)
+from .linalg import Matrix, is_zero_vector, rank_and_kernel, rank_at_least, vector
 from .qspace import QuadraticSpace
 
 _ZERO = Fraction(0)
@@ -232,7 +227,7 @@ def decompose(space: QuadraticSpace, k: int, allow_large: bool = False) -> Decom
     stacked = Matrix.from_columns(
         [v for _, vecs in blocks for v in vecs], rows=ambient
     )
-    if not full_rank_certificate(stacked):
+    if not rank_at_least(stacked, ambient):
         raise DecompositionFailure("stacked block basis is rank deficient")
     return Decomposition(k=k, blocks=blocks, certificate="maximal minor nonzero mod 2^61-1")
 
@@ -375,7 +370,7 @@ def level_two_part(hk: HKStructure, k: int, allow_large: bool = False):
     d_a = sym_derivation(sym, rotation_generator(hk))
     annihilator = d_a * (d_a * d_a + (norm * norm) * Matrix.identity(sym.dim))
     for v in kernel:
-        if not _is_zero_vec(annihilator.matvec(v)):
+        if not is_zero_vector(annihilator.matvec(v)):
             raise LevelMismatch("kernel vector carries a type with |p-q| > 2")
     lift = q_power_lift(space, 1, l_top, allow_large)
     image = [lift.column(j) for j in range(h)]
@@ -411,7 +406,7 @@ def block_max_level(hk: HKStructure, k: int, allow_large: bool = False):
             else:
                 c = norm * m / 2
                 full = (d_a2 + (c * c) * ident) * full
-        if any(not _is_zero_vec(full.matvec(v)) for v in vecs):
+        if any(not is_zero_vector(full.matvec(v)) for v in vecs):
             raise LevelMismatch("block l=%d not annihilated at level %d" % (l, level))
         if level > 0:
             reduced = ident
@@ -421,13 +416,9 @@ def block_max_level(hk: HKStructure, k: int, allow_large: bool = False):
                 else:
                     c = norm * m / 2
                     reduced = (d_a2 + (c * c) * ident) * reduced
-            if all(_is_zero_vec(reduced.matvec(v)) for v in vecs):
+            if all(is_zero_vector(reduced.matvec(v)) for v in vecs):
                 raise LevelMismatch(
                     "block l=%d already killed below level %d" % (l, level)
                 )
         out.append((l, level))
     return out
-
-
-def _is_zero_vec(v) -> bool:
-    return all(not x for x in v)

@@ -31,6 +31,7 @@ from .errors import (
     UnexpectedDimension,
     WorkbenchError,
 )
+from .clifford import reorder_parity
 from .linalg import Matrix, rank_and_kernel
 
 _ZERO = Fraction(0)
@@ -127,49 +128,33 @@ def wedge4_basis(dim: int) -> tuple[tuple[int, int, int, int], ...]:
     return tuple(combinations(range(dim), 4))
 
 
-def _sorted_with_sign(indices: list[int]) -> tuple[int, tuple[int, ...]] | None:
-    """Sort a small index tuple, returning (permutation sign, sorted tuple).
-
-    None when two indices coincide (the wedge vanishes).
-    """
-    sign = 1
-    idx = list(indices)
-    for i in range(1, len(idx)):
-        j = i
-        while j > 0 and idx[j - 1] > idx[j]:
-            idx[j - 1], idx[j] = idx[j], idx[j - 1]
-            sign = -sign
-            j -= 1
-        if j > 0 and idx[j - 1] == idx[j]:
-            return None
-    return sign, tuple(idx)
-
-
 def derivation_wedge4(op: Matrix) -> Matrix:
-    """Derivation extension of an operator to the fourth exterior power."""
+    """Derivation extension of an operator to the fourth exterior power.
+
+    Swapping e_t for e_j in the wedge e_S moves e_t to the front of
+    e_(S-t), replaces it, and moves e_j back into sorted position.
+    """
     dim = op.rows
-    basis = wedge4_basis(dim)
-    index = {s: i for i, s in enumerate(basis)}
-    size = len(basis)
+    masks = [sum(1 << i for i in subset) for subset in wedge4_basis(dim)]
+    index = {mask: i for i, mask in enumerate(masks)}
+    size = len(masks)
     cols = [dict() for _ in range(size)]
     col_of = [op.column(t) for t in range(dim)]
-    for s_pos, subset in enumerate(basis):
+    for s_pos, mask in enumerate(masks):
         acc = cols[s_pos]
-        for slot in range(4):
-            t = subset[slot]
+        for t in range(dim):
+            if not mask >> t & 1:
+                continue
+            rest = mask ^ (1 << t)
+            out_parity = reorder_parity(1 << t, rest)
             column = col_of[t]
             for j in range(dim):
                 c = column[j]
-                if not c:
+                if not c or rest >> j & 1:
                     continue
-                replaced = list(subset)
-                replaced[slot] = j
-                sorted_sign = _sorted_with_sign(replaced)
-                if sorted_sign is None:
-                    continue
-                sign, key = sorted_sign
-                pos = index[key]
-                acc[pos] = acc.get(pos, _ZERO) + (c if sign > 0 else -c)
+                pos = index[rest | (1 << j)]
+                flip = out_parity ^ reorder_parity(1 << j, rest)
+                acc[pos] = acc.get(pos, _ZERO) + (-c if flip else c)
     out_cols = []
     for acc in cols:
         col = [_ZERO] * size

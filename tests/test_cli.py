@@ -315,6 +315,44 @@ def test_suite_negative_control_config(tmp_path, capsys):
     assert any(c["name"].startswith("corr.uniform_coefficient") for c in failed)
 
 
+@pytest.mark.parametrize(
+    "override",
+    [{"seed": "x"}, {"ks": {"h_range": "3"}}, {"ks": {"h_range": [3, True]}}, {"bogus": 1}],
+)
+def test_suite_bad_config_exits_2(tmp_path, capsys, override):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(override))
+    assert main(["suite", "--config", str(cfg), "--json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_suite_empty_families_are_vacuous(tmp_path, capsys):
+    empty = dict(
+        SMALL_SUITE,
+        linalg={"trials": 0},
+        qspace={"h_range": [3, 2]},
+        ks={"h_range": [5, 4]},
+        betti={"b2_range": [4, 3]},
+    )
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(empty))
+    assert main(["suite", "--config", str(cfg), "--json"]) == 0
+    checks = {c["name"]: c for c in _json_output(capsys)["checks"]}
+    for name in (
+        "linalg.inverse_roundtrip",
+        "qspace.signature_congruence",
+        "qspace.discriminant_square_class",
+        "hodge.period_isotropy",
+        "hodge.rotation_skew",
+        "hodge.h2_spectrum",
+        "betti.bound_monotone",
+    ):
+        assert checks[name]["status"] == "vacuous"
+        assert checks[name]["detail"] == "no instances"
+    assert checks["ks.e_square"]["status"] == "skipped"
+
+
 def test_suite_cap_exceeded_is_skipped(tmp_path, capsys):
     capped = dict(SMALL_SUITE)
     capped["cap_h"] = 3
