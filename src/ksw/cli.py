@@ -379,18 +379,31 @@ def cmd_betti_audit(args) -> int:
     return _emit(report, args.json)
 
 
+def _power_of_two(k: int):
+    """2**k, or the string "2^k" when 2**k has more decimal digits than int-to-str allows.
+
+    2^k has more than L digits iff 2^k >= 10^L iff k >= bit_length(10^L),
+    since 10^L is not a power of two.  Pythons before 3.10.7 have no limit.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and k >= (10 ** limit).bit_length():
+        return "2^%d" % k
+    return 2 ** k
+
+
 def cmd_betti_bound(args) -> int:
     try:
         k = betti.bound_exponent(args.b2, div4_improve=args.div4_improve)
     except WorkbenchError as exc:
         raise UsageError(str(exc)) from exc
-    checks = [_check("betti.bound", True, "b2 = %d gives k = %d, bound %d" % (args.b2, k, 2 ** k))]
+    bound = _power_of_two(k)
+    checks = [_check("betti.bound", True, "b2 = %d gives k = %d, bound %s" % (args.b2, k, bound))]
     report = RunReport(
         command="betti bound",
         inputs={},
         checks=checks,
         exit_code=0,
-        data={"b2": args.b2, "k": k, "bound": 2 ** k},
+        data={"b2": args.b2, "k": k, "bound": bound},
     )
     return _emit(report, args.json)
 

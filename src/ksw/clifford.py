@@ -11,6 +11,17 @@ sorted index lists (normative convention: masks ordered by increasing
 index).  Elements arriving in the original basis are converted through the
 diagonalizing change of basis first.
 
+Products run on integers.  With d_i = n_i / m_i and scale = prod m_i, each
+algebra tabulates once
+
+    contract[C] = scale * prod_{i in C} d_i
+                = prod_{i in C} n_i * prod_{i not in C} m_i,
+    sign[A]     = mask whose bit j is the parity of the bits of A above j,
+
+so sign(A, B) is the parity of popcount(sign[A] & B).  A product clears each
+factor to integer numerators over one denominator, accumulates
++-x_A * y_B * contract[A&B] in ints, and divides once per output blade.
+
 Elements are sparse maps blade -> Fraction; multiplication operators are
 dense matrices over the graded piece they act on.
 """
@@ -18,6 +29,7 @@ dense matrices over the graded piece they act on.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import CapExceeded, ParityViolation, SpaceMismatch
 from .linalg import Matrix, frac, vector
@@ -59,8 +71,57 @@ def blade_product(a: int, b: int, diag) -> tuple[Fraction, int]:
     return coef, a ^ b
 
 
+def _contraction_table(diag) -> tuple[int, list[int]]:
+    """(scale, contract) with contract[C] = scale * prod_{i in C} d_i, an integer."""
+    scale = 1
+    for d in diag:
+        scale *= d.denominator
+    table = [scale] * (1 << len(diag))
+    for mask in range(1, len(table)):
+        low = mask & -mask
+        d = diag[low.bit_length() - 1]
+        table[mask] = table[mask ^ low] // d.denominator * d.numerator
+    return scale, table
+
+
+def _sign_table(h: int) -> list[int]:
+    """sign[A] with reorder_parity(A, B) == popcount(sign[A] & B) & 1."""
+    table = [0] * (1 << h)
+    for mask in range(1, len(table)):
+        low = mask & -mask
+        table[mask] = table[mask ^ low] ^ (low - 1)
+    return table
+
+
+def _cleared(terms: dict[int, Fraction]) -> tuple[list[tuple[int, int]], int]:
+    """(blade, integer numerator) pairs over the least common denominator."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    return [(m, c.numerator * (den // c.denominator)) for m, c in terms.items()], den
+
+
+def _product_numerators(alg: "CliffordAlgebra", xs, ys) -> dict[int, int]:
+    """Integer product of cleared operands; divide by dx * dy * alg.scale."""
+    sign = alg.sign
+    contract = alg.contract
+    out: dict[int, int] = {}
+    for am, ac in xs:
+        sa = sign[am]
+        for bm, bc in ys:
+            v = ac * bc * contract[am & bm]
+            m = am ^ bm
+            if (sa & bm).bit_count() & 1:
+                out[m] = out.get(m, 0) - v
+            else:
+                out[m] = out.get(m, 0) + v
+    return out
+
+
 class CliffordAlgebra:
-    """Cliff(H, (,)) for a rational quadratic space, capped at desk scale."""
+    """Cliff(H, (,)) for a rational quadratic space, capped at desk scale.
+
+    ``scale``, ``contract`` and ``sign`` are the integer product tables
+    described in the module docstring (2 * 2^h ints).
+    """
 
     def __init__(self, space: QuadraticSpace, cap: int | None = None):
         cap = DEFAULT_CAP_H if cap is None else cap
@@ -76,6 +137,8 @@ class CliffordAlgebra:
         self.odd_masks = tuple(m for m in range(self.dim) if m.bit_count() % 2 == 1)
         self.even_index = {m: i for i, m in enumerate(self.even_masks)}
         self.odd_index = {m: i for i, m in enumerate(self.odd_masks)}
+        self.scale, self.contract = _contraction_table(self.diag)
+        self.sign = _sign_table(self.h)
 
     # -- element constructors --------------------------------------------------
 
@@ -190,17 +253,12 @@ class CliffordElement:
     def __mul__(self, other):
         if isinstance(other, CliffordElement):
             self._require_same_space(other)
-            diag = self.algebra.diag
-            out: dict[int, Fraction] = {}
-            for am, ac in self.terms.items():
-                for bm, bc in other.terms.items():
-                    coef, mask = blade_product(am, bm, diag)
-                    s = out.get(mask, _ZERO) + ac * bc * coef
-                    if s:
-                        out[mask] = s
-                    else:
-                        out.pop(mask, None)
-            return CliffordElement(self.algebra, out)
+            alg = self.algebra
+            xs, dx = _cleared(self.terms)
+            ys, dy = _cleared(other.terms)
+            den = dx * dy * alg.scale
+            out = _product_numerators(alg, xs, ys)
+            return CliffordElement(alg, {m: Fraction(v, den) for m, v in out.items() if v})
         c = frac(other)
         if not c:
             return CliffordElement(self.algebra, {})
@@ -249,7 +307,6 @@ def _mul_block(x: CliffordElement, side: str, domain: str) -> Matrix:
     x must have homogeneous parity unless domain is 'full'.
     """
     alg = x.algebra
-    diag = alg.diag
     par = x.parity
     if domain == "full":
         codomain = "full"
@@ -260,21 +317,22 @@ def _mul_block(x: CliffordElement, side: str, domain: str) -> Matrix:
             codomain = domain
         else:
             codomain = "odd" if domain == "even" else "even"
-    dom_masks = list(alg.masks(domain))
+    dom_masks = alg.masks(domain)
     cod_index = alg.index_map(codomain)
     size = alg.dim if codomain == "full" else alg.dim >> 1
-    columns = []
-    for m in dom_masks:
-        col = [_ZERO] * size
-        for bm, bc in x.terms.items():
-            if side == "left":
-                coef, out = blade_product(bm, m, diag)
-            else:
-                coef, out = blade_product(m, bm, diag)
-            idx = out if cod_index is None else cod_index[out]
-            col[idx] += bc * coef
-        columns.append(col)
-    return Matrix.from_columns(columns, rows=size)
+    xs, dx = _cleared(x.terms)
+    den = dx * alg.scale
+    rows = [[_ZERO] * len(dom_masks) for _ in range(size)]
+    for j, m in enumerate(dom_masks):
+        unit = [(m, 1)]
+        if side == "left":
+            col = _product_numerators(alg, xs, unit)
+        else:
+            col = _product_numerators(alg, unit, xs)
+        for out, v in col.items():
+            if v:
+                rows[out if cod_index is None else cod_index[out]][j] = Fraction(v, den)
+    return Matrix(rows, cols=len(dom_masks))
 
 
 def left_mul_operator(v: CliffordElement, restrict: str = "full") -> Matrix:

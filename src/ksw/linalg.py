@@ -88,10 +88,12 @@ class Matrix:
 
     @classmethod
     def from_columns(cls, columns, rows: int | None = None) -> "Matrix":
-        cols = [vector(c) for c in columns]
+        cols = [tuple(c) for c in columns]
         if cols:
-            height = len(cols[0])
-            return cls([[c[i] for c in cols] for i in range(height)], cols=len(cols))
+            if any(len(c) != len(cols[0]) for c in cols):
+                raise ValueError("ragged columns")
+            # transposed as given; __init__ coerces each entry once
+            return cls(zip(*cols), cols=len(cols))
         if rows is None:
             raise ValueError("a matrix with no columns needs an explicit row count")
         return cls([[] for _ in range(rows)], cols=0)

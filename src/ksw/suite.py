@@ -120,6 +120,31 @@ def _validate_config(value, default, where: str) -> None:
             _validate_config(item, default[0], "%s[%d]" % (where, i))
 
 
+#: [lo, hi] range keys and the least lo each family can run
+_RANGE_KEYS = (
+    ("qspace", "h_range", 1),
+    ("clifford", "h_range", 1),
+    ("ks", "h_range", 2),
+    ("betti", "b2_range", 3),
+)
+
+
+def _validate_ranges(cfg: dict) -> None:
+    """UsageError unless every range key is [lo, hi] with lo in its family's domain.
+
+    lo > hi is allowed: it is the empty range, and the family reports vacuous.
+    """
+    for family, key, least in _RANGE_KEYS:
+        value = cfg[family][key]
+        path = "%s.%s" % (family, key)
+        if len(value) != 2:
+            raise UsageError("suite config %s: expected [lo, hi], got %s" % (path, json.dumps(value)))
+        if value[0] < least:
+            raise UsageError(
+                "suite config %s: lo must be at least %d, got %d" % (path, least, value[0])
+            )
+
+
 def load_config(overrides: dict | None = None) -> dict:
     cfg = default_config()
     if overrides:
@@ -129,6 +154,7 @@ def load_config(overrides: dict | None = None) -> dict:
                 cfg[key].update(value)
             else:
                 cfg[key] = value
+        _validate_ranges(cfg)
     return cfg
 
 

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ksw
 from ksw.cli import main
 from ksw.suite import RunReport, exit_code_from_checks, load_config
 
@@ -52,6 +57,34 @@ def test_betti_bound_div4(capsys):
 
 def test_betti_bound_too_small(capsys):
     assert main(["betti", "bound", "--b2", "2"]) == 2
+
+
+def test_betti_bound_beyond_int_str_limit(capsys):
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        first_too_long = (10 ** 640).bit_length()  # least k with more than 640 digits in 2^k
+        assert main(["betti", "bound", "--b2", str(2 * first_too_long + 1), "--json"]) == 0
+        report = _json_output(capsys)
+        assert report["data"]["bound"] == "2^%d" % first_too_long
+        assert report["checks"][0]["detail"].endswith("bound 2^%d" % first_too_long)
+        assert main(["betti", "bound", "--b2", str(2 * first_too_long - 1), "--json"]) == 0
+        assert _json_output(capsys)["data"]["bound"] == 2 ** (first_too_long - 1)
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=str(Path(ksw.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ksw", "betti", "bound", "--b2", "7", "--json"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["data"]["bound"] == 8
 
 
 def test_betti_audit_default_catalog(capsys):
@@ -325,6 +358,27 @@ def test_suite_bad_config_exits_2(tmp_path, capsys, override):
     assert main(["suite", "--config", str(cfg), "--json"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "override, key",
+    [
+        ({"ks": {"h_range": []}}, "ks.h_range"),
+        ({"qspace": {"h_range": [2, 3, 4]}}, "qspace.h_range"),
+        ({"clifford": {"h_range": [0, 3]}}, "clifford.h_range"),
+        ({"ks": {"h_range": [1, 4]}}, "ks.h_range"),
+        ({"betti": {"b2_range": [0, 5]}}, "betti.b2_range"),
+        ({"betti": {"b2_range": [2]}}, "betti.b2_range"),
+    ],
+)
+def test_suite_bad_range_exits_2(tmp_path, capsys, override, key):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(override))
+    assert main(["suite", "--config", str(cfg), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: suite config %s: " % key)
+    assert captured.err.count("\n") == 1
 
 
 def test_suite_empty_families_are_vacuous(tmp_path, capsys):

@@ -9,6 +9,7 @@ from ksw.clifford import (
     blade_product,
     left_mul_operator,
     mul,
+    reorder_parity,
     right_mul_operator,
 )
 from ksw.errors import CapExceeded, ParityViolation, SpaceMismatch
@@ -227,3 +228,67 @@ def test_element_json_roundtrip():
         ]
     }
     assert clifford_element_from_json(alg, data) == x
+
+
+def _fractional_algebra(rng, h):
+    """Diagonal algebra whose first d_i is never an integer."""
+    diag = [Fraction(rng.choice((-7, -3, -1, 1, 2, 5)), rng.choice((1, 2, 3, 4))) for _ in range(h)]
+    diag[0] = Fraction(rng.choice((-5, -1, 3, 7)), 2)
+    alg = CliffordAlgebra(QuadraticSpace(Matrix.diagonal(diag)))
+    assert any(d.denominator != 1 for d in alg.diag)
+    return alg
+
+
+def _reference_product(x, y):
+    """Per-pair Fraction product through blade_product."""
+    out = {}
+    for am, ac in x.terms.items():
+        for bm, bc in y.terms.items():
+            coef, mask = blade_product(am, bm, x.algebra.diag)
+            out[mask] = out.get(mask, Fraction(0)) + ac * bc * coef
+    return {m: c for m, c in out.items() if c}
+
+
+def _random_rational_element(rng, alg, terms):
+    return alg.element(
+        {rng.randrange(alg.dim): Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(terms)}
+    )
+
+
+def test_sign_and_contract_tables_exhaustive_h1_to_h6():
+    rng = random.Random(23)
+    for h in range(1, 7):
+        alg = _fractional_algebra(rng, h)
+        for a, b in product(range(alg.dim), repeat=2):
+            parity = (alg.sign[a] & b).bit_count() & 1
+            assert parity == reorder_parity(a, b)
+            coef, mask = blade_product(a, b, alg.diag)
+            assert mask == a ^ b
+            assert Fraction(-alg.contract[a & b] if parity else alg.contract[a & b], alg.scale) == coef
+
+
+def test_element_product_matches_fraction_reference():
+    rng = random.Random(29)
+    for h in range(1, 7):
+        alg = _fractional_algebra(rng, h)
+        for _ in range(40):
+            x = _random_rational_element(rng, alg, rng.randint(0, 6))
+            y = _random_rational_element(rng, alg, rng.randint(0, 6))
+            got = (x * y).terms
+            assert got == _reference_product(x, y)
+            assert all(type(c) is Fraction for c in got.values())
+
+
+def test_mul_operators_match_element_products():
+    rng = random.Random(31)
+    alg = _fractional_algebra(rng, 4)
+    for _ in range(5):
+        x = _random_rational_element(rng, alg, 4)
+        left = left_mul_operator(x)
+        right = right_mul_operator(x)
+        for m in range(alg.dim):
+            blade = alg.blade(m)
+            left_col = (x * blade).terms
+            right_col = (blade * x).terms
+            assert left.column(m) == tuple(left_col.get(i, 0) for i in range(alg.dim))
+            assert right.column(m) == tuple(right_col.get(i, 0) for i in range(alg.dim))
