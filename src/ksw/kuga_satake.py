@@ -221,6 +221,22 @@ def default_v0(ks: KSStructure):
     return first
 
 
+def _non_null(ks: KSStructure, v0) -> tuple[Fraction, ...]:
+    """v0 as a vector, or NullReference when (v0, v0) = 0."""
+    v0 = vector(v0)
+    if not ks.space.quadratic(v0):
+        raise NullReference("(v0, v0) = 0")
+    return v0
+
+
+def _even_coords(alg: CliffordAlgebra, element: CliffordElement) -> list[Fraction]:
+    """Dense coordinates of an even element over ``alg.even_masks``."""
+    coords = [_ZERO] * len(alg.even_masks)
+    for m, c in element.terms.items():
+        coords[alg.even_index[m]] = c
+    return coords
+
+
 def endomorphism_embedding(ks: KSStructure, v, v0) -> Matrix:
     """Matrix on C+ of x -> v . x . v0 for grade-1 v, v0 with (v0, v0) != 0.
 
@@ -228,22 +244,12 @@ def endomorphism_embedding(ks: KSStructure, v, v0) -> Matrix:
     E_v for v in the plane and commutes for v orthogonal to it.  Columns
     are computed directly in the element algebra (v and v0 are sparse).
     """
-    v0 = vector(v0)
-    if not ks.space.quadratic(v0):
-        raise NullReference("(v0, v0) = 0")
+    v0 = _non_null(ks, v0)
     alg = ks.algebra
     ev = alg.vector(vector(v))
     ev0 = alg.vector(v0)
-    index = alg.even_index
-    size = len(alg.even_masks)
-    columns = []
-    for mask in alg.even_masks:
-        product = ev * alg.blade(mask) * ev0
-        col = [_ZERO] * size
-        for m, c in product.terms.items():
-            col[index[m]] = c
-        columns.append(col)
-    return Matrix.from_columns(columns, rows=size)
+    columns = [_even_coords(alg, ev * alg.blade(mask) * ev0) for mask in alg.even_masks]
+    return Matrix.from_columns(columns, rows=len(alg.even_masks))
 
 
 def embedding_matrix_stack(ks: KSStructure, v0) -> Matrix:
@@ -262,19 +268,13 @@ def embedding_unit_block(ks: KSStructure, v0) -> Matrix:
 
     These are the unit-blade columns of ``embedding_matrix_stack``.
     """
-    v0 = vector(v0)
-    if not ks.space.quadratic(v0):
-        raise NullReference("(v0, v0) = 0")
     alg = ks.algebra
-    ev0 = alg.vector(v0)
+    ev0 = alg.vector(_non_null(ks, v0))
     h = ks.space.h
     rows = []
     for i in range(h):
-        product = alg.vector(tuple(_ONE if j == i else 0 for j in range(h))) * ev0
-        row = [_ZERO] * len(alg.even_masks)
-        for m, c in product.terms.items():
-            row[alg.even_index[m]] = c
-        rows.append(row)
+        basis_vec = alg.vector(tuple(_ONE if j == i else 0 for j in range(h)))
+        rows.append(_even_coords(alg, basis_vec * ev0))
     return Matrix(rows)
 
 
@@ -286,12 +286,11 @@ def embedding_has_full_rank(ks: KSStructure, v0) -> bool:
     """rank of v -> E_v equals h, via the sound modular certificate.
 
     The unit-blade block is a column subset of the full stack, so rank h
-    there settles it; only a shortfall pays for the h x 4^(h-1) stack.
+    there proves rank h for the stack.  Right multiplication by a non-null
+    v0 is injective, so the block always has rank h and the h x 4^(h-1)
+    stack is never needed here; ``embedding_rank`` still builds it.
     """
-    h = ks.space.h
-    if rank_at_least(embedding_unit_block(ks, v0), h):
-        return True
-    return rank_at_least(embedding_matrix_stack(ks, v0), h)
+    return rank_at_least(embedding_unit_block(ks, v0), ks.space.h)
 
 
 def embedding_sign_laws(ks: KSStructure, v0, matrix_level: bool = False) -> bool:
@@ -330,10 +329,7 @@ def odd_even_isomorphism(ks: KSStructure, v0) -> Matrix:
     Its two-sided inverse is right multiplication by v0 / (v0, v0), and it
     intertwines the two J actions: J_odd . R = R . J_even.
     """
-    v0 = vector(v0)
-    if not ks.space.quadratic(v0):
-        raise NullReference("(v0, v0) = 0")
-    return _mul_block(ks.algebra.vector(v0), "right", "even")
+    return _mul_block(ks.algebra.vector(_non_null(ks, v0)), "right", "even")
 
 
 def odd_even_inverse(ks: KSStructure, v0) -> Matrix:

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import ksw
-from ksw.cli import main
+from ksw.cli import _power_of_two, main
 from ksw.suite import RunReport, exit_code_from_checks, load_config
 
 
@@ -59,6 +59,9 @@ def test_betti_bound_too_small(capsys):
     assert main(["betti", "bound", "--b2", "2"]) == 2
 
 
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="Python has no int-to-str digit limit"
+)
 def test_betti_bound_beyond_int_str_limit(capsys):
     old = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)
@@ -70,6 +73,8 @@ def test_betti_bound_beyond_int_str_limit(capsys):
         assert report["checks"][0]["detail"].endswith("bound 2^%d" % first_too_long)
         assert main(["betti", "bound", "--b2", str(2 * first_too_long - 1), "--json"]) == 0
         assert _json_output(capsys)["data"]["bound"] == 2 ** (first_too_long - 1)
+        sys.set_int_max_str_digits(0)  # 0 lifts the limit
+        assert _power_of_two(first_too_long) == 2 ** first_too_long
     finally:
         sys.set_int_max_str_digits(old)
 

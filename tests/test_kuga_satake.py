@@ -150,12 +150,12 @@ def test_endo_embedding_diagonal_vector():
 
 def test_endo_embedding_rank_and_signs():
     rng = random.Random(47)
-    for h in (3, 4, 5):
+    for h in (3, 4, 5, 6):
         ks = ks_mod.build(random_hk(rng, h))
         v0 = ks_mod.default_v0(ks)
         assert ks_mod.embedding_rank(ks, v0) == h
         assert ks_mod.embedding_has_full_rank(ks, v0)
-        assert ks_mod.embedding_sign_laws(ks, v0, matrix_level=True)
+        assert ks_mod.embedding_sign_laws(ks, v0, matrix_level=h < 6)
     for h in (6, 7):
         ks = ks_mod.build(random_hk(rng, h))
         v0 = ks_mod.default_v0(ks)
@@ -173,24 +173,6 @@ def test_unit_blade_block_is_a_column_subset_of_the_stack():
         # each stack row is E_v flattened row-major; the unit blade is domain column 0
         unit_columns = Matrix([[row[r * size] for r in range(size)] for row in stack])
         assert ks_mod.embedding_unit_block(ks, v0) == unit_columns
-
-
-def test_full_rank_certificate_agrees_with_exact_rank():
-    rng = random.Random(51)
-    for h in range(3, 7):
-        ks = ks_mod.build(random_hk(rng, h))
-        v0 = ks_mod.default_v0(ks)
-        assert ks_mod.embedding_has_full_rank(ks, v0) == (ks_mod.embedding_rank(ks, v0) == h)
-
-
-def test_full_rank_certificate_falls_back_to_the_stack(monkeypatch):
-    rng = random.Random(52)
-    ks = ks_mod.build(random_hk(rng, 4))
-    v0 = ks_mod.default_v0(ks)
-    monkeypatch.setattr(ks_mod, "embedding_unit_block", lambda ks, v0: Matrix.zeros(4, 8))
-    assert ks_mod.embedding_has_full_rank(ks, v0)
-    monkeypatch.setattr(ks_mod, "embedding_matrix_stack", lambda ks, v0: Matrix.zeros(4, 64))
-    assert not ks_mod.embedding_has_full_rank(ks, v0)
 
 
 def test_endo_embedding_null_reference():
