@@ -12,6 +12,7 @@ via JSON.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from .errors import MissingHypothesisData, TooSmall
@@ -62,13 +63,25 @@ def bound_exponent(b2: int, div4_improve: bool = False) -> int:
     return (b2 - 1) // 2 if b2 % 2 else (b2 - 2) // 2
 
 
+def power_of_two(k: int):
+    """2**k, or the string "2^k" when 2**k has more decimal digits than int-to-str allows.
+
+    2^k has more than L digits iff 2^k >= 10^L iff k >= bit_length(10^L),
+    since 10^L is not a power of two.  Pythons before 3.10.7 have no limit.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and k >= (10 ** limit).bit_length():
+        return "2^%d" % k
+    return 2 ** k
+
+
 def _compare(b: int, k: int) -> BoundResult:
     bound = 2 ** k
     if b == bound:
         return BoundResult(k, bound, STATUS_TIGHT, "b = %d = 2^%d" % (b, k))
     if b > bound:
-        return BoundResult(k, bound, STATUS_PASS, "b = %d > %d" % (b, bound))
-    return BoundResult(k, bound, STATUS_FAIL, "b = %d < %d" % (b, bound))
+        return BoundResult(k, bound, STATUS_PASS, "b = %d > %s" % (b, power_of_two(k)))
+    return BoundResult(k, bound, STATUS_FAIL, "b = %d < %s" % (b, power_of_two(k)))
 
 
 def audit_b3(entry: CatalogEntry) -> BoundResult:

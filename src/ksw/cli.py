@@ -335,19 +335,19 @@ def cmd_betti_audit(args) -> int:
     rows = []
     for entry in entries:
         b3_result = betti.audit_b3(entry)
+        bound = betti.power_of_two(b3_result.k)
         checks.append(
             _audit_check(
                 "betti.audit_b3[%s]" % entry.name,
                 b3_result.status,
-                "bound 2^%d = %d: %s (%s)"
-                % (b3_result.k, b3_result.bound, b3_result.status, b3_result.detail),
+                "bound 2^%d = %s: %s (%s)" % (b3_result.k, bound, b3_result.status, b3_result.detail),
             )
         )
         row = {
             "name": entry.name,
             "b3": {
                 "k": b3_result.k,
-                "bound": b3_result.bound,
+                "bound": bound,
                 "status": b3_result.status,
             },
         }
@@ -355,7 +355,7 @@ def cmd_betti_audit(args) -> int:
             odd_result = betti.audit_b2n_minus_1(entry)
             row["b2n_minus_1"] = {
                 "k": odd_result.k,
-                "bound": odd_result.bound,
+                "bound": betti.power_of_two(odd_result.k),
                 "status": odd_result.status,
             }
             checks.append(
@@ -379,24 +379,12 @@ def cmd_betti_audit(args) -> int:
     return _emit(report, args.json)
 
 
-def _power_of_two(k: int):
-    """2**k, or the string "2^k" when 2**k has more decimal digits than int-to-str allows.
-
-    2^k has more than L digits iff 2^k >= 10^L iff k >= bit_length(10^L),
-    since 10^L is not a power of two.  Pythons before 3.10.7 have no limit.
-    """
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and k >= (10 ** limit).bit_length():
-        return "2^%d" % k
-    return 2 ** k
-
-
 def cmd_betti_bound(args) -> int:
     try:
         k = betti.bound_exponent(args.b2, div4_improve=args.div4_improve)
     except WorkbenchError as exc:
         raise UsageError(str(exc)) from exc
-    bound = _power_of_two(k)
+    bound = betti.power_of_two(k)
     checks = [_check("betti.bound", True, "b2 = %d gives k = %d, bound %s" % (args.b2, k, bound))]
     report = RunReport(
         command="betti bound",

@@ -319,20 +319,19 @@ def _mul_block(x: CliffordElement, side: str, domain: str) -> Matrix:
             codomain = "odd" if domain == "even" else "even"
     dom_masks = alg.masks(domain)
     cod_index = alg.index_map(codomain)
+    place = range(alg.dim) if cod_index is None else cod_index
     size = alg.dim if codomain == "full" else alg.dim >> 1
     xs, dx = _cleared(x.terms)
     den = dx * alg.scale
-    rows = [[_ZERO] * len(dom_masks) for _ in range(size)]
-    for j, m in enumerate(dom_masks):
+    cols = []
+    for m in dom_masks:
         unit = [(m, 1)]
         if side == "left":
             col = _product_numerators(alg, xs, unit)
         else:
             col = _product_numerators(alg, unit, xs)
-        for out, v in col.items():
-            if v:
-                rows[out if cod_index is None else cod_index[out]][j] = Fraction(v, den)
-    return Matrix(rows, cols=len(dom_masks))
+        cols.append({place[out]: Fraction(v, den) for out, v in col.items() if v})
+    return Matrix.from_sparse_columns(cols, size)
 
 
 def left_mul_operator(v: CliffordElement, restrict: str = "full") -> Matrix:

@@ -28,7 +28,6 @@ from .errors import (
 from .linalg import Matrix, vector
 from .qspace import QuadraticSpace
 
-_ZERO = Fraction(0)
 _TWO = Fraction(2)
 
 
@@ -175,7 +174,7 @@ class Weight1Structure:
             raise ValueError("weight-1 structure needs even dimension")
         if j.rows != dim or j.cols != dim:
             raise ValueError("J must be %dx%d" % (dim, dim))
-        if check and not _squares_to_minus_identity(j):
+        if check and j * j != -Matrix.identity(dim):
             raise ValueError("J^2 != -identity")
         self.dim = dim
         self.j = j
@@ -183,22 +182,3 @@ class Weight1Structure:
     @property
     def complex_dim(self) -> int:
         return self.dim // 2
-
-
-def _squares_to_minus_identity(j: Matrix) -> bool:
-    """Column-wise J(J e_k) == -e_k with zero-skipping; avoids the full product."""
-    n = j.rows
-    cols = [j.column(k) for k in range(n)]
-    for k in range(n):
-        acc = [_ZERO] * n
-        for i, c in enumerate(cols[k]):
-            if c:
-                ci = cols[i]
-                for r in range(n):
-                    if ci[r]:
-                        acc[r] += c * ci[r]
-        for r in range(n):
-            expected = Fraction(-1) if r == k else _ZERO
-            if acc[r] != expected:
-                return False
-    return True

@@ -94,44 +94,36 @@ def build_sym(space: QuadraticSpace, k: int, allow_large: bool = False) -> SymTe
     index = {mu: i for i, mu in enumerate(basis)}
     lower = _exponent_basis(h, k - 2) if k >= 2 else ()
     lower_index = {mu: i for i, mu in enumerate(lower)}
-    g = space.gram
-    b = space.inverse_gram
+    g, b = space.gram, space.inverse_gram
+    # (i, j, weight) for i <= j: an off-diagonal pair stands for (i, j) and (j, i)
+    pairs = [(i, j, 1 if i == j else 2) for i in range(h) for j in range(i, h)]
+    g_terms = [(i, j, w * g[i, j]) for i, j, w in pairs if g[i, j]]
+    b_terms = [(i, j, w * b[i, j]) for i, j, w in pairs if b[i, j]]
 
+    # within a column every term lands on its own monomial
     contraction_cols = []
     for mu in basis:
-        col = [_ZERO] * len(lower)
-        for i in range(h):
-            mi = mu[i]
-            if mi >= 2 and g[i, i]:
+        col = {}
+        for i, j, c in g_terms:
+            count = mu[i] * (mu[j] - (i == j))
+            if count:
                 target = list(mu)
-                target[i] -= 2
-                col[lower_index[tuple(target)]] += g[i, i] * mi * (mi - 1)
-            if mi:
-                for j in range(i + 1, h):
-                    if mu[j] and g[i, j]:
-                        target = list(mu)
-                        target[i] -= 1
-                        target[j] -= 1
-                        col[lower_index[tuple(target)]] += 2 * g[i, j] * mi * mu[j]
+                target[i] -= 1
+                target[j] -= 1
+                col[lower_index[tuple(target)]] = c * count
         contraction_cols.append(col)
-    contraction = Matrix.from_columns(contraction_cols, rows=len(lower))
+    contraction = Matrix.from_sparse_columns(contraction_cols, len(lower))
 
     qmult_cols = []
     for nu in lower:
-        col = [_ZERO] * len(basis)
-        for i in range(h):
-            if b[i, i]:
-                target = list(nu)
-                target[i] += 2
-                col[index[tuple(target)]] += b[i, i]
-            for j in range(i + 1, h):
-                if b[i, j]:
-                    target = list(nu)
-                    target[i] += 1
-                    target[j] += 1
-                    col[index[tuple(target)]] += 2 * b[i, j]
+        col = {}
+        for i, j, c in b_terms:
+            target = list(nu)
+            target[i] += 1
+            target[j] += 1
+            col[index[tuple(target)]] = c
         qmult_cols.append(col)
-    q_mult = Matrix.from_columns(qmult_cols, rows=len(basis))
+    q_mult = Matrix.from_sparse_columns(qmult_cols, len(basis))
 
     return SymTensorSpace(
         space=space,
@@ -179,10 +171,13 @@ def harmonic(space: QuadraticSpace, k: int, allow_large: bool = False):
 
 @dataclass
 class Decomposition:
-    """Blocks q_mult^l(Harm^(k-2l)) with dims and the full-rank certificate."""
+    """Blocks q_mult^l(Harm^(k-2l)) with dims and the full-rank certificate.
+
+    Block l = 0 is the primitive integer harmonic basis itself (Q^0 = 1).
+    """
 
     k: int
-    blocks: list[tuple[int, list[tuple[Fraction, ...]]]]
+    blocks: list[tuple[int, list[tuple[int | Fraction, ...]]]]
     certificate: str
 
     @property
@@ -214,9 +209,10 @@ def decompose(space: QuadraticSpace, k: int, allow_large: bool = False) -> Decom
     total = 0
     for l in range(k // 2 + 1):
         kh = k - 2 * l
-        harm = harmonic(space, kh, allow_large)
-        lift = q_power_lift(space, kh, l, allow_large)
-        vecs = [lift.matvec(v) for v in harm]
+        vecs = harmonic(space, kh, allow_large)
+        if l:
+            lift = q_power_lift(space, kh, l, allow_large)
+            vecs = [lift.matvec(v) for v in vecs]
         blocks.append((l, vecs))
         total += len(vecs)
     ambient = sym_dim(space.h, k)
@@ -304,22 +300,20 @@ def sym_derivation(sym: SymTensorSpace, op: Matrix) -> Matrix:
     cols = []
     op_cols = [op.column(i) for i in range(h)]
     for mu in sym.basis:
-        col = [_ZERO] * sym.dim
+        col = {}
         for i in range(h):
             mi = mu[i]
             if not mi:
                 continue
-            column = op_cols[i]
-            for j in range(h):
-                c = column[j]
-                if not c:
-                    continue
-                target = list(mu)
-                target[i] -= 1
-                target[j] += 1
-                col[sym.index[tuple(target)]] += mi * c
+            for j, c in enumerate(op_cols[i]):
+                if c:
+                    target = list(mu)
+                    target[i] -= 1
+                    target[j] += 1
+                    pos = sym.index[tuple(target)]
+                    col[pos] = col.get(pos, _ZERO) + mi * c
         cols.append(col)
-    return Matrix.from_columns(cols, rows=sym.dim)
+    return Matrix.from_sparse_columns(cols, sym.dim)
 
 
 def casimir_block_eigenvalue(h: int, k: int, l: int) -> Fraction:

@@ -155,14 +155,7 @@ def derivation_wedge4(op: Matrix) -> Matrix:
                 pos = index[rest | (1 << j)]
                 flip = out_parity ^ reorder_parity(1 << j, rest)
                 acc[pos] = acc.get(pos, _ZERO) + (-c if flip else c)
-    out_cols = []
-    for acc in cols:
-        col = [_ZERO] * size
-        for pos, val in acc.items():
-            if val:
-                col[pos] = val
-        out_cols.append(col)
-    return Matrix.from_columns(out_cols, rows=size)
+    return Matrix.from_sparse_columns(cols, size)
 
 
 def weil_class_space(endo: QuadraticEndo) -> list[tuple[int, ...]]:

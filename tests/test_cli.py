@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 import ksw
-from ksw.cli import _power_of_two, main
+from ksw.betti import power_of_two
+from ksw.cli import main
 from ksw.suite import RunReport, exit_code_from_checks, load_config
 
 
@@ -59,24 +60,45 @@ def test_betti_bound_too_small(capsys):
     assert main(["betti", "bound", "--b2", "2"]) == 2
 
 
-@pytest.mark.skipif(
-    not hasattr(sys, "set_int_max_str_digits"), reason="Python has no int-to-str digit limit"
-)
-def test_betti_bound_beyond_int_str_limit(capsys):
+@pytest.fixture
+def int_str_limit_640():
+    """Python's int-to-str digit limit lowered to 640 for one test."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("Python has no int-to-str digit limit")
     old = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)
     try:
-        first_too_long = (10 ** 640).bit_length()  # least k with more than 640 digits in 2^k
-        assert main(["betti", "bound", "--b2", str(2 * first_too_long + 1), "--json"]) == 0
-        report = _json_output(capsys)
-        assert report["data"]["bound"] == "2^%d" % first_too_long
-        assert report["checks"][0]["detail"].endswith("bound 2^%d" % first_too_long)
-        assert main(["betti", "bound", "--b2", str(2 * first_too_long - 1), "--json"]) == 0
-        assert _json_output(capsys)["data"]["bound"] == 2 ** (first_too_long - 1)
-        sys.set_int_max_str_digits(0)  # 0 lifts the limit
-        assert _power_of_two(first_too_long) == 2 ** first_too_long
+        yield 640
     finally:
         sys.set_int_max_str_digits(old)
+
+
+def test_betti_bound_beyond_int_str_limit(int_str_limit_640, capsys):
+    first_too_long = (10 ** 640).bit_length()  # least k with more than 640 digits in 2^k
+    assert main(["betti", "bound", "--b2", str(2 * first_too_long + 1), "--json"]) == 0
+    report = _json_output(capsys)
+    assert report["data"]["bound"] == "2^%d" % first_too_long
+    assert report["checks"][0]["detail"].endswith("bound 2^%d" % first_too_long)
+    assert main(["betti", "bound", "--b2", str(2 * first_too_long - 1), "--json"]) == 0
+    assert _json_output(capsys)["data"]["bound"] == 2 ** (first_too_long - 1)
+    sys.set_int_max_str_digits(0)  # 0 lifts the limit
+    assert power_of_two(first_too_long) == 2 ** first_too_long
+
+
+def test_betti_audit_beyond_int_str_limit(int_str_limit_640, tmp_path, capsys):
+    # a failing entry exits 1 like any other, whatever the size of its bound
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps([{"name": "big", "dim2n": 4, "b2": 100000, "b3": 8}]))
+    assert main(["betti", "audit", "--catalog", str(path), "--json"]) == 1
+    report = _json_output(capsys)
+    row = report["data"]["entries"][0]
+    assert row["b3"] == {"k": 50000, "bound": "2^50000", "status": "fail"}
+    assert row["b2n_minus_1"] == {"k": 50000, "bound": "2^50000", "status": "fail"}
+    assert [c["detail"] for c in report["checks"]] == [
+        "bound 2^50000 = 2^50000: fail (b = 8 < 2^50000)",
+        "b = 8 < 2^50000",
+    ]
+    assert main(["betti", "audit", "--catalog", str(path)]) == 1
 
 
 def test_python_dash_m_runs_the_cli():
@@ -90,6 +112,15 @@ def test_python_dash_m_runs_the_cli():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["data"]["bound"] == 8
+
+
+def test_importing_the_cli_leaves_sympy_out():
+    # importing sympy costs start-up time; only qspace's square-class helper needs it, lazily
+    env = dict(os.environ, PYTHONPATH=str(Path(ksw.__file__).resolve().parents[1]))
+    code = "import sys, ksw, ksw.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'sympy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_betti_audit_default_catalog(capsys):

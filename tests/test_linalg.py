@@ -1,12 +1,17 @@
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from ksw.errors import Singular
 from ksw.linalg import (
+    CERTIFICATE_PRIME,
     Matrix,
+    _bareiss_echelon,
+    _cleared_int_rows,
+    _rank_mod_p,
     determinant,
     dot,
     primitive_integer_vector,
@@ -205,10 +210,144 @@ def test_matrix_shape_and_empty_handling():
         Matrix([[1, 2], [3]])
 
 
-def test_matvec_and_dot():
-    m = Matrix([[1, 2], [3, 4]])
-    assert m.matvec((1, 1)) == (3, 7)
-    assert dot((1, 2, 3), (4, 5, 6)) == 32
+# -- dense list-of-lists reference for the sparse core -----------------------------
+
+_ENTRIES = st.one_of(st.just(0), st.just(0), st.fractions(min_value=-9, max_value=9, max_denominator=4))
+
+
+def _grid(rows, cols):
+    return st.lists(st.lists(_ENTRIES, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+
+
+def _operands(shape):
+    """A, A2 (r x c), B (c x k), a vector v of length c and a scalar."""
+    r, c, k = shape
+    return st.tuples(_grid(r, c), _grid(r, c), _grid(c, k), st.lists(_ENTRIES, min_size=c, max_size=c), _ENTRIES)
+
+
+def _ref_mul(a, b):
+    return [[sum((x * b[t][j] for t, x in enumerate(row)), Fraction(0)) for j in range(len(b[0]))] for row in a]
+
+
+def _dense_views(m):
+    """Every dense view of m, which must all agree with the reference."""
+    rows = [m.row(i) for i in range(m.rows)]
+    assert list(m) == rows
+    assert [m.column(j) for j in range(m.cols)] == [tuple(r[j] for r in rows) for j in range(m.cols)]
+    assert [[m[i, j] for j in range(m.cols)] for i in range(m.rows)] == [list(r) for r in rows]
+    return [list(r) for r in rows]
+
+
+@given(st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5)).flatmap(_operands))
+@example(([[1, 2], [3, 4]], [[0, 0], [0, 0]], [[1], [1]], [1, 1], 2))
+def test_sparse_core_matches_dense_reference(drawn):
+    a, a2, b, v, c = drawn
+    m, m2, n = Matrix(a), Matrix(a2), Matrix(b)
+    assert _dense_views(m) == a
+    assert m[0, -1] == a[0][-1] and m.column(-1) == tuple(r[-1] for r in a)
+    with pytest.raises(IndexError):
+        m[0, m.cols]
+    products = tuple(sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in a)
+    assert m.matvec(v) == tuple(dot(row, v) for row in a) == products
+    assert _dense_views(m * n) == _ref_mul(a, b)
+    assert _dense_views(m + m2) == [[x + y for x, y in zip(r, r2)] for r, r2 in zip(a, a2)]
+    assert _dense_views(m - m2) == [[x - y for x, y in zip(r, r2)] for r, r2 in zip(a, a2)]
+    assert _dense_views(-m) == [[-x for x in r] for r in a]
+    assert _dense_views(c * m) == _dense_views(m * c) == [[c * x for x in r] for r in a]
+    assert _dense_views(m.transpose()) == [list(col) for col in zip(*a)]
+    assert m.is_zero() == all(not x for r in a for x in r)
+    # one matrix, however it was built, compares and hashes equal
+    built = [
+        Matrix.from_columns(zip(*a)),
+        Matrix.from_sparse_columns([{i: a[i][j] for i in range(len(a))} for j in range(len(a[0]))], len(a)),
+        m + Matrix.zeros(m.rows, m.cols),
+        m * Matrix.identity(m.cols),
+        (m - m2) + m2,
+    ]
+    for other in built:
+        assert other == m and hash(other) == hash(m)
+    assert (m == m2) == (a == a2)
+    assert m - m == Matrix.zeros(m.rows, m.cols)
+    assert hash(m - m) == hash(Matrix.zeros(m.rows, m.cols))
+    diag = [row[0] for row in a]
+    dense_diag = [[x if i == j else 0 for j in range(len(diag))] for i, x in enumerate(diag)]
+    assert Matrix.diagonal(diag) == Matrix(dense_diag)
+    assert hash(Matrix.diagonal(diag)) == hash(Matrix(dense_diag))
+    k = len(diag)
+    eye = Matrix([[1 if i == j else 0 for j in range(k)] for i in range(k)])
+    assert Matrix.identity(k) == eye and hash(Matrix.identity(k)) == hash(eye)
+
+
+def _eager_bareiss(rows, ncols):
+    """Textbook Bareiss that rescales every row below the pivot at every step."""
+    rows = [list(r) for r in rows]
+    pivots, prev, r = [], 1, 0
+    for c in range(ncols):
+        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[p], rows[r] = rows[r], rows[p]
+        piv = rows[r][c]
+        for i in range(r + 1, len(rows)):
+            ric = rows[i][c]
+            rows[i] = [(piv * x - ric * y) // prev for x, y in zip(rows[i], rows[r])]
+        prev = piv
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return pivots, rows
+
+
+def _rref_kernel(a, ncols):
+    """Canonical reduced-echelon kernel basis, as primitive integer vectors."""
+    rows = [[Fraction(x) for x in r] for r in a]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[p], rows[r] = rows[r], rows[p]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    kernel = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        x = [Fraction(0)] * ncols
+        x[f] = Fraction(1)
+        for i, p in enumerate(pivots):
+            x[p] = -rows[i][f]
+        scale = lcm(*(y.denominator for y in x))
+        ints = [int(y * scale) for y in x]
+        g = gcd(*ints)
+        sign = -1 if next(y for y in ints if y) < 0 else 1
+        kernel.append(tuple(sign * y // g for y in ints))
+    return kernel
+
+
+@given(st.tuples(st.integers(1, 7), st.integers(1, 9)).flatmap(lambda shape: _grid(*shape)))
+def test_echelon_and_kernel_match_dense_references(a):
+    m = Matrix(a)
+    rows, _ = _cleared_int_rows(m)
+    dense_rows = [[row.get(j, 0) for j in range(m.cols)] for row in rows]
+    pivots, _ = _bareiss_echelon(rows, m.cols)
+    want_pivots, want_rows = _eager_bareiss(dense_rows, m.cols)
+    assert pivots == want_pivots
+    got = [[row.get(j, 0) for j in range(m.cols)] for row in rows]
+    assert got[: len(pivots)] == want_rows[: len(pivots)]
+    assert not any(x for r in got[len(pivots):] for x in r)
+    rank, kernel = rank_and_kernel(m)
+    assert rank == len(pivots)
+    assert kernel == _rref_kernel(a, m.cols)
+    # cleared entries are at most 108 in size, so every minor (<= 324^7) is below the prime
+    assert _rank_mod_p(m, CERTIFICATE_PRIME) == rank
+    assert _rank_mod_p(Matrix([[Fraction(1, 3), 1]]), 3) is None
 
 
 def test_float_rejected():

@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from hashlib import sha256
 from math import comb
 
 import pytest
 
 from ksw.errors import CapExceeded, NotApplicable
+from ksw.hodge import HKStructure
 from ksw.linalg import Matrix, same_span
 from ksw.qspace import QuadraticSpace
 from ksw.randgen import random_congruence_scramble, random_hk
@@ -271,3 +273,38 @@ def test_caps_and_allow_large():
         build_sym(space8, 2)
     sym = build_sym(space8, 2, allow_large=True)
     assert sym.dim == comb(9, 2)
+
+
+# -- pinned canonical bases --------------------------------------------------------
+# Congruence-scrambled forms written out, so the pins do not depend on randgen.
+_PIN_H5 = [[-1, 2, 1, 0, -1], [2, -42, -40, 15, 34], [1, -40, -37, 15, 33], [0, 15, 15, -5, -10], [-1, 34, 33, -10, -20]]
+_PIN_H6 = [
+    [2, -2, 4, -2, -2, 0], [-2, -20, 11, 10, -1, -5], [4, 11, -2, -7, -1, 3],
+    [-2, 10, -7, -2, 3, 1], [-2, -1, -1, 3, 2, -1], [0, -5, 3, 1, -1, -1],
+]
+_PIN_PERIOD_FORM = [
+    [-5, 0, -10, -5, 0], [0, 1, 4, 2, -2], [-10, 4, -53, -36, 38], [-5, 2, -36, -27, 31], [0, -2, 38, 31, -43],
+]
+_PIN_ALPHA = ["-144/13", "-57/13", "0", "144/13", "108/13"]
+_PIN_BETA = ["60/13", "66/13", "0", "-60/13", "-45/13"]
+
+
+def _digest(lines):
+    return sha256("\n".join(lines).encode()).hexdigest()
+
+
+def _lines(vectors):
+    return [",".join(map(str, v)) for v in vectors]
+
+
+def test_canonical_bases_are_pinned():
+    # a changed kernel basis (pivot order, free-variable convention or
+    # normalisation) changes these digests even when every span is right
+    harm = harmonic(QuadraticSpace(Matrix(_PIN_H5)), 4)
+    assert _digest(_lines(harm)) == "d363e921800aa0d571a56b0416f8d2f77a705afeaffa40671372aa2890759968"
+    dec = decompose(QuadraticSpace(Matrix(_PIN_H6)), 3)
+    blocks = [line for l, vecs in dec.blocks for line in ["l=%d" % l] + _lines(vecs)]
+    assert _digest(blocks) == "48470e8b7c08bcc03525737f33546ec03b252c88079b27c89bd63839e77ad88b"
+    hk = HKStructure.build(QuadraticSpace(Matrix(_PIN_PERIOD_FORM)), _PIN_ALPHA, _PIN_BETA)
+    part = level_two_part(hk, 3)
+    assert _digest(_lines(part)) == "31686adbcc07b2380474dbd029bcb3aa34f80dccdcbe86136f24e6a54bac1504"
