@@ -330,8 +330,8 @@ def _mul_block(x: CliffordElement, side: str, domain: str) -> Matrix:
             col = _product_numerators(alg, xs, unit)
         else:
             col = _product_numerators(alg, unit, xs)
-        cols.append({place[out]: Fraction(v, den) for out, v in col.items() if v})
-    return Matrix.from_sparse_columns(cols, size)
+        cols.append({place[out]: v for out, v in col.items() if v})
+    return Matrix.from_sparse_columns(cols, size) * Fraction(1, den)
 
 
 def left_mul_operator(v: CliffordElement, restrict: str = "full") -> Matrix:

@@ -1,14 +1,19 @@
 """Exact sparse linear algebra over the rationals.
 
 Scalars are `fractions.Fraction`.  A matrix is an immutable tuple of rows,
-each a dict from column index to a nonzero entry, so products, elimination
-and certificates walk nonzeros only: the symmetric-power, exterior-power
-and Clifford operators built here have a few percent of them.
+each stored as a dict from column index to a nonzero ``int`` numerator
+plus one positive ``int`` denominator, in lowest terms (the gcd of the
+denominator and all numerators is 1; an empty row has denominator 1).  So
+products, sums, ``matvec`` and elimination run on plain ints over the
+nonzeros, and ``==``/``hash`` compare the stored rows however the matrix
+was built: the symmetric-power, exterior-power and Clifford operators
+built here have a few percent of nonzeros.  Entries, rows, columns and
+iteration are dense `Fraction` views built on demand.
 
-Row reduction is fraction-free (Bareiss) on denominator-cleared integer
-rows, and back-substitution stays in integers scaled by the last pivot.
-Kernel bases are the canonical reduced-echelon bases (one free variable 1,
-the others 0) as primitive integer vectors (content removed, first nonzero
+Row reduction is fraction-free (Bareiss) on the stored integer rows, and
+back-substitution stays in integers scaled by the last pivot.  Kernel
+bases are the canonical reduced-echelon bases (one free variable 1, the
+others 0) as primitive integer vectors (content removed, first nonzero
 entry positive), so fixtures are reproducible.
 
 No floating point lives here; numeric cross-checks belong to the test
@@ -18,14 +23,13 @@ suite's oracles.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .errors import Singular
 
 Rational = Fraction
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 #: 61-bit Mersenne prime used by the rank certificate.
 CERTIFICATE_PRIME = (1 << 61) - 1
@@ -47,23 +51,45 @@ def vector(entries) -> tuple[Fraction, ...]:
     return tuple(frac(x) for x in entries)
 
 
-def _nonzeros(entries) -> dict[int, Fraction]:
-    """Position -> coerced entry for the nonzeros; int zeros skip ``frac``, floats still fail."""
-    out = {}
-    for j, x in enumerate(entries):
-        if x or x.__class__ is not int:
-            x = frac(x)
-            if x:
-                out[j] = x
-    return out
+def _int_row(items) -> tuple[dict[int, int], int]:
+    """Lowest-terms (numerators, denominator) of (position, entry) pairs.
+
+    Ints are taken as they are; other entries are coerced (floats fail)
+    and cleared over the lcm of their denominators, which leaves no common
+    factor.  Zeros are dropped.
+    """
+    row = {}
+    coerced = False
+    for j, x in items:
+        if x.__class__ is not int:
+            if x.__class__ is not Fraction:
+                x = frac(x)
+            coerced = True
+        if x:
+            row[j] = x
+    if not coerced:
+        return row, 1
+    den = lcm(*(x.denominator for x in row.values()))
+    return {j: x.numerator * (den // x.denominator) for j, x in row.items()}, den
+
+
+def _row(nums: dict[int, int], den: int) -> tuple[dict[int, int], int]:
+    """Lowest terms of nums / den for a zero-free nums and den > 0."""
+    if den == 1 or not nums:
+        return nums, 1
+    g = gcd(den, *nums.values())
+    if g == 1:
+        return nums, den
+    return {j: x // g for j, x in nums.items()}, den // g
 
 
 class Matrix:
-    """Immutable sparse matrix of Fractions.
+    """Immutable sparse matrix of rationals, stored as integer rows.
 
-    ``rows`` / ``cols`` are counts.  Each stored row maps a column index to
-    its nonzero entry; ``m[i, j]``, ``m.row(i)``, ``m.column(j)`` and
-    iteration build dense views on demand.  All operations return new
+    ``rows`` / ``cols`` are counts.  Each stored row is a pair (dict from
+    column index to a nonzero int numerator, positive int denominator) in
+    lowest terms; ``m[i, j]``, ``m.row(i)``, ``m.column(j)`` and iteration
+    build dense `Fraction` views on demand.  All operations return new
     matrices.
     """
 
@@ -80,13 +106,13 @@ class Matrix:
             cols = width
         elif cols is None:
             raise ValueError("a matrix with no rows needs an explicit column count")
-        self._rows = tuple(_nonzeros(r) for r in entries)
+        self._rows = tuple(_int_row(enumerate(r)) for r in entries)
         self.rows = len(entries)
         self.cols = cols
 
     @classmethod
     def _of(cls, rows, cols: int) -> "Matrix":
-        """Wrap zero-free row dicts of Fractions as they are."""
+        """Wrap lowest-terms (numerators, denominator) rows as they are."""
         m = object.__new__(cls)
         m._rows = tuple(rows)
         m.rows = len(m._rows)
@@ -97,16 +123,16 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls._of(({i: _ONE} for i in range(n)), n)
+        return cls._of((({i: 1}, 1) for i in range(n)), n)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls._of(({} for _ in range(rows)), cols)
+        return cls._of((({}, 1) for _ in range(rows)), cols)
 
     @classmethod
     def diagonal(cls, values) -> "Matrix":
-        vals = [frac(v) for v in values]
-        return cls._of(({i: v} if v else {} for i, v in enumerate(vals)), len(vals))
+        vals = list(values)
+        return cls._of((_int_row(((i, v),)) for i, v in enumerate(vals)), len(vals))
 
     @classmethod
     def from_columns(cls, columns, rows: int | None = None) -> "Matrix":
@@ -117,62 +143,79 @@ class Matrix:
                 raise ValueError("ragged columns")
         elif rows is None:
             raise ValueError("a matrix with no columns needs an explicit row count")
-        return cls.from_sparse_columns([_nonzeros(c) for c in cols], rows)
+        # zeros are dropped here (floats are kept, to be refused): dense
+        # columns of a sparse matrix would otherwise pass through as dict entries
+        return cls.from_sparse_columns(
+            [{i: x for i, x in enumerate(c) if x or x.__class__ is float} for c in cols], rows
+        )
 
     @classmethod
     def from_sparse_columns(cls, columns, rows: int) -> "Matrix":
         """Matrix whose column j is the mapping ``columns[j]``: row index -> entry.
 
-        Entries are coerced exactly; zero entries may be given and are dropped.
+        Entries are coerced exactly (ints as they are); zero entries may be
+        given and are dropped.
         """
         out = [{} for _ in range(rows)]
         for j, col in enumerate(columns):
             for i, x in col.items():
-                x = frac(x)
-                if x:
-                    out[i][j] = x
-        return cls._of(out, len(columns))
+                out[i][j] = x
+        return cls._of((_int_row(r.items()) for r in out), len(columns))
 
     # -- access ---------------------------------------------------------------
 
     def row(self, i: int) -> tuple[Fraction, ...]:
+        nums, den = self._rows[i]
         dense = [_ZERO] * self.cols
-        for j, x in self._rows[i].items():
-            dense[j] = x
+        for j, x in nums.items():
+            dense[j] = Fraction(x, den)
         return tuple(dense)
 
     def column(self, j: int) -> tuple[Fraction, ...]:
         j = range(self.cols)[j]  # negative j counts from the end; out of range raises
-        return tuple(r.get(j, _ZERO) for r in self._rows)
+        return tuple(Fraction(n[j], d) if j in n else _ZERO for n, d in self._rows)
 
     def __getitem__(self, key):
         i, j = key
-        return self._rows[i].get(range(self.cols)[j], _ZERO)
+        nums, den = self._rows[i]
+        j = range(self.cols)[j]
+        return Fraction(nums[j], den) if j in nums else _ZERO
 
     def __iter__(self):
         return (self.row(i) for i in range(self.rows))
 
+    def cleared(self) -> tuple[list[list[int]], int]:
+        """(dense int rows of d * self, d) with d the lcm of the row denominators."""
+        rows, d = self._over_common()
+        return [[r.get(j, 0) for j in range(self.cols)] for r in rows], d
+
+    def _over_common(self) -> tuple[list[dict[int, int]], int]:
+        """(sparse int rows of d * self, d) with d the lcm of the row denominators."""
+        d = lcm(*(den for _, den in self._rows))
+        return [n if den == d else {j: x * (d // den) for j, x in n.items()} for n, den in self._rows], d
+
     # -- structure ------------------------------------------------------------
 
     def transpose(self) -> "Matrix":
-        return Matrix.from_sparse_columns(self._rows, self.cols)
+        cols, d = self._over_common()
+        return Matrix.from_sparse_columns(cols, self.cols) * Fraction(1, d)
 
     def trace(self) -> Fraction:
         if self.rows != self.cols:
             raise ValueError("trace of a non-square matrix")
-        return sum((r.get(i, _ZERO) for i, r in enumerate(self._rows)), _ZERO)
+        return sum((Fraction(n[i], d) for i, (n, d) in enumerate(self._rows) if i in n), _ZERO)
 
     def is_symmetric(self) -> bool:
         return self.rows == self.cols and self == self.transpose()
 
     def is_zero(self) -> bool:
-        return not any(self._rows)
+        return not any(nums for nums, _ in self._rows)
 
     def __eq__(self, other):
         return isinstance(other, Matrix) and (self.cols, self._rows) == (other.cols, other._rows)
 
     def __hash__(self):
-        return hash((self.cols, tuple(frozenset(r.items()) for r in self._rows)))
+        return hash((self.cols, tuple((frozenset(n.items()), d) for n, d in self._rows)))
 
     def __repr__(self):
         return "Matrix(%r)" % [list(map(str, row)) for row in self]
@@ -183,40 +226,46 @@ class Matrix:
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
         out = []
-        for ra, rb in zip(self._rows, other._rows):
-            row = dict(ra)
-            for j, x in rb.items():
-                s = row.get(j, _ZERO) + x
+        for (na, da), (nb, db) in zip(self._rows, other._rows):
+            den = lcm(da, db)
+            fa, fb = den // da, den // db
+            acc = {j: x * fa for j, x in na.items()} if fa != 1 else dict(na)
+            for j, x in nb.items():
+                s = acc.get(j, 0) + x * fb
                 if s:
-                    row[j] = s
+                    acc[j] = s
                 else:
-                    del row[j]
-            out.append(row)
+                    del acc[j]
+            out.append(_row(acc, den))
         return Matrix._of(out, self.cols)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self + -other
 
     def __neg__(self) -> "Matrix":
-        return Matrix._of(({j: -x for j, x in r.items()} for r in self._rows), self.cols)
+        return Matrix._of((({j: -x for j, x in n.items()}, d) for n, d in self._rows), self.cols)
 
     def __mul__(self, other):
         if not isinstance(other, Matrix):
             c = frac(other)
+            p, q = c.numerator, c.denominator
+            if not p:
+                return Matrix.zeros(self.rows, self.cols)
             return Matrix._of(
-                ({j: c * x for j, x in r.items()} if c else {} for r in self._rows), self.cols
+                (_row({j: p * x for j, x in n.items()}, d * q) for n, d in self._rows), self.cols
             )
         if self.cols != other.rows:
             shapes = (self.rows, self.cols, other.rows, other.cols)
             raise ValueError("cannot multiply %dx%d by %dx%d" % shapes)
-        orows = other._rows
+        # other's rows over one common denominator, so each output row sums ints
+        brows, common = other._over_common()
         out = []
-        for arow in self._rows:
+        for anums, aden in self._rows:
             acc = {}
-            for k, a in arow.items():
-                for j, b in orows[k].items():
-                    acc[j] = acc.get(j, _ZERO) + a * b
-            out.append({j: x for j, x in acc.items() if x})
+            for k, a in anums.items():
+                for j, b in brows[k].items():
+                    acc[j] = acc.get(j, 0) + a * b
+            out.append(_row({j: x for j, x in acc.items() if x}, aden * common))
         return Matrix._of(out, other.cols)
 
     __rmul__ = __mul__
@@ -224,36 +273,41 @@ class Matrix:
     def matvec(self, v) -> tuple[Fraction, ...]:
         if len(v) != self.cols:
             raise ValueError("vector length %d != cols %d" % (len(v), self.cols))
+        vnums, vden = _int_row(enumerate(v))
         out = []
-        for row in self._rows:
-            s = _ZERO
-            for j, a in row.items():
-                x = v[j]
+        for nums, den in self._rows:
+            s = 0
+            for j, a in nums.items():
+                x = vnums.get(j)
                 if x:
                     s += a * x
-            out.append(s)
+            out.append(Fraction(s, den * vden) if s else _ZERO)
         return tuple(out)
 
     # -- derived --------------------------------------------------------------
 
     def rank(self) -> int:
-        rows, _ = _cleared_int_rows(self)
-        return len(_bareiss_echelon(rows, self.cols)[0])
+        return len(_bareiss_echelon(_numerators(self), self.cols)[0])
 
     def inverse(self) -> "Matrix":
         return solve_or_invert(self)
 
 
 def hstack(*mats: Matrix) -> Matrix:
+    """Side-by-side blocks; each row is cleared over the lcm of its pieces' denominators."""
     if any(m.rows != mats[0].rows for m in mats):
         raise ValueError("row counts differ")
-    out = [{} for _ in range(mats[0].rows)]
-    offset = 0
-    for m in mats:
-        for row, r in zip(out, m._rows):
-            row.update((offset + j, x) for j, x in r.items())
-        offset += m.cols
-    return Matrix._of(out, offset)
+    out = []
+    for pieces in zip(*(m._rows for m in mats)):
+        den = lcm(*(d for _, d in pieces))
+        row = {}
+        offset = 0
+        for m, (nums, d) in zip(mats, pieces):
+            f = den // d
+            row.update((offset + j, x * f) for j, x in nums.items())
+            offset += m.cols
+        out.append((row, den))
+    return Matrix._of(out, sum(m.cols for m in mats))
 
 
 # -- vector helpers ------------------------------------------------------------
@@ -281,8 +335,7 @@ def is_zero_vector(v) -> bool:
 
 def primitive_integer_vector(v) -> tuple[int, ...]:
     """Clear denominators, remove content, make the first nonzero entry positive."""
-    m = Matrix([v])
-    return _primitive(_cleared_int_rows(m)[0][0], m.cols)
+    return _primitive(_int_row(enumerate(v))[0], len(v))
 
 
 def _primitive(ints: dict[int, int], n: int) -> tuple[int, ...]:
@@ -298,20 +351,16 @@ def _primitive(ints: dict[int, int], n: int) -> tuple[int, ...]:
 
 # -- fraction-free elimination --------------------------------------------------
 
-def _cleared_int_rows(m: Matrix) -> tuple[list[dict[int, int]], int]:
-    """Sparse integer rows, each scaled by the lcm of its denominators, and the
-    product of those scales (rank and kernel keep; the determinant divides it out)."""
-    out = []
-    total = 1
-    for row in m._rows:
-        scale = lcm(*(x.denominator for x in row.values()))
-        total *= scale
-        out.append({j: x.numerator * (scale // x.denominator) for j, x in row.items()})
-    return out, total
+def _numerators(m: Matrix) -> list[dict[int, int]]:
+    """The stored integer rows: each row of m times its denominator."""
+    return [nums for nums, _ in m._rows]
 
 
 def _bareiss_echelon(rows: list[dict[int, int]], ncols: int) -> tuple[list[int], int]:
-    """Fraction-free row echelon of sparse rows in place; returns (pivot columns, row swaps).
+    """Fraction-free row echelon of sparse rows; returns (pivot columns, row swaps).
+
+    The list is reordered and its entries replaced; no row dict is mutated,
+    so the rows may be a matrix's stored numerators.
 
     Until a column is skipped, each pivot is a leading minor of the
     row-permuted input; on a nonsingular square matrix the last pivot is
@@ -344,8 +393,8 @@ def _bareiss_echelon(rows: list[dict[int, int]], ncols: int) -> tuple[list[int],
         tail = [(j, x) for j, x in rr.items() if j != c]
         for i in hits[1:]:
             ri = rows[i]
-            ric = ri.pop(c)
-            new = {j: piv * x for j, x in ri.items()}
+            ric = ri[c]
+            new = {j: piv * x for j, x in ri.items() if j != c}
             for j, x in tail:
                 new[j] = new.get(j, 0) - ric * x
             rows[i] = {j: x // base[i] for j, x in new.items() if x}
@@ -383,7 +432,7 @@ def rank_and_kernel(m: Matrix) -> tuple[int, list[tuple[int, ...]]]:
 
     rank + len(kernel) == cols; every kernel vector maps to zero exactly.
     """
-    rows, _ = _cleared_int_rows(m)
+    rows = _numerators(m)
     pivots, _ = _bareiss_echelon(rows, m.cols)
     _, y = _back_substitute(rows, pivots, m.cols)
     pivot_set = set(pivots)
@@ -403,37 +452,37 @@ def solve_or_invert(m: Matrix) -> Matrix:
     if m.rows != m.cols:
         raise Singular("inverse of a %dx%d matrix" % (m.rows, m.cols))
     n = m.rows
-    rows, _ = _cleared_int_rows(hstack(m, -Matrix.identity(n)))
+    rows = _numerators(hstack(m, -Matrix.identity(n)))
     pivots, _ = _bareiss_echelon(rows, 2 * n)
     if any(p >= n for p in pivots):
         raise Singular("matrix is singular (rank < %d)" % n)
     d, y = _back_substitute(rows, pivots, 2 * n)
-    return Matrix._of(({f - n: Fraction(v, d) for f, v in y[j].items()} for j in range(n)), n)
+    sign = 1 if d > 0 else -1
+    return Matrix._of((_row({f - n: sign * v for f, v in y[j].items()}, abs(d)) for j in range(n)), n)
 
 
 def determinant(m: Matrix) -> Fraction:
-    """Exact determinant: +-(last Bareiss pivot) / (product of the row scales)."""
+    """Exact determinant: +-(last Bareiss pivot) / (product of the row denominators)."""
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
-    rows, scale = _cleared_int_rows(m)
+    rows = _numerators(m)
     pivots, swaps = _bareiss_echelon(rows, m.cols)
     if len(pivots) < m.rows:
         return _ZERO
     last = rows[-1][pivots[-1]] if pivots else 1
-    return Fraction(-last if swaps & 1 else last, scale)
+    return Fraction(-last if swaps & 1 else last, prod(d for _, d in m._rows))
 
 
 def _rank_mod_p(m: Matrix, p: int) -> int | None:
-    """Rank of the cleared integer rows mod p; None if p divides a denominator.
+    """Rank of the stored integer rows mod p; None if p divides a denominator.
 
     Each row is scaled by a unit mod p, so this is the rank of the entrywise
     reduction num * den^-1.  Any pivot gives the rank: the sparsest row
     spreads the least fill.
     """
-    rows, scale = _cleared_int_rows(m)
-    if scale % p == 0:
+    if any(d % p == 0 for _, d in m._rows):
         return None
-    active = {i: {j: v for j, x in row.items() if (v := x % p)} for i, row in enumerate(rows)}
+    active = {i: {j: v for j, x in row.items() if (v := x % p)} for i, row in enumerate(_numerators(m))}
     rank = 0
     for c in range(m.cols):
         hits = [i for i, row in active.items() if c in row]

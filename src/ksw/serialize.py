@@ -1,6 +1,8 @@
 """JSON wire formats and content hashing.
 
-Rationals serialize as strings "p/q" (or "p" when q = 1) in every payload.
+Rationals serialize as strings "p/q" (or "p" when q = 1) in every payload;
+JSON integers are read as rationals too, but booleans and floats are
+refused wherever a number is read.
 Canonical JSON (sorted keys, fixed separators) backs the content hashes in
 run reports, so identical inputs and seeds give byte-identical output.
 """
@@ -27,6 +29,8 @@ def rational_str(x: Fraction) -> str:
 
 
 def parse_rational(s) -> Fraction:
+    if isinstance(s, bool):
+        raise UsageError("bad rational %s: booleans are not numbers" % json.dumps(s))
     try:
         return frac(s)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
@@ -62,7 +66,7 @@ def space_from_json(data) -> QuadraticSpace:
     if not isinstance(data, dict) or "gram" not in data:
         raise UsageError('quadratic_space payload needs a "gram" key')
     gram = matrix_from_json(data["gram"])
-    if "dim" in data and data["dim"] != gram.rows:
+    if "dim" in data and _json_int(data["dim"], "dim") != gram.rows:
         raise UsageError("declared dim %r != gram size %d" % (data["dim"], gram.rows))
     return QuadraticSpace(gram)
 
@@ -97,7 +101,7 @@ def weight1_from_json(data) -> Weight1Structure:
     if not isinstance(data, dict) or "J" not in data:
         raise UsageError('weight1 payload needs "J" (and optionally "dim")')
     j = matrix_from_json(data["J"])
-    dim = data.get("dim", j.rows)
+    dim = _json_int(data.get("dim", j.rows), "dim")
     if dim != j.rows:
         raise UsageError("declared dim %r != J size %d" % (dim, j.rows))
     try:
@@ -117,10 +121,30 @@ def phi_from_json(data) -> Matrix:
 def catalog_from_json(data) -> list[CatalogEntry]:
     if not isinstance(data, list):
         raise UsageError("catalog payload must be a list of entries")
+    for item in data:
+        if not isinstance(item, dict):
+            raise UsageError("catalog entry %s is not an object" % json.dumps(item))
+        for key in ("dim2n", "b2", "b3"):
+            if item.get(key) is not None:
+                _json_int(item[key], "catalog %s" % key)
+        first = item.get("b_odd_first_nonzero")
+        if first and not (isinstance(first, list) and len(first) == 2):
+            raise UsageError("catalog b_odd_first_nonzero must be [degree, b], got %s" % json.dumps(first))
+        for x in first or ():
+            _json_int(x, "catalog b_odd_first_nonzero")
+        if not isinstance(item.get("h_2n_minus_3_vanishes", False), (bool, type(None))):
+            raise UsageError("catalog h_2n_minus_3_vanishes must be true, false or null")
     try:
         return [entry_from_dict(item) for item in data]
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError("bad catalog entry: %s" % exc) from exc
+
+
+def _json_int(value, what: str) -> int:
+    """A JSON integer as it is; booleans and floats raise UsageError."""
+    if value.__class__ is not int:
+        raise UsageError("%s must be an integer, got %s" % (what, json.dumps(value)))
+    return value
 
 
 def canonical_json(obj) -> str:

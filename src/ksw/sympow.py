@@ -31,11 +31,10 @@ from math import comb, factorial, gcd
 
 from .errors import CapExceeded, DecompositionFailure, LevelMismatch, NotApplicable
 from .hodge import HKStructure, rotation_generator
-from .linalg import Matrix, is_zero_vector, rank_and_kernel, rank_at_least, vector
+from .linalg import Matrix, is_zero_vector, rank_and_kernel, rank_at_least, vec_add, vec_scale, vector
 from .qspace import QuadraticSpace
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 #: default desk-scale caps: ambient dimension stays <= C(11, 5) = 462
 CAP_H = 7
@@ -94,11 +93,12 @@ def build_sym(space: QuadraticSpace, k: int, allow_large: bool = False) -> SymTe
     index = {mu: i for i, mu in enumerate(basis)}
     lower = _exponent_basis(h, k - 2) if k >= 2 else ()
     lower_index = {mu: i for i, mu in enumerate(lower)}
-    g, b = space.gram, space.inverse_gram
+    # both forms as integers over one denominator each
+    (g, g_den), (b, b_den) = space.gram.cleared(), space.inverse_gram.cleared()
     # (i, j, weight) for i <= j: an off-diagonal pair stands for (i, j) and (j, i)
     pairs = [(i, j, 1 if i == j else 2) for i in range(h) for j in range(i, h)]
-    g_terms = [(i, j, w * g[i, j]) for i, j, w in pairs if g[i, j]]
-    b_terms = [(i, j, w * b[i, j]) for i, j, w in pairs if b[i, j]]
+    g_terms = [(i, j, w * g[i][j]) for i, j, w in pairs if g[i][j]]
+    b_terms = [(i, j, w * b[i][j]) for i, j, w in pairs if b[i][j]]
 
     # within a column every term lands on its own monomial
     contraction_cols = []
@@ -112,7 +112,7 @@ def build_sym(space: QuadraticSpace, k: int, allow_large: bool = False) -> SymTe
                 target[j] -= 1
                 col[lower_index[tuple(target)]] = c * count
         contraction_cols.append(col)
-    contraction = Matrix.from_sparse_columns(contraction_cols, len(lower))
+    contraction = Matrix.from_sparse_columns(contraction_cols, len(lower)) * Fraction(1, g_den)
 
     qmult_cols = []
     for nu in lower:
@@ -123,7 +123,7 @@ def build_sym(space: QuadraticSpace, k: int, allow_large: bool = False) -> SymTe
             target[j] += 1
             col[index[tuple(target)]] = c
         qmult_cols.append(col)
-    q_mult = Matrix.from_sparse_columns(qmult_cols, len(basis))
+    q_mult = Matrix.from_sparse_columns(qmult_cols, len(basis)) * Fraction(1, b_den)
 
     return SymTensorSpace(
         space=space,
@@ -160,8 +160,11 @@ def harmonic(space: QuadraticSpace, k: int, allow_large: bool = False):
     For k in {0, 1} the harmonic space is all of Sym^k; otherwise the
     dimension is C(h+k-1, k) - C(h+k-3, k-2), exactly.
     """
-    sym = build_sym(space, k, allow_large)
-    if k < 2:
+    return _harmonic_basis(build_sym(space, k, allow_large))
+
+
+def _harmonic_basis(sym: SymTensorSpace):
+    if sym.k < 2:
         return [
             tuple(1 if i == j else 0 for i in range(sym.dim)) for j in range(sym.dim)
         ]
@@ -203,16 +206,19 @@ def decompose(space: QuadraticSpace, k: int, allow_large: bool = False) -> Decom
 
     Dimensions must total dim Sym^k and the stacked basis must have full
     rank; DecompositionFailure otherwise (it would signal an arithmetic
-    bug for a nondegenerate form).
+    bug for a nondegenerate form).  Each Sym^j is built once; a harmonic
+    vector of degree j is lifted by the chain of Q-multiplications
+    Sym^j -> Sym^(j+2) -> ... -> Sym^k.
     """
+    syms = {j: build_sym(space, j, allow_large) for j in range(k, -1, -2)}
     blocks = []
     total = 0
     for l in range(k // 2 + 1):
         kh = k - 2 * l
-        vecs = harmonic(space, kh, allow_large)
-        if l:
-            lift = q_power_lift(space, kh, l, allow_large)
-            vecs = [lift.matvec(v) for v in vecs]
+        vecs = _harmonic_basis(syms[kh])
+        for j in range(kh + 2, k + 1, 2):
+            q_mult = syms[j].q_mult
+            vecs = [q_mult.matvec(v) for v in vecs]
         blocks.append((l, vecs))
         total += len(vecs)
     ambient = sym_dim(space.h, k)
@@ -298,7 +304,8 @@ def sym_derivation(sym: SymTensorSpace, op: Matrix) -> Matrix:
     if op.rows != h or op.cols != h:
         raise ValueError("operator must be %dx%d" % (h, h))
     cols = []
-    op_cols = [op.column(i) for i in range(h)]
+    ints, den = op.cleared()
+    op_cols = [[r[i] for r in ints] for i in range(h)]
     for mu in sym.basis:
         col = {}
         for i in range(h):
@@ -311,9 +318,9 @@ def sym_derivation(sym: SymTensorSpace, op: Matrix) -> Matrix:
                     target[i] -= 1
                     target[j] += 1
                     pos = sym.index[tuple(target)]
-                    col[pos] = col.get(pos, _ZERO) + mi * c
+                    col[pos] = col.get(pos, 0) + mi * c
         cols.append(col)
-    return Matrix.from_sparse_columns(cols, sym.dim)
+    return Matrix.from_sparse_columns(cols, sym.dim) * Fraction(1, den)
 
 
 def casimir_block_eigenvalue(h: int, k: int, l: int) -> Fraction:
@@ -362,9 +369,8 @@ def level_two_part(hk: HKStructure, k: int, allow_large: bool = False):
             "Casimir eigenspace has dimension %d, expected h = %d" % (len(kernel), h)
         )
     d_a = sym_derivation(sym, rotation_generator(hk))
-    annihilator = d_a * (d_a * d_a + (norm * norm) * Matrix.identity(sym.dim))
     for v in kernel:
-        if not is_zero_vector(annihilator.matvec(v)):
+        if not is_zero_vector(_level_factor(d_a, norm, 2, _level_factor(d_a, norm, 0, v))):
             raise LevelMismatch("kernel vector carries a type with |p-q| > 2")
     lift = q_power_lift(space, 1, l_top, allow_large)
     image = [lift.column(j) for j in range(h)]
@@ -387,32 +393,32 @@ def block_max_level(hk: HKStructure, k: int, allow_large: bool = False):
     sym = build_sym(space, k, allow_large)
     norm = hk.period.norm
     d_a = sym_derivation(sym, rotation_generator(hk))
-    d_a2 = d_a * d_a
-    ident = Matrix.identity(sym.dim)
     dec = decompose(space, k, allow_large)
     out = []
     for l, vecs in dec.blocks:
         level = 2 * (k - 2 * l)
-        full = ident
-        for m in range(0, level + 1, 2):
-            if m == 0:
-                full = d_a * full
-            else:
-                c = norm * m / 2
-                full = (d_a2 + (c * c) * ident) * full
-        if any(not is_zero_vector(full.matvec(v)) for v in vecs):
+        reduced = vecs
+        for m in range(0, level - 1, 2):
+            reduced = [_level_factor(d_a, norm, m, v) for v in reduced]
+        full = [_level_factor(d_a, norm, level, v) for v in reduced]
+        if any(not is_zero_vector(v) for v in full):
             raise LevelMismatch("block l=%d not annihilated at level %d" % (l, level))
-        if level > 0:
-            reduced = ident
-            for m in range(0, level - 1, 2):
-                if m == 0:
-                    reduced = d_a * reduced
-                else:
-                    c = norm * m / 2
-                    reduced = (d_a2 + (c * c) * ident) * reduced
-            if all(is_zero_vector(reduced.matvec(v)) for v in vecs):
-                raise LevelMismatch(
-                    "block l=%d already killed below level %d" % (l, level)
-                )
+        if level > 0 and all(is_zero_vector(v) for v in reduced):
+            raise LevelMismatch(
+                "block l=%d already killed below level %d" % (l, level)
+            )
         out.append((l, level))
     return out
+
+
+def _level_factor(d_a: Matrix, norm: Fraction, m: int, v) -> tuple[Fraction, ...]:
+    """The annihilator factor of |p - q| = m applied to v.
+
+    D_A for m = 0 and D_A^2 + (N m / 2)^2 otherwise: D_A acts on a (p, q)
+    component by -i(N/2)(p - q).
+    """
+    w = d_a.matvec(v)
+    if m == 0:
+        return w
+    c = norm * m / 2
+    return vec_add(d_a.matvec(w), vec_scale(c * c, v))

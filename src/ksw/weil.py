@@ -35,7 +35,6 @@ from .clifford import reorder_parity
 from .linalg import Matrix, rank_and_kernel
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -139,7 +138,8 @@ def derivation_wedge4(op: Matrix) -> Matrix:
     index = {mask: i for i, mask in enumerate(masks)}
     size = len(masks)
     cols = [dict() for _ in range(size)]
-    col_of = [op.column(t) for t in range(dim)]
+    ints, den = op.cleared()
+    col_of = [[r[t] for r in ints] for t in range(dim)]
     for s_pos, mask in enumerate(masks):
         acc = cols[s_pos]
         for t in range(dim):
@@ -154,8 +154,8 @@ def derivation_wedge4(op: Matrix) -> Matrix:
                     continue
                 pos = index[rest | (1 << j)]
                 flip = out_parity ^ reorder_parity(1 << j, rest)
-                acc[pos] = acc.get(pos, _ZERO) + (-c if flip else c)
-    return Matrix.from_sparse_columns(cols, size)
+                acc[pos] = acc.get(pos, 0) + (-c if flip else c)
+    return Matrix.from_sparse_columns(cols, size) * Fraction(1, den)
 
 
 def weil_class_space(endo: QuadraticEndo) -> list[tuple[int, ...]]:

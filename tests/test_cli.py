@@ -349,6 +349,41 @@ def test_malformed_json_exits_2(tmp_path, capsys):
     assert "not valid JSON" in err
 
 
+@pytest.mark.parametrize(
+    "command, payload, message",
+    [
+        (["qform", "inspect", "-f"], {"dim": 2, "gram": [[True, 0], [0, 1]]}, "booleans are not numbers"),
+        (["qform", "inspect", "-f"], {"dim": True, "gram": [[1]]}, "dim must be an integer, got true"),
+        (["qform", "inspect", "-f"], {"dim": 1.0, "gram": [[1]]}, "dim must be an integer, got 1.0"),
+        (["betti", "audit", "--catalog"], [{"name": "x", "dim2n": 4, "b2": 7, "b3": True}], "b3 must be an integer"),
+        (["betti", "audit", "--catalog"], [{"name": "x", "dim2n": 4, "b2": 23.0, "b3": 8}], "b2 must be an integer"),
+        (["betti", "audit", "--catalog"], [5], "catalog entry 5 is not an object"),
+        (
+            ["betti", "audit", "--catalog"],
+            [{"name": "x", "dim2n": 6, "b2": 7, "b_odd_first_nonzero": [5, 8.0], "h_2n_minus_3_vanishes": True}],
+            "b_odd_first_nonzero must be an integer",
+        ),
+        (
+            ["betti", "audit", "--catalog"],
+            [{"name": "x", "dim2n": 6, "b2": 7, "b_odd_first_nonzero": [5], "h_2n_minus_3_vanishes": True}],
+            "b_odd_first_nonzero must be [degree, b]",
+        ),
+        (
+            ["betti", "audit", "--catalog"],
+            [{"name": "x", "dim2n": 6, "b2": 7, "b_odd_first_nonzero": [5, 8], "h_2n_minus_3_vanishes": 1}],
+            "h_2n_minus_3_vanishes must be true, false or null",
+        ),
+    ],
+    ids=["gram-bool", "dim-bool", "dim-float", "b3-bool", "b2-float", "entry-int", "first-float", "first-short", "flag-int"],
+)
+def test_json_booleans_and_floats_exit_2(tmp_path, capsys, command, payload, message):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    assert main(command + [str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
 def test_missing_file_exits_2(tmp_path):
     assert main(["qform", "inspect", "-f", str(tmp_path / "nope.json")]) == 2
 

@@ -10,7 +10,7 @@ from ksw.linalg import (
     CERTIFICATE_PRIME,
     Matrix,
     _bareiss_echelon,
-    _cleared_int_rows,
+    _numerators,
     _rank_mod_p,
     determinant,
     dot,
@@ -230,8 +230,16 @@ def _ref_mul(a, b):
 
 
 def _dense_views(m):
-    """Every dense view of m, which must all agree with the reference."""
+    """Every dense view of m, which must all agree with the reference.
+
+    The stored rows must be canonical: nonzero int numerators over a
+    positive denominator with no common factor, denominator 1 when empty.
+    """
+    for nums, den in m._rows:
+        assert all(x.__class__ is int and x for x in nums.values())
+        assert den.__class__ is int and den > 0 and gcd(den, *nums.values()) == 1
     rows = [m.row(i) for i in range(m.rows)]
+    assert all(isinstance(x, Fraction) for r in rows for x in r)
     assert list(m) == rows
     assert [m.column(j) for j in range(m.cols)] == [tuple(r[j] for r in rows) for j in range(m.cols)]
     assert [[m[i, j] for j in range(m.cols)] for i in range(m.rows)] == [list(r) for r in rows]
@@ -240,6 +248,8 @@ def _dense_views(m):
 
 @given(st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5)).flatmap(_operands))
 @example(([[1, 2], [3, 4]], [[0, 0], [0, 0]], [[1], [1]], [1, 1], 2))
+# the product row 1/2*2 + 1/2*2 = 2 has to reduce to 2/1 to compare and hash equal
+@example(([[Fraction(1, 2), Fraction(1, 2)]], [[0, 0]], [[2], [2]], [1, 1], 2))
 def test_sparse_core_matches_dense_reference(drawn):
     a, a2, b, v, c = drawn
     m, m2, n = Matrix(a), Matrix(a2), Matrix(b)
@@ -249,7 +259,9 @@ def test_sparse_core_matches_dense_reference(drawn):
         m[0, m.cols]
     products = tuple(sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in a)
     assert m.matvec(v) == tuple(dot(row, v) for row in a) == products
+    assert all(isinstance(x, Fraction) for x in m.matvec(v))
     assert _dense_views(m * n) == _ref_mul(a, b)
+    assert m * n == Matrix(_ref_mul(a, b)) and hash(m * n) == hash(Matrix(_ref_mul(a, b)))
     assert _dense_views(m + m2) == [[x + y for x, y in zip(r, r2)] for r, r2 in zip(a, a2)]
     assert _dense_views(m - m2) == [[x - y for x, y in zip(r, r2)] for r, r2 in zip(a, a2)]
     assert _dense_views(-m) == [[-x for x in r] for r in a]
@@ -334,7 +346,7 @@ def _rref_kernel(a, ncols):
 @given(st.tuples(st.integers(1, 7), st.integers(1, 9)).flatmap(lambda shape: _grid(*shape)))
 def test_echelon_and_kernel_match_dense_references(a):
     m = Matrix(a)
-    rows, _ = _cleared_int_rows(m)
+    rows = _numerators(m)
     dense_rows = [[row.get(j, 0) for j in range(m.cols)] for row in rows]
     pivots, _ = _bareiss_echelon(rows, m.cols)
     want_pivots, want_rows = _eager_bareiss(dense_rows, m.cols)
@@ -353,3 +365,13 @@ def test_echelon_and_kernel_match_dense_references(a):
 def test_float_rejected():
     with pytest.raises(TypeError):
         Matrix([[0.5]])
+    # a float zero is refused too, by every constructor
+    for build in (
+        lambda: Matrix([[1, 0.0]]),
+        lambda: Matrix.from_columns([[0, 0.0]]),
+        lambda: Matrix.from_sparse_columns([{0: 0.0}], 1),
+        lambda: Matrix.diagonal([0.0]),
+        lambda: Matrix.identity(2).matvec([1, 0.0]),
+    ):
+        with pytest.raises(TypeError):
+            build()

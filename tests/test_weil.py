@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from hashlib import sha256
 
 import numpy as np
 import pytest
@@ -170,6 +171,22 @@ def test_weil_class_space_conjugation_invariance():
         ginv = g.inverse()
         endo = check_quadratic_endo(ginv * j * g, ginv * phi * g)
         assert len(weil_class_space(endo)) == 2
+
+
+def _basis_digest(vectors):
+    return sha256("\n".join(",".join(map(str, v)) for v in vectors).encode()).hexdigest()
+
+
+def test_weil_class_space_bases_are_pinned():
+    # a changed kernel basis (pivot order, free-variable convention or
+    # normalisation) changes these digests even when the span is right
+    j, phi = block_j(), block_phi()
+    block = weil_class_space(check_quadratic_endo(j, phi))
+    assert _basis_digest(block) == "e405f460ff448700edccf3cdac4c81c5b088669e13455e97e1e9883b460935b7"
+    g = random_unimodular(random.Random(55), 8)
+    ginv = g.inverse()
+    conjugate = weil_class_space(check_quadratic_endo(ginv * j * g, ginv * phi * g))
+    assert _basis_digest(conjugate) == "446a1fa1f19de5d77a462a78139a60ee6d0047de16d89e56dccae034cdd2b9a9"
 
 
 def test_weil_class_space_dimension_precondition():
