@@ -41,7 +41,7 @@ from .serialize import (
     space_from_json,
     weight1_from_json,
 )
-from .suite import RunReport, _check, _result, _vacuous, exit_code_from_checks, run_full_suite
+from .suite import NO_INSTANCES, RunReport, _check, _result, _vacuous, run_full_suite
 from .weil import analyze as weil_analyze
 
 
@@ -109,7 +109,6 @@ def cmd_qform_inspect(args) -> int:
         command="qform inspect",
         inputs={"form": digest},
         checks=checks,
-        exit_code=exit_code_from_checks(checks),
         data={
             "dim": space.h,
             "signature": list(space.signature),
@@ -165,7 +164,6 @@ def cmd_ks_build(args) -> int:
         command="ks build",
         inputs=inputs,
         checks=checks,
-        exit_code=exit_code_from_checks(checks),
         data={
             "dims": {
                 "h": hk.space.h,
@@ -217,7 +215,6 @@ def cmd_ks_verify(args) -> int:
         command="ks verify",
         inputs=inputs,
         checks=checks,
-        exit_code=exit_code_from_checks(checks),
         seed=args.seed,
         data={"dims": {"h": h, "c_plus": 1 << (h - 1)}},
     )
@@ -246,7 +243,6 @@ def cmd_weil_analyze(args) -> int:
         command="weil analyze",
         inputs={"weight1": w_hash, "phi": p_hash},
         checks=checks,
-        exit_code=exit_code_from_checks(checks),
         data={
             "mult_plus": result.mult_plus,
             "mult_minus": result.mult_minus,
@@ -312,7 +308,6 @@ def cmd_sym_decompose(args) -> int:
         command="sym decompose",
         inputs=inputs,
         checks=checks,
-        exit_code=exit_code_from_checks(checks),
         data=data,
     )
     return _emit(report, args.json)
@@ -369,11 +364,12 @@ def cmd_betti_audit(args) -> int:
             row["b2n_minus_1"] = {"status": "missing-data"}
             checks.append(_vacuous("betti.audit_b2n_minus_1[%s]" % entry.name, str(exc)))
         rows.append(row)
+    if not entries:
+        checks.append(_vacuous("betti.audit", NO_INSTANCES))
     report = RunReport(
         command="betti audit",
         inputs=inputs,
         checks=checks,
-        exit_code=exit_code_from_checks(checks),
         data={"entries": rows},
     )
     return _emit(report, args.json)
@@ -390,7 +386,6 @@ def cmd_betti_bound(args) -> int:
         command="betti bound",
         inputs={},
         checks=checks,
-        exit_code=0,
         data={"b2": args.b2, "k": k, "bound": bound},
     )
     return _emit(report, args.json)
@@ -420,7 +415,6 @@ def cmd_corr_verify(args) -> int:
         command="corr verify",
         inputs={},
         checks=checks,
-        exit_code=exit_code_from_checks(checks),
         data={
             "b3": args.b3,
             "n": args.n,

@@ -18,21 +18,22 @@ algebra tabulates once
                 = prod_{i in C} n_i * prod_{i not in C} m_i,
     sign[A]     = mask whose bit j is the parity of the bits of A above j,
 
-so sign(A, B) is the parity of popcount(sign[A] & B).  A product clears each
-factor to integer numerators over one denominator, accumulates
+so sign(A, B) is the parity of popcount(sign[A] & B).  A product takes each
+factor as integer numerators over one denominator (cleared once per
+element, as a `Matrix` row is cleared), accumulates
 +-x_A * y_B * contract[A&B] in ints, and divides once per output blade.
 
 Elements are sparse maps blade -> Fraction; multiplication operators are
-dense matrices over the graded piece they act on.
+sparse matrices over the graded piece they act on, with the unit-blade
+products as integer columns over one denominator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 from .errors import CapExceeded, ParityViolation, SpaceMismatch
-from .linalg import Matrix, frac, vector
+from .linalg import Matrix, _int_row, frac, induced_operator, vector
 from .qspace import QuadraticSpace
 
 _ZERO = Fraction(0)
@@ -91,12 +92,6 @@ def _sign_table(h: int) -> list[int]:
         low = mask & -mask
         table[mask] = table[mask ^ low] ^ (low - 1)
     return table
-
-
-def _cleared(terms: dict[int, Fraction]) -> tuple[list[tuple[int, int]], int]:
-    """(blade, integer numerator) pairs over the least common denominator."""
-    den = lcm(*(c.denominator for c in terms.values()))
-    return [(m, c.numerator * (den // c.denominator)) for m, c in terms.items()], den
 
 
 def _product_numerators(alg: "CliffordAlgebra", xs, ys) -> dict[int, int]:
@@ -190,7 +185,7 @@ class CliffordAlgebra:
 
     def index_map(self, part: str):
         if part == "full":
-            return None  # identity: position == mask
+            return range(self.dim)  # position == mask
         return self.even_index if part == "even" else self.odd_index
 
     def __repr__(self):
@@ -201,13 +196,24 @@ class CliffordAlgebra:
 
 
 class CliffordElement:
-    """Sparse blade-indexed rational element of a Clifford algebra."""
+    """Sparse blade-indexed rational element of a Clifford algebra.
 
-    __slots__ = ("algebra", "terms")
+    ``terms`` is read-only: the cleared integer form of an element is
+    computed on its first product and kept.
+    """
+
+    __slots__ = ("algebra", "terms", "_ints")
 
     def __init__(self, algebra: CliffordAlgebra, terms: dict[int, Fraction]):
         self.algebra = algebra
         self.terms = terms
+        self._ints = None
+
+    def _int_terms(self) -> tuple[dict[int, int], int]:
+        """(blade -> int numerator, denominator) in lowest terms, cleared once."""
+        if self._ints is None:
+            self._ints = _int_row(self.terms.items())
+        return self._ints
 
     @property
     def parity(self) -> str:
@@ -254,10 +260,10 @@ class CliffordElement:
         if isinstance(other, CliffordElement):
             self._require_same_space(other)
             alg = self.algebra
-            xs, dx = _cleared(self.terms)
-            ys, dy = _cleared(other.terms)
+            xs, dx = self._int_terms()
+            ys, dy = other._int_terms()
             den = dx * dy * alg.scale
-            out = _product_numerators(alg, xs, ys)
+            out = _product_numerators(alg, xs.items(), ys.items())
             return CliffordElement(alg, {m: Fraction(v, den) for m, v in out.items() if v})
         c = frac(other)
         if not c:
@@ -317,21 +323,14 @@ def _mul_block(x: CliffordElement, side: str, domain: str) -> Matrix:
             codomain = domain
         else:
             codomain = "odd" if domain == "even" else "even"
-    dom_masks = alg.masks(domain)
-    cod_index = alg.index_map(codomain)
-    place = range(alg.dim) if cod_index is None else cod_index
-    size = alg.dim if codomain == "full" else alg.dim >> 1
-    xs, dx = _cleared(x.terms)
-    den = dx * alg.scale
-    cols = []
-    for m in dom_masks:
-        unit = [(m, 1)]
-        if side == "left":
-            col = _product_numerators(alg, xs, unit)
-        else:
-            col = _product_numerators(alg, unit, xs)
-        cols.append({place[out]: v for out, v in col.items() if v})
-    return Matrix.from_sparse_columns(cols, size) * Fraction(1, den)
+    xs, dx = x._int_terms()
+    xs = xs.items()
+
+    def moves(m):
+        operands = (xs, ((m, 1),)) if side == "left" else (((m, 1),), xs)
+        return _product_numerators(alg, *operands).items()
+
+    return induced_operator(alg.masks(domain), alg.index_map(codomain), moves, dx * alg.scale)
 
 
 def left_mul_operator(v: CliffordElement, restrict: str = "full") -> Matrix:

@@ -193,13 +193,6 @@ def _random_element(alg: CliffordAlgebra, rng: random.Random, terms: int = 3) ->
     return alg.element(out)
 
 
-def operator_commutator_matrices(ks: KSStructure, w_coords) -> tuple[Matrix, Matrix]:
-    """(L_w L_e, L_e L_w) on the full algebra, for matrix-level cross-checks."""
-    w_op = left_mul_operator(ks.algebra.vector(w_coords), "full")
-    e_op = left_mul_operator(ks.e, "full")
-    return w_op * e_op, e_op * w_op
-
-
 def default_v0(ks: KSStructure):
     """First diagonal basis vector outside the period plane (original coords).
 

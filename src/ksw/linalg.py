@@ -6,8 +6,9 @@ plus one positive ``int`` denominator, in lowest terms (the gcd of the
 denominator and all numerators is 1; an empty row has denominator 1).  So
 products, sums, ``matvec`` and elimination run on plain ints over the
 nonzeros, and ``==``/``hash`` compare the stored rows however the matrix
-was built: the symmetric-power, exterior-power and Clifford operators
-built here have a few percent of nonzeros.  Entries, rows, columns and
+was built.  The symmetric-power, exterior-power and Clifford operators
+have a few percent of nonzeros; `induced_operator` builds them all from
+integer weights over one denominator.  Entries, rows, columns and
 iteration are dense `Fraction` views built on demand.
 
 Row reduction is fraction-free (Bareiss) on the stored integer rows, and
@@ -184,12 +185,7 @@ class Matrix:
     def __iter__(self):
         return (self.row(i) for i in range(self.rows))
 
-    def cleared(self) -> tuple[list[list[int]], int]:
-        """(dense int rows of d * self, d) with d the lcm of the row denominators."""
-        rows, d = self._over_common()
-        return [[r.get(j, 0) for j in range(self.cols)] for r in rows], d
-
-    def _over_common(self) -> tuple[list[dict[int, int]], int]:
+    def cleared(self) -> tuple[list[dict[int, int]], int]:
         """(sparse int rows of d * self, d) with d the lcm of the row denominators."""
         d = lcm(*(den for _, den in self._rows))
         return [n if den == d else {j: x * (d // den) for j, x in n.items()} for n, den in self._rows], d
@@ -197,8 +193,8 @@ class Matrix:
     # -- structure ------------------------------------------------------------
 
     def transpose(self) -> "Matrix":
-        cols, d = self._over_common()
-        return Matrix.from_sparse_columns(cols, self.cols) * Fraction(1, d)
+        rows, d = self.cleared()
+        return induced_operator(range(self.rows), range(self.cols), lambda i: rows[i].items(), d)
 
     def trace(self) -> Fraction:
         if self.rows != self.cols:
@@ -258,7 +254,7 @@ class Matrix:
             shapes = (self.rows, self.cols, other.rows, other.cols)
             raise ValueError("cannot multiply %dx%d by %dx%d" % shapes)
         # other's rows over one common denominator, so each output row sums ints
-        brows, common = other._over_common()
+        brows, common = other.cleared()
         out = []
         for anums, aden in self._rows:
             acc = {}
@@ -291,6 +287,26 @@ class Matrix:
 
     def inverse(self) -> "Matrix":
         return solve_or_invert(self)
+
+
+def induced_operator(keys, index, moves, den: int) -> Matrix:
+    """Matrix sending basis key s to (sum of w * t over (t, w) in moves(s)) / den.
+
+    Column j belongs to keys[j]; ``index`` maps each target key to its row
+    (its length is the row count).  Weights are nonzero ints and den a
+    positive int; each row is put in lowest terms once, so no rescaling
+    follows.
+    """
+    out = [{} for _ in range(len(index))]
+    for j, key in enumerate(keys):
+        for target, w in moves(key):
+            row = out[index[target]]
+            s = row.get(j, 0) + w
+            if s:
+                row[j] = s
+            else:
+                del row[j]
+    return Matrix._of((_row(r, den) for r in out), len(keys))
 
 
 def hstack(*mats: Matrix) -> Matrix:

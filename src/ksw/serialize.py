@@ -58,10 +58,6 @@ def vector_from_json(entries) -> tuple[Fraction, ...]:
     return tuple(parse_rational(x) for x in entries)
 
 
-def space_to_json(space: QuadraticSpace) -> dict:
-    return {"dim": space.h, "gram": matrix_to_json(space.gram)}
-
-
 def space_from_json(data) -> QuadraticSpace:
     if not isinstance(data, dict) or "gram" not in data:
         raise UsageError('quadratic_space payload needs a "gram" key')

@@ -48,9 +48,12 @@ class RunReport:
     command: str
     inputs: dict[str, str]
     checks: list[dict]
-    exit_code: int
     seed: int | None = None
     data: dict = field(default_factory=dict)
+
+    @property
+    def exit_code(self) -> int:
+        return exit_code_from_checks(self.checks)
 
     def counts(self) -> dict[str, int]:
         out: dict[str, int] = {}
@@ -645,6 +648,5 @@ def run_full_suite(overrides: dict | None = None) -> RunReport:
         command="suite",
         inputs={"config": content_hash(canonical_json(cfg))},
         checks=checks,
-        exit_code=exit_code_from_checks(checks),
         seed=seed,
     )

@@ -31,10 +31,17 @@ from math import comb, factorial, gcd
 
 from .errors import CapExceeded, DecompositionFailure, LevelMismatch, NotApplicable
 from .hodge import HKStructure, rotation_generator
-from .linalg import Matrix, is_zero_vector, rank_and_kernel, rank_at_least, vec_add, vec_scale, vector
+from .linalg import (
+    Matrix,
+    _int_row,
+    induced_operator,
+    is_zero_vector,
+    rank_and_kernel,
+    rank_at_least,
+    vec_add,
+    vec_scale,
+)
 from .qspace import QuadraticSpace
-
-_ZERO = Fraction(0)
 
 #: default desk-scale caps: ambient dimension stays <= C(11, 5) = 462
 CAP_H = 7
@@ -93,38 +100,16 @@ def build_sym(space: QuadraticSpace, k: int, allow_large: bool = False) -> SymTe
     index = {mu: i for i, mu in enumerate(basis)}
     lower = _exponent_basis(h, k - 2) if k >= 2 else ()
     lower_index = {mu: i for i, mu in enumerate(lower)}
-    # both forms as integers over one denominator each
+    # sum over ordered pairs of a symmetric form: (i, j) for i < j stands for both
     (g, g_den), (b, b_den) = space.gram.cleared(), space.inverse_gram.cleared()
-    # (i, j, weight) for i <= j: an off-diagonal pair stands for (i, j) and (j, i)
-    pairs = [(i, j, 1 if i == j else 2) for i in range(h) for j in range(i, h)]
-    g_terms = [(i, j, w * g[i][j]) for i, j, w in pairs if g[i][j]]
-    b_terms = [(i, j, w * b[i][j]) for i, j, w in pairs if b[i][j]]
-
-    # within a column every term lands on its own monomial
-    contraction_cols = []
-    for mu in basis:
-        col = {}
-        for i, j, c in g_terms:
-            count = mu[i] * (mu[j] - (i == j))
-            if count:
-                target = list(mu)
-                target[i] -= 1
-                target[j] -= 1
-                col[lower_index[tuple(target)]] = c * count
-        contraction_cols.append(col)
-    contraction = Matrix.from_sparse_columns(contraction_cols, len(lower)) * Fraction(1, g_den)
-
-    qmult_cols = []
-    for nu in lower:
-        col = {}
-        for i, j, c in b_terms:
-            target = list(nu)
-            target[i] += 1
-            target[j] += 1
-            col[index[tuple(target)]] = c
-        qmult_cols.append(col)
-    q_mult = Matrix.from_sparse_columns(qmult_cols, len(basis)) * Fraction(1, b_den)
-
+    contraction = _differential_operator(
+        [(x if i == j else 2 * x, (i, j), ()) for i, row in enumerate(g) for j, x in row.items() if i <= j],
+        basis, lower_index, g_den,
+    )
+    q_mult = _differential_operator(
+        [(x if i == j else 2 * x, (), (i, j)) for i, row in enumerate(b) for j, x in row.items() if i <= j],
+        lower, index, b_den,
+    )
     return SymTensorSpace(
         space=space,
         k=k,
@@ -135,22 +120,50 @@ def build_sym(space: QuadraticSpace, k: int, allow_large: bool = False) -> SymTe
     )
 
 
+def _differential_operator(terms, basis, index, den: int) -> Matrix:
+    """Matrix of sum c * y^raised * d^lowered / den, from ``basis`` into ``index``.
+
+    terms are (int c, lowered indices, raised indices) on monomials given
+    as exponent tuples; each d/dy_i contributes the exponent of y_i left
+    by the lowerings before it, so c is weighted before any copy is made.
+    """
+    steps = [
+        (c, [(i, lowered[:n].count(i)) for n, i in enumerate(lowered)], raised)
+        for c, lowered, raised in terms
+    ]
+
+    def moves(mu):
+        for c, lowered, raised in steps:
+            for i, before in lowered:
+                c *= mu[i] - before
+            if c:
+                target = list(mu)
+                for i, _ in lowered:
+                    target[i] -= 1
+                for j in raised:
+                    target[j] += 1
+                yield tuple(target), c
+
+    return induced_operator(basis, index, moves, den)
+
+
 def power_vector(sym: SymTensorSpace, v) -> tuple[Fraction, ...]:
-    """Coordinates of (sum v_i y_i)^k in the monomial basis."""
-    v = vector(v)
+    """Coordinates of (sum v_i y_i)^k in the monomial basis.
+
+    With v cleared to ints n over one denominator d, the y^mu coefficient
+    is the integer k!/prod(mu_i!) * prod(n_i^mu_i), divided once by d^k.
+    """
+    nums, d = _int_row(enumerate(v))
     k = sym.k
-    kfact = factorial(k)
+    fact = [factorial(m) for m in range(k + 1)]
+    dk = d**k
     out = []
     for mu in sym.basis:
-        coef = Fraction(kfact)
+        coef = fact[k]
         for i, m in enumerate(mu):
             if m:
-                if not v[i]:
-                    coef = _ZERO
-                    break
-                coef = coef * v[i] ** m / factorial(m)
-            # zero exponent contributes factor 1
-        out.append(coef)
+                coef = coef // fact[m] * nums.get(i, 0) ** m
+        out.append(Fraction(coef, dk))
     return tuple(out)
 
 
@@ -303,24 +316,11 @@ def sym_derivation(sym: SymTensorSpace, op: Matrix) -> Matrix:
     h = sym.space.h
     if op.rows != h or op.cols != h:
         raise ValueError("operator must be %dx%d" % (h, h))
-    cols = []
-    ints, den = op.cleared()
-    op_cols = [[r[i] for r in ints] for i in range(h)]
-    for mu in sym.basis:
-        col = {}
-        for i in range(h):
-            mi = mu[i]
-            if not mi:
-                continue
-            for j, c in enumerate(op_cols[i]):
-                if c:
-                    target = list(mu)
-                    target[i] -= 1
-                    target[j] += 1
-                    pos = sym.index[tuple(target)]
-                    col[pos] = col.get(pos, 0) + mi * c
-        cols.append(col)
-    return Matrix.from_sparse_columns(cols, sym.dim) * Fraction(1, den)
+    rows, den = op.cleared()
+    # y_i -> sum_j A_ji y_j, once per slot: A_ji y_j d/dy_i
+    return _differential_operator(
+        [(c, (i,), (j,)) for j, row in enumerate(rows) for i, c in row.items()], sym.basis, sym.index, den
+    )
 
 
 def casimir_block_eigenvalue(h: int, k: int, l: int) -> Fraction:

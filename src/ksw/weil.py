@@ -32,7 +32,7 @@ from .errors import (
     WorkbenchError,
 )
 from .clifford import reorder_parity
-from .linalg import Matrix, rank_and_kernel
+from .linalg import Matrix, induced_operator, is_zero_vector, rank_and_kernel
 
 _ZERO = Fraction(0)
 
@@ -123,10 +123,6 @@ def is_weil(endo: QuadraticEndo) -> bool:
 
 # -- fourth exterior power -------------------------------------------------------
 
-def wedge4_basis(dim: int) -> tuple[tuple[int, int, int, int], ...]:
-    return tuple(combinations(range(dim), 4))
-
-
 def derivation_wedge4(op: Matrix) -> Matrix:
     """Derivation extension of an operator to the fourth exterior power.
 
@@ -134,28 +130,21 @@ def derivation_wedge4(op: Matrix) -> Matrix:
     e_(S-t), replaces it, and moves e_j back into sorted position.
     """
     dim = op.rows
-    masks = [sum(1 << i for i in subset) for subset in wedge4_basis(dim)]
-    index = {mask: i for i, mask in enumerate(masks)}
-    size = len(masks)
-    cols = [dict() for _ in range(size)]
-    ints, den = op.cleared()
-    col_of = [[r[t] for r in ints] for t in range(dim)]
-    for s_pos, mask in enumerate(masks):
-        acc = cols[s_pos]
+    masks = [sum(1 << i for i in subset) for subset in combinations(range(dim), 4)]
+    rows, den = op.cleared()
+
+    def moves(mask):
         for t in range(dim):
-            if not mask >> t & 1:
-                continue
-            rest = mask ^ (1 << t)
-            out_parity = reorder_parity(1 << t, rest)
-            column = col_of[t]
-            for j in range(dim):
-                c = column[j]
-                if not c or rest >> j & 1:
-                    continue
-                pos = index[rest | (1 << j)]
-                flip = out_parity ^ reorder_parity(1 << j, rest)
-                acc[pos] = acc.get(pos, 0) + (-c if flip else c)
-    return Matrix.from_sparse_columns(cols, size) * Fraction(1, den)
+            if mask >> t & 1:
+                rest = mask ^ (1 << t)
+                out_parity = reorder_parity(1 << t, rest)
+                for j, row in enumerate(rows):
+                    c = row.get(t)
+                    if c and not rest >> j & 1:
+                        flip = out_parity ^ reorder_parity(1 << j, rest)
+                        yield rest | (1 << j), -c if flip else c
+
+    return induced_operator(masks, {mask: i for i, mask in enumerate(masks)}, moves, den)
 
 
 def weil_class_space(endo: QuadraticEndo) -> list[tuple[int, ...]]:
@@ -180,8 +169,7 @@ def weil_class_space(endo: QuadraticEndo) -> list[tuple[int, ...]]:
 def certify_22(classes, j: Matrix) -> bool:
     """True iff every generator lies in ker(D_J), the exact (2,2) part."""
     d_j = derivation_wedge4(j)
-    zero = tuple([_ZERO] * d_j.rows)
-    return all(d_j.matvec(v) == zero for v in classes)
+    return all(is_zero_vector(d_j.matvec(v)) for v in classes)
 
 
 def hodge_class_dimension(dim: int, j: Matrix) -> int:

@@ -9,7 +9,7 @@ import pytest
 import ksw
 from ksw.betti import power_of_two
 from ksw.cli import main
-from ksw.suite import RunReport, exit_code_from_checks, load_config
+from ksw.suite import NO_INSTANCES, RunReport, exit_code_from_checks, load_config
 
 
 SPACE_JSON = {"dim": 3, "gram": [["2", "0", "0"], ["0", "8", "0"], ["0", "0", "-1"]]}
@@ -140,6 +140,17 @@ def test_betti_audit_custom_catalog(tmp_path, capsys):
     assert main(["betti", "audit", "--catalog", str(path), "--json"]) == 1
     report = _json_output(capsys)
     assert report["data"]["entries"][0]["b3"]["status"] == "fail"
+
+
+def test_betti_audit_empty_catalog_is_vacuous(tmp_path, capsys):
+    path = tmp_path / "catalog.json"
+    path.write_text("[]")
+    assert main(["betti", "audit", "--catalog", str(path), "--json"]) == 0
+    report = _json_output(capsys)
+    assert report["checks"] == [{"name": "betti.audit", "status": "vacuous", "detail": NO_INSTANCES}]
+    assert report["data"]["entries"] == []
+    assert main(["betti", "audit", "--catalog", str(path)]) == 0
+    assert "[VACUOUS] betti.audit -- %s" % NO_INSTANCES in capsys.readouterr().out
 
 
 def test_corr_verify_pass_and_broken(capsys):
@@ -533,8 +544,10 @@ def test_run_report_counts():
         command="x",
         inputs={},
         checks=[{"name": "a", "status": "pass", "detail": ""}],
-        exit_code=0,
     )
     payload = report.to_dict()
     assert payload["counts"] == {"pass": 1}
+    assert payload["exit_code"] == 0
     assert "seed" not in payload
+    report.checks.append({"name": "b", "status": "fail", "detail": ""})
+    assert report.exit_code == 1

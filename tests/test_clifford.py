@@ -292,3 +292,21 @@ def test_mul_operators_match_element_products():
             right_col = (blade * x).terms
             assert left.column(m) == tuple(left_col.get(i, 0) for i in range(alg.dim))
             assert right.column(m) == tuple(right_col.get(i, 0) for i in range(alg.dim))
+    # homogeneous elements on C+ and C-: an odd element swaps the pieces
+    masks = {"even": alg.even_masks, "odd": alg.odd_masks}
+    swap = {"even": "odd", "odd": "even"}
+    for parity in ("even", "odd"):
+        for _ in range(3):
+            x = alg.element(
+                {rng.choice(masks[parity]): Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(4)}
+            )
+            for domain in ("even", "odd"):
+                codomain = domain if parity == "even" else swap[domain]
+                ops = [(right_mul_operator(x, domain), lambda b: b * x)]
+                if parity == "even":
+                    ops.append((left_mul_operator(x, domain), lambda b: x * b))
+                for op, act in ops:
+                    assert (op.rows, op.cols) == (alg.dim // 2, alg.dim // 2)
+                    for pos, m in enumerate(masks[domain]):
+                        terms = act(alg.blade(m)).terms
+                        assert op.column(pos) == tuple(terms.get(c, 0) for c in masks[codomain])

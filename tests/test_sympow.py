@@ -223,10 +223,18 @@ def test_block_max_level():
 def test_sym_derivation_against_polynomial_oracle():
     # derivation on monomials: D(y^mu) = sum_i mu_i (A y_i) y^(mu - e_i)
     # expanded with a tiny independent polynomial model
+    # the second operator has rational entries: one denominator for all terms
     rng = random.Random(70)
     space = QuadraticSpace(Matrix.diagonal([1, -1, 2]))
     sym = build_sym(space, 2)
-    a = Matrix([[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)])
+    integral = Matrix([[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)])
+    rational = Matrix([[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(3)] for _ in range(3)])
+    assert any(x.denominator != 1 for row in rational for x in row)
+    for a in (integral, rational):
+        _check_derivation_column_by_column(sym, a)
+
+
+def _check_derivation_column_by_column(sym, a):
     d = sym_derivation(sym, a)
 
     def poly_mul_var(poly, i):
@@ -265,6 +273,15 @@ def test_power_vector_multinomial():
     assert coeffs[(2, 1)] == 6
     assert coeffs[(1, 2)] == 12
     assert coeffs[(0, 3)] == 8
+    # (y1/2 - 2 y2/3)^3 = y1^3/8 - y1^2 y2/2 + 2 y1 y2^2/3 - 8 y2^3/27
+    v = power_vector(sym, (Fraction(1, 2), Fraction(-2, 3)))
+    assert dict(zip(sym.basis, v)) == {
+        (3, 0): Fraction(1, 8),
+        (2, 1): Fraction(-1, 2),
+        (1, 2): Fraction(2, 3),
+        (0, 3): Fraction(-8, 27),
+    }
+    assert power_vector(sym, (Fraction(3, 5), 0)) == (Fraction(27, 125), 0, 0, 0)
 
 
 def test_caps_and_allow_large():

@@ -246,6 +246,9 @@ def test_derivation_wedge4_against_bruteforce():
     rng = random.Random(54)
     m = Matrix([[rng.randint(-3, 3) for _ in range(5)] for _ in range(5)])
     assert derivation_wedge4(m) == Matrix(wedge4_derivation_bruteforce(m))
+    q = Matrix([[Fraction(rng.randint(-3, 3), rng.randint(1, 6)) for _ in range(5)] for _ in range(5)])
+    assert any(x.denominator != 1 for row in q for x in row)
+    assert derivation_wedge4(q) == Matrix(wedge4_derivation_bruteforce(q))
 
 
 def test_ks_invariant_subspace_is_weil():
