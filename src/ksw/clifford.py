@@ -18,14 +18,16 @@ algebra tabulates once
                 = prod_{i in C} n_i * prod_{i not in C} m_i,
     sign[A]     = mask whose bit j is the parity of the bits of A above j,
 
-so sign(A, B) is the parity of popcount(sign[A] & B).  A product takes each
-factor as integer numerators over one denominator (cleared once per
-element, as a `Matrix` row is cleared), accumulates
-+-x_A * y_B * contract[A&B] in ints, and divides once per output blade.
+so sign(A, B) is the parity of popcount(sign[A] & B).
 
-Elements are sparse maps blade -> Fraction; multiplication operators are
-sparse matrices over the graded piece they act on, with the unit-blade
-products as integer columns over one denominator.
+An element is stored as a `Matrix` row is: a dict from blade mask to a
+nonzero int numerator plus one positive int denominator, in lowest terms
+(`linalg._int_row` / `linalg._row`).  A product accumulates
++-x_A * y_B * contract[A&B] over the stored numerators in ints and puts
+the result over dx * dy * scale in lowest terms with one gcd, so no
+`Fraction` is made; ``==`` and ``hash`` compare the stored pairs.
+Multiplication operators are sparse matrices over the graded piece they
+act on, built from the unit-blade products by the same loop.
 """
 
 from __future__ import annotations
@@ -33,10 +35,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import CapExceeded, ParityViolation, SpaceMismatch
-from .linalg import Matrix, _int_row, frac, induced_operator, vector
+from .linalg import Matrix, _int_row, _row, _row_sum, frac, induced_operator, vector
 from .qspace import QuadraticSpace
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 _MINUS_ONE = Fraction(-1)
 
@@ -95,7 +96,7 @@ def _sign_table(h: int) -> list[int]:
 
 
 def _product_numerators(alg: "CliffordAlgebra", xs, ys) -> dict[int, int]:
-    """Integer product of cleared operands; divide by dx * dy * alg.scale."""
+    """Integer product of (mask, numerator) operands; divide by dx * dy * alg.scale."""
     sign = alg.sign
     contract = alg.contract
     out: dict[int, int] = {}
@@ -138,24 +139,21 @@ class CliffordAlgebra:
     # -- element constructors --------------------------------------------------
 
     def element(self, terms: dict[int, Fraction]) -> "CliffordElement":
-        clean = {}
-        for mask, coef in terms.items():
-            coef = frac(coef)
-            if coef:
-                if mask < 0 or mask >= self.dim:
-                    raise ValueError("blade mask %d out of range" % mask)
-                clean[mask] = coef
-        return CliffordElement(self, clean)
+        nums, den = _int_row(terms.items())
+        for mask in nums:
+            if mask < 0 or mask >= self.dim:
+                raise ValueError("blade mask %d out of range" % mask)
+        return CliffordElement(self, nums, den)
 
     def scalar(self, c) -> "CliffordElement":
-        return self.element({0: frac(c)})
+        return self.element({0: c})
 
     @property
     def unit(self) -> "CliffordElement":
         return self.scalar(1)
 
     def blade(self, mask: int, coef=1) -> "CliffordElement":
-        return self.element({mask: frac(coef)})
+        return self.element({mask: coef})
 
     def basis_vector(self, i: int) -> "CliffordElement":
         """Grade-1 element for the i-th *diagonal* basis vector (0-based)."""
@@ -198,42 +196,39 @@ class CliffordAlgebra:
 class CliffordElement:
     """Sparse blade-indexed rational element of a Clifford algebra.
 
-    ``terms`` is read-only: the cleared integer form of an element is
-    computed on its first product and kept.
+    ``nums`` maps each blade mask to a nonzero int numerator over the one
+    positive int ``den``, in lowest terms, as a `Matrix` row is stored;
+    neither is mutated.  ``terms`` is a new ``dict[int, Fraction]`` on
+    each access.
     """
 
-    __slots__ = ("algebra", "terms", "_ints")
+    __slots__ = ("algebra", "nums", "den")
 
-    def __init__(self, algebra: CliffordAlgebra, terms: dict[int, Fraction]):
+    def __init__(self, algebra: CliffordAlgebra, nums: dict[int, int], den: int = 1):
+        """Wrap a lowest-terms (numerators, denominator) pair as it is."""
         self.algebra = algebra
-        self.terms = terms
-        self._ints = None
+        self.nums = nums
+        self.den = den
 
-    def _int_terms(self) -> tuple[dict[int, int], int]:
-        """(blade -> int numerator, denominator) in lowest terms, cleared once."""
-        if self._ints is None:
-            self._ints = _int_row(self.terms.items())
-        return self._ints
+    @property
+    def terms(self) -> dict[int, Fraction]:
+        den = self.den
+        return {m: Fraction(x, den) for m, x in self.nums.items()}
 
     @property
     def parity(self) -> str:
         """'even', 'odd', or 'mixed'; the zero element counts as even."""
-        if not self.terms:
-            return "even"
-        parities = {m.bit_count() & 1 for m in self.terms}
-        if parities == {0}:
-            return "even"
+        parities = {m.bit_count() & 1 for m in self.nums}
         if parities == {1}:
             return "odd"
-        return "mixed"
+        return "mixed" if len(parities) == 2 else "even"
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def grade_part(self, k: int) -> "CliffordElement":
-        return CliffordElement(
-            self.algebra, {m: c for m, c in self.terms.items() if m.bit_count() == k}
-        )
+        part = {m: x for m, x in self.nums.items() if m.bit_count() == k}
+        return CliffordElement(self.algebra, *_row(part, self.den))
 
     def _require_same_space(self, other: "CliffordElement"):
         if not self.algebra.compatible(other.algebra):
@@ -241,34 +236,26 @@ class CliffordElement:
 
     def __add__(self, other: "CliffordElement") -> "CliffordElement":
         self._require_same_space(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, _ZERO) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return CliffordElement(self.algebra, out)
+        return CliffordElement(self.algebra, *_row_sum(self.nums, self.den, other.nums, other.den))
 
     def __sub__(self, other: "CliffordElement") -> "CliffordElement":
         return self + (-other)
 
     def __neg__(self) -> "CliffordElement":
-        return CliffordElement(self.algebra, {m: -c for m, c in self.terms.items()})
+        return CliffordElement(self.algebra, {m: -x for m, x in self.nums.items()}, self.den)
 
     def __mul__(self, other):
+        alg = self.algebra
         if isinstance(other, CliffordElement):
             self._require_same_space(other)
-            alg = self.algebra
-            xs, dx = self._int_terms()
-            ys, dy = other._int_terms()
-            den = dx * dy * alg.scale
-            out = _product_numerators(alg, xs.items(), ys.items())
-            return CliffordElement(alg, {m: Fraction(v, den) for m, v in out.items() if v})
+            out = _product_numerators(alg, self.nums.items(), other.nums.items())
+            nums = {m: x for m, x in out.items() if x}
+            return CliffordElement(alg, *_row(nums, self.den * other.den * alg.scale))
         c = frac(other)
-        if not c:
-            return CliffordElement(self.algebra, {})
-        return CliffordElement(self.algebra, {m: c * v for m, v in self.terms.items()})
+        p = c.numerator
+        if not p:
+            return CliffordElement(alg, {})
+        return CliffordElement(alg, *_row({m: p * x for m, x in self.nums.items()}, self.den * c.denominator))
 
     def __rmul__(self, other):
         return self * other
@@ -279,19 +266,19 @@ class CliffordElement:
     def __eq__(self, other):
         return (
             isinstance(other, CliffordElement)
+            and self.den == other.den
+            and self.nums == other.nums
             and self.algebra.compatible(other.algebra)
-            and self.terms == other.terms
         )
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((frozenset(self.nums.items()), self.den))
 
     def __repr__(self):
-        if not self.terms:
+        if not self.nums:
             return "<0>"
         bits = []
-        for m in sorted(self.terms):
-            c = self.terms[m]
+        for m, c in sorted(self.terms.items()):
             name = (
                 "1"
                 if m == 0
@@ -323,14 +310,13 @@ def _mul_block(x: CliffordElement, side: str, domain: str) -> Matrix:
             codomain = domain
         else:
             codomain = "odd" if domain == "even" else "even"
-    xs, dx = x._int_terms()
-    xs = xs.items()
+    xs = x.nums.items()
 
     def moves(m):
         operands = (xs, ((m, 1),)) if side == "left" else (((m, 1),), xs)
         return _product_numerators(alg, *operands).items()
 
-    return induced_operator(alg.masks(domain), alg.index_map(codomain), moves, dx * alg.scale)
+    return induced_operator(alg.masks(domain), alg.index_map(codomain), moves, x.den * alg.scale)
 
 
 def left_mul_operator(v: CliffordElement, restrict: str = "full") -> Matrix:

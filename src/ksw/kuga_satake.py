@@ -35,7 +35,6 @@ from .hodge import HKStructure, Weight1Structure
 from .linalg import Matrix, rank_and_kernel, rank_at_least, vector
 from .qspace import QuadraticSpace
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
@@ -222,27 +221,16 @@ def _non_null(ks: KSStructure, v0) -> tuple[Fraction, ...]:
     return v0
 
 
-def _even_coords(alg: CliffordAlgebra, element: CliffordElement) -> list[Fraction]:
-    """Dense coordinates of an even element over ``alg.even_masks``."""
-    coords = [_ZERO] * len(alg.even_masks)
-    for m, c in element.terms.items():
-        coords[alg.even_index[m]] = c
-    return coords
-
-
 def endomorphism_embedding(ks: KSStructure, v, v0) -> Matrix:
     """Matrix on C+ of x -> v . x . v0 for grade-1 v, v0 with (v0, v0) != 0.
 
     The assignment v -> E_v is linear and injective; J anticommutes with
-    E_v for v in the plane and commutes for v orthogonal to it.  Columns
-    are computed directly in the element algebra (v and v0 are sparse).
+    E_v for v in the plane and commutes for v orthogonal to it.  E_v is
+    R_v0 from C+ to C- followed by L_v from C- back to C+.
     """
-    v0 = _non_null(ks, v0)
     alg = ks.algebra
-    ev = alg.vector(vector(v))
-    ev0 = alg.vector(v0)
-    columns = [_even_coords(alg, ev * alg.blade(mask) * ev0) for mask in alg.even_masks]
-    return Matrix.from_columns(columns, rows=len(alg.even_masks))
+    right = _mul_block(alg.vector(_non_null(ks, v0)), "right", "even")
+    return _mul_block(alg.vector(vector(v)), "left", "odd") * right
 
 
 def embedding_matrix_stack(ks: KSStructure, v0) -> Matrix:
@@ -266,9 +254,9 @@ def embedding_unit_block(ks: KSStructure, v0) -> Matrix:
     h = ks.space.h
     rows = []
     for i in range(h):
-        basis_vec = alg.vector(tuple(_ONE if j == i else 0 for j in range(h)))
-        rows.append(_even_coords(alg, basis_vec * ev0))
-    return Matrix(rows)
+        row = alg.vector(tuple(_ONE if j == i else 0 for j in range(h))) * ev0
+        rows.append(({alg.even_index[m]: x for m, x in row.nums.items()}, row.den))
+    return Matrix._of(rows, len(alg.even_masks))
 
 
 def embedding_rank(ks: KSStructure, v0) -> int:

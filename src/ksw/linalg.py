@@ -8,8 +8,10 @@ products, sums, ``matvec`` and elimination run on plain ints over the
 nonzeros, and ``==``/``hash`` compare the stored rows however the matrix
 was built.  The symmetric-power, exterior-power and Clifford operators
 have a few percent of nonzeros; `induced_operator` builds them all from
-integer weights over one denominator.  Entries, rows, columns and
-iteration are dense `Fraction` views built on demand.
+integer weights over one denominator.  Clifford elements are stored in the
+same row form, put in lowest terms by the same `_int_row` / `_row`.
+Entries, rows, columns and iteration are dense `Fraction` views built on
+demand.
 
 Row reduction is fraction-free (Bareiss) on the stored integer rows, and
 back-substitution stays in integers scaled by the last pivot.  Kernel
@@ -82,6 +84,20 @@ def _row(nums: dict[int, int], den: int) -> tuple[dict[int, int], int]:
     if g == 1:
         return nums, den
     return {j: x // g for j, x in nums.items()}, den // g
+
+
+def _row_sum(na: dict[int, int], da: int, nb: dict[int, int], db: int) -> tuple[dict[int, int], int]:
+    """Lowest terms of na / da + nb / db, summed over lcm(da, db)."""
+    den = lcm(da, db)
+    fa, fb = den // da, den // db
+    acc = {j: x * fa for j, x in na.items()} if fa != 1 else dict(na)
+    for j, x in nb.items():
+        s = acc.get(j, 0) + x * fb
+        if s:
+            acc[j] = s
+        else:
+            del acc[j]
+    return _row(acc, den)
 
 
 class Matrix:
@@ -221,19 +237,7 @@ class Matrix:
     def __add__(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
-        out = []
-        for (na, da), (nb, db) in zip(self._rows, other._rows):
-            den = lcm(da, db)
-            fa, fb = den // da, den // db
-            acc = {j: x * fa for j, x in na.items()} if fa != 1 else dict(na)
-            for j, x in nb.items():
-                s = acc.get(j, 0) + x * fb
-                if s:
-                    acc[j] = s
-                else:
-                    del acc[j]
-            out.append(_row(acc, den))
-        return Matrix._of(out, self.cols)
+        return Matrix._of((_row_sum(*a, *b) for a, b in zip(self._rows, other._rows)), self.cols)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self + -other
@@ -327,14 +331,6 @@ def hstack(*mats: Matrix) -> Matrix:
 
 
 # -- vector helpers ------------------------------------------------------------
-
-def dot(u, v) -> Fraction:
-    s = _ZERO
-    for a, b in zip(u, v):
-        if a and b:
-            s += a * b
-    return s
-
 
 def vec_add(u, v):
     return tuple(a + b for a, b in zip(u, v))

@@ -20,7 +20,7 @@ from functools import cached_property
 from math import isqrt
 
 from .errors import Degenerate, NotSymmetric
-from .linalg import Matrix, dot, frac, solve_or_invert, vector
+from .linalg import Matrix, _int_row, frac, solve_or_invert, vector
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -156,7 +156,13 @@ class QuadraticSpace:
         return square_class_representative(disc)
 
     def bilinear(self, u, v) -> Fraction:
-        return dot(self.gram.matvec(vector(u)), vector(v))
+        """u^t G v: both vectors cleared once, summed in ints, one Fraction out."""
+        if len(u) != self.h or len(v) != self.h:
+            raise ValueError("vector lengths %d, %d != dimension %d" % (len(u), len(v), self.h))
+        (un, ud), (vn, vd) = _int_row(enumerate(u)), _int_row(enumerate(v))
+        rows, d = self.gram.cleared()
+        s = sum(x * a * vn[j] for i, x in un.items() for j, a in rows[i].items() if j in vn)
+        return Fraction(s, ud * vd * d)
 
     def quadratic(self, v) -> Fraction:
         return self.bilinear(v, v)

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 
@@ -274,9 +275,68 @@ def test_element_product_matches_fraction_reference():
         for _ in range(40):
             x = _random_rational_element(rng, alg, rng.randint(0, 6))
             y = _random_rational_element(rng, alg, rng.randint(0, 6))
-            got = (x * y).terms
+            z = x * y
+            got = z.terms
             assert got == _reference_product(x, y)
             assert all(type(c) is Fraction for c in got.values())
+            _assert_canonical(z)
+
+
+def _assert_canonical(x):
+    """Stored numerators are nonzero ints over a positive int denominator, in lowest terms."""
+    assert all(type(n) is int and n for n in x.nums.values())
+    assert type(x.den) is int and x.den > 0
+    assert gcd(x.den, *x.nums.values()) == 1
+
+
+def test_one_element_built_several_ways_is_equal_and_hashes_equal():
+    rng = random.Random(37)
+    for h in range(1, 7):
+        alg = _fractional_algebra(rng, h)
+        m, n = rng.randrange(alg.dim), rng.randrange(alg.dim)
+        c = Fraction(rng.choice((-9, -2, 3, 7)), rng.choice((1, 4, 6)))
+        target = alg.element({m: c})
+        coef, mask = blade_product(m ^ n, n, alg.diag)  # e_{m^n} . e_n = coef * e_m
+        assert mask == m
+        ways = [
+            alg.element({n: 0, m: c}),
+            alg.element({m: str(c)}),
+            alg.blade(m, c),
+            alg.blade(m) * c,
+            c * alg.blade(m),
+            alg.blade(m, c * 3) / 3,
+            alg.blade(m, c.numerator) / c.denominator,
+            (alg.blade(m, c) + alg.blade(n ^ 1, 5)) - alg.blade(n ^ 1, 5),
+            -(-target),
+            alg.blade(m, c) * alg.unit,
+            alg.blade(m ^ n, c / coef) * alg.blade(n),
+        ]
+        for x in ways:
+            _assert_canonical(x)
+            assert x == target
+            assert hash(x) == hash(target)
+        zero = alg.blade(m, c) - target
+        assert zero == alg.element({}) and hash(zero) == hash(alg.element({}))
+        assert (zero.nums, zero.den) == ({}, 1)
+
+
+def test_terms_view_matches_reference():
+    rng = random.Random(41)
+    for h in range(1, 7):
+        alg = _fractional_algebra(rng, h)
+        for _ in range(20):
+            raw = {rng.randrange(alg.dim): Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(5)}
+            x = alg.element(raw)
+            assert x.terms == {mm: cc for mm, cc in raw.items() if cc}
+            x.terms.clear()  # a new dict each time: the element is untouched
+            assert x.terms == {mm: cc for mm, cc in raw.items() if cc}
+            y = _random_rational_element(rng, alg, rng.randint(0, 6))
+            assert (x * y).terms == _reference_product(x, y)
+            assert (x + y).terms == {
+                mm: cc
+                for mm in set(x.terms) | set(y.terms)
+                if (cc := x.terms.get(mm, 0) + y.terms.get(mm, 0))
+            }
 
 
 def test_mul_operators_match_element_products():

@@ -13,7 +13,6 @@ from ksw.linalg import (
     _numerators,
     _rank_mod_p,
     determinant,
-    dot,
     primitive_integer_vector,
     rank_and_kernel,
     rank_at_least,
@@ -258,7 +257,7 @@ def test_sparse_core_matches_dense_reference(drawn):
     with pytest.raises(IndexError):
         m[0, m.cols]
     products = tuple(sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in a)
-    assert m.matvec(v) == tuple(dot(row, v) for row in a) == products
+    assert m.matvec(v) == products
     assert all(isinstance(x, Fraction) for x in m.matvec(v))
     assert _dense_views(m * n) == _ref_mul(a, b)
     assert m * n == Matrix(_ref_mul(a, b)) and hash(m * n) == hash(Matrix(_ref_mul(a, b)))

@@ -155,3 +155,38 @@ def test_bilinear_and_coordinate_roundtrip():
 def test_signature_function_matches_property():
     space = QuadraticSpace(Matrix.diagonal([2, 8, -1]))
     assert signature(space) == (2, 1)
+
+
+def _reference_bilinear(gram, u, v):
+    """Sum of u_i G_ij v_j, one Fraction term at a time."""
+    return sum(
+        (Fraction(u[i]) * gram[i, j] * Fraction(v[j]) for i in range(gram.rows) for j in range(gram.cols)),
+        Fraction(0),
+    )
+
+
+def test_bilinear_matches_fraction_reference():
+    rng = random.Random(13)
+    for h in range(1, 7):
+        diag = [Fraction(rng.choice((-5, -2, 1, 3)), rng.choice((1, 2, 3))) for _ in range(h)]
+        space = QuadraticSpace(random_congruence_scramble(rng, Matrix.diagonal(diag)))
+        for _ in range(10):
+            ints = tuple(rng.randint(-6, 6) for _ in range(h))
+            rationals = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(h))
+            mixed = tuple(rng.choice((x, y)) for x, y in zip(ints, rationals))
+            for u in (ints, rationals, mixed):
+                for v in (ints, rationals, mixed):
+                    got = space.bilinear(u, v)
+                    assert type(got) is Fraction
+                    assert got == _reference_bilinear(space.gram, u, v) == space.bilinear(v, u)
+                assert space.quadratic(u) == _reference_bilinear(space.gram, u, u)
+
+
+def test_bilinear_refuses_floats_and_wrong_lengths():
+    space = QuadraticSpace(Matrix.diagonal([1, 2, -3]))
+    with pytest.raises(TypeError):
+        space.bilinear((1, 0.5, 0), (1, 0, 0))
+    with pytest.raises(TypeError):
+        space.quadratic((0, 0, 1.0))
+    with pytest.raises(ValueError):
+        space.bilinear((1, 0), (1, 0, 0))
