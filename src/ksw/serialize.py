@@ -75,9 +75,9 @@ def period_from_json(data) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
 
 def clifford_element_to_json(x: CliffordElement) -> dict:
     terms = []
-    for mask in sorted(x.terms):
+    for mask, coef in sorted(x.terms.items()):
         indices = [i + 1 for i in range(x.algebra.h) if mask >> i & 1]
-        terms.append({"mask": indices, "coef": rational_str(x.terms[mask])})
+        terms.append({"mask": indices, "coef": rational_str(coef)})
     return {"terms": terms}
 
 

@@ -370,3 +370,19 @@ def test_mul_operators_match_element_products():
                     for pos, m in enumerate(masks[domain]):
                         terms = act(alg.blade(m)).terms
                         assert op.column(pos) == tuple(terms.get(c, 0) for c in masks[codomain])
+
+
+def test_element_refuses_floats_and_out_of_range_masks():
+    alg = CliffordAlgebra(QuadraticSpace(Matrix.diagonal([1, -2, 3])))
+    for bad in ({0: 0.5}, {1: 0.0}, {0: 1, 3: 2.5}):
+        with pytest.raises(TypeError):
+            alg.element(bad)
+    with pytest.raises(TypeError):
+        alg.blade(1, 1.5)
+    with pytest.raises(TypeError):
+        alg.unit * 2.0
+    for mask in (alg.dim, -1):
+        with pytest.raises(ValueError):
+            alg.element({mask: 1})
+        # a zero coefficient is dropped before the mask is looked at
+        assert alg.element({mask: 0, 1: Fraction(2, 4)}) == alg.blade(1, Fraction(1, 2))
