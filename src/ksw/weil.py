@@ -15,6 +15,18 @@ The subfield-module line inside the fourth exterior power is cut out as
 ker(D_phi^2 + 16 d): the derivation eigenvalues on a-fold products of the
 +i.sqrt(d) eigenspace are (2a - 4) i sqrt(d), and (2a - 4)^2 = 16 exactly
 for a in {0, 4}.
+
+The kernel is built rather than eliminated for.  Over Q(lam), lam^2 = -d,
+take standard basis vectors u_1..u_4 with {u_i, phi u_i} a basis of V.
+Then w_i = phi u_i + lam u_i are lam-eigenvectors, w_1^w_2^w_3^w_4 =
+A + lam B with A, B rational, and it spans the kernel together with its
+conjugate A - lam B, so the kernel is span{A, B}.  The coordinates of A
+and B are 4x4 minors of an 8x4 matrix over Z[mu], mu = m.lam for d = n/m,
+computed in ints.  A certificate makes the result exact whatever phi is:
+A and B lie in the kernel (two matvecs), they are independent, and
+`rank_at_least` proves that the kernel has dimension at most 2.  If any
+step fails, the exact kernel of the 70x70 matrix decides, so results and
+errors are those of the elimination on every input.
 """
 
 from __future__ import annotations
@@ -22,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import isqrt
+from math import gcd, isqrt
 
 from .errors import (
     NonScalarSquare,
@@ -32,7 +44,14 @@ from .errors import (
     WorkbenchError,
 )
 from .clifford import reorder_parity
-from .linalg import Matrix, induced_operator, is_zero_vector, rank_and_kernel
+from .linalg import (
+    Matrix,
+    _primitive,
+    induced_operator,
+    is_zero_vector,
+    rank_and_kernel,
+    rank_at_least,
+)
 
 _ZERO = Fraction(0)
 
@@ -151,19 +170,122 @@ def weil_class_space(endo: QuadraticEndo) -> list[tuple[int, ...]]:
     """Primitive basis of ker(D_phi^2 + 16 d) inside the fourth exterior power.
 
     Exactly 2-dimensional for dim V = 8 (the image of the subfield line);
-    UnexpectedDimension otherwise.
+    UnexpectedDimension otherwise.  The basis is the reduced-echelon one of
+    `rank_and_kernel` (one vector per free column, in column order), made
+    from the eigenvector wedge A + lam.B and certified: D_phi^2 A =
+    -16 d A and D_phi^2 B = -16 d B by matvecs, A and B independent, and
+    rank at least 68 by `rank_at_least`.  If no basis {u_i, phi u_i} is
+    found or the certificate fails (phi^2 != -d), the exact kernel decides.
     """
     if endo.dim != 8:
         raise ValueError("weil_class_space is the fourfold case: dim V must be 8")
     d_phi = derivation_wedge4(endo.phi)
     size = d_phi.rows
     mat = d_phi * d_phi + (16 * endo.d) * Matrix.identity(size)
+    pair = _eigenvector_wedge(endo)
+    if pair is not None and all(is_zero_vector(mat.matvec(v)) for v in pair):
+        basis = _echelon_pair(*pair)
+        if basis is not None and rank_at_least(mat, size - 2):
+            return basis
     _, kernel = rank_and_kernel(mat)
     if len(kernel) != 2:
         raise UnexpectedDimension(
             "subfield-power kernel has dimension %d, expected 2" % len(kernel)
         )
     return kernel
+
+
+#: Laplace expansion of a 4x4 determinant along its first two columns:
+#: (rows for columns 0,1), (rows for columns 2,3), sign
+_LAPLACE = (
+    ((0, 1), (2, 3), 1),
+    ((0, 2), (1, 3), -1),
+    ((0, 3), (1, 2), 1),
+    ((1, 2), (0, 3), 1),
+    ((1, 3), (0, 2), -1),
+    ((2, 3), (0, 1), 1),
+)
+
+
+def _eigenvector_wedge(endo: QuadraticEndo) -> tuple[list[int], list[int]] | None:
+    """Integer (X, Y) with w_1^w_2^w_3^w_4 a positive multiple of X + mu.Y.
+
+    u_i = e_c is taken greedily whenever e_c is outside the span of the
+    earlier u_i and phi u_i; for phi^2 = -d that span is phi-invariant and
+    grows by 2 each time (phi e_c = s + t e_c with s in it would put
+    (-d - t^2) e_c in it), so four are taken.  Any other count gives None.
+    With P = den.phi integral, m.den.w_i = m.P u_i + den.mu u_i, and each
+    coordinate is a 4x4 minor of that 8x4 matrix over Z[mu], mu^2 = -n.m,
+    expanded along the 2x2 minors of its first and last two columns.
+    """
+    rows, den = endo.phi.cleared()
+    cols = [[row.get(c, 0) for row in rows] for c in range(8)]
+    echelon: list[tuple[int, list[int]]] = []
+
+    def extend(v: list[int]) -> bool:
+        for p, row in echelon:
+            if v[p]:
+                v = [row[p] * a - v[p] * b for a, b in zip(v, row)]
+        pivot = next((i for i, a in enumerate(v) if a), None)
+        if pivot is not None:
+            g = gcd(*v)
+            echelon.append((pivot, [a // g for a in v]))
+        return pivot is not None
+
+    us = []
+    for c in range(8):
+        if extend([int(r == c) for r in range(8)]):
+            us.append(c)
+            extend(cols[c])
+    if len(us) != 4:
+        return None
+    d = Fraction(endo.d)
+    n, m = d.numerator, d.denominator
+    nm = n * m
+    w = [[(m * cols[c][r], den if r == c else 0) for c in us] for r in range(8)]
+
+    def mul(x, y):
+        return x[0] * y[0] - nm * x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+    def minors(k):
+        out = {}
+        for r, s in combinations(range(8), 2):
+            a, b = mul(w[r][k], w[s][k + 1]), mul(w[s][k], w[r][k + 1])
+            out[r, s] = (a[0] - b[0], a[1] - b[1])
+        return out
+
+    left, right = minors(0), minors(2)
+    xs, ys = [], []
+    for s in combinations(range(8), 4):
+        x = y = 0
+        for (i, j), (k, l), sign in _LAPLACE:
+            a, b = mul(left[s[i], s[j]], right[s[k], s[l]])
+            x += sign * a
+            y += sign * b
+        xs.append(x)
+        ys.append(y)
+    return xs, ys
+
+
+def _echelon_pair(x: list[int], y: list[int]) -> list[tuple[int, ...]] | None:
+    """Primitive reduced-echelon basis of span{x, y}; None if they are dependent.
+
+    The free columns of a kernel are the last nonzero positions of its
+    vectors: f2 that of the span, f1 that of the vector u with u[f2] = 0.
+    The vector for f1 is u, the one for f2 has a zero at f1.
+    """
+    def last(v):
+        return max((i for i, a in enumerate(v) if a), default=-1)
+
+    if last(x) < last(y):
+        x, y = y, x
+    f2 = last(x)
+    u = [x[f2] * b - y[f2] * a for a, b in zip(x, y)]
+    f1 = last(u)
+    if f1 < 0:
+        return None
+    v = [u[f1] * a - x[f1] * b for a, b in zip(x, u)]
+    return [_primitive({i: a for i, a in enumerate(t) if a}, len(t)) for t in (u, v)]
 
 
 def certify_22(classes, j: Matrix) -> bool:
@@ -173,7 +295,12 @@ def certify_22(classes, j: Matrix) -> bool:
 
 
 def hodge_class_dimension(dim: int, j: Matrix) -> int:
-    """Rational dimension of the (2,2) part of the fourth exterior power."""
+    """Rational dimension of the (2,2) part of the fourth exterior power.
+
+    j is the complex structure on V = Q^dim; ValueError unless it is dim x dim.
+    """
+    if j.rows != dim or j.cols != dim:
+        raise ValueError("J is %dx%d, expected %dx%d" % (j.rows, j.cols, dim, dim))
     if dim < 4:
         return 0
     d_j = derivation_wedge4(j)

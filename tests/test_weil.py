@@ -6,14 +6,16 @@ import numpy as np
 import pytest
 
 from ksw import kuga_satake as ks_mod
+from ksw import weil as weil_mod
 from ksw.clifford import _mul_block
 from ksw.errors import (
     NonScalarSquare,
     NotCommutingWithJ,
     NotQuadratic,
+    UnexpectedDimension,
 )
 from ksw.hodge import HKStructure, type_spectrum
-from ksw.linalg import Matrix
+from ksw.linalg import Matrix, rank_and_kernel
 from ksw.qspace import QuadraticSpace
 from ksw.randgen import random_unimodular
 from ksw.weil import (
@@ -189,6 +191,63 @@ def test_weil_class_space_bases_are_pinned():
     assert _basis_digest(conjugate) == "446a1fa1f19de5d77a462a78139a60ee6d0047de16d89e56dccae034cdd2b9a9"
 
 
+def _exact_class_space(endo):
+    d_phi = derivation_wedge4(endo.phi)
+    mat = d_phi * d_phi + (16 * endo.d) * Matrix.identity(d_phi.rows)
+    return rank_and_kernel(mat)[1]
+
+
+def _refuse_elimination(mat):
+    raise AssertionError("the exact kernel ran: the constructed basis was not certified")
+
+
+def test_constructed_class_space_is_the_exact_kernel_basis(monkeypatch):
+    # every case must be decided by the construction and its certificate,
+    # and give the primitive reduced-echelon basis of the exact kernel
+    j, phi = block_j(), block_phi()
+    phi4 = [[0, -2, 0, 0], [1, 0, 0, 0], [0, 0, 0, -2], [0, 0, 1, 0]]
+    j4 = [[0, 0, -1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0]]
+
+    def doubled(block):
+        return Matrix([[block[i % 4][k % 4] if i // 4 == k // 4 else 0 for k in range(8)] for i in range(8)])
+
+    endos = [
+        check_quadratic_endo(j, phi * Fraction(1, 2)),
+        check_quadratic_endo(j, 3 * phi),
+        check_quadratic_endo(doubled(j4), doubled(phi4)),
+    ]
+    assert [e.d for e in endos] == [Fraction(1, 4), 9, 2]
+    rng = random.Random(56)
+    for _ in range(5):
+        g = random_unimodular(rng, 8)
+        ginv = g.inverse()
+        for cand in (phi, j):
+            endos.append(check_quadratic_endo(ginv * j * g, ginv * cand * g))
+    for endo in endos:
+        with monkeypatch.context() as patch:
+            patch.setattr(weil_mod, "rank_and_kernel", _refuse_elimination)
+            constructed = weil_class_space(endo)
+        assert constructed == _exact_class_space(endo)
+
+
+def test_class_space_falls_back_when_phi_squared_is_not_minus_d(monkeypatch):
+    # QuadraticEndo built without check_quadratic_endo: the certificate
+    # fails, and the exact kernel (dimension 0 here) decides as before
+    calls = []
+
+    def counted(mat):
+        calls.append(mat.rows)
+        return rank_and_kernel(mat)
+
+    monkeypatch.setattr(weil_mod, "rank_and_kernel", counted)
+    for phi, d in ((Matrix.zeros(8, 8), 1), (block_phi(), 4)):
+        with pytest.raises(UnexpectedDimension, match="dimension 0, expected 2"):
+            weil_class_space(QuadraticEndo(phi=phi, j=block_j(), d=Fraction(d)))
+    assert calls == [70, 70]
+    # dependent eigenvector parts are refused too
+    assert weil_mod._echelon_pair([0, 2, 4], [0, -1, -2]) is None
+
+
 def test_weil_class_space_dimension_precondition():
     j = Matrix([[0, -1], [1, 0]])
     with pytest.raises(ValueError):
@@ -231,6 +290,12 @@ def test_hodge_class_dimension_small_and_block():
     s = np.linalg.svd(arr, compute_uv=False)
     float_nullity = int(np.sum(s < 1e-9 * max(s)))
     assert float_nullity == dim22
+
+
+def test_hodge_class_dimension_needs_j_of_size_dim():
+    for dim, j in ((5, block_j()), (3, block_j()), (12, block_j(2))):
+        with pytest.raises(ValueError, match="expected %dx%d" % (dim, dim)):
+            hodge_class_dimension(dim, j)
 
 
 def test_hodge_class_dimension_conjugation_invariant():
