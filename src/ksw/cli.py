@@ -6,7 +6,7 @@ sym decompose | betti audit | betti bound | corr verify | suite.
 All structured output is a single report object; --json prints it as
 deterministic pretty JSON, otherwise a human-readable rendering of the
 same object.  Exit codes: 0 all checks passed or vacuous, 1 a check
-failed, 2 malformed input or usage.
+failed, 2 malformed input or usage, or a computation over the cap.
 
 KSW_CAP_H in the environment overrides the Clifford dimension cap.
 """
@@ -26,7 +26,6 @@ from .errors import (
     WorkbenchError,
 )
 from .hodge import HKStructure
-from .linalg import Matrix
 from .qspace import QuadraticSpace
 from .serialize import (
     catalog_from_json,
@@ -41,21 +40,29 @@ from .serialize import (
     space_from_json,
     weight1_from_json,
 )
-from .suite import NO_INSTANCES, RunReport, _check, _result, _vacuous, run_full_suite
+from .suite import (
+    NO_INSTANCES,
+    RunReport,
+    _check,
+    _embedding_laws,
+    _result,
+    _vacuous,
+    run_full_suite,
+)
 from .weil import analyze as weil_analyze
 
 
-def resolve_cap(explicit: int | None = None) -> int | None:
+def resolve_cap() -> int | None:
     env = os.environ.get("KSW_CAP_H")
     if env is not None:
         try:
             return int(env)
         except ValueError as exc:
             raise UsageError("KSW_CAP_H must be an integer, got %r" % env) from exc
-    return explicit
+    return None
 
 
-def _emit(report: RunReport, as_json: bool) -> int:
+def _emit(report: RunReport, as_json: bool) -> None:
     if as_json:
         print(pretty_json(report.to_dict()))
     else:
@@ -75,7 +82,6 @@ def _emit(report: RunReport, as_json: bool) -> int:
                 + ", ".join("%d %s" % (counts[k], k) for k in sorted(counts))
             )
         print("exit: %d" % report.exit_code)
-    return report.exit_code
 
 
 def _load_space(path: str) -> tuple[QuadraticSpace, str]:
@@ -88,24 +94,28 @@ def _load_space(path: str) -> tuple[QuadraticSpace, str]:
         raise UsageError("bad quadratic space in %s: %s" % (path, exc)) from exc
 
 
-def _load_hk(form_path: str, period_path: str) -> tuple[HKStructure, dict]:
-    space, form_hash = _load_space(form_path)
-    data, period_hash = load_json_file(period_path)
+def _load_period(space: QuadraticSpace, path: str) -> tuple[HKStructure, str]:
+    data, digest = load_json_file(path)
     alpha, beta = period_from_json(data)
     try:
-        hk = HKStructure.build(space, alpha, beta)
+        return HKStructure.build(space, alpha, beta), digest
     except WorkbenchError as exc:
         raise UsageError("invalid period: %s" % exc) from exc
+
+
+def _load_hk(form_path: str, period_path: str) -> tuple[HKStructure, dict]:
+    space, form_hash = _load_space(form_path)
+    hk, period_hash = _load_period(space, period_path)
     return hk, {"form": form_hash, "period": period_hash}
 
 
 # -- subcommand implementations ----------------------------------------------------
 
 
-def cmd_qform_inspect(args) -> int:
+def cmd_qform_inspect(args) -> RunReport:
     space, digest = _load_space(args.form)
     checks = [_check("qform.diagonalization", True, "T^t G T diagonal with nonzero entries")]
-    report = RunReport(
+    return RunReport(
         command="qform inspect",
         inputs={"form": digest},
         checks=checks,
@@ -116,7 +126,6 @@ def cmd_qform_inspect(args) -> int:
             "discriminant_square_class": space.discriminant_square_class,
         },
     )
-    return _emit(report, args.json)
 
 
 def _ks_identity_checks(ks, verbose_families: bool, seed: int = 0) -> list[dict]:
@@ -143,12 +152,9 @@ def _ks_identity_checks(ks, verbose_families: bool, seed: int = 0) -> list[dict]
     return checks
 
 
-def cmd_ks_build(args) -> int:
+def cmd_ks_build(args) -> RunReport:
     hk, inputs = _load_hk(args.form, args.period)
-    try:
-        ks = kuga_satake.build(hk, cap=resolve_cap())
-    except CapExceeded as exc:
-        raise UsageError(str(exc)) from exc
+    ks = kuga_satake.build(hk, cap=resolve_cap())
     if args.v0 is not None:
         h = hk.space.h
         if not 0 <= args.v0 < h:
@@ -160,7 +166,7 @@ def cmd_ks_build(args) -> int:
     else:
         v0 = kuga_satake.default_v0(ks)
     checks = _ks_identity_checks(ks, verbose_families=False)
-    report = RunReport(
+    return RunReport(
         command="ks build",
         inputs=inputs,
         checks=checks,
@@ -176,52 +182,31 @@ def cmd_ks_build(args) -> int:
             "v0": [rational_str(x) for x in v0],
         },
     )
-    return _emit(report, args.json)
 
 
-def cmd_ks_verify(args) -> int:
+def cmd_ks_verify(args) -> RunReport:
     hk, inputs = _load_hk(args.form, args.period)
-    try:
-        ks = kuga_satake.build(hk, cap=resolve_cap())
-    except CapExceeded as exc:
-        raise UsageError(str(exc)) from exc
+    ks = kuga_satake.build(hk, cap=resolve_cap())
     checks = _ks_identity_checks(ks, verbose_families=True, seed=args.seed)
-    v0 = kuga_satake.default_v0(ks)
     h = hk.space.h
+    rank_ok, sign_ok, inverse_ok, _ = _embedding_laws(ks, kuga_satake.default_v0(ks))
+    checks.append(_check("ks.endo_rank", rank_ok, "rank of v -> E_v equals h"))
     checks.append(
-        _check(
-            "ks.endo_rank",
-            kuga_satake.embedding_has_full_rank(ks, v0),
-            "rank of v -> E_v equals h",
-        )
+        _check("ks.endo_sign_laws", sign_ok, "J (anti)commutes with E_v by plane membership")
     )
     checks.append(
-        _check(
-            "ks.endo_sign_laws",
-            kuga_satake.embedding_sign_laws(ks, v0, matrix_level=h <= 5),
-            "J (anti)commutes with E_v by plane membership",
-        )
+        _check("ks.odd_even_iso", inverse_ok, "R_v0 has exact two-sided inverse R_v0/(v0,v0)")
     )
-    riso = kuga_satake.odd_even_isomorphism(ks, v0)
-    rinv = kuga_satake.odd_even_inverse(ks, v0)
-    checks.append(
-        _check(
-            "ks.odd_even_iso",
-            rinv * riso == Matrix.identity(1 << (h - 1)),
-            "R_v0 has exact two-sided inverse R_v0/(v0,v0)",
-        )
-    )
-    report = RunReport(
+    return RunReport(
         command="ks verify",
         inputs=inputs,
         checks=checks,
         seed=args.seed,
         data={"dims": {"h": h, "c_plus": 1 << (h - 1)}},
     )
-    return _emit(report, args.json)
 
 
-def cmd_weil_analyze(args) -> int:
+def cmd_weil_analyze(args) -> RunReport:
     data, w_hash = load_json_file(args.form)
     weight1 = weight1_from_json(data)
     pdata, p_hash = load_json_file(args.phi)
@@ -239,7 +224,7 @@ def cmd_weil_analyze(args) -> int:
                 "K-line kernel is 2-dimensional",
             )
         )
-    report = RunReport(
+    return RunReport(
         command="weil analyze",
         inputs={"weight1": w_hash, "phi": p_hash},
         checks=checks,
@@ -251,18 +236,14 @@ def cmd_weil_analyze(args) -> int:
             "all_weil_classes_22": result.all_weil_classes_22,
         },
     )
-    return _emit(report, args.json)
 
 
-def cmd_sym_decompose(args) -> int:
+def cmd_sym_decompose(args) -> RunReport:
     if args.k < 0:
         raise UsageError("--k must be nonnegative")
     space, digest = _load_space(args.form)
     inputs = {"form": digest}
-    try:
-        dec = sympow.decompose(space, args.k)
-    except CapExceeded as exc:
-        raise UsageError(str(exc)) from exc
+    dec = sympow.decompose(space, args.k)
     blocks = [{"l": l, "dim": d} for l, d in dec.block_dims]
     checks = [
         _check("sympow.decompose_certificate", True, dec.certificate),
@@ -278,13 +259,7 @@ def cmd_sym_decompose(args) -> int:
         "blocks": blocks,
     }
     if args.period:
-        pdata, p_hash = load_json_file(args.period)
-        alpha, beta = period_from_json(pdata)
-        try:
-            hk = HKStructure.build(space, alpha, beta)
-        except WorkbenchError as exc:
-            raise UsageError("invalid period: %s" % exc) from exc
-        inputs["period"] = p_hash
+        hk, inputs["period"] = _load_period(space, args.period)
         levels = sympow.block_max_level(hk, args.k)
         for entry, (l, lvl) in zip(blocks, levels):
             entry["level"] = lvl
@@ -304,13 +279,12 @@ def cmd_sym_decompose(args) -> int:
                     "level <= 2 part is Q^((k-1)/2).H^2, dim h",
                 )
             )
-    report = RunReport(
+    return RunReport(
         command="sym decompose",
         inputs=inputs,
         checks=checks,
         data=data,
     )
-    return _emit(report, args.json)
 
 
 def _audit_check(name: str, status: str, detail: str) -> dict:
@@ -318,7 +292,7 @@ def _audit_check(name: str, status: str, detail: str) -> dict:
     return _result(name, "pass" if status == betti.STATUS_TIGHT else status, detail)
 
 
-def cmd_betti_audit(args) -> int:
+def cmd_betti_audit(args) -> RunReport:
     if args.catalog:
         data, digest = load_json_file(args.catalog)
         entries = catalog_from_json(data)
@@ -366,37 +340,32 @@ def cmd_betti_audit(args) -> int:
         rows.append(row)
     if not entries:
         checks.append(_vacuous("betti.audit", NO_INSTANCES))
-    report = RunReport(
+    return RunReport(
         command="betti audit",
         inputs=inputs,
         checks=checks,
         data={"entries": rows},
     )
-    return _emit(report, args.json)
 
 
-def cmd_betti_bound(args) -> int:
+def cmd_betti_bound(args) -> RunReport:
     try:
         k = betti.bound_exponent(args.b2, div4_improve=args.div4_improve)
     except WorkbenchError as exc:
         raise UsageError(str(exc)) from exc
     bound = betti.power_of_two(k)
     checks = [_check("betti.bound", True, "b2 = %d gives k = %d, bound %s" % (args.b2, k, bound))]
-    report = RunReport(
+    return RunReport(
         command="betti bound",
         inputs={},
         checks=checks,
         data={"b2": args.b2, "k": k, "bound": bound},
     )
-    return _emit(report, args.json)
 
 
-def cmd_corr_verify(args) -> int:
+def cmd_corr_verify(args) -> RunReport:
     sign_rule = formal_corr.SIGN_BROKEN if args.broken_sign else formal_corr.SIGN_KOSZUL
-    try:
-        gamma = formal_corr.kunneth_square(args.b3, args.n, sign_rule)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    gamma = formal_corr.kunneth_square(args.b3, args.n, sign_rule)
     pairs, coef, uniform = formal_corr.kunneth_coefficient(gamma, args.b3, args.n)
     ok = uniform and coef is not None and coef != 0
     checks = [
@@ -411,7 +380,7 @@ def cmd_corr_verify(args) -> int:
             "no terms outside the (f^2, e^2) block",
         ),
     ]
-    report = RunReport(
+    return RunReport(
         command="corr verify",
         inputs={},
         checks=checks,
@@ -424,10 +393,9 @@ def cmd_corr_verify(args) -> int:
             "sign_rule": sign_rule,
         },
     )
-    return _emit(report, args.json)
 
 
-def cmd_suite(args) -> int:
+def cmd_suite(args) -> RunReport:
     overrides = {}
     if args.config:
         data, _digest = load_json_file(args.config)
@@ -439,8 +407,7 @@ def cmd_suite(args) -> int:
     cap = resolve_cap()
     if cap is not None:
         overrides["cap_h"] = cap
-    report = run_full_suite(overrides)
-    return _emit(report, args.json)
+    return run_full_suite(overrides)
 
 
 # -- parser ------------------------------------------------------------------------
@@ -453,71 +420,64 @@ def build_parser() -> argparse.ArgumentParser:
         "Weil / symmetric-power verification",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    json_flag = argparse.ArgumentParser(add_help=False)
+    json_flag.add_argument("--json", action="store_true", help="print the report as JSON")
 
     qform = sub.add_parser("qform", help="quadratic form utilities")
     qform_sub = qform.add_subparsers(dest="subcommand", required=True)
-    inspect = qform_sub.add_parser("inspect", help="diagonalize and report invariants")
+    inspect = qform_sub.add_parser("inspect", help="diagonalize and report invariants", parents=[json_flag])
     inspect.add_argument("-f", "--form", required=True, help="quadratic_space JSON file")
-    inspect.add_argument("--json", action="store_true")
     inspect.set_defaults(func=cmd_qform_inspect)
 
     ks = sub.add_parser("ks", help="Kuga-Satake construction")
     ks_sub = ks.add_subparsers(dest="subcommand", required=True)
-    build_p = ks_sub.add_parser("build", help="build e, J and report identities")
+    build_p = ks_sub.add_parser("build", help="build e, J and report identities", parents=[json_flag])
     build_p.add_argument("-f", "--form", required=True)
     build_p.add_argument("-p", "--period", required=True)
     build_p.add_argument("--v0", type=int, default=None, help="diagonal basis index for v0")
-    build_p.add_argument("--json", action="store_true")
     build_p.set_defaults(func=cmd_ks_build)
-    verify_p = ks_sub.add_parser("verify", help="full identity-family verification")
+    verify_p = ks_sub.add_parser("verify", help="full identity-family verification", parents=[json_flag])
     verify_p.add_argument("-f", "--form", required=True)
     verify_p.add_argument("-p", "--period", required=True)
     verify_p.add_argument("--seed", type=int, default=0)
-    verify_p.add_argument("--json", action="store_true")
     verify_p.set_defaults(func=cmd_ks_verify)
 
     weil_p = sub.add_parser("weil", help="quadratic endomorphism analysis")
     weil_sub = weil_p.add_subparsers(dest="subcommand", required=True)
-    analyze_p = weil_sub.add_parser("analyze", help="multiplicities and class space")
+    analyze_p = weil_sub.add_parser("analyze", help="multiplicities and class space", parents=[json_flag])
     analyze_p.add_argument("-f", "--form", required=True, help="weight1 JSON file")
     analyze_p.add_argument("--phi", required=True, help="phi JSON file")
-    analyze_p.add_argument("--json", action="store_true")
     analyze_p.set_defaults(func=cmd_weil_analyze)
 
     sym = sub.add_parser("sym", help="symmetric power decomposition")
     sym_sub = sym.add_subparsers(dest="subcommand", required=True)
-    dec = sym_sub.add_parser("decompose", help="harmonic block decomposition")
+    dec = sym_sub.add_parser("decompose", help="harmonic block decomposition", parents=[json_flag])
     dec.add_argument("-f", "--form", "--gram", dest="form", required=True)
     dec.add_argument("--k", type=int, required=True)
     dec.add_argument("-p", "--period", default=None)
-    dec.add_argument("--json", action="store_true")
     dec.set_defaults(func=cmd_sym_decompose)
 
     betti_p = sub.add_parser("betti", help="Betti bound calculus")
     betti_sub = betti_p.add_subparsers(dest="subcommand", required=True)
-    audit = betti_sub.add_parser("audit", help="audit a catalog")
+    audit = betti_sub.add_parser("audit", help="audit a catalog", parents=[json_flag])
     audit.add_argument("--catalog", default=None, help="catalog JSON file (default: shipped)")
-    audit.add_argument("--json", action="store_true")
     audit.set_defaults(func=cmd_betti_audit)
-    bound = betti_sub.add_parser("bound", help="bound exponent for a b2")
+    bound = betti_sub.add_parser("bound", help="bound exponent for a b2", parents=[json_flag])
     bound.add_argument("--b2", type=int, required=True)
     bound.add_argument("--div4-improve", action="store_true")
-    bound.add_argument("--json", action="store_true")
     bound.set_defaults(func=cmd_betti_bound)
 
     corr = sub.add_parser("corr", help="formal correspondence check")
     corr_sub = corr.add_subparsers(dest="subcommand", required=True)
-    verify_c = corr_sub.add_parser("verify", help="Kunneth square uniformity")
+    verify_c = corr_sub.add_parser("verify", help="Kunneth square uniformity", parents=[json_flag])
     verify_c.add_argument("--b3", type=int, required=True)
     verify_c.add_argument("--n", type=int, required=True)
     verify_c.add_argument("--broken-sign", action="store_true")
-    verify_c.add_argument("--json", action="store_true")
     verify_c.set_defaults(func=cmd_corr_verify)
 
-    suite_p = sub.add_parser("suite", help="run the full invariant suite")
+    suite_p = sub.add_parser("suite", help="run the full invariant suite", parents=[json_flag])
     suite_p.add_argument("--config", default=None, help="config JSON overriding defaults")
     suite_p.add_argument("--seed", type=int, default=None)
-    suite_p.add_argument("--json", action="store_true")
     suite_p.set_defaults(func=cmd_suite)
 
     return parser
@@ -531,16 +491,15 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors already
         return int(exc.code or 0)
     try:
-        return args.func(args)
-    except UsageError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except ValueError as exc:
+        report = args.func(args)
+        _emit(report, args.json)
+    except (UsageError, CapExceeded, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except WorkbenchError as exc:
         print("violation: %s" % exc, file=sys.stderr)
         return 1
+    return report.exit_code
 
 
 def entry():  # console_scripts hook

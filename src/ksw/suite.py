@@ -6,8 +6,10 @@ here); randomized instances derive from the single seeded generator, and
 reports carry no timestamps, so identical config + seed means identical
 bytes.
 
-Statuses: pass | fail | vacuous | skipped.  CapExceeded surfaces as a
-skipped check, never an error; exit code 0 means nothing failed.
+Statuses: pass | fail | vacuous | skipped.  One rule (`_attempt`) maps an
+exception to a status: CapExceeded is skipped, NotApplicable vacuous, any
+other WorkbenchError a fail; a family with no instances is vacuous
+(`_family`).  Exit code 0 means nothing failed.
 """
 
 from __future__ import annotations
@@ -88,12 +90,42 @@ def _check(name: str, ok: bool, detail: str = "") -> dict:
     return _result(name, "pass" if ok else "fail", detail)
 
 
-def _skipped(name: str, detail: str) -> dict:
-    return _result(name, "skipped", detail)
-
-
 def _vacuous(name: str, detail: str) -> dict:
     return _result(name, "vacuous", detail)
+
+
+def _attempt(fn, *args, **kwargs):
+    """(fn(*args, **kwargs), None), or (None, (status, detail)) if it raised.
+
+    The one rule by which a suite outcome becomes a status: CapExceeded is
+    skipped, NotApplicable vacuous, and any other WorkbenchError a fail
+    carrying its message.
+    """
+    try:
+        return fn(*args, **kwargs), None
+    except CapExceeded as exc:
+        return None, ("skipped", str(exc))
+    except NotApplicable as exc:
+        return None, ("vacuous", str(exc))
+    except WorkbenchError as exc:
+        return None, ("fail", str(exc))
+
+
+def _family(results: dict[str, tuple[bool, str]], count: int) -> list[dict]:
+    """Checks from name -> (ok, detail); a family with no instances is vacuous."""
+    if not count:
+        return [_vacuous(name, NO_INSTANCES) for name in results]
+    return [_check(name, ok, detail) for name, (ok, detail) in results.items()]
+
+
+def _embedding_laws(ks, v0) -> tuple[bool, bool, bool, Matrix]:
+    """Full rank of v -> E_v, the J sign laws, the exact inverse of R_v0; and R_v0."""
+    h = ks.space.h
+    rank_ok = kuga_satake.embedding_has_full_rank(ks, v0)
+    sign_ok = kuga_satake.embedding_sign_laws(ks, v0, matrix_level=h <= 5)
+    riso = kuga_satake.odd_even_isomorphism(ks, v0)
+    rinv = kuga_satake.odd_even_inverse(ks, v0)
+    return rank_ok, sign_ok, rinv * riso == Matrix.identity(1 << (h - 1)), riso
 
 
 def default_config() -> dict:
@@ -178,15 +210,8 @@ def _linalg_checks(cfg, rng) -> list[dict]:
         count += 1
         if m * inv != Matrix.identity(n):
             bad.append(t)
-    if not count:
-        return [_vacuous("linalg.inverse_roundtrip", NO_INSTANCES)]
-    return [
-        _check(
-            "linalg.inverse_roundtrip",
-            not bad,
-            "m * inverse(m) == identity on %d random square matrices" % sub["trials"],
-        )
-    ]
+    detail = "m * inverse(m) == identity on %d random square matrices" % sub["trials"]
+    return _family({"linalg.inverse_roundtrip": (not bad, detail)}, count)
 
 
 def _qspace_checks(cfg, rng) -> list[dict]:
@@ -211,13 +236,13 @@ def _qspace_checks(cfg, rng) -> list[dict]:
                 sdisc *= x
             if not same_square_class(disc, sdisc):
                 disc_ok = False
-    names = ("qspace.signature_congruence", "qspace.discriminant_square_class")
-    if not count:
-        return [_vacuous(name, NO_INSTANCES) for name in names]
-    return [
-        _check(names[0], sig_ok, "Sylvester invariance under P^t G P"),
-        _check(names[1], disc_ok, "det mod squares invariant under congruence"),
-    ]
+    return _family(
+        {
+            "qspace.signature_congruence": (sig_ok, "Sylvester invariance under P^t G P"),
+            "qspace.discriminant_square_class": (disc_ok, "det mod squares invariant under congruence"),
+        },
+        count,
+    )
 
 
 def _clifford_checks(cfg, rng) -> list[dict]:
@@ -227,10 +252,9 @@ def _clifford_checks(cfg, rng) -> list[dict]:
     lo, hi = sub["h_range"]
     for h in range(lo, hi + 1):
         name = "clifford.dimension_counts[h=%d]" % h
-        try:
-            alg = CliffordAlgebra(QuadraticSpace(Matrix.identity(h)), cap=cap)
-        except CapExceeded as exc:
-            checks.append(_skipped(name, str(exc)))
+        alg, outcome = _attempt(CliffordAlgebra, QuadraticSpace(Matrix.identity(h)), cap=cap)
+        if outcome:
+            checks.append(_result(name, *outcome))
             continue
         ok = (
             alg.dim == 2 ** h
@@ -241,8 +265,10 @@ def _clifford_checks(cfg, rng) -> list[dict]:
 
     h = sub["element_h"]
     diag = tuple(Fraction(rng.choice((-3, -2, -1, 1, 2, 3))) for _ in range(h))
-    space = QuadraticSpace(Matrix.diagonal(diag))
-    alg = CliffordAlgebra(space, cap=cap)
+    names = ("clifford.anticommutation", "clifford.associativity", "clifford.parity_additivity")
+    alg, outcome = _attempt(CliffordAlgebra, QuadraticSpace(Matrix.diagonal(diag)), cap=cap)
+    if outcome:
+        return checks + [_result(name, *outcome) for name in names]
     pair_ok = True
     for _ in range(sub["pair_trials"]):
         vc = random_vector(rng, h)
@@ -254,7 +280,7 @@ def _clifford_checks(cfg, rng) -> list[dict]:
             pair_ok = False
     checks.append(
         _check(
-            "clifford.anticommutation",
+            names[0],
             pair_ok,
             "v.w + w.v == 2(v,w).unit on %d random grade-1 pairs" % sub["pair_trials"],
         )
@@ -272,12 +298,8 @@ def _clifford_checks(cfg, rng) -> list[dict]:
         ye = y.grade_part(0) + y.grade_part(2) + y.grade_part(4)
         if (xe * ye).parity not in ("even",):
             parity_ok = False
-    checks.append(
-        _check("clifford.associativity", assoc_ok, "(xy)z == x(yz) on random triples")
-    )
-    checks.append(
-        _check("clifford.parity_additivity", parity_ok, "even.even stays even")
-    )
+    checks.append(_check(names[1], assoc_ok, "(xy)z == x(yz) on random triples"))
+    checks.append(_check(names[2], parity_ok, "even.even stays even"))
     return checks
 
 
@@ -291,27 +313,38 @@ def _ks_instances(cfg, rng):
             yield h, i, hk, cap
 
 
+#: ks check name -> detail; {count} is the number of instances built
+_KS_CHECKS = {
+    "ks.e_square": "e.e == -unit on {count} instances",
+    "ks.j_square": "J^2 == -I on C+ (column-wise)",
+    "ks.commutators": "all four identity families",
+    "ks.torus_dimension": "complex dim = 2^(h-2)",
+    "ks.basis_independence": "Pythagorean rotation fixes e",
+    "ks.orientation_reversal": "swapping the pair negates e",
+    "ks.endo_rank": "rank of v -> E_v equals h",
+    "ks.endo_sign_laws": "J (anti)commutes with E_v by plane membership",
+    "ks.odd_even_iso": "R_v0 invertible and J-intertwining",
+}
+
+
 def _ks_checks(cfg, rng) -> list[dict]:
-    checks = []
     sub = cfg["ks"]
-    e_ok, j_ok, comm_ok, torus_ok = True, True, True, True
-    basis_ok, orient_ok, endo_rank_ok, sign_ok, iso_ok = True, True, True, True, True
+    ok = dict.fromkeys(_KS_CHECKS, True)
     count = 0
-    skipped = None
+    unbuilt = None
     for h, i, hk, cap in _ks_instances(cfg, rng):
-        try:
-            ks = kuga_satake.build(hk, cap=cap)
-        except CapExceeded as exc:
-            skipped = str(exc)
+        ks, outcome = _attempt(kuga_satake.build, hk, cap=cap)
+        if outcome:
+            unbuilt = outcome
             continue
         count += 1
-        e_ok &= kuga_satake.verify_e_square(ks)
-        j_ok &= kuga_satake.verify_j_square(ks)
+        ok["ks.e_square"] &= kuga_satake.verify_e_square(ks)
+        ok["ks.j_square"] &= kuga_satake.verify_j_square(ks)
         report = kuga_satake.structure_commutators(
             ks, samples=sub["commutator_samples"], rng=rng, raise_on_failure=False
         )
-        comm_ok &= report.ok
-        torus_ok &= ks.torus_complex_dim == 2 ** (h - 2)
+        ok["ks.commutators"] &= report.ok
+        ok["ks.torus_dimension"] &= ks.torus_complex_dim == 2 ** (h - 2)
 
         # basis independence under a rational rotation of the plane
         a, b = Fraction(3, 5), Fraction(4, 5)
@@ -319,42 +352,27 @@ def _ks_checks(cfg, rng) -> list[dict]:
         alpha2 = tuple(a * x + b * y for x, y in zip(alpha, beta))
         beta2 = tuple(-b * x + a * y for x, y in zip(alpha, beta))
         hk2 = HKStructure.build(hk.space, alpha2, beta2)
-        basis_ok &= kuga_satake.complex_structure_element(hk2, ks.algebra) == ks.e
+        ok["ks.basis_independence"] &= kuga_satake.complex_structure_element(hk2, ks.algebra) == ks.e
         hk3 = HKStructure.build(hk.space, beta, alpha)
-        orient_ok &= kuga_satake.complex_structure_element(hk3, ks.algebra) == -ks.e
+        ok["ks.orientation_reversal"] &= kuga_satake.complex_structure_element(hk3, ks.algebra) == -ks.e
 
         v0 = kuga_satake.default_v0(ks)
-        endo_rank_ok &= kuga_satake.embedding_has_full_rank(ks, v0)
-        sign_ok &= kuga_satake.embedding_sign_laws(ks, v0, matrix_level=h <= 5)
-        riso = kuga_satake.odd_even_isomorphism(ks, v0)
-        rinv = kuga_satake.odd_even_inverse(ks, v0)
-        iso_ok &= rinv * riso == Matrix.identity(1 << (h - 1))
+        rank_ok, sign_ok, inverse_ok, riso = _embedding_laws(ks, v0)
+        ok["ks.endo_rank"] &= rank_ok
+        ok["ks.endo_sign_laws"] &= sign_ok
+        ok["ks.odd_even_iso"] &= inverse_ok
         if h <= 6:
             j_odd = _mul_block(ks.e, "left", "odd")
-            iso_ok &= j_odd * riso == riso * ks.j_even
-    if count == 0:
-        detail = skipped or "no instances configured"
-        return [_skipped("ks.%s" % name, detail) for name in (
-            "e_square", "j_square", "commutators", "torus_dimension",
-            "basis_independence", "orientation_reversal", "endo_rank",
-            "endo_sign_laws", "odd_even_iso",
-        )]
-    checks.append(_check("ks.e_square", e_ok, "e.e == -unit on %d instances" % count))
-    checks.append(_check("ks.j_square", j_ok, "J^2 == -I on C+ (column-wise)"))
-    checks.append(_check("ks.commutators", comm_ok, "all four identity families"))
-    checks.append(_check("ks.torus_dimension", torus_ok, "complex dim = 2^(h-2)"))
-    checks.append(_check("ks.basis_independence", basis_ok, "Pythagorean rotation fixes e"))
-    checks.append(_check("ks.orientation_reversal", orient_ok, "swapping the pair negates e"))
-    checks.append(_check("ks.endo_rank", endo_rank_ok, "rank of v -> E_v equals h"))
-    checks.append(_check("ks.endo_sign_laws", sign_ok, "J (anti)commutes with E_v by plane membership"))
-    checks.append(_check("ks.odd_even_iso", iso_ok, "R_v0 invertible and J-intertwining"))
-    if skipped:
-        checks.append(_skipped("ks.build", skipped))
+            ok["ks.odd_even_iso"] &= j_odd * riso == riso * ks.j_even
+    if unbuilt and not count:
+        return [_result(name, *unbuilt) for name in _KS_CHECKS]
+    checks = _family({name: (ok[name], d.format(count=count)) for name, d in _KS_CHECKS.items()}, count)
+    if unbuilt:
+        checks.append(_result("ks.build", *unbuilt))
     return checks
 
 
 def _hodge_checks(cfg, rng) -> list[dict]:
-    checks = []
     iso_ok, skew_ok, spec_ok = True, True, True
     count = 0
     for h, i, hk, cap in _ks_instances(cfg, rng):
@@ -368,15 +386,26 @@ def _hodge_checks(cfg, rng) -> list[dict]:
         spec_ok &= (
             spec.dim(2, 0) == 1 and spec.dim(0, 2) == 1 and spec.dim(1, 1) == h - 2
         )
-    if not count:
-        names = ("hodge.period_isotropy", "hodge.rotation_skew", "hodge.h2_spectrum")
-        return [_vacuous(name, NO_INSTANCES) for name in names]
-    checks.append(
-        _check("hodge.period_isotropy", iso_ok, "q(sigma,sigma)=0, q(sigma,sigma-bar)=2N>0")
+    return _family(
+        {
+            "hodge.period_isotropy": (iso_ok, "q(sigma,sigma)=0, q(sigma,sigma-bar)=2N>0"),
+            "hodge.rotation_skew": (skew_ok, "A^t G + G A == 0"),
+            "hodge.h2_spectrum": (spec_ok, "type (1, h-2, 1) on H^2"),
+        },
+        count,
     )
-    checks.append(_check("hodge.rotation_skew", skew_ok, "A^t G + G A == 0"))
-    checks.append(_check("hodge.h2_spectrum", spec_ok, "type (1, h-2, 1) on H^2"))
-    return checks
+
+
+def _decompose_laws(space: QuadraticSpace, k: int) -> tuple[bool, str]:
+    """Sym^k: contraction surjective, block dims and total right; the certificate."""
+    h = space.h
+    surj = sympow.build_sym(space, k).contraction.rank() == sympow.sym_dim(h, k - 2)
+    dec = sympow.decompose(space, k)
+    dims_ok = all(len(vecs) == sympow.harmonic_dim(h, k - 2 * l) for l, vecs in dec.blocks)
+    return (
+        surj and dims_ok and dec.total == sympow.sym_dim(h, k),
+        "contraction surjective; block dims as computed; certificate %s" % dec.certificate,
+    )
 
 
 def _sympow_checks(cfg, rng) -> list[dict]:
@@ -386,24 +415,8 @@ def _sympow_checks(cfg, rng) -> list[dict]:
         name = "sympow.decompose[h=%d,k=%d]" % (h, k)
         entries = [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(h)]
         space = QuadraticSpace(random_congruence_scramble(rng, Matrix.diagonal(entries)))
-        try:
-            sym = sympow.build_sym(space, k)
-            surj = sym.contraction.rank() == sympow.sym_dim(h, k - 2)
-            dec = sympow.decompose(space, k)
-        except CapExceeded as exc:
-            checks.append(_skipped(name, str(exc)))
-            continue
-        dims_ok = all(
-            len(vecs) == sympow.harmonic_dim(h, k - 2 * l) for l, vecs in dec.blocks
-        )
-        checks.append(
-            _check(
-                name,
-                surj and dims_ok and dec.total == sympow.sym_dim(h, k),
-                "contraction surjective; block dims as computed; certificate %s"
-                % dec.certificate,
-            )
-        )
+        result, outcome = _attempt(_decompose_laws, space, k)
+        checks.append(_result(name, *outcome) if outcome else _check(name, *result))
     # harmonic symmetry under a norm-preserving basis permutation
     space = QuadraticSpace(Matrix.diagonal([1, 1, -2]))
     harm = sympow.harmonic(space, 2)
@@ -427,41 +440,30 @@ def _sympow_checks(cfg, rng) -> list[dict]:
     )
     for h, k in sub["level"]:
         name = "sympow.level_filtration[h=%d,k=%d]" % (h, k)
-        hk = random_hk(rng, h)
-        try:
-            part = sympow.level_two_part(hk, k)
-            checks.append(_check(name, len(part) == h, "level <= 2 part is Q^((k-1)/2).H^2"))
-        except CapExceeded as exc:
-            checks.append(_skipped(name, str(exc)))
-        except WorkbenchError as exc:
-            checks.append(_check(name, False, str(exc)))
+        part, outcome = _attempt(sympow.level_two_part, random_hk(rng, h), k)
+        checks.append(
+            _result(name, *outcome)
+            if outcome
+            else _check(name, len(part) == h, "level <= 2 part is Q^((k-1)/2).H^2")
+        )
     for h, k in sub["block_level"]:
         name = "sympow.block_level[h=%d,k=%d]" % (h, k)
-        hk = random_hk(rng, h)
-        try:
-            levels = sympow.block_max_level(hk, k)
-            checks.append(
-                _check(name, all(lvl == 2 * (k - 2 * l) for l, lvl in levels), str(levels))
-            )
-        except CapExceeded as exc:
-            checks.append(_skipped(name, str(exc)))
-        except WorkbenchError as exc:
-            checks.append(_check(name, False, str(exc)))
+        levels, outcome = _attempt(sympow.block_max_level, random_hk(rng, h), k)
+        checks.append(
+            _result(name, *outcome)
+            if outcome
+            else _check(name, all(lvl == 2 * (k - 2 * l) for l, lvl in levels), str(levels))
+        )
     for h, k in sub["isotropic"]:
         name = "sympow.isotropic_span[h=%d,k=%d]" % (h, k)
         if h == 3:
             gram = Matrix([[0, 1, 0], [1, 0, 0], [0, 0, -1]])
         else:
             gram = Matrix.diagonal([1] * (h // 2) + [-1] * (h - h // 2))
-        space = QuadraticSpace(gram)
-        try:
-            checks.append(
-                _check(name, sympow.isotropic_span_check(space, k), "isotropic powers span harmonics")
-            )
-        except NotApplicable as exc:
-            checks.append(_vacuous(name, str(exc)))
-        except CapExceeded as exc:
-            checks.append(_skipped(name, str(exc)))
+        ok, outcome = _attempt(sympow.isotropic_span_check, QuadraticSpace(gram), k)
+        checks.append(
+            _result(name, *outcome) if outcome else _check(name, ok, "isotropic powers span harmonics")
+        )
     # definite control: must report NotApplicable
     try:
         sympow.isotropic_span_check(QuadraticSpace(Matrix.identity(3)), 2)
@@ -473,25 +475,12 @@ def _sympow_checks(cfg, rng) -> list[dict]:
     return checks
 
 
-def _weil_block_instance():
-    j0 = [[0, -1], [1, 0]]
-    j = Matrix(
-        [
-            [Fraction(j0[i % 2][k % 2]) if i // 2 == k // 2 else Fraction(0) for k in range(8)]
-            for i in range(8)
-        ]
-    )
-    phi_rows = []
-    for i in range(8):
-        row = []
-        for k in range(8):
-            if i // 2 == k // 2:
-                sign = 1 if i < 4 else -1
-                row.append(Fraction(sign * j0[i % 2][k % 2]))
-            else:
-                row.append(Fraction(0))
-        phi_rows.append(row)
-    return j, Matrix(phi_rows)
+def _weil_block_instance() -> tuple[Matrix, Matrix]:
+    """8-dim J (four 2x2 rotation blocks) and phi = J on two blocks, -J on two."""
+    j = Matrix([[(-1 if k == i + 1 else 1 if k == i - 1 else 0) if i // 2 == k // 2 else 0
+                 for k in range(8)] for i in range(8)])
+    phi = Matrix([[j[i, k] if i < 4 else -j[i, k] for k in range(8)] for i in range(8)])
+    return j, phi
 
 
 def _weil_checks(cfg, rng) -> list[dict]:
@@ -543,7 +532,6 @@ def _weil_checks(cfg, rng) -> list[dict]:
 
 
 def _betti_checks(cfg, rng) -> list[dict]:
-    checks = []
     lo, hi = cfg["betti"]["b2_range"]
     mono_ok = True
     compared = 0
@@ -555,12 +543,9 @@ def _betti_checks(cfg, rng) -> list[dict]:
             compared += 1
             mono_ok &= k >= prev[parity]
         prev[parity] = k
-    if compared:
-        checks.append(
-            _check("betti.bound_monotone", mono_ok, "k nondecreasing within each parity class")
-        )
-    else:
-        checks.append(_vacuous("betti.bound_monotone", NO_INSTANCES))
+    checks = _family(
+        {"betti.bound_monotone": (mono_ok, "k nondecreasing within each parity class")}, compared
+    )
     catalog = betti.default_catalog()
     tight_ok = all(betti.audit_b3(e).status == betti.STATUS_TIGHT for e in catalog)
     checks.append(_check("betti.catalog_tight", tight_ok, "shipped entries audit tight"))

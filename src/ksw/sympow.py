@@ -275,6 +275,10 @@ def isotropic_span_check(
     Enumerates isotropic vectors of growing height until the span
     stabilizes for two consecutive rounds; NotApplicable when the form is
     definite (no rational zeros) or none are found within the height cap.
+    A shell that leaves the span short also contributes, for the first zero
+    v found, the zeros q(w).v - 2b(v,w).w of every w in it: the shells'
+    own zeros can stall short (2xy - z^2 has no primitive zero of height
+    3 or 4).
     """
     s_plus, s_minus = space.signature
     if s_plus == 0 or s_minus == 0:
@@ -282,21 +286,29 @@ def isotropic_span_check(
     sym = build_sym(space, k, allow_large)
     target = len(harmonic(space, k, allow_large))
     collected: list[tuple[Fraction, ...]] = []
-    found_any = False
+    zero = None
     prev_rank = -1
     stable_rounds = 0
     rank = 0
     for height in range(1, max_height + 1):
-        for v in _primitive_int_vectors_in_box(space.h, height):
-            if max(abs(x) for x in v) != height:
-                continue  # only the new shell
+        shell = [
+            v for v in _primitive_int_vectors_in_box(space.h, height) if max(abs(x) for x in v) == height
+        ]
+        for v in shell:
             if space.quadratic(v) == 0:
-                found_any = True
+                zero = zero or v
                 collected.append(power_vector(sym, v))
         rank = Matrix(collected).rank() if collected else 0
+        if rank < target and zero is not None:
+            for w in shell:
+                a, c = space.quadratic(w), -2 * space.bilinear(zero, w)
+                u = tuple(a * x + c * y for x, y in zip(zero, w))
+                if any(u):
+                    collected.append(power_vector(sym, u))
+            rank = Matrix(collected).rank()
         if rank == target:
             return True
-        if found_any:
+        if zero is not None:
             if rank == prev_rank:
                 stable_rounds += 1
                 if stable_rounds >= 2:
@@ -304,7 +316,7 @@ def isotropic_span_check(
             else:
                 stable_rounds = 0
         prev_rank = rank
-    if not found_any:
+    if zero is None:
         raise NotApplicable(
             "no rational isotropic vectors of height <= %d" % max_height
         )

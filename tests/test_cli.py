@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -479,6 +480,8 @@ def test_suite_empty_families_are_vacuous(tmp_path, capsys):
         "linalg.inverse_roundtrip",
         "qspace.signature_congruence",
         "qspace.discriminant_square_class",
+        "ks.e_square",
+        "ks.odd_even_iso",
         "hodge.period_isotropy",
         "hodge.rotation_skew",
         "hodge.h2_spectrum",
@@ -486,7 +489,6 @@ def test_suite_empty_families_are_vacuous(tmp_path, capsys):
     ):
         assert checks[name]["status"] == "vacuous"
         assert checks[name]["detail"] == "no instances"
-    assert checks["ks.e_square"]["status"] == "skipped"
 
 
 def test_suite_cap_exceeded_is_skipped(tmp_path, capsys):
@@ -501,6 +503,22 @@ def test_suite_cap_exceeded_is_skipped(tmp_path, capsys):
     skipped = [c for c in report["checks"] if c["status"] == "skipped"]
     assert skipped
     assert report["exit_code"] == 0
+
+
+def test_suite_capped_clifford_elements_are_skipped(tmp_path, capsys):
+    capped = dict(SMALL_SUITE, clifford=dict(SMALL_SUITE["clifford"], element_h=12))
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(capped))
+    assert main(["suite", "--config", str(cfg), "--json"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    checks = {c["name"]: c for c in json.loads(captured.out)["checks"]}
+    for name in ("clifford.anticommutation", "clifford.associativity", "clifford.parity_additivity"):
+        assert checks[name] == {
+            "name": name,
+            "status": "skipped",
+            "detail": "Clifford algebra on h=12 exceeds the cap 10",
+        }
 
 
 def test_suite_byte_stable(tmp_path, capsys):
@@ -551,3 +569,48 @@ def test_run_report_counts():
     assert "seed" not in payload
     report.checks.append({"name": "b", "status": "fail", "detail": ""})
     assert report.exit_code == 1
+
+
+def _weil_block_files(tmp_path):
+    """The 8-dim block fixture of test_weil_analyze as weight1 and phi files."""
+    j0 = [[0, -1], [1, 0]]
+    j = [[j0[i % 2][k % 2] if i // 2 == k // 2 else 0 for k in range(8)] for i in range(8)]
+    phi = [[(1 if i < 4 else -1) * x for x in row] for i, row in enumerate(j)]
+    (tmp_path / "weight1.json").write_text(json.dumps({"dim": 8, "J": [[str(x) for x in r] for r in j]}))
+    (tmp_path / "phi.json").write_text(json.dumps({"phi": [[str(x) for x in r] for r in phi]}))
+    return str(tmp_path / "weight1.json"), str(tmp_path / "phi.json")
+
+
+#: sha256 of the --json stdout of each command on the fixtures above
+PINNED_REPORT_DIGESTS = {
+    "suite": "3350a9a86a04a573c65ba74261c9d17acf42e068715ce639fde10683fa9bfff6",
+    "qform inspect": "27b45e9955bb4b97c96a1f2c8a7b1b691a77cbab286a7434804260642c09e0a8",
+    "ks build": "ae42a5df7c19fa2559135ee2b7d2c59c0eaa9471a44a2c9cbf902cf5beb7dad3",
+    "ks verify": "d2a711d1cd22b87f86185cb939a1d0fc53ed8dea2ced9f2e301f164731ccd6aa",
+    "sym decompose": "da7e8930a3a5356b75bd4adc64980af442f00ed54f5267ebb2d1068aa4ca2d61",
+    "weil analyze": "e18620d1ef9ddc8616a941dbf30fa5e591d9c0c4cc756454eb7fc1984400b011",
+    "betti audit": "16af0b1cf1e770dfb7986873b0b9d2099087ee25e89e9c4e13d6084b89371a4f",
+    "corr verify": "a70f17f8739f9ebf192134fd22ced38d0458ad20856f75522a55d55fd2b03fb1",
+}
+
+
+def test_report_bytes_pinned(fixture_dir, capsys):
+    space, period = str(fixture_dir / "space.json"), str(fixture_dir / "period.json")
+    config = fixture_dir / "config.json"
+    config.write_text(json.dumps(SMALL_SUITE))
+    weight1, phi = _weil_block_files(fixture_dir)
+    argvs = {
+        "suite": ["suite", "--config", str(config)],
+        "qform inspect": ["qform", "inspect", "-f", space],
+        "ks build": ["ks", "build", "-f", space, "-p", period],
+        "ks verify": ["ks", "verify", "-f", space, "-p", period],
+        "sym decompose": ["sym", "decompose", "-f", space, "--k", "3", "-p", period],
+        "weil analyze": ["weil", "analyze", "-f", weight1, "--phi", phi],
+        "betti audit": ["betti", "audit"],
+        "corr verify": ["corr", "verify", "--b3", "8", "--n", "2"],
+    }
+    digests = {}
+    for name, argv in argvs.items():
+        assert main(argv + ["--json"]) == 0, name
+        digests[name] = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert digests == PINNED_REPORT_DIGESTS
