@@ -14,6 +14,7 @@ KSW_CAP_H in the environment overrides the Clifford dimension cap.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import random
 import sys
@@ -483,10 +484,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: the parser of every `main` call, built on the first one; parse_args leaves it unchanged
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors already
         return int(exc.code or 0)

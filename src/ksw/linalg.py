@@ -455,6 +455,48 @@ def rank_and_kernel(m: Matrix) -> tuple[int, list[tuple[int, ...]]]:
     return len(pivots), [_primitive(vec, m.cols) for vec in vectors.values()]
 
 
+def reduced_echelon_basis(vectors) -> list[tuple[int, ...]] | None:
+    """Primitive reduced-echelon basis of span(vectors), read from the right.
+
+    None if the vectors are dependent.  The pivot of each basis vector is
+    its last nonzero position and every other vector is zero there; the
+    vectors come in pivot order.  For any matrix whose kernel is that
+    span this is the basis `rank_and_kernel` returns: a column is free
+    exactly when some kernel vector ends in it, and the kernel vector of
+    a free column vanishes on the other free columns.
+    """
+    basis: dict[int, dict[int, int]] = {}  # pivot -> row, zero at the other pivots
+    n = 0
+    for v in vectors:
+        n = len(v)
+        row = _int_row(enumerate(v))[0]
+        for p, prow in basis.items():
+            row = _cancel(row, p, prow)
+        if not row:
+            return None
+        q = max(row)
+        basis = {p: _cancel(prow, q, row) for p, prow in basis.items()}
+        basis[q] = row
+    return [_primitive(basis[p], n) for p in sorted(basis)]
+
+
+def _cancel(row: dict[int, int], p: int, prow: dict[int, int]) -> dict[int, int]:
+    """Content-free integer combination of row and prow that is zero at p."""
+    b = row.get(p)
+    if not b:
+        return row
+    a = prow[p]
+    out = {j: a * x for j, x in row.items()}
+    for j, x in prow.items():
+        s = out.get(j, 0) - b * x
+        if s:
+            out[j] = s
+        else:
+            del out[j]
+    g = gcd(*out.values())
+    return {j: x // g for j, x in out.items()}
+
+
 def solve_or_invert(m: Matrix) -> Matrix:
     """Exact inverse of a square nonsingular matrix; raises Singular otherwise.
 

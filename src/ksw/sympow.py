@@ -19,7 +19,10 @@ what is normative.
 The blocks q_mult^l(Harm^(k-2l)) decompose Sym^k; the full-rank
 certificate for the stacked block basis is a maximal minor checked modulo
 a fixed 61-bit prime (nonzero residue certifies exact nonvanishing), with
-exact elimination as the fallback.
+exact elimination as the fallback.  The same certificate, behind exact
+matvecs that bound the rank from above, stands in for elimination where
+the answer is built: the level <= 2 block as the Q-power image of H^2,
+and a full-rank stack of isotropic powers.
 """
 
 from __future__ import annotations
@@ -32,12 +35,15 @@ from math import comb, factorial, gcd
 from .errors import CapExceeded, DecompositionFailure, LevelMismatch, NotApplicable
 from .hodge import HKStructure, rotation_generator
 from .linalg import (
+    CERTIFICATE_PRIME,
     Matrix,
     _int_row,
+    _rank_mod_p,
     induced_operator,
     is_zero_vector,
     rank_and_kernel,
     rank_at_least,
+    reduced_echelon_basis,
     vec_add,
     vec_scale,
 )
@@ -298,14 +304,14 @@ def isotropic_span_check(
             if space.quadratic(v) == 0:
                 zero = zero or v
                 collected.append(power_vector(sym, v))
-        rank = Matrix(collected).rank() if collected else 0
+        rank = _stack_rank(sym, collected, target) if collected else 0
         if rank < target and zero is not None:
             for w in shell:
                 a, c = space.quadratic(w), -2 * space.bilinear(zero, w)
                 u = tuple(a * x + c * y for x, y in zip(zero, w))
                 if any(u):
                     collected.append(power_vector(sym, u))
-            rank = Matrix(collected).rank()
+            rank = _stack_rank(sym, collected, target)
         if rank == target:
             return True
         if zero is not None:
@@ -321,6 +327,23 @@ def isotropic_span_check(
             "no rational isotropic vectors of height <= %d" % max_height
         )
     return rank == target
+
+
+def _stack_rank(sym: SymTensorSpace, rows, target: int) -> int:
+    """Exact rank of stacked power vectors, certified mod p when it reaches target.
+
+    Rows that the contraction sends to zero (one exact product) span at
+    most the target dimension, the harmonic one, so a modular rank of
+    target is their exact rank.  On a shortfall, or with a row outside
+    ker(contraction), the exact elimination decides.
+    """
+    stack = Matrix(rows)
+    if len(rows) >= target:
+        modular = _rank_mod_p(stack, CERTIFICATE_PRIME)
+        if modular is not None and modular >= target:
+            if (stack * sym.contraction.transpose()).is_zero():
+                return target
+    return stack.rank()
 
 
 def sym_derivation(sym: SymTensorSpace, op: Matrix) -> Matrix:
@@ -353,7 +376,7 @@ def level_two_part(hk: HKStructure, k: int, allow_large: bool = False):
     Every block Q^l(Harm^(k-2l)) with k - 2l > 1 has Hodge level
     2(k - 2l) > 2, so the level <= 2 piece of the decomposition is the
     single block l = (k-1)/2, i.e. Q^((k-1)/2).H^2 of dimension h.  Two
-    independent exact computations must agree or LevelMismatch is raised:
+    descriptions must agree or LevelMismatch is raised:
 
       * kernel side: the eigenspace ker(q_mult . contraction - a_l) of the
         Casimir operator, whose block eigenvalues are pairwise distinct
@@ -362,8 +385,15 @@ def level_two_part(hk: HKStructure, k: int, allow_large: bool = False):
         block shares the types |p-q| <= 2 with larger blocks);
       * image side: the columns of multiplication by Q^((k-1)/2) on H^2.
 
-    The kernel is additionally certified to carry only types |p-q| <= 2:
-    the derivation D_A of the rotation generator kills it under
+    The kernel is read off the image and certified, not eliminated for:
+    every image vector is mapped to zero (exact matvecs), the image has
+    rank h, and `rank_at_least` bounds the rank of the Casimir matrix
+    by dim - h, so the kernel is exactly the image span.  Its basis is
+    the one `rank_and_kernel` returns, by `reduced_echelon_basis`.  If
+    any step fails, the exact kernel decides, so results and messages
+    are those of the elimination on every input.  The kernel is
+    additionally certified to carry only types |p-q| <= 2: the
+    derivation D_A of the rotation generator kills it under
     D_A(D_A^2 + N^2).
     """
     if k % 2 != 1:
@@ -375,7 +405,14 @@ def level_two_part(hk: HKStructure, k: int, allow_large: bool = False):
     l_top = (k - 1) // 2
     casimir = sym.q_mult * sym.contraction
     shift = casimir_block_eigenvalue(h, k, l_top) * Matrix.identity(sym.dim)
-    _, kernel = rank_and_kernel(casimir - shift)
+    m = casimir - shift
+    lift = q_power_lift(space, 1, l_top, allow_large)
+    image = [lift.column(j) for j in range(h)]
+    kernel = None
+    if all(is_zero_vector(m.matvec(v)) for v in image):
+        kernel = reduced_echelon_basis(image)
+    if kernel is None or not rank_at_least(m, sym.dim - h):
+        _, kernel = rank_and_kernel(m)
     if len(kernel) != h:
         raise LevelMismatch(
             "Casimir eigenspace has dimension %d, expected h = %d" % (len(kernel), h)
@@ -384,8 +421,6 @@ def level_two_part(hk: HKStructure, k: int, allow_large: bool = False):
     for v in kernel:
         if not is_zero_vector(_level_factor(d_a, norm, 2, _level_factor(d_a, norm, 0, v))):
             raise LevelMismatch("kernel vector carries a type with |p-q| > 2")
-    lift = q_power_lift(space, 1, l_top, allow_large)
-    image = [lift.column(j) for j in range(h)]
     if Matrix(image).rank() != h:
         raise LevelMismatch("Q-power image of H^2 is degenerate")
     combined = Matrix([list(v) for v in kernel] + [list(v) for v in image])

@@ -46,11 +46,11 @@ from .errors import (
 from .clifford import reorder_parity
 from .linalg import (
     Matrix,
-    _primitive,
     induced_operator,
     is_zero_vector,
     rank_and_kernel,
     rank_at_least,
+    reduced_echelon_basis,
 )
 
 _ZERO = Fraction(0)
@@ -184,7 +184,7 @@ def weil_class_space(endo: QuadraticEndo) -> list[tuple[int, ...]]:
     mat = d_phi * d_phi + (16 * endo.d) * Matrix.identity(size)
     pair = _eigenvector_wedge(endo)
     if pair is not None and all(is_zero_vector(mat.matvec(v)) for v in pair):
-        basis = _echelon_pair(*pair)
+        basis = reduced_echelon_basis(pair)
         if basis is not None and rank_at_least(mat, size - 2):
             return basis
     _, kernel = rank_and_kernel(mat)
@@ -265,27 +265,6 @@ def _eigenvector_wedge(endo: QuadraticEndo) -> tuple[list[int], list[int]] | Non
         xs.append(x)
         ys.append(y)
     return xs, ys
-
-
-def _echelon_pair(x: list[int], y: list[int]) -> list[tuple[int, ...]] | None:
-    """Primitive reduced-echelon basis of span{x, y}; None if they are dependent.
-
-    The free columns of a kernel are the last nonzero positions of its
-    vectors: f2 that of the span, f1 that of the vector u with u[f2] = 0.
-    The vector for f1 is u, the one for f2 has a zero at f1.
-    """
-    def last(v):
-        return max((i for i, a in enumerate(v) if a), default=-1)
-
-    if last(x) < last(y):
-        x, y = y, x
-    f2 = last(x)
-    u = [x[f2] * b - y[f2] * a for a, b in zip(x, y)]
-    f1 = last(u)
-    if f1 < 0:
-        return None
-    v = [u[f1] * a - x[f1] * b for a, b in zip(x, u)]
-    return [_primitive({i: a for i, a in enumerate(t) if a}, len(t)) for t in (u, v)]
 
 
 def certify_22(classes, j: Matrix) -> bool:

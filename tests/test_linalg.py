@@ -16,6 +16,7 @@ from ksw.linalg import (
     primitive_integer_vector,
     rank_and_kernel,
     rank_at_least,
+    reduced_echelon_basis,
     solve_or_invert,
 )
 
@@ -141,6 +142,40 @@ def test_rank_kernel_on_structured_low_rank_matrices():
             assert all(x == 0 for x in m.matvec(v))
         if kernel:
             assert Matrix(kernel).rank() == len(kernel)
+
+
+def test_reduced_echelon_basis_is_the_reduced_echelon_kernel_basis():
+    # span{(1,0,0), (0,1,1)} is the kernel of (0 1 -1); either order of
+    # the spanning pair, and any basis of the span, gives the same basis
+    reference = rank_and_kernel(Matrix([[0, 1, -1]]))[1]
+    for x, y in (([1, 0, 0], [0, 1, 1]), ([0, 1, 1], [1, 0, 0]), ([2, -3, -3], [1, 1, 1])):
+        assert reduced_echelon_basis([x, y]) == reference
+    assert reduced_echelon_basis([[0, 2, 4], [0, -1, -2]]) is None
+    assert reduced_echelon_basis([[0, 0, 0], [0, 1, 0]]) is None
+    assert reduced_echelon_basis([]) == []
+    # seeded spans of 1..7 vectors, against the kernel basis of a matrix
+    # whose kernel is that span (the kernel of a basis of its complement)
+    rng = random.Random(78)
+    for r in range(1, 8):
+        for _ in range(4):
+            n = r + rng.randint(0, 5)
+            while True:
+                vecs = [
+                    [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < 0.6 else 0 for _ in range(n)]
+                    for _ in range(r)
+                ]
+                if Matrix(vecs).rank() == r:
+                    break
+            complement = rank_and_kernel(Matrix(vecs))[1]
+            cut = Matrix(complement) if complement else Matrix.zeros(1, n)
+            reference = rank_and_kernel(cut)[1]
+            assert reduced_echelon_basis(vecs) == reference
+            shifts = [rng.randint(-3, 3) for _ in vecs[1:]]
+            mixed = [[a + c * b for a, b in zip(v, vecs[0])] for c, v in zip(shifts, vecs[1:])]
+            assert reduced_echelon_basis(mixed[::-1] + [vecs[0]]) == reference
+            coefs = [rng.randint(-2, 2) for _ in vecs]
+            combo = [sum(c * v[j] for c, v in zip(coefs, vecs)) for j in range(n)]
+            assert reduced_echelon_basis(vecs + [combo]) is None
 
 
 def test_inverse_roundtrip_random():

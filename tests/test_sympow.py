@@ -7,7 +7,8 @@ import pytest
 
 from ksw.errors import CapExceeded, NotApplicable
 from ksw.hodge import HKStructure
-from ksw.linalg import Matrix, same_span
+from ksw import sympow as sympow_mod
+from ksw.linalg import Matrix, rank_and_kernel, same_span
 from ksw.qspace import QuadraticSpace
 from ksw.randgen import random_congruence_scramble, random_hk
 from ksw.sympow import (
@@ -198,6 +199,25 @@ def test_isotropic_span_signature_33():
     assert isotropic_span_check(space, 3) is True
 
 
+def test_isotropic_stack_rank_certifies_only_harmonic_stacks(monkeypatch):
+    space = QuadraticSpace(Matrix.diagonal([1, 1, -1]))
+    sym = build_sym(space, 2)
+    zeros = [(1, 0, 1), (0, 1, 1), (1, 0, -1), (0, 1, -1), (3, 4, 5)]
+    rows = [power_vector(sym, v) for v in zeros]
+    target = harmonic_dim(3, 2)
+    exact = Matrix.rank
+    assert sympow_mod._stack_rank(sym, rows[:2], target) == 2
+    # a row outside ker(contraction) lifts the rank past the harmonic
+    # target, which only the exact elimination can see
+    assert sympow_mod._stack_rank(sym, rows + [power_vector(sym, (1, 0, 0))], target) == target + 1
+
+    def refuse(m):
+        raise AssertionError("exact rank of a certified stack")
+
+    monkeypatch.setattr(Matrix, "rank", refuse)
+    assert sympow_mod._stack_rank(sym, rows, target) == target == exact(Matrix(rows))
+
+
 def test_level_two_part_identity_case():
     rng = random.Random(66)
     hk = random_hk(rng, 4)
@@ -215,6 +235,40 @@ def test_level_two_part_matches_q_image():
         lift = q_power_lift(hk.space, 1, (k - 1) // 2)
         image = [lift.column(j) for j in range(h)]
         assert same_span(part, image)
+
+
+def _casimir_kernel(hk, k):
+    """The exact kernel that level_two_part certifies, by elimination."""
+    sym = build_sym(hk.space, k)
+    a = casimir_block_eigenvalue(hk.space.h, k, (k - 1) // 2)
+    return rank_and_kernel(sym.q_mult * sym.contraction - a * Matrix.identity(sym.dim))[1]
+
+
+def _refuse_elimination(m):
+    raise AssertionError("the certified path eliminated on the Casimir matrix")
+
+
+@pytest.mark.parametrize("h, k", [(3, 3), (5, 3), (4, 5), (7, 3), (3, 5)])
+def test_level_two_part_certified_without_elimination(h, k, monkeypatch):
+    hk = random_hk(random.Random(70 + 10 * h + k), h)
+    reference = _casimir_kernel(hk, k)
+    monkeypatch.setattr(sympow_mod, "rank_and_kernel", _refuse_elimination)
+    assert level_two_part(hk, k) == reference
+
+
+def test_level_two_part_falls_back_to_the_exact_kernel(monkeypatch):
+    hk = random_hk(random.Random(71), 5)
+    certified = level_two_part(hk, 3)
+    calls = []
+
+    def counted(m):
+        calls.append(m.rows)
+        return rank_and_kernel(m)
+
+    monkeypatch.setattr(sympow_mod, "rank_at_least", lambda m, target: False)
+    monkeypatch.setattr(sympow_mod, "rank_and_kernel", counted)
+    assert level_two_part(hk, 3) == certified
+    assert calls == [sym_dim(5, 3)]
 
 
 def test_level_two_part_rejects_even_k():

@@ -246,16 +246,6 @@ def test_class_space_falls_back_when_phi_squared_is_not_minus_d(monkeypatch):
     assert calls == [70, 70]
 
 
-def test_echelon_pair_is_the_reduced_echelon_kernel_basis():
-    # span{(1,0,0), (0,1,1)} is the kernel of (0 1 -1); either order of
-    # the spanning pair, and any basis of the span, gives the same basis
-    reference = rank_and_kernel(Matrix([[0, 1, -1]]))[1]
-    for x, y in (([1, 0, 0], [0, 1, 1]), ([0, 1, 1], [1, 0, 0]), ([2, -3, -3], [1, 1, 1])):
-        assert weil_mod._echelon_pair(x, y) == reference
-    assert weil_mod._echelon_pair([0, 2, 4], [0, -1, -2]) is None
-    assert weil_mod._echelon_pair([0, 0, 0], [0, 1, 0]) is None
-
-
 def test_weil_class_space_dimension_precondition():
     j = Matrix([[0, -1], [1, 0]])
     with pytest.raises(ValueError):
