@@ -31,7 +31,7 @@ from fractions import Fraction
 from math import comb
 
 from .clifford import reorder_parity
-from .errors import IndexOutOfRange
+from .errors import CapExceeded, IndexOutOfRange
 from .linalg import frac
 
 _ZERO = Fraction(0)
@@ -39,6 +39,10 @@ _ONE = Fraction(1)
 
 SIGN_KOSZUL = "koszul"
 SIGN_BROKEN = "broken"
+
+#: desk-scale caps of `kunneth_square`: b3 = 128, n = 16 takes about a second
+CAP_B3 = 128
+CAP_N = 16
 
 
 @dataclass(frozen=True)
@@ -184,6 +188,8 @@ def kunneth_square(b3: int, n: int, sign_rule: str = SIGN_KOSZUL) -> GradedEleme
         raise ValueError("need b3 >= 2")
     if n < 2:
         raise ValueError("need n >= 2")
+    if b3 > CAP_B3 or n > CAP_N:
+        raise CapExceeded("Kunneth square on b3=%d, n=%d exceeds the caps (b3 <= %d, n <= %d)" % (b3, n, CAP_B3, CAP_N))
     algebra = GradedAlgebra(b3, sign_rule)
     z = identity_correspondence(algebra)
     gamma = z * z

@@ -94,13 +94,8 @@ def rotation_generator(hk: HKStructure) -> Matrix:
     component with eigenvalue -i(N/2)(p - q).
     """
     a, b = hk.period.alpha, hk.period.beta
-    ga = hk.space.gram.matvec(a)
-    gb = hk.space.gram.matvec(b)
-    h = hk.space.h
-    return Matrix(
-        [[b[i] * ga[j] - a[i] * gb[j] for j in range(h)] for i in range(h)],
-        cols=h,
-    )
+    # b (G a)^t - a (G b)^t = [b | a] . diag(1, -1) . [G a | G b]^t, G symmetric
+    return Matrix.from_columns([b, a]) * Matrix.diagonal([1, -1]) * (Matrix([a, b]) * hk.space.gram)
 
 
 @dataclass

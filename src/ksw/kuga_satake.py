@@ -108,9 +108,8 @@ def verify_j_square(ks: KSStructure) -> bool:
 
 def plane_orthogonal_basis(hk: HKStructure) -> list[tuple[Fraction, ...]]:
     """Primitive basis of the orthogonal complement of the period plane."""
-    ga = hk.space.gram.matvec(hk.period.alpha)
-    gb = hk.space.gram.matvec(hk.period.beta)
-    _, kernel = rank_and_kernel(Matrix([ga, gb]))
+    # rows (G alpha)^t and (G beta)^t, G symmetric
+    _, kernel = rank_and_kernel(Matrix([hk.period.alpha, hk.period.beta]) * hk.space.gram)
     return [vector(v) for v in kernel]
 
 

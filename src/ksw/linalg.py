@@ -1,17 +1,18 @@
 """Exact sparse linear algebra over the rationals.
 
-Scalars are `fractions.Fraction`.  A matrix is an immutable tuple of rows,
-each stored as a dict from column index to a nonzero ``int`` numerator
+Scalars are `fractions.Fraction`.  Inside the package a rational vector
+is one integer row: a dict from position to a nonzero ``int`` numerator
 plus one positive ``int`` denominator, in lowest terms (the gcd of the
-denominator and all numerators is 1; an empty row has denominator 1).  So
-products, sums, ``matvec`` and elimination run on plain ints over the
-nonzeros, and ``==``/``hash`` compare the stored rows however the matrix
-was built.  The symmetric-power, exterior-power and Clifford operators
-have a few percent of nonzeros; `induced_operator` builds them all from
-integer weights over one denominator.  Clifford elements are stored in the
-same row form, put in lowest terms by the same `_int_row` / `_row`.
-Entries, rows, columns and iteration are dense `Fraction` views built on
-demand.
+denominator and all numerators is 1; an empty row has denominator 1), put
+there by `_int_row` / `_row` / `_row_sum`.  A matrix is an immutable tuple
+of such rows, a Clifford element is one, and so are the vectors the
+package computes with: `Matrix._apply` maps one to another, and products,
+sums and elimination run on plain ints over the nonzeros.  ``==``/``hash``
+compare the stored rows however the matrix was built.  The
+symmetric-power, exterior-power and Clifford operators have a few percent
+of nonzeros; `induced_operator` builds them all from integer weights over
+one denominator.  Entries, rows, columns, iteration and ``matvec`` are
+dense `Fraction` views built on demand (`_dense`).
 
 Row reduction is fraction-free (Bareiss) on the stored integer rows, and
 back-substitution stays in integers scaled by the last pivot.  Kernel
@@ -182,11 +183,7 @@ class Matrix:
     # -- access ---------------------------------------------------------------
 
     def row(self, i: int) -> tuple[Fraction, ...]:
-        nums, den = self._rows[i]
-        dense = [_ZERO] * self.cols
-        for j, x in nums.items():
-            dense[j] = Fraction(x, den)
-        return tuple(dense)
+        return _dense(self._rows[i], self.cols)
 
     def column(self, j: int) -> tuple[Fraction, ...]:
         j = range(self.cols)[j]  # negative j counts from the end; out of range raises
@@ -273,16 +270,22 @@ class Matrix:
     def matvec(self, v) -> tuple[Fraction, ...]:
         if len(v) != self.cols:
             raise ValueError("vector length %d != cols %d" % (len(v), self.cols))
-        vnums, vden = _int_row(enumerate(v))
-        out = []
-        for nums, den in self._rows:
+        return _dense(self._apply(_int_row(enumerate(v))), self.rows)
+
+    def _apply(self, vec: tuple[dict[int, int], int]) -> tuple[dict[int, int], int]:
+        """self . v for an integer row v, as an integer row (lowest terms)."""
+        vnums, vden = vec
+        common = lcm(*(den for _, den in self._rows))
+        out = {}
+        for i, (nums, den) in enumerate(self._rows):
             s = 0
             for j, a in nums.items():
                 x = vnums.get(j)
                 if x:
                     s += a * x
-            out.append(Fraction(s, den * vden) if s else _ZERO)
-        return tuple(out)
+            if s:
+                out[i] = s * (common // den)
+        return _row(out, common * vden)
 
     # -- derived --------------------------------------------------------------
 
@@ -332,17 +335,13 @@ def hstack(*mats: Matrix) -> Matrix:
 
 # -- vector helpers ------------------------------------------------------------
 
-def vec_add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_scale(c, v):
-    c = frac(c)
-    return tuple(c * a for a in v)
-
-
-def is_zero_vector(v) -> bool:
-    return all(not x for x in v)
+def _dense(vec: tuple[dict[int, int], int], n: int) -> tuple[Fraction, ...]:
+    """Dense length-n `Fraction` view of an integer row."""
+    nums, den = vec
+    out = [_ZERO] * n
+    for j, x in nums.items():
+        out[j] = Fraction(x, den)
+    return tuple(out)
 
 
 def primitive_integer_vector(v) -> tuple[int, ...]:
@@ -577,5 +576,5 @@ def same_span(vectors_a, vectors_b) -> bool:
     a = list(vectors_a)
     b = list(vectors_b)
     if not a or not b:
-        return all(is_zero_vector(v) for v in a + b)
+        return not any(x for v in a + b for x in v)
     return Matrix(a).rank() == Matrix(b).rank() == Matrix(a + b).rank()

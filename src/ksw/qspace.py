@@ -6,10 +6,11 @@ nonsingular change of basis T with T^t G T diagonal.  Everything downstream
 (blade products, period validation, harmonic contraction) reads the form
 through this object.
 
-Diagonalization uses symmetric Gaussian elimination with the classical
-pivot-repair step (add a suitable basis vector when a diagonal entry
-vanishes), which always succeeds over Q for nondegenerate symmetric forms
-and keeps every entry rational.
+Diagonalization orthogonalizes the basis vectors for the form in turn,
+each an integer row (`linalg`): G.b_i once per step, each b(b_i, b_j) an
+integer dot product.  A null b_i is swapped with the next non-null b_j,
+or else b_i += b_j for the first b_j it pairs with (then b(b_i, b_i) =
+2 b(b_i, b_j) != 0); this succeeds for every nondegenerate form over Q.
 """
 
 from __future__ import annotations
@@ -20,9 +21,8 @@ from functools import cached_property
 from math import isqrt
 
 from .errors import Degenerate, NotSymmetric
-from .linalg import Matrix, _int_row, frac, solve_or_invert, vector
+from .linalg import Matrix, _int_row, _row_sum, frac, solve_or_invert, vector
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
@@ -37,44 +37,38 @@ def diagonalize(gram: Matrix) -> tuple[Matrix, tuple[Fraction, ...]]:
     if not gram.is_symmetric():
         raise NotSymmetric("Gram matrix must be symmetric")
     n = gram.rows
-    g = [list(row) for row in gram]
-    # columns of T, i.e. the evolving basis vectors in original coordinates
-    basis = [[_ONE if i == j else _ZERO for i in range(n)] for j in range(n)]
-
-    def add_basis(i, j, c):
-        # basis_i += c * basis_j, with the matching symmetric Gram update
-        for k in range(n):
-            basis[i][k] += c * basis[j][k]
-        for k in range(n):
-            g[i][k] += c * g[j][k]
-        for k in range(n):
-            g[k][i] += c * g[k][j]
-
-    def swap_basis(i, j):
-        basis[i], basis[j] = basis[j], basis[i]
-        g[i], g[j] = g[j], g[i]
-        for row in g:
-            row[i], row[j] = row[j], row[i]
-
+    basis = [({j: 1}, 1) for j in range(n)]  # the columns of T
+    d = []
     for i in range(n):
-        if not g[i][i]:
-            pivot_at = next((j for j in range(i + 1, n) if g[j][j]), None)
-            if pivot_at is not None:
-                swap_basis(i, pivot_at)
+        g_i = gram._apply(basis[i])
+        if not _pair(g_i, basis[i]):
+            for j in range(i + 1, n):
+                g_j = gram._apply(basis[j])
+                if _pair(g_j, basis[j]):
+                    basis[i], basis[j], g_i = basis[j], basis[i], g_j
+                    break
             else:
-                off = next((j for j in range(i + 1, n) if g[i][j]), None)
+                off = next((j for j in range(i + 1, n) if _pair(g_i, basis[j])), None)
                 if off is None:
                     raise Degenerate("form is degenerate (zero row in reduced Gram)")
-                add_basis(i, off, _ONE)
-        piv = g[i][i]
+                basis[i] = _row_sum(*basis[i], *basis[off])
+                g_i = gram._apply(basis[i])
+        (b_nums, b_den), piv = basis[i], _pair(g_i, basis[i])
+        # b_j - (c / piv) b_i = (piv b_j - c b_i) / (piv den_j) for c = b(b_i, b_j)
+        sign = 1 if piv > 0 else -1
         for j in range(i + 1, n):
-            if g[i][j]:
-                add_basis(j, i, -g[i][j] / piv)
-    d = tuple(g[i][i] for i in range(n))
-    if any(not x for x in d):
-        raise Degenerate("form is degenerate (zero diagonal value)")
-    t = Matrix.from_columns(basis)
-    return t, d
+            c = _pair(g_i, basis[j])
+            if c:
+                nums, den = basis[j]
+                basis[j] = _row_sum(nums, den, {k: -sign * c * x for k, x in b_nums.items()}, abs(piv) * den)
+        d.append(Fraction(piv, g_i[1] * b_den))
+    return Matrix._of(basis, n).transpose(), tuple(d)
+
+
+def _pair(gv, w) -> int:
+    """Numerator of b(v, w) = (G.v) . w over the two rows' denominators."""
+    w_nums = w[0]
+    return sum(x * w_nums[k] for k, x in gv[0].items() if k in w_nums)
 
 
 def is_rational_square(r: Fraction) -> bool:
@@ -156,13 +150,11 @@ class QuadraticSpace:
         return square_class_representative(disc)
 
     def bilinear(self, u, v) -> Fraction:
-        """u^t G v: both vectors cleared once, summed in ints, one Fraction out."""
+        """u^t G v: (G v) . u on integer rows, one Fraction out."""
         if len(u) != self.h or len(v) != self.h:
             raise ValueError("vector lengths %d, %d != dimension %d" % (len(u), len(v), self.h))
-        (un, ud), (vn, vd) = _int_row(enumerate(u)), _int_row(enumerate(v))
-        rows, d = self.gram.cleared()
-        s = sum(x * a * vn[j] for i, x in un.items() for j, a in rows[i].items() if j in vn)
-        return Fraction(s, ud * vd * d)
+        gv, u = self.gram._apply(_int_row(enumerate(v))), _int_row(enumerate(u))
+        return Fraction(_pair(gv, u), gv[1] * u[1])
 
     def quadratic(self, v) -> Fraction:
         return self.bilinear(v, v)

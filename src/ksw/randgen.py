@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 
 from .hodge import HKStructure
-from .linalg import Matrix, vec_add, vec_scale
+from .linalg import Matrix
 from .qspace import QuadraticSpace
 
 _ONE = Fraction(1)
@@ -94,13 +94,13 @@ def random_space_with_period(
         if rng.random() < 0.5:
             a, b = b, a
         alpha, beta = (
-            vec_add(vec_scale(a, alpha), vec_scale(b, beta)),
-            vec_add(vec_scale(-b, alpha), vec_scale(a, beta)),
+            tuple(a * x + b * y for x, y in zip(alpha, beta)),
+            tuple(a * y - b * x for x, y in zip(alpha, beta)),
         )
     if scale:
         s = Fraction(rng.randint(1, 4), rng.randint(1, 3))
-        alpha = vec_scale(s, alpha)
-        beta = vec_scale(s, beta)
+        alpha = tuple(s * x for x in alpha)
+        beta = tuple(s * x for x in beta)
     return QuadraticSpace(gram), alpha, beta
 
 

@@ -563,51 +563,32 @@ def _corr_checks(cfg, rng) -> list[dict]:
     checks = []
     b3 = sub["b3"]
     for n in sub["n"]:
-        gamma = formal_corr.kunneth_square(b3, n, sub["sign_rule"])
+        names = ["corr.%s[n=%d]" % (what, n) for what in ("uniform_coefficient", "kunneth_block", "pushforward_pairing")]
+        gamma, outcome = _attempt(formal_corr.kunneth_square, b3, n, sub["sign_rule"])
+        if outcome:
+            checks.extend(_result(name, *outcome) for name in names)
+            continue
         pairs, coef, uniform = formal_corr.kunneth_coefficient(gamma, b3, n)
-        name = "corr.uniform_coefficient[n=%d]" % n
         ok = uniform and coef is not None and coef != 0
-        checks.append(
-            _check(
-                name,
-                ok,
-                "c = %s over %d pairs" % (coef, pairs) if ok else "no uniform nonzero c",
-            )
-        )
-        checks.append(
-            _check(
-                "corr.kunneth_block[n=%d]" % n,
-                formal_corr.is_kunneth_concentrated(gamma),
-                "no cross terms outside the (f^2, e^2) block",
-            )
-        )
         push_ok = not gamma.is_zero()
         for i in range(1, b3 + 1):
             for jj in range(i + 1, b3 + 1):
                 fwd = formal_corr.gamma_pushforward(gamma, i, jj)
-                alg = gamma.algebra
-                expected = alg.element(
-                    {(0, (1 << (i - 1)) | (1 << (jj - 1)), n - 2): coef or 0}
-                )
-                push_ok &= fwd == expected
+                push_ok &= fwd == gamma.algebra.element({(0, (1 << (i - 1)) | (1 << (jj - 1)), n - 2): coef or 0})
                 push_ok &= formal_corr.gamma_pushforward(gamma, jj, i) == -fwd
-        checks.append(
-            _check(
-                "corr.pushforward_pairing[n=%d]" % n,
-                push_ok,
-                "contraction matches c times the formal pairing map, antisymmetrically",
-            )
-        )
+        checks += [
+            _check(names[0], ok, "c = %s over %d pairs" % (coef, pairs) if ok else "no uniform nonzero c"),
+            _check(names[1], formal_corr.is_kunneth_concentrated(gamma), "no cross terms outside the (f^2, e^2) block"),
+            _check(names[2], push_ok, "contraction matches c times the formal pairing map, antisymmetrically"),
+        ]
     if sub.get("negative_control"):
-        gamma_bad = formal_corr.kunneth_square(b3, 2, formal_corr.SIGN_BROKEN)
-        _, coef_bad, uniform_bad = formal_corr.kunneth_coefficient(gamma_bad, b3, 2)
-        checks.append(
-            _check(
-                "corr.negative_control",
-                not (uniform_bad and coef_bad),
-                "misgraded sign rule must not produce a nonzero uniform coefficient",
-            )
-        )
+        gamma_bad, outcome = _attempt(formal_corr.kunneth_square, b3, 2, formal_corr.SIGN_BROKEN)
+        if outcome:
+            checks.append(_result("corr.negative_control", *outcome))
+        else:
+            _, coef_bad, uniform_bad = formal_corr.kunneth_coefficient(gamma_bad, b3, 2)
+            detail = "misgraded sign rule must not produce a nonzero uniform coefficient"
+            checks.append(_check("corr.negative_control", not (uniform_bad and coef_bad), detail))
     return checks
 
 

@@ -37,15 +37,16 @@ from .hodge import HKStructure, rotation_generator
 from .linalg import (
     CERTIFICATE_PRIME,
     Matrix,
+    _dense,
     _int_row,
+    _primitive,
     _rank_mod_p,
+    _row,
+    _row_sum,
     induced_operator,
-    is_zero_vector,
     rank_and_kernel,
     rank_at_least,
     reduced_echelon_basis,
-    vec_add,
-    vec_scale,
 )
 from .qspace import QuadraticSpace
 
@@ -154,7 +155,12 @@ def _differential_operator(terms, basis, index, den: int) -> Matrix:
 
 
 def power_vector(sym: SymTensorSpace, v) -> tuple[Fraction, ...]:
-    """Coordinates of (sum v_i y_i)^k in the monomial basis.
+    """Coordinates of (sum v_i y_i)^k in the monomial basis."""
+    return _dense(_power_row(sym, v), sym.dim)
+
+
+def _power_row(sym: SymTensorSpace, v) -> tuple[dict[int, int], int]:
+    """(sum v_i y_i)^k as an integer row.
 
     With v cleared to ints n over one denominator d, the y^mu coefficient
     is the integer k!/prod(mu_i!) * prod(n_i^mu_i), divided once by d^k.
@@ -162,15 +168,15 @@ def power_vector(sym: SymTensorSpace, v) -> tuple[Fraction, ...]:
     nums, d = _int_row(enumerate(v))
     k = sym.k
     fact = [factorial(m) for m in range(k + 1)]
-    dk = d**k
-    out = []
-    for mu in sym.basis:
+    out = {}
+    for pos, mu in enumerate(sym.basis):
         coef = fact[k]
         for i, m in enumerate(mu):
             if m:
                 coef = coef // fact[m] * nums.get(i, 0) ** m
-        out.append(Fraction(coef, dk))
-    return tuple(out)
+        if coef:
+            out[pos] = coef
+    return _row(out, d**k)
 
 
 def harmonic(space: QuadraticSpace, k: int, allow_large: bool = False):
@@ -230,25 +236,23 @@ def decompose(space: QuadraticSpace, k: int, allow_large: bool = False) -> Decom
     Sym^j -> Sym^(j+2) -> ... -> Sym^k.
     """
     syms = {j: build_sym(space, j, allow_large) for j in range(k, -1, -2)}
+    ambient = sym_dim(space.h, k)
     blocks = []
-    total = 0
+    stacked = []
     for l in range(k // 2 + 1):
         kh = k - 2 * l
         vecs = _harmonic_basis(syms[kh])
+        rows = [_int_row(enumerate(v)) for v in vecs]
         for j in range(kh + 2, k + 1, 2):
-            q_mult = syms[j].q_mult
-            vecs = [q_mult.matvec(v) for v in vecs]
-        blocks.append((l, vecs))
-        total += len(vecs)
-    ambient = sym_dim(space.h, k)
-    if total != ambient:
+            rows = [syms[j].q_mult._apply(v) for v in rows]
+        blocks.append((l, vecs if l == 0 else [_dense(v, ambient) for v in rows]))
+        stacked += rows
+    if len(stacked) != ambient:
         raise DecompositionFailure(
-            "block dimensions total %d != %d" % (total, ambient)
+            "block dimensions total %d != %d" % (len(stacked), ambient)
         )
-    stacked = Matrix.from_columns(
-        [v for _, vecs in blocks for v in vecs], rows=ambient
-    )
-    if not rank_at_least(stacked, ambient):
+    # the block vectors as columns: on rows the modular elimination fills in far more
+    if not rank_at_least(Matrix._of(stacked, ambient).transpose(), ambient):
         raise DecompositionFailure("stacked block basis is rank deficient")
     return Decomposition(k=k, blocks=blocks, certificate="maximal minor nonzero mod 2^61-1")
 
@@ -291,7 +295,7 @@ def isotropic_span_check(
         raise NotApplicable("definite form has no rational isotropic vectors")
     sym = build_sym(space, k, allow_large)
     target = len(harmonic(space, k, allow_large))
-    collected: list[tuple[Fraction, ...]] = []
+    collected: list[tuple[dict[int, int], int]] = []
     zero = None
     prev_rank = -1
     stable_rounds = 0
@@ -303,14 +307,14 @@ def isotropic_span_check(
         for v in shell:
             if space.quadratic(v) == 0:
                 zero = zero or v
-                collected.append(power_vector(sym, v))
+                collected.append(_power_row(sym, v))
         rank = _stack_rank(sym, collected, target) if collected else 0
         if rank < target and zero is not None:
             for w in shell:
                 a, c = space.quadratic(w), -2 * space.bilinear(zero, w)
                 u = tuple(a * x + c * y for x, y in zip(zero, w))
                 if any(u):
-                    collected.append(power_vector(sym, u))
+                    collected.append(_power_row(sym, u))
             rank = _stack_rank(sym, collected, target)
         if rank == target:
             return True
@@ -330,14 +334,14 @@ def isotropic_span_check(
 
 
 def _stack_rank(sym: SymTensorSpace, rows, target: int) -> int:
-    """Exact rank of stacked power vectors, certified mod p when it reaches target.
+    """Exact rank of stacked power rows, certified mod p when it reaches target.
 
     Rows that the contraction sends to zero (one exact product) span at
     most the target dimension, the harmonic one, so a modular rank of
     target is their exact rank.  On a shortfall, or with a row outside
     ker(contraction), the exact elimination decides.
     """
-    stack = Matrix(rows)
+    stack = Matrix._of(rows, sym.dim)
     if len(rows) >= target:
         modular = _rank_mod_p(stack, CERTIFICATE_PRIME)
         if modular is not None and modular >= target:
@@ -406,10 +410,11 @@ def level_two_part(hk: HKStructure, k: int, allow_large: bool = False):
     casimir = sym.q_mult * sym.contraction
     shift = casimir_block_eigenvalue(h, k, l_top) * Matrix.identity(sym.dim)
     m = casimir - shift
+    # the columns of the lift as primitive integer vectors: scaling leaves every span and rank below as it is
     lift = q_power_lift(space, 1, l_top, allow_large)
-    image = [lift.column(j) for j in range(h)]
+    image = [_primitive(nums, sym.dim) for nums, _ in lift.transpose()._rows]
     kernel = None
-    if all(is_zero_vector(m.matvec(v)) for v in image):
+    if not any(m._apply(_int_row(enumerate(v)))[0] for v in image):
         kernel = reduced_echelon_basis(image)
     if kernel is None or not rank_at_least(m, sym.dim - h):
         _, kernel = rank_and_kernel(m)
@@ -419,7 +424,7 @@ def level_two_part(hk: HKStructure, k: int, allow_large: bool = False):
         )
     d_a = sym_derivation(sym, rotation_generator(hk))
     for v in kernel:
-        if not is_zero_vector(_level_factor(d_a, norm, 2, _level_factor(d_a, norm, 0, v))):
+        if _level_factor(d_a, norm, 2, _level_factor(d_a, norm, 0, _int_row(enumerate(v))))[0]:
             raise LevelMismatch("kernel vector carries a type with |p-q| > 2")
     if Matrix(image).rank() != h:
         raise LevelMismatch("Q-power image of H^2 is degenerate")
@@ -444,13 +449,12 @@ def block_max_level(hk: HKStructure, k: int, allow_large: bool = False):
     out = []
     for l, vecs in dec.blocks:
         level = 2 * (k - 2 * l)
-        reduced = vecs
+        reduced = [_int_row(enumerate(v)) for v in vecs]
         for m in range(0, level - 1, 2):
             reduced = [_level_factor(d_a, norm, m, v) for v in reduced]
-        full = [_level_factor(d_a, norm, level, v) for v in reduced]
-        if any(not is_zero_vector(v) for v in full):
+        if any(_level_factor(d_a, norm, level, v)[0] for v in reduced):
             raise LevelMismatch("block l=%d not annihilated at level %d" % (l, level))
-        if level > 0 and all(is_zero_vector(v) for v in reduced):
+        if level > 0 and not any(nums for nums, _ in reduced):
             raise LevelMismatch(
                 "block l=%d already killed below level %d" % (l, level)
             )
@@ -458,14 +462,15 @@ def block_max_level(hk: HKStructure, k: int, allow_large: bool = False):
     return out
 
 
-def _level_factor(d_a: Matrix, norm: Fraction, m: int, v) -> tuple[Fraction, ...]:
-    """The annihilator factor of |p - q| = m applied to v.
+def _level_factor(d_a: Matrix, norm: Fraction, m: int, v):
+    """The annihilator factor of |p - q| = m applied to the integer row v.
 
     D_A for m = 0 and D_A^2 + (N m / 2)^2 otherwise: D_A acts on a (p, q)
     component by -i(N/2)(p - q).
     """
-    w = d_a.matvec(v)
+    w = d_a._apply(v)
     if m == 0:
         return w
-    c = norm * m / 2
-    return vec_add(d_a.matvec(w), vec_scale(c * c, v))
+    nums, den = v
+    c2 = (norm.numerator * m) ** 2
+    return _row_sum(*d_a._apply(w), {j: c2 * x for j, x in nums.items()}, den * (2 * norm.denominator) ** 2)

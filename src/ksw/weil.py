@@ -46,8 +46,8 @@ from .errors import (
 from .clifford import reorder_parity
 from .linalg import (
     Matrix,
+    _int_row,
     induced_operator,
-    is_zero_vector,
     rank_and_kernel,
     rank_at_least,
     reduced_echelon_basis,
@@ -183,7 +183,7 @@ def weil_class_space(endo: QuadraticEndo) -> list[tuple[int, ...]]:
     size = d_phi.rows
     mat = d_phi * d_phi + (16 * endo.d) * Matrix.identity(size)
     pair = _eigenvector_wedge(endo)
-    if pair is not None and all(is_zero_vector(mat.matvec(v)) for v in pair):
+    if pair is not None and not any(mat._apply(_int_row(enumerate(v)))[0] for v in pair):
         basis = reduced_echelon_basis(pair)
         if basis is not None and rank_at_least(mat, size - 2):
             return basis
@@ -270,7 +270,9 @@ def _eigenvector_wedge(endo: QuadraticEndo) -> tuple[list[int], list[int]] | Non
 def certify_22(classes, j: Matrix) -> bool:
     """True iff every generator lies in ker(D_J), the exact (2,2) part."""
     d_j = derivation_wedge4(j)
-    return all(is_zero_vector(d_j.matvec(v)) for v in classes)
+    if any(len(v) != d_j.cols for v in classes):
+        raise ValueError("class vectors must have length %d" % d_j.cols)
+    return not any(d_j._apply(_int_row(enumerate(v)))[0] for v in classes)
 
 
 def hodge_class_dimension(dim: int, j: Matrix) -> int:

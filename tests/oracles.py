@@ -2,8 +2,9 @@
 
 These deliberately avoid the package's own algorithms: the Clifford
 reducer rewrites words in the tensor algebra, the numeric helpers go
-through numpy, and the wedge derivation expands in raw 4-tensor
-coordinates.
+through numpy, the wedge derivation expands in raw 4-tensor
+coordinates, and the diagonalization is symmetric Gaussian elimination
+on a dense `Fraction` Gram matrix.
 """
 
 from fractions import Fraction
@@ -110,3 +111,54 @@ def _perm_sign(perm):
             if perm[i] > perm[j]:
                 sign = -sign
     return sign
+
+
+def diagonalize_reference(gram, repairs=None):
+    """Congruence diagonalization by symmetric elimination on dense Fractions.
+
+    The same pivot rule as `ksw.qspace.diagonalize`: a zero diagonal entry
+    is swapped with the next nonzero one, or else the basis vector of the
+    first nonzero off-diagonal entry in its row is added to it.  Returns
+    (T as a `Matrix`, d); each repair taken is appended to ``repairs``
+    ("swap" or "add").  Raises `Degenerate` on a degenerate form.
+    """
+    from ksw.errors import Degenerate
+    from ksw.linalg import Matrix
+
+    n = gram.rows
+    g = [list(row) for row in gram]
+    basis = [[Fraction(int(i == j)) for i in range(n)] for j in range(n)]
+
+    def add_basis(i, j, c):
+        # basis_i += c * basis_j, with the matching symmetric Gram update
+        for k in range(n):
+            basis[i][k] += c * basis[j][k]
+        for k in range(n):
+            g[i][k] += c * g[j][k]
+        for k in range(n):
+            g[k][i] += c * g[k][j]
+
+    def swap_basis(i, j):
+        basis[i], basis[j] = basis[j], basis[i]
+        g[i], g[j] = g[j], g[i]
+        for row in g:
+            row[i], row[j] = row[j], row[i]
+
+    log = repairs if repairs is not None else []
+    for i in range(n):
+        if not g[i][i]:
+            pivot_at = next((j for j in range(i + 1, n) if g[j][j]), None)
+            if pivot_at is not None:
+                swap_basis(i, pivot_at)
+                log.append("swap")
+            else:
+                off = next((j for j in range(i + 1, n) if g[i][j]), None)
+                if off is None:
+                    raise Degenerate("zero row in reduced Gram")
+                add_basis(i, off, Fraction(1))
+                log.append("add")
+        piv = g[i][i]
+        for j in range(i + 1, n):
+            if g[i][j]:
+                add_basis(j, i, -g[i][j] / piv)
+    return Matrix.from_columns(basis), tuple(g[i][i] for i in range(n))

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,9 @@ import pytest
 import ksw
 from ksw.betti import power_of_two
 from ksw.cli import main
+from ksw.errors import UsageError
+from ksw.formal_corr import CAP_B3, CAP_N
+from ksw.serialize import parse_rational
 from ksw.suite import NO_INSTANCES, RunReport, exit_code_from_checks, load_config
 
 
@@ -162,6 +166,51 @@ def test_corr_verify_pass_and_broken(capsys):
     assert report["data"]["coefficient"] not in (None, "0")
 
     assert main(["corr", "verify", "--b3", "8", "--n", "2", "--broken-sign"]) == 1
+
+
+def test_corr_verify_over_the_cap_exits_2(capsys):
+    for b3, n in [(CAP_B3 + 1, 2), (8, CAP_N + 1), (100000, 2)]:
+        assert main(["corr", "verify", "--b3", str(b3), "--n", str(n), "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: Kunneth square on b3=%d, n=%d exceeds the caps (b3 <= %d, n <= %d)\n" % (
+            b3, n, CAP_B3, CAP_N,
+        )
+    assert main(["corr", "verify", "--b3", str(CAP_B3), "--n", "2", "--json"]) == 0
+    assert _json_output(capsys)["data"]["pairs"] == CAP_B3 * (CAP_B3 - 1) // 2
+
+
+def test_suite_corr_over_the_cap_is_skipped(tmp_path, capsys):
+    capped = dict(SMALL_SUITE, corr=dict(SMALL_SUITE["corr"], b3=CAP_B3 + 1, n=[2, 3]))
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(capped))
+    assert main(["suite", "--config", str(cfg), "--json"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    corr = [c for c in json.loads(captured.out)["checks"] if c["name"].startswith("corr.")]
+    assert [c["name"] for c in corr] == [
+        "corr.uniform_coefficient[n=2]", "corr.kunneth_block[n=2]", "corr.pushforward_pairing[n=2]",
+        "corr.uniform_coefficient[n=3]", "corr.kunneth_block[n=3]", "corr.pushforward_pairing[n=3]",
+        "corr.negative_control",
+    ]
+    assert {c["status"] for c in corr} == {"skipped"}
+    assert all("exceeds the caps" in c["detail"] for c in corr)
+
+
+def test_parse_rational_grammar():
+    # Python's Fraction(str) grammar, parsed exactly and never through a float
+    exact = {"1.5": Fraction(3, 2), "1e5": 100000, " 1 ": 1, "0.1": Fraction(1, 10), "-2e-3": Fraction(-1, 500)}
+    rejected = ["1/0", "nan", "inf", "1.5.2"]
+    # underscores between digits are Fraction syntax from Python 3.11 on
+    if sys.version_info >= (3, 11):
+        exact["1_000"] = 1000
+    else:
+        rejected.append("1_000")
+    for text, value in exact.items():
+        assert parse_rational(text) == value
+    for text in rejected:
+        with pytest.raises(UsageError):
+            parse_rational(text)
 
 
 def test_qform_inspect(fixture_dir, capsys):

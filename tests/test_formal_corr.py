@@ -4,8 +4,10 @@ from math import comb
 
 import pytest
 
-from ksw.errors import IndexOutOfRange
+from ksw.errors import CapExceeded, IndexOutOfRange
 from ksw.formal_corr import (
+    CAP_B3,
+    CAP_N,
     SIGN_BROKEN,
     SIGN_KOSZUL,
     GradedAlgebra,
@@ -186,3 +188,12 @@ def test_bad_inputs():
         kunneth_square(4, 1)
     with pytest.raises(ValueError):
         GradedAlgebra(3, "bogus")
+
+
+def test_kunneth_square_caps():
+    # the caps are checked before any product is formed
+    for b3, n in [(CAP_B3 + 1, 2), (2, CAP_N + 1), (10**6, 10**6)]:
+        with pytest.raises(CapExceeded, match="exceeds the caps"):
+            kunneth_square(b3, n)
+    gamma = kunneth_square(CAP_B3, 2)
+    assert kunneth_coefficient(gamma, CAP_B3, 2)[0] == comb(CAP_B3, 2)

@@ -15,9 +15,9 @@ from ksw.qspace import (
     signature,
     square_class_representative,
 )
-from ksw.randgen import random_congruence_scramble
+from ksw.randgen import random_congruence_scramble, random_unimodular
 
-from oracles import to_float
+from oracles import diagonalize_reference, to_float
 
 
 def test_diagonalize_identity():
@@ -60,6 +60,44 @@ def test_diagonalize_random_congruence_identity():
         g = random_congruence_scramble(rng, Matrix.diagonal(entries))
         t, d = diagonalize(g)
         assert t.transpose() * g * t == Matrix.diagonal(d)
+
+
+def _signed_permutation(rng, n):
+    order = rng.sample(range(n), n)
+    return Matrix([[rng.choice((-1, 1)) if order[i] == c else 0 for c in range(n)] for i in range(n)])
+
+
+def test_diagonalize_matches_the_fraction_reference():
+    # congruence-scrambled diagonal forms, plus hyperbolic planes under
+    # signed permutations and unimodular scrambles: their zero diagonal
+    # entries take the swap and the add-a-basis-vector repairs
+    rng = random.Random(2024)
+    grams = []
+    for h in range(2, 10):
+        for _ in range(9):
+            entries = [rng.choice((-5, -3, -2, -1, 1, 2, 3, 7)) for _ in range(h)]
+            grams.append(random_congruence_scramble(rng, Matrix.diagonal(entries)))
+        planes = h // 2
+        hyper = [[0] * h for _ in range(h)]
+        for p in range(planes):
+            hyper[2 * p][2 * p + 1] = hyper[2 * p + 1][2 * p] = rng.choice((1, 2, -3))
+        for i in range(2 * planes, h):
+            hyper[i][i] = rng.choice((-2, 1, 3))
+        grams.append(Matrix(hyper))
+        p = _signed_permutation(rng, h)
+        grams.append(p.transpose() * Matrix(hyper) * p)
+        p = random_unimodular(rng, h, steps=h)
+        grams.append(p.transpose() * Matrix(hyper) * p)
+    repairs = []
+    for g in grams:
+        assert diagonalize(g) == diagonalize_reference(g, repairs)
+    assert len(grams) >= 96
+    assert {"swap", "add"} <= set(repairs)
+    for g in (Matrix([[1, 1], [1, 1]]), Matrix([[0, 1, 0], [1, 0, 0], [0, 0, 0]])):
+        with pytest.raises(Degenerate):
+            diagonalize(g)
+        with pytest.raises(Degenerate):
+            diagonalize_reference(g)
 
 
 def test_signature_examples():

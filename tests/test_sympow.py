@@ -203,19 +203,19 @@ def test_isotropic_stack_rank_certifies_only_harmonic_stacks(monkeypatch):
     space = QuadraticSpace(Matrix.diagonal([1, 1, -1]))
     sym = build_sym(space, 2)
     zeros = [(1, 0, 1), (0, 1, 1), (1, 0, -1), (0, 1, -1), (3, 4, 5)]
-    rows = [power_vector(sym, v) for v in zeros]
+    rows = [sympow_mod._power_row(sym, v) for v in zeros]
     target = harmonic_dim(3, 2)
     exact = Matrix.rank
     assert sympow_mod._stack_rank(sym, rows[:2], target) == 2
     # a row outside ker(contraction) lifts the rank past the harmonic
     # target, which only the exact elimination can see
-    assert sympow_mod._stack_rank(sym, rows + [power_vector(sym, (1, 0, 0))], target) == target + 1
+    assert sympow_mod._stack_rank(sym, rows + [sympow_mod._power_row(sym, (1, 0, 0))], target) == target + 1
 
     def refuse(m):
         raise AssertionError("exact rank of a certified stack")
 
     monkeypatch.setattr(Matrix, "rank", refuse)
-    assert sympow_mod._stack_rank(sym, rows, target) == target == exact(Matrix(rows))
+    assert sympow_mod._stack_rank(sym, rows, target) == target == exact(Matrix._of(rows, sym.dim))
 
 
 def test_level_two_part_identity_case():

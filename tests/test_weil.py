@@ -164,6 +164,14 @@ def test_weil_class_space_exists_without_balance():
     assert not certify_22(classes, j)
 
 
+def test_certify_22_refuses_vectors_of_the_wrong_length():
+    j = block_j()
+    classes = weil_class_space(check_quadratic_endo(j, block_phi()))
+    for bad in ([classes[0] + (0,)], [classes[0][:-1]]):
+        with pytest.raises(ValueError):
+            certify_22(bad, j)
+
+
 def test_weil_class_space_conjugation_invariance():
     rng = random.Random(52)
     j = block_j()
