@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from fractions import Fraction
 
 from .betti import CatalogEntry, entry_from_dict
@@ -32,6 +33,10 @@ def parse_rational(s) -> Fraction:
     if isinstance(s, bool):
         raise UsageError("bad rational %s: booleans are not numbers" % json.dumps(s))
     try:
+        # Fraction(str) takes "1_000" from Python 3.11 and "1 / 2" from 3.12;
+        # refusing both keeps the 3.10 grammar (and message) on every version
+        if isinstance(s, str) and ("_" in s or re.search(r"\s/|/\s", s)):
+            raise ValueError("Invalid literal for Fraction: %r" % s)
         return frac(s)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise UsageError("bad rational %r: %s" % (s, exc)) from exc

@@ -312,9 +312,12 @@ def isotropic_span_check(
         if rank < target and zero is not None:
             for w in shell:
                 a, c = space.quadratic(w), -2 * space.bilinear(zero, w)
-                u = tuple(a * x + c * y for x, y in zip(zero, w))
-                if any(u):
-                    collected.append(_power_row(sym, u))
+                # a positive multiple of the zero a.v + c.w, made primitive: it
+                # has the same k-th power line
+                u = [a.numerator * c.denominator * x + c.numerator * a.denominator * y for x, y in zip(zero, w)]
+                g = gcd(*u)
+                if g:
+                    collected.append(_power_row(sym, [x // g for x in u]))
             rank = _stack_rank(sym, collected, target)
         if rank == target:
             return True

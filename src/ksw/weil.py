@@ -22,11 +22,13 @@ Then w_i = phi u_i + lam u_i are lam-eigenvectors, w_1^w_2^w_3^w_4 =
 A + lam B with A, B rational, and it spans the kernel together with its
 conjugate A - lam B, so the kernel is span{A, B}.  The coordinates of A
 and B are 4x4 minors of an 8x4 matrix over Z[mu], mu = m.lam for d = n/m,
-computed in ints.  A certificate makes the result exact whatever phi is:
-A and B lie in the kernel (two matvecs), they are independent, and
-`rank_at_least` proves that the kernel has dimension at most 2.  If any
-step fails, the exact kernel of the 70x70 matrix decides, so results and
-errors are those of the elimination on every input.
+computed in ints.  By a theorem (Weil 1977; van Geemen, LNM 1594), if
+phi^2 = -d with d > 0 then phi has eigenvalues +-lam of multiplicity 4
+(conjugation swaps them), D_phi is (2a - 4) lam on wedge^a E+ (x)
+wedge^(4-a) E-, and the kernel wedge^4 E+ + wedge^4 E- has dimension 2.
+So that hypothesis, A and B in the kernel, and their independence certify
+span{A, B}; if any check fails, the exact 70x70 kernel decides, so results
+and errors are those of the elimination on every input.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ from .linalg import (
     _int_row,
     induced_operator,
     rank_and_kernel,
-    rank_at_least,
     reduced_echelon_basis,
 )
 
@@ -169,25 +170,23 @@ def derivation_wedge4(op: Matrix) -> Matrix:
 def weil_class_space(endo: QuadraticEndo) -> list[tuple[int, ...]]:
     """Primitive basis of ker(D_phi^2 + 16 d) inside the fourth exterior power.
 
-    Exactly 2-dimensional for dim V = 8 (the image of the subfield line);
-    UnexpectedDimension otherwise.  The basis is the reduced-echelon one of
-    `rank_and_kernel` (one vector per free column, in column order), made
-    from the eigenvector wedge A + lam.B and certified: D_phi^2 A =
-    -16 d A and D_phi^2 B = -16 d B by matvecs, A and B independent, and
-    rank at least 68 by `rank_at_least`.  If no basis {u_i, phi u_i} is
-    found or the certificate fails (phi^2 != -d), the exact kernel decides.
+    Exactly 2-dimensional for dim V = 8 when phi^2 = -d, d > 0 (the theorem
+    above); UnexpectedDimension otherwise.  The basis is the reduced-echelon
+    one of `rank_and_kernel` (one vector per free column, in column order),
+    read off the eigenvector wedge A + lam.B once phi.phi == -d.I and d > 0
+    hold exactly, A and B are independent, and D_phi(D_phi X) = -16 d X for
+    the two basis vectors X (four matvecs).  If any check fails, the exact
+    kernel decides.
     """
     if endo.dim != 8:
         raise ValueError("weil_class_space is the fourfold case: dim V must be 8")
-    d_phi = derivation_wedge4(endo.phi)
-    size = d_phi.rows
-    mat = d_phi * d_phi + (16 * endo.d) * Matrix.identity(size)
-    pair = _eigenvector_wedge(endo)
-    if pair is not None and not any(mat._apply(_int_row(enumerate(v)))[0] for v in pair):
-        basis = reduced_echelon_basis(pair)
-        if basis is not None and rank_at_least(mat, size - 2):
-            return basis
-    _, kernel = rank_and_kernel(mat)
+    d, d_phi = endo.d, derivation_wedge4(endo.phi)
+    pair = _eigenvector_wedge(endo) if d > 0 and endo.phi * endo.phi == -d * Matrix.identity(8) else None
+    basis = pair and reduced_echelon_basis(pair)
+    cols = basis and Matrix.from_columns(basis)
+    if basis and d_phi * (d_phi * cols) == (-16 * d) * cols:
+        return basis
+    _, kernel = rank_and_kernel(d_phi * d_phi + (16 * d) * Matrix.identity(d_phi.rows))
     if len(kernel) != 2:
         raise UnexpectedDimension(
             "subfield-power kernel has dimension %d, expected 2" % len(kernel)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -197,20 +198,25 @@ def test_suite_corr_over_the_cap_is_skipped(tmp_path, capsys):
     assert all("exceeds the caps" in c["detail"] for c in corr)
 
 
-def test_parse_rational_grammar():
-    # Python's Fraction(str) grammar, parsed exactly and never through a float
+def test_parse_rational_grammar(tmp_path, capsys):
+    # Python 3.10's Fraction(str) grammar, parsed exactly and never through
+    # a float, the same on every supported version
     exact = {"1.5": Fraction(3, 2), "1e5": 100000, " 1 ": 1, "0.1": Fraction(1, 10), "-2e-3": Fraction(-1, 500)}
-    rejected = ["1/0", "nan", "inf", "1.5.2"]
-    # underscores between digits are Fraction syntax from Python 3.11 on
-    if sys.version_info >= (3, 11):
-        exact["1_000"] = 1000
-    else:
-        rejected.append("1_000")
+    exact[" -3/4 "] = Fraction(-3, 4)
     for text, value in exact.items():
         assert parse_rational(text) == value
-    for text in rejected:
+    for text in ["1/0", "nan", "inf", "1.5.2"]:
         with pytest.raises(UsageError):
             parse_rational(text)
+    # underscores (Fraction syntax from 3.11) and whitespace at the slash
+    # (from 3.12) are refused with 3.10's message
+    for text in ["1_000", "1_0/3", "1e1_0", "0.1_5", "1 / 2", "1/ 2", "1 /2", "1\t/2"]:
+        with pytest.raises(UsageError, match="^bad rational %s: Invalid literal for Fraction" % re.escape(repr(text))):
+            parse_rational(text)
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps({"dim": 2, "gram": [["1_000", "0"], ["0", "-1"]]}))
+    assert main(["qform", "inspect", "-f", str(path)]) == 2
+    assert capsys.readouterr().err.count("\n") == 1
 
 
 def test_qform_inspect(fixture_dir, capsys):

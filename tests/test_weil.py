@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 from hashlib import sha256
 
 import numpy as np
 import pytest
 
 from ksw import kuga_satake as ks_mod
+from ksw import linalg as linalg_mod
 from ksw import weil as weil_mod
 from ksw.clifford import _mul_block
 from ksw.errors import (
@@ -199,6 +201,7 @@ def test_weil_class_space_bases_are_pinned():
     assert _basis_digest(conjugate) == "446a1fa1f19de5d77a462a78139a60ee6d0047de16d89e56dccae034cdd2b9a9"
 
 
+@lru_cache(maxsize=None)
 def _exact_class_space(endo):
     d_phi = derivation_wedge4(endo.phi)
     mat = d_phi * d_phi + (16 * endo.d) * Matrix.identity(d_phi.rows)
@@ -236,6 +239,71 @@ def test_constructed_class_space_is_the_exact_kernel_basis(monkeypatch):
             patch.setattr(weil_mod, "rank_and_kernel", _refuse_elimination)
             constructed = weil_class_space(endo)
         assert constructed == _exact_class_space(endo)
+
+
+def _refuse(*args):
+    raise AssertionError("a rank bound or an elimination ran on valid input")
+
+
+def test_class_space_is_certified_from_the_hypothesis_alone(monkeypatch):
+    # phi^2 = -d with d > 0 makes the kernel 2-dimensional (Weil), so on
+    # valid input the basis needs no rank bound, no elimination and no
+    # 70x70 square D_phi^2; it is still the exact kernel's basis
+    j, phi = block_j(), block_phi()
+    phi4 = [[0, -2, 0, 0], [1, 0, 0, 0], [0, 0, 0, -2], [0, 0, 1, 0]]
+    j4 = [[0, 0, -1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0]]
+    doubled = [Matrix([[b[i % 4][k % 4] if i // 4 == k // 4 else 0 for k in range(8)] for i in range(8)]) for b in (j4, phi4)]
+    endos = [check_quadratic_endo(j, phi * Fraction(1, 2)), check_quadratic_endo(j, 3 * phi)]
+    endos.append(check_quadratic_endo(*doubled))
+    rng = random.Random(56)
+    for _ in range(5):
+        g = random_unimodular(rng, 8)
+        ginv = g.inverse()
+        endos += [check_quadratic_endo(ginv * j * g, ginv * cand * g) for cand in (phi, j)]
+    product = Matrix.__mul__
+
+    def no_square_of_size_70(a, b):
+        if isinstance(b, Matrix) and a.cols == b.rows == b.cols == 70:
+            raise AssertionError("a 70x70 by 70x70 product was formed")
+        return product(a, b)
+
+    for endo in endos:
+        with monkeypatch.context() as patch:
+            patch.setattr(weil_mod, "rank_and_kernel", _refuse)
+            patch.setattr(weil_mod, "rank_at_least", _refuse, raising=False)
+            patch.setattr(linalg_mod, "rank_at_least", _refuse)
+            patch.setattr(Matrix, "__mul__", no_square_of_size_70)
+            certified = weil_class_space(endo)
+        assert certified == _exact_class_space(endo)
+
+
+def test_class_space_falls_back_when_d_is_not_positive(monkeypatch):
+    # QuadraticEndo built without check_quadratic_endo and d <= 0: the
+    # hypothesis fails, so the exact kernel decides; in the last two
+    # cases phi^2 = -d.I holds and only d > 0 fails
+    calls = []
+
+    def counted(mat):
+        calls.append(mat.rows)
+        return rank_and_kernel(mat)
+
+    monkeypatch.setattr(weil_mod, "rank_and_kernel", counted)
+    cases = [
+        (block_phi(), -4, 0),
+        (block_phi(), 0, 36),
+        (Matrix.zeros(8, 8), 0, 70),
+        (Matrix.diagonal([1] * 5 + [-1] * 3), -1, 5),
+    ]
+    for phi, d, dim in cases:
+        with pytest.raises(UnexpectedDimension, match="dimension %d, expected 2" % dim):
+            weil_class_space(QuadraticEndo(phi=phi, j=block_j(), d=Fraction(d)))
+    # real eigenvalues +-1, four each: the exact kernel is 2-dimensional
+    # and is returned as it is
+    swaps = Matrix([[int(i // 2 == k // 2 and i != k) for k in range(8)] for i in range(8)])
+    endo = QuadraticEndo(phi=swaps, j=block_j(), d=Fraction(-1))
+    assert swaps * swaps == Matrix.identity(8)
+    assert weil_class_space(endo) == _exact_class_space(endo)
+    assert calls == [70] * 5
 
 
 def test_class_space_falls_back_when_phi_squared_is_not_minus_d(monkeypatch):
