@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import os
 import random
 import sys
@@ -23,6 +24,7 @@ from . import betti, formal_corr, kuga_satake, sympow
 from .errors import (
     CapExceeded,
     MissingHypothesisData,
+    TooSmall,
     UsageError,
     WorkbenchError,
 )
@@ -304,7 +306,10 @@ def cmd_betti_audit(args) -> RunReport:
     checks = []
     rows = []
     for entry in entries:
-        b3_result = betti.audit_b3(entry)
+        try:
+            b3_result = betti.audit_b3(entry)
+        except TooSmall as exc:  # audit_b2n_minus_1 needs the same b2
+            raise UsageError("catalog entry %s: %s" % (json.dumps(entry.name), exc)) from exc
         bound = betti.power_of_two(b3_result.k)
         checks.append(
             _audit_check(

@@ -25,9 +25,13 @@ nonzero int numerator plus one positive int denominator, in lowest terms
 (`linalg._int_row` / `linalg._row`).  A product accumulates
 +-x_A * y_B * contract[A&B] over the stored numerators in ints and puts
 the result over dx * dy * scale in lowest terms with one gcd, so no
-`Fraction` is made; ``==`` and ``hash`` compare the stored pairs.
+`Fraction` is made; ``==`` and ``hash`` compare the stored pairs.  The
+kernel (`_product_numerators`) picks one of three accumulations by the
+operand sizes: a single-blade operand writes its terms directly (their
+masks are distinct and none is zero), at least 2^h pairs sum into a list
+of 2^h slots, and fewer sum into a dict; zeros are dropped there.
 Multiplication operators are sparse matrices over the graded piece they
-act on, built from the unit-blade products by the same loop.
+act on, built from the unit-blade products by the same kernel.
 """
 
 from __future__ import annotations
@@ -96,9 +100,40 @@ def _sign_table(h: int) -> list[int]:
 
 
 def _product_numerators(alg: "CliffordAlgebra", xs, ys) -> dict[int, int]:
-    """Integer product of (mask, numerator) operands; divide by dx * dy * alg.scale."""
+    """Zero-free integer product of (mask, numerator) operands; divide by dx * dy * alg.scale.
+
+    Three accumulation paths give the same dict:
+
+    - a single-blade operand maps each term of the other to its own mask
+      (m ^ b is one-to-one in b) with a nonzero weight (every d_i is
+      nonzero), so the terms are written directly and none is zero;
+    - at least 2^h pairs sum into a list with one slot per blade;
+    - fewer pairs sum into a dict.
+
+    The last two drop the masks whose terms cancelled.
+    """
     sign = alg.sign
     contract = alg.contract
+    if len(xs) == 1:
+        ((am, ac),) = xs
+        sa = sign[am]
+        return {am ^ bm: (-ac if (sa & bm).bit_count() & 1 else ac) * bc * contract[am & bm] for bm, bc in ys}
+    if len(ys) == 1:
+        ((bm, bc),) = ys
+        return {
+            am ^ bm: (-bc if (sign[am] & bm).bit_count() & 1 else bc) * ac * contract[am & bm] for am, ac in xs
+        }
+    if len(xs) * len(ys) >= alg.dim:
+        slots = [0] * alg.dim
+        for am, ac in xs:
+            sa = sign[am]
+            for bm, bc in ys:
+                v = ac * bc * contract[am & bm]
+                if (sa & bm).bit_count() & 1:
+                    slots[am ^ bm] -= v
+                else:
+                    slots[am ^ bm] += v
+        return {m: x for m, x in enumerate(slots) if x}
     out: dict[int, int] = {}
     for am, ac in xs:
         sa = sign[am]
@@ -109,7 +144,7 @@ def _product_numerators(alg: "CliffordAlgebra", xs, ys) -> dict[int, int]:
                 out[m] = out.get(m, 0) - v
             else:
                 out[m] = out.get(m, 0) + v
-    return out
+    return {m: x for m, x in out.items() if x}
 
 
 class CliffordAlgebra:
@@ -248,8 +283,7 @@ class CliffordElement:
         alg = self.algebra
         if isinstance(other, CliffordElement):
             self._require_same_space(other)
-            out = _product_numerators(alg, self.nums.items(), other.nums.items())
-            nums = {m: x for m, x in out.items() if x}
+            nums = _product_numerators(alg, self.nums.items(), other.nums.items())
             return CliffordElement(alg, *_row(nums, self.den * other.den * alg.scale))
         c = frac(other)
         p = c.numerator

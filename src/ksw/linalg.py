@@ -254,16 +254,7 @@ class Matrix:
         if self.cols != other.rows:
             shapes = (self.rows, self.cols, other.rows, other.cols)
             raise ValueError("cannot multiply %dx%d by %dx%d" % shapes)
-        # other's rows over one common denominator, so each output row sums ints
-        brows, common = other.cleared()
-        out = []
-        for anums, aden in self._rows:
-            acc = {}
-            for k, a in anums.items():
-                for j, b in brows[k].items():
-                    acc[j] = acc.get(j, 0) + a * b
-            out.append(_row({j: x for j, x in acc.items() if x}, aden * common))
-        return Matrix._of(out, other.cols)
+        return Matrix._of(_product_rows(self, other), other.cols)
 
     __rmul__ = __mul__
 
@@ -294,6 +285,22 @@ class Matrix:
 
     def inverse(self) -> "Matrix":
         return solve_or_invert(self)
+
+
+def _product_rows(a: Matrix, b: Matrix):
+    """The rows of a . b one at a time, as lowest-terms integer rows.
+
+    Shapes are the caller's to check.  A caller that only compares two
+    products can stop at the first differing row and never holds either.
+    """
+    # b's rows over one common denominator, so each output row sums ints
+    brows, common = b.cleared()
+    for anums, aden in a._rows:
+        acc = {}
+        for k, x in anums.items():
+            for j, y in brows[k].items():
+                acc[j] = acc.get(j, 0) + x * y
+        yield _row({j: x for j, x in acc.items() if x}, aden * common)
 
 
 def induced_operator(keys, index, moves, den: int) -> Matrix:

@@ -125,11 +125,13 @@ def catalog_from_json(data) -> list[CatalogEntry]:
     for item in data:
         if not isinstance(item, dict):
             raise UsageError("catalog entry %s is not an object" % json.dumps(item))
+        if not isinstance(item.get("name", ""), str):
+            raise UsageError("catalog name must be a string, got %s" % json.dumps(item["name"]))
         for key in ("dim2n", "b2", "b3"):
             if item.get(key) is not None:
                 _json_int(item[key], "catalog %s" % key)
         first = item.get("b_odd_first_nonzero")
-        if first and not (isinstance(first, list) and len(first) == 2):
+        if first is not None and not (isinstance(first, list) and len(first) == 2):
             raise UsageError("catalog b_odd_first_nonzero must be [degree, b], got %s" % json.dumps(first))
         for x in first or ():
             _json_int(x, "catalog b_odd_first_nonzero")
@@ -176,3 +178,5 @@ def load_json_file(path: str):
         return json.loads(raw), hashlib.sha256(raw).hexdigest()
     except json.JSONDecodeError as exc:
         raise UsageError("%s is not valid JSON: %s" % (path, exc)) from exc
+    except RecursionError as exc:  # the decoder recurses once per nesting level
+        raise UsageError("%s nests too deeply to read" % path) from exc

@@ -235,6 +235,19 @@ def decompose(space: QuadraticSpace, k: int, allow_large: bool = False) -> Decom
     vector of degree j is lifted by the chain of Q-multiplications
     Sym^j -> Sym^(j+2) -> ... -> Sym^k.
     """
+    ambient = sym_dim(space.h, k)
+    blocks = [
+        (l, vecs if l == 0 else [_dense(v, ambient) for v in rows])
+        for l, vecs, rows in _blocks(space, k, allow_large)
+    ]
+    return Decomposition(k=k, blocks=blocks, certificate="maximal minor nonzero mod 2^61-1")
+
+
+def _blocks(space: QuadraticSpace, k: int, allow_large: bool):
+    """[(l, primitive harmonic basis of Sym^(k-2l), its lifted integer rows)] behind `decompose`.
+
+    Raises DecompositionFailure as `decompose` documents.
+    """
     syms = {j: build_sym(space, j, allow_large) for j in range(k, -1, -2)}
     ambient = sym_dim(space.h, k)
     blocks = []
@@ -245,7 +258,7 @@ def decompose(space: QuadraticSpace, k: int, allow_large: bool = False) -> Decom
         rows = [_int_row(enumerate(v)) for v in vecs]
         for j in range(kh + 2, k + 1, 2):
             rows = [syms[j].q_mult._apply(v) for v in rows]
-        blocks.append((l, vecs if l == 0 else [_dense(v, ambient) for v in rows]))
+        blocks.append((l, vecs, rows))
         stacked += rows
     if len(stacked) != ambient:
         raise DecompositionFailure(
@@ -254,7 +267,7 @@ def decompose(space: QuadraticSpace, k: int, allow_large: bool = False) -> Decom
     # the block vectors as columns: on rows the modular elimination fills in far more
     if not rank_at_least(Matrix._of(stacked, ambient).transpose(), ambient):
         raise DecompositionFailure("stacked block basis is rank deficient")
-    return Decomposition(k=k, blocks=blocks, certificate="maximal minor nonzero mod 2^61-1")
+    return blocks
 
 
 def _primitive_int_vectors_in_box(h: int, height: int):
@@ -448,11 +461,9 @@ def block_max_level(hk: HKStructure, k: int, allow_large: bool = False):
     sym = build_sym(space, k, allow_large)
     norm = hk.period.norm
     d_a = sym_derivation(sym, rotation_generator(hk))
-    dec = decompose(space, k, allow_large)
     out = []
-    for l, vecs in dec.blocks:
+    for l, _, reduced in _blocks(space, k, allow_large):
         level = 2 * (k - 2 * l)
-        reduced = [_int_row(enumerate(v)) for v in vecs]
         for m in range(0, level - 1, 2):
             reduced = [_level_factor(d_a, norm, m, v) for v in reduced]
         if any(_level_factor(d_a, norm, level, v)[0] for v in reduced):

@@ -3,8 +3,9 @@
 These deliberately avoid the package's own algorithms: the Clifford
 reducer rewrites words in the tensor algebra, the numeric helpers go
 through numpy, the wedge derivation expands in raw 4-tensor
-coordinates, and the diagonalization is symmetric Gaussian elimination
-on a dense `Fraction` Gram matrix.
+coordinates, the diagonalization is symmetric Gaussian elimination
+on a dense `Fraction` Gram matrix, and the right-multiplication family
+is checked with element products, blade by blade, instead of operators.
 """
 
 from fractions import Fraction
@@ -162,3 +163,19 @@ def diagonalize_reference(gram, repairs=None):
             if g[i][j]:
                 add_basis(j, i, -g[i][j] / piv)
     return Matrix.from_columns(basis), tuple(g[i][i] for i in range(n))
+
+
+def right_mul_commutes_reference(ks, samples, rng):
+    """Family (iv) of `structure_commutators` as element identities.
+
+    For each sample c, drawn as `structure_commutators` draws it, whether
+    e.(e_A.c) == (e.e_A).c for every blade A.  Returns [(c, outcome)].
+    """
+    from ksw.kuga_satake import _random_element
+
+    alg, e = ks.algebra, ks.e
+    out = []
+    for _ in range(samples):
+        c = _random_element(alg, rng)
+        out.append((c, all(e * (alg.blade(m) * c) == (e * alg.blade(m)) * c for m in range(alg.dim))))
+    return out

@@ -270,11 +270,34 @@ def test_sign_and_contract_tables_exhaustive_h1_to_h6():
 
 def test_element_product_matches_fraction_reference():
     rng = random.Random(29)
-    for h in range(1, 7):
+    for h in range(1, 9):
         alg = _fractional_algebra(rng, h)
-        for _ in range(40):
-            x = _random_rational_element(rng, alg, rng.randint(0, 6))
-            y = _random_rational_element(rng, alg, rng.randint(0, 6))
+        operands = [
+            tuple(_random_rational_element(rng, alg, rng.randint(0, 6)) for _ in range(2)) for _ in range(40)
+        ]
+        # a single-blade operand on either side, and the zero element
+        zero = alg.element({})
+        for _ in range(5):
+            x = _random_rational_element(rng, alg, rng.randint(1, 12))
+            blade = alg.blade(rng.randrange(alg.dim), Fraction(rng.choice((-7, -1, 2, 5)), rng.randint(1, 6)))
+            operands += [(blade, x), (x, blade), (zero, x), (x, zero), (blade, zero)]
+        # at least 2^h pairs: dense operands, and (v.w).(w.v) = q(v) q(w),
+        # whose 2^h-slot sum cancels everywhere but on the unit
+        side = 1 << (h + 1) // 2
+        for _ in range(3):
+            masks = (rng.sample(range(alg.dim), side) for _ in range(2))
+            operands.append(
+                tuple(alg.element({m: Fraction(rng.randint(1, 9), rng.randint(1, 6)) for m in ms}) for ms in masks)
+            )
+            coords = [[Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(h)] for _ in range(2)]
+            coords[1][0] *= -1  # so v and w are not parallel
+            v, w = (alg.vector_diag(c) for c in coords)
+            x, y = v * w, w * v
+            if h > 1:
+                assert len(x.nums) * len(y.nums) >= alg.dim
+            assert set((x * y).nums) == {0}
+            operands.append((x, y))
+        for x, y in operands:
             z = x * y
             got = z.terms
             assert got == _reference_product(x, y)

@@ -11,6 +11,8 @@ from ksw.linalg import Matrix
 from ksw.qspace import QuadraticSpace
 from ksw.randgen import random_hk
 
+from oracles import right_mul_commutes_reference
+
 
 def _hk(diag, alpha, beta):
     return HKStructure.build(QuadraticSpace(Matrix.diagonal(diag)), alpha, beta)
@@ -89,6 +91,25 @@ def test_structure_commutators_random_h7():
     assert any(name.startswith("plane_anticommutes") for name in names)
     assert any(name.startswith("rotation") for name in names)
     assert any(name.startswith("right_mul_commutes") for name in names)
+
+
+def test_right_mul_commutes_matches_element_reference():
+    rng = random.Random(47)
+    parities = set()
+    for h in range(2, 8):
+        ks = ks_mod.build(random_hk(rng, h))
+        alg = ks.algebra
+        for tampered in (False, True):
+            if tampered:
+                # e_1.e_1 = 2 d_1 while every other contraction is kept: not associative
+                alg.contract[1] *= 2
+            report = ks_mod.structure_commutators(ks, samples=3, rng=random.Random(h), raise_on_failure=False)
+            got = [ok for name, ok, _ in report.checks if name.startswith("right_mul_commutes")]
+            reference = right_mul_commutes_reference(ks, 3, random.Random(h))
+            assert got == [ok for _, ok in reference]
+            assert all(got) != tampered
+            parities.update(c.parity for c, _ in reference)
+    assert "mixed" in parities
 
 
 def test_structure_commutators_operator_matrices_small_h():
