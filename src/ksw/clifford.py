@@ -26,10 +26,8 @@ nonzero int numerator plus one positive int denominator, in lowest terms
 +-x_A * y_B * contract[A&B] over the stored numerators in ints and puts
 the result over dx * dy * scale in lowest terms with one gcd, so no
 `Fraction` is made; ``==`` and ``hash`` compare the stored pairs.  The
-kernel (`_product_numerators`) picks one of three accumulations by the
-operand sizes: a single-blade operand writes its terms directly (their
-masks are distinct and none is zero), at least 2^h pairs sum into a list
-of 2^h slots, and fewer sum into a dict; zeros are dropped there.
+kernel (`_product_numerators`) sums at least 2^h pairs into a list of
+2^h slots and fewer into a dict, and drops the zeros itself.
 Multiplication operators are sparse matrices over the graded piece they
 act on, built from the unit-blade products by the same kernel.
 """
@@ -102,27 +100,13 @@ def _sign_table(h: int) -> list[int]:
 def _product_numerators(alg: "CliffordAlgebra", xs, ys) -> dict[int, int]:
     """Zero-free integer product of (mask, numerator) operands; divide by dx * dy * alg.scale.
 
-    Three accumulation paths give the same dict:
-
-    - a single-blade operand maps each term of the other to its own mask
-      (m ^ b is one-to-one in b) with a nonzero weight (every d_i is
-      nonzero), so the terms are written directly and none is zero;
-    - at least 2^h pairs sum into a list with one slot per blade;
-    - fewer pairs sum into a dict.
-
-    The last two drop the masks whose terms cancelled.
+    At least 2^h pairs sum into a list with one slot per blade, fewer into
+    a dict (the dict is faster well below 2^h pairs, e.g. an operator
+    column's h pairs); both give the same dict without the masks whose
+    terms cancelled.
     """
     sign = alg.sign
     contract = alg.contract
-    if len(xs) == 1:
-        ((am, ac),) = xs
-        sa = sign[am]
-        return {am ^ bm: (-ac if (sa & bm).bit_count() & 1 else ac) * bc * contract[am & bm] for bm, bc in ys}
-    if len(ys) == 1:
-        ((bm, bc),) = ys
-        return {
-            am ^ bm: (-bc if (sign[am] & bm).bit_count() & 1 else bc) * ac * contract[am & bm] for am, ac in xs
-        }
     if len(xs) * len(ys) >= alg.dim:
         slots = [0] * alg.dim
         for am, ac in xs:
