@@ -419,8 +419,15 @@ def cmd_suite(args) -> RunReport:
 # -- parser ------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise UsageError, for `main` to print as one line."""
+
+    def error(self, message):
+        raise UsageError("%s: %s" % (self.prog, message))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ksw",
         description="Exact rational workbench for Clifford / Kuga-Satake / "
         "Weil / symmetric-power verification",
@@ -496,12 +503,10 @@ _parser = functools.cache(build_parser)
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors already
-        return int(exc.code or 0)
-    try:
         report = args.func(args)
         _emit(report, args.json)
+    except SystemExit as exc:  # --help; a usage error raises UsageError instead
+        return int(exc.code or 0)
     except (UsageError, CapExceeded, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -164,12 +164,12 @@ def h2_spectrum(hk: HKStructure) -> HodgeTypeSpectrum:
 class Weight1Structure:
     """Even-dimensional rational space with an exact complex structure J."""
 
-    def __init__(self, dim: int, j: Matrix, check: bool = True):
+    def __init__(self, dim: int, j: Matrix):
         if dim % 2:
             raise ValueError("weight-1 structure needs even dimension")
         if j.rows != dim or j.cols != dim:
             raise ValueError("J must be %dx%d" % (dim, dim))
-        if check and j * j != -Matrix.identity(dim):
+        if j * j != -Matrix.identity(dim):
             raise ValueError("J^2 != -identity")
         self.dim = dim
         self.j = j

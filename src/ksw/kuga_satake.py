@@ -184,9 +184,9 @@ def structure_commutators(
     return report
 
 
-def _random_element(alg: CliffordAlgebra, rng: random.Random, terms: int = 3) -> CliffordElement:
+def _random_element(alg: CliffordAlgebra, rng: random.Random) -> CliffordElement:
     out = {}
-    for _ in range(terms):
+    for _ in range(3):
         mask = rng.randrange(alg.dim)
         out[mask] = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
     out = {m: c for m, c in out.items() if c}

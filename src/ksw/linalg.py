@@ -5,13 +5,14 @@ is one integer row: a dict from position to a nonzero ``int`` numerator
 plus one positive ``int`` denominator, in lowest terms (the gcd of the
 denominator and all numerators is 1; an empty row has denominator 1), put
 there by `_int_row` / `_row` / `_row_sum`.  A matrix is an immutable tuple
-of such rows, a Clifford element is one, and so are the vectors the
-package computes with: `Matrix._apply` maps one to another, and products,
-sums and elimination run on plain ints over the nonzeros.  ``==``/``hash``
-compare the stored rows however the matrix was built.  The
-symmetric-power, exterior-power and Clifford operators have a few percent
-of nonzeros; `induced_operator` builds them all from integer weights over
-one denominator.  Entries, rows, columns, iteration and ``matvec`` are
+of such rows, a Clifford element is one, and so is a single vector the
+package computes with (`Matrix._apply` maps one to another).  A family of
+vectors is the columns of one matrix, so an operator acts on it in one
+product.  Products, sums and elimination run on plain ints over the
+nonzeros.  ``==``/``hash`` compare the stored rows however the matrix was
+built.  The symmetric-power, exterior-power and Clifford operators have a
+few percent of nonzeros; `induced_operator` builds them all from integer
+weights over one denominator.  Entries, rows, columns, iteration and ``matvec`` are
 dense `Fraction` views built on demand (`_dense`).
 
 Row reduction is fraction-free (Bareiss) on the stored integer rows, and
@@ -154,31 +155,15 @@ class Matrix:
 
     @classmethod
     def from_columns(cls, columns, rows: int | None = None) -> "Matrix":
+        """Matrix with the given dense columns; ``rows`` is read only when there are no columns."""
         cols = [tuple(c) for c in columns]
+        if any(len(c) != len(cols[0]) for c in cols):
+            raise ValueError("ragged columns")
         if cols:
-            rows = len(cols[0])
-            if any(len(c) != rows for c in cols):
-                raise ValueError("ragged columns")
-        elif rows is None:
+            return cls(zip(*cols), len(cols))
+        if rows is None:
             raise ValueError("a matrix with no columns needs an explicit row count")
-        # zeros are dropped here (floats are kept, to be refused): dense
-        # columns of a sparse matrix would otherwise pass through as dict entries
-        return cls.from_sparse_columns(
-            [{i: x for i, x in enumerate(c) if x or x.__class__ is float} for c in cols], rows
-        )
-
-    @classmethod
-    def from_sparse_columns(cls, columns, rows: int) -> "Matrix":
-        """Matrix whose column j is the mapping ``columns[j]``: row index -> entry.
-
-        Entries are coerced exactly (ints as they are); zero entries may be
-        given and are dropped.
-        """
-        out = [{} for _ in range(rows)]
-        for j, col in enumerate(columns):
-            for i, x in col.items():
-                out[i][j] = x
-        return cls._of((_int_row(r.items()) for r in out), len(columns))
+        return cls.zeros(rows, 0)
 
     # -- access ---------------------------------------------------------------
 
@@ -327,17 +312,19 @@ def hstack(*mats: Matrix) -> Matrix:
     """Side-by-side blocks; each row is cleared over the lcm of its pieces' denominators."""
     if any(m.rows != mats[0].rows for m in mats):
         raise ValueError("row counts differ")
+    offsets = [0]
+    for m in mats:
+        offsets.append(offsets[-1] + m.cols)
     out = []
     for pieces in zip(*(m._rows for m in mats)):
-        den = lcm(*(d for _, d in pieces))
+        den = lcm(*[d for _, d in pieces])
         row = {}
-        offset = 0
-        for m, (nums, d) in zip(mats, pieces):
+        for offset, (nums, d) in zip(offsets, pieces):
             f = den // d
-            row.update((offset + j, x * f) for j, x in nums.items())
-            offset += m.cols
+            for j, x in nums.items():
+                row[offset + j] = x * f
         out.append((row, den))
-    return Matrix._of(out, sum(m.cols for m in mats))
+    return Matrix._of(out, offsets[-1])
 
 
 # -- vector helpers ------------------------------------------------------------

@@ -65,7 +65,7 @@ def random_unimodular(rng: random.Random, n: int, steps: int | None = None) -> M
 
 
 def random_space_with_period(
-    rng: random.Random, h: int, rotate: bool = True, scale: bool = True
+    rng: random.Random, h: int
 ) -> tuple[QuadraticSpace, tuple[Fraction, ...], tuple[Fraction, ...]]:
     """Scrambled mixed-signature form with a valid rational period pair.
 
@@ -89,18 +89,14 @@ def random_space_with_period(
     p_inv = p.inverse()
     alpha = p_inv.column(0)
     beta = p_inv.column(1)
-    if rotate:
-        a, b = rng.choice(PYTHAGOREAN_PAIRS)
-        if rng.random() < 0.5:
-            a, b = b, a
-        alpha, beta = (
-            tuple(a * x + b * y for x, y in zip(alpha, beta)),
-            tuple(a * y - b * x for x, y in zip(alpha, beta)),
-        )
-    if scale:
-        s = Fraction(rng.randint(1, 4), rng.randint(1, 3))
-        alpha = tuple(s * x for x in alpha)
-        beta = tuple(s * x for x in beta)
+    a, b = rng.choice(PYTHAGOREAN_PAIRS)
+    if rng.random() < 0.5:
+        a, b = b, a
+    s = Fraction(rng.randint(1, 4), rng.randint(1, 3))
+    alpha, beta = (
+        tuple(s * (a * x + b * y) for x, y in zip(alpha, beta)),
+        tuple(s * (a * y - b * x) for x, y in zip(alpha, beta)),
+    )
     return QuadraticSpace(gram), alpha, beta
 
 

@@ -397,13 +397,16 @@ def _hodge_checks(cfg, rng) -> list[dict]:
 
 
 def _decompose_laws(space: QuadraticSpace, k: int) -> tuple[bool, str]:
-    """Sym^k: contraction surjective, block dims and total right; the certificate."""
+    """Sym^k: contraction surjective, block dims and total right; the certificate.
+
+    Block l = 0 is ker(contraction), so its dimension is harmonic_dim(h, k)
+    exactly when the contraction is onto Sym^(k-2).
+    """
     h = space.h
-    surj = sympow.build_sym(space, k).contraction.rank() == sympow.sym_dim(h, k - 2)
     dec = sympow.decompose(space, k)
     dims_ok = all(len(vecs) == sympow.harmonic_dim(h, k - 2 * l) for l, vecs in dec.blocks)
     return (
-        surj and dims_ok and dec.total == sympow.sym_dim(h, k),
+        dims_ok and dec.total == sympow.sym_dim(h, k),
         "contraction surjective; block dims as computed; certificate %s" % dec.certificate,
     )
 

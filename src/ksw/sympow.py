@@ -16,13 +16,16 @@ isotropic vectors whenever the form has rational zeros; any nonzero
 normalization of the contraction has the same kernel, and the kernel is
 what is normative.
 
-The blocks q_mult^l(Harm^(k-2l)) decompose Sym^k; the full-rank
-certificate for the stacked block basis is a maximal minor checked modulo
-a fixed 61-bit prime (nonzero residue certifies exact nonvanishing), with
-exact elimination as the fallback.  The same certificate, behind exact
-matvecs that bound the rank from above, stands in for elimination where
-the answer is built: the level <= 2 block as the Q-power image of H^2,
-and a full-rank stack of isotropic powers.
+The blocks q_mult^l(Harm^(k-2l)) decompose Sym^k.  Each block basis is
+the columns of one matrix, lifted by one product per degree; the
+full-rank certificate for the blocks side by side is a maximal minor
+checked modulo a fixed 61-bit prime (nonzero residue certifies exact
+nonvanishing), with exact elimination as the fallback.  The same
+certificate, behind an exact product that bounds the rank from above,
+stands in for elimination where the answer is built: the level <= 2
+block as the Q-power image of H^2, and a full-rank stack of isotropic
+powers.  The Hodge-level annihilators act on a block basis the same way,
+one product per factor.
 """
 
 from __future__ import annotations
@@ -39,10 +42,9 @@ from .linalg import (
     Matrix,
     _dense,
     _int_row,
-    _primitive,
     _rank_mod_p,
     _row,
-    _row_sum,
+    hstack,
     induced_operator,
     rank_and_kernel,
     rank_at_least,
@@ -89,20 +91,16 @@ class SymTensorSpace:
         return len(self.basis)
 
 
-def _check_caps(h: int, k: int, allow_large: bool):
-    if not allow_large and (h > CAP_H or k > CAP_K):
-        raise CapExceeded(
-            "Sym^%d of an h=%d space exceeds the default caps (h <= %d, k <= %d)"
-            % (k, h, CAP_H, CAP_K)
-        )
-
-
-def build_sym(space: QuadraticSpace, k: int, allow_large: bool = False) -> SymTensorSpace:
+def build_sym(space: QuadraticSpace, k: int) -> SymTensorSpace:
     """Sym^k with exact contraction and Q-multiplication matrices."""
     if k < 0:
         raise ValueError("k must be nonnegative")
     h = space.h
-    _check_caps(h, k, allow_large)
+    if h > CAP_H or k > CAP_K:
+        raise CapExceeded(
+            "Sym^%d of an h=%d space exceeds the default caps (h <= %d, k <= %d)"
+            % (k, h, CAP_H, CAP_K)
+        )
     basis = _exponent_basis(h, k)
     index = {mu: i for i, mu in enumerate(basis)}
     lower = _exponent_basis(h, k - 2) if k >= 2 else ()
@@ -179,13 +177,13 @@ def _power_row(sym: SymTensorSpace, v) -> tuple[dict[int, int], int]:
     return _row(out, d**k)
 
 
-def harmonic(space: QuadraticSpace, k: int, allow_large: bool = False):
+def harmonic(space: QuadraticSpace, k: int):
     """Primitive basis of ker(contraction) in Sym^k.
 
     For k in {0, 1} the harmonic space is all of Sym^k; otherwise the
     dimension is C(h+k-1, k) - C(h+k-3, k-2), exactly.
     """
-    return _harmonic_basis(build_sym(space, k, allow_large))
+    return _harmonic_basis(build_sym(space, k))
 
 
 def _harmonic_basis(sym: SymTensorSpace):
@@ -217,55 +215,53 @@ class Decomposition:
         return sum(len(vecs) for _, vecs in self.blocks)
 
 
-def q_power_lift(space: QuadraticSpace, from_k: int, l: int, allow_large: bool = False) -> Matrix:
+def q_power_lift(space: QuadraticSpace, from_k: int, l: int) -> Matrix:
     """Matrix of multiplication by Q^l: Sym^from_k -> Sym^(from_k + 2l)."""
     mat = Matrix.identity(sym_dim(space.h, from_k))
     for step in range(l):
-        sym = build_sym(space, from_k + 2 * (step + 1), allow_large)
+        sym = build_sym(space, from_k + 2 * (step + 1))
         mat = sym.q_mult * mat
     return mat
 
 
-def decompose(space: QuadraticSpace, k: int, allow_large: bool = False) -> Decomposition:
+def decompose(space: QuadraticSpace, k: int) -> Decomposition:
     """Exact block decomposition of Sym^k into Q-power images of harmonics.
 
     Dimensions must total dim Sym^k and the stacked basis must have full
     rank; DecompositionFailure otherwise (it would signal an arithmetic
     bug for a nondegenerate form).  Each Sym^j is built once; a harmonic
-    vector of degree j is lifted by the chain of Q-multiplications
-    Sym^j -> Sym^(j+2) -> ... -> Sym^k.
+    basis of degree j, as the columns of one matrix, is lifted by the chain
+    of Q-multiplications Sym^j -> Sym^(j+2) -> ... -> Sym^k.
     """
-    ambient = sym_dim(space.h, k)
     blocks = [
-        (l, vecs if l == 0 else [_dense(v, ambient) for v in rows])
-        for l, vecs, rows in _blocks(space, k, allow_large)
+        (l, vecs if l == 0 else [lift.column(j) for j in range(lift.cols)])
+        for l, vecs, lift in _blocks(space, k)
     ]
     return Decomposition(k=k, blocks=blocks, certificate="maximal minor nonzero mod 2^61-1")
 
 
-def _blocks(space: QuadraticSpace, k: int, allow_large: bool):
-    """[(l, primitive harmonic basis of Sym^(k-2l), its lifted integer rows)] behind `decompose`.
+def _blocks(space: QuadraticSpace, k: int):
+    """[(l, primitive harmonic basis of Sym^(k-2l), its lifts as matrix columns)] behind `decompose`.
 
-    Raises DecompositionFailure as `decompose` documents.
+    Raises ValueError for k < 0 and DecompositionFailure as `decompose` documents.
     """
-    syms = {j: build_sym(space, j, allow_large) for j in range(k, -1, -2)}
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    syms = {j: build_sym(space, j) for j in range(k, -1, -2)}
     ambient = sym_dim(space.h, k)
     blocks = []
-    stacked = []
     for l in range(k // 2 + 1):
         kh = k - 2 * l
         vecs = _harmonic_basis(syms[kh])
-        rows = [_int_row(enumerate(v)) for v in vecs]
+        lift = Matrix.from_columns(vecs, syms[kh].dim)
         for j in range(kh + 2, k + 1, 2):
-            rows = [syms[j].q_mult._apply(v) for v in rows]
-        blocks.append((l, vecs, rows))
-        stacked += rows
-    if len(stacked) != ambient:
-        raise DecompositionFailure(
-            "block dimensions total %d != %d" % (len(stacked), ambient)
-        )
+            lift = syms[j].q_mult * lift
+        blocks.append((l, vecs, lift))
+    total = sum(lift.cols for _, _, lift in blocks)
+    if total != ambient:
+        raise DecompositionFailure("block dimensions total %d != %d" % (total, ambient))
     # the block vectors as columns: on rows the modular elimination fills in far more
-    if not rank_at_least(Matrix._of(stacked, ambient).transpose(), ambient):
+    if not rank_at_least(hstack(*(lift for _, _, lift in blocks)), ambient):
         raise DecompositionFailure("stacked block basis is rank deficient")
     return blocks
 
@@ -290,9 +286,7 @@ def _primitive_int_vectors_in_box(h: int, height: int):
             yield v
 
 
-def isotropic_span_check(
-    space: QuadraticSpace, k: int, max_height: int = 8, allow_large: bool = False
-) -> bool:
+def isotropic_span_check(space: QuadraticSpace, k: int, max_height: int = 8) -> bool:
     """Do k-th powers of rational isotropic vectors span the harmonic space?
 
     Enumerates isotropic vectors of growing height until the span
@@ -306,8 +300,8 @@ def isotropic_span_check(
     s_plus, s_minus = space.signature
     if s_plus == 0 or s_minus == 0:
         raise NotApplicable("definite form has no rational isotropic vectors")
-    sym = build_sym(space, k, allow_large)
-    target = len(harmonic(space, k, allow_large))
+    sym = build_sym(space, k)
+    target = len(_harmonic_basis(sym))
     collected: list[tuple[dict[int, int], int]] = []
     zero = None
     prev_rank = -1
@@ -390,7 +384,7 @@ def casimir_block_eigenvalue(h: int, k: int, l: int) -> Fraction:
     return Fraction(2 * l * (h + 2 * k - 2 * l - 2))
 
 
-def level_two_part(hk: HKStructure, k: int, allow_large: bool = False):
+def level_two_part(hk: HKStructure, k: int):
     """The maximal Hodge-level <= 2 piece of Sym^k for odd k (primitive basis).
 
     Every block Q^l(Harm^(k-2l)) with k - 2l > 1 has Hodge level
@@ -406,7 +400,7 @@ def level_two_part(hk: HKStructure, k: int, allow_large: bool = False):
       * image side: the columns of multiplication by Q^((k-1)/2) on H^2.
 
     The kernel is read off the image and certified, not eliminated for:
-    every image vector is mapped to zero (exact matvecs), the image has
+    the Casimir matrix kills the image (one exact product), the image has
     rank h, and `rank_at_least` bounds the rank of the Casimir matrix
     by dim - h, so the kernel is exactly the image span.  Its basis is
     the one `rank_and_kernel` returns, by `reduced_echelon_basis`.  If
@@ -419,19 +413,17 @@ def level_two_part(hk: HKStructure, k: int, allow_large: bool = False):
     if k % 2 != 1:
         raise ValueError("level filtration applies to odd symmetric powers")
     space = hk.space
-    sym = build_sym(space, k, allow_large)
+    sym = build_sym(space, k)
     h = space.h
     norm = hk.period.norm
     l_top = (k - 1) // 2
     casimir = sym.q_mult * sym.contraction
     shift = casimir_block_eigenvalue(h, k, l_top) * Matrix.identity(sym.dim)
     m = casimir - shift
-    # the columns of the lift as primitive integer vectors: scaling leaves every span and rank below as it is
-    lift = q_power_lift(space, 1, l_top, allow_large)
-    image = [_primitive(nums, sym.dim) for nums, _ in lift.transpose()._rows]
-    kernel = None
-    if not any(m._apply(_int_row(enumerate(v)))[0] for v in image):
-        kernel = reduced_echelon_basis(image)
+    lift = q_power_lift(space, 1, l_top)
+    # None iff the h columns are dependent; else the basis `rank_and_kernel` returns for a kernel of that span
+    image = reduced_echelon_basis([lift.column(j) for j in range(lift.cols)])
+    kernel = image if (m * lift).is_zero() else None
     if kernel is None or not rank_at_least(m, sym.dim - h):
         _, kernel = rank_and_kernel(m)
     if len(kernel) != h:
@@ -439,18 +431,18 @@ def level_two_part(hk: HKStructure, k: int, allow_large: bool = False):
             "Casimir eigenspace has dimension %d, expected h = %d" % (len(kernel), h)
         )
     d_a = sym_derivation(sym, rotation_generator(hk))
-    for v in kernel:
-        if _level_factor(d_a, norm, 2, _level_factor(d_a, norm, 0, _int_row(enumerate(v))))[0]:
-            raise LevelMismatch("kernel vector carries a type with |p-q| > 2")
-    if Matrix(image).rank() != h:
+    cols = Matrix.from_columns(kernel, sym.dim)
+    if not _level_factor(d_a, norm, 2, _level_factor(d_a, norm, 0, cols)).is_zero():
+        raise LevelMismatch("kernel vector carries a type with |p-q| > 2")
+    if image is None:
         raise LevelMismatch("Q-power image of H^2 is degenerate")
-    combined = Matrix([list(v) for v in kernel] + [list(v) for v in image])
-    if combined.rank() != h:
+    # both are canonical bases, so they are equal exactly when the spans are
+    if image != kernel:
         raise LevelMismatch("kernel and Q-power image of H^2 differ")
     return kernel
 
 
-def block_max_level(hk: HKStructure, k: int, allow_large: bool = False):
+def block_max_level(hk: HKStructure, k: int):
     """For each block l, certify max |p - q| on it equals 2(k - 2l).
 
     The full annihilator (all even m up to 2(k-2l), including the D_A
@@ -458,17 +450,17 @@ def block_max_level(hk: HKStructure, k: int, allow_large: bool = False):
     some block vector alive.  Returns [(l, level)] on success.
     """
     space = hk.space
-    sym = build_sym(space, k, allow_large)
+    sym = build_sym(space, k)
     norm = hk.period.norm
     d_a = sym_derivation(sym, rotation_generator(hk))
     out = []
-    for l, _, reduced in _blocks(space, k, allow_large):
+    for l, _, reduced in _blocks(space, k):
         level = 2 * (k - 2 * l)
         for m in range(0, level - 1, 2):
-            reduced = [_level_factor(d_a, norm, m, v) for v in reduced]
-        if any(_level_factor(d_a, norm, level, v)[0] for v in reduced):
+            reduced = _level_factor(d_a, norm, m, reduced)
+        if not _level_factor(d_a, norm, level, reduced).is_zero():
             raise LevelMismatch("block l=%d not annihilated at level %d" % (l, level))
-        if level > 0 and not any(nums for nums, _ in reduced):
+        if level > 0 and reduced.is_zero():
             raise LevelMismatch(
                 "block l=%d already killed below level %d" % (l, level)
             )
@@ -476,15 +468,12 @@ def block_max_level(hk: HKStructure, k: int, allow_large: bool = False):
     return out
 
 
-def _level_factor(d_a: Matrix, norm: Fraction, m: int, v):
-    """The annihilator factor of |p - q| = m applied to the integer row v.
+def _level_factor(d_a: Matrix, norm: Fraction, m: int, v: Matrix) -> Matrix:
+    """The annihilator factor of |p - q| = m applied to the columns of v.
 
     D_A for m = 0 and D_A^2 + (N m / 2)^2 otherwise: D_A acts on a (p, q)
     component by -i(N/2)(p - q).
     """
-    w = d_a._apply(v)
     if m == 0:
-        return w
-    nums, den = v
-    c2 = (norm.numerator * m) ** 2
-    return _row_sum(*d_a._apply(w), {j: c2 * x for j, x in nums.items()}, den * (2 * norm.denominator) ** 2)
+        return d_a * v
+    return d_a * (d_a * v) + Fraction(norm * m, 2) ** 2 * v

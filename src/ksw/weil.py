@@ -48,7 +48,6 @@ from .errors import (
 from .clifford import reorder_parity
 from .linalg import (
     Matrix,
-    _int_row,
     induced_operator,
     rank_and_kernel,
     reduced_echelon_basis,
@@ -175,8 +174,8 @@ def weil_class_space(endo: QuadraticEndo) -> list[tuple[int, ...]]:
     one of `rank_and_kernel` (one vector per free column, in column order),
     read off the eigenvector wedge A + lam.B once phi.phi == -d.I and d > 0
     hold exactly, A and B are independent, and D_phi(D_phi X) = -16 d X for
-    the two basis vectors X (four matvecs).  If any check fails, the exact
-    kernel decides.
+    the 70x2 matrix X of the basis (two products).  If any check fails, the
+    exact kernel decides.
     """
     if endo.dim != 8:
         raise ValueError("weil_class_space is the fourfold case: dim V must be 8")
@@ -271,7 +270,7 @@ def certify_22(classes, j: Matrix) -> bool:
     d_j = derivation_wedge4(j)
     if any(len(v) != d_j.cols for v in classes):
         raise ValueError("class vectors must have length %d" % d_j.cols)
-    return not any(d_j._apply(_int_row(enumerate(v)))[0] for v in classes)
+    return (d_j * Matrix.from_columns(classes, d_j.cols)).is_zero()
 
 
 def hodge_class_dimension(dim: int, j: Matrix) -> int:

@@ -6,6 +6,7 @@ from ksw.betti import (
     STATUS_TIGHT,
     STATUS_VACUOUS,
     CatalogEntry,
+    _compare,
     audit_b2n_minus_1,
     audit_b3,
     bound_exponent,
@@ -50,6 +51,14 @@ def test_audit_b3_fail_and_vacuous():
     assert audit_b3(CatalogEntry("x", 4, 7, b3=0)).status == STATUS_VACUOUS
     assert audit_b3(CatalogEntry("x", 4, 7, b3=None)).status == STATUS_VACUOUS
     assert audit_b3(CatalogEntry("x", 4, 7, b3=100)).status == STATUS_PASS
+
+
+def test_compare_by_bit_length_matches_the_power():
+    for k in range(1, 7):
+        for b in range(-3, 2 ** k + 3):
+            want = STATUS_TIGHT if b == 2 ** k else STATUS_PASS if b > 2 ** k else STATUS_FAIL
+            result = _compare(b, k)
+            assert (result.status, result.bound) == (want, 2 ** k)
 
 
 def test_audit_b3_uses_div4_improvement():

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 from fractions import Fraction
@@ -105,6 +106,27 @@ def test_betti_audit_beyond_int_str_limit(int_str_limit_640, tmp_path, capsys):
         "b = 8 < 2^50000",
     ]
     assert main(["betti", "audit", "--catalog", str(path)]) == 1
+
+
+def test_betti_audit_huge_b2_finishes(tmp_path):
+    # 2^k, 6 GB for k = b2/2 = 5*10^10, is never built; in a subprocess with 1 GiB of address
+    # space and a timeout, so a regression fails instead of hanging
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps([{"name": "x", "dim2n": 4, "b2": 10**11, "b3": 8}]))
+    env = dict(os.environ, PYTHONPATH=str(Path(ksw.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ksw", "betti", "audit", "--catalog", str(path), "--json"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)),
+    )
+    assert proc.returncode == 1, proc.stderr
+    report = json.loads(proc.stdout)
+    assert [c["status"] for c in report["checks"]] == ["fail", "fail"]
+    row = report["data"]["entries"][0]
+    assert row["b3"] == row["b2n_minus_1"] == {"k": 5 * 10**10, "bound": "2^50000000000", "status": "fail"}
 
 
 def test_python_dash_m_runs_the_cli():

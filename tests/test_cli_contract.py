@@ -289,6 +289,68 @@ def test_out_of_range_arguments_exit_2_with_one_line(workdir, case, as_json):
     _assert_usage_error(*_run(workdir, argv + ["--json"] * as_json, env=env))
 
 
+# -- usage errors -------------------------------------------------------------------
+
+#: a valid call of each subcommand: (argv, its int-valued options, its required options)
+CALLS = [
+    (["qform", "inspect", "-f", "space"], [], ["-f"]),
+    (["ks", "build", "-f", "space", "-p", "period", "--v0", "0"], ["--v0"], ["-f", "-p"]),
+    (["ks", "verify", "-f", "space", "-p", "period", "--seed", "1"], ["--seed"], ["-f", "-p"]),
+    (["weil", "analyze", "-f", "weight1", "--phi", "phi"], [], ["-f", "--phi"]),
+    (["sym", "decompose", "-f", "space", "--k", "2"], ["--k"], ["-f", "--k"]),
+    (["betti", "bound", "--b2", "7"], ["--b2"], ["--b2"]),
+    (["corr", "verify", "--b3", "4", "--n", "2"], ["--b3", "--n"], ["--b3", "--n"]),
+    (["suite", "--config", "config", "--seed", "1"], ["--seed"], []),
+]
+GROUPS = ["qform", "ks", "weil", "sym", "betti", "corr"]
+
+#: values argparse's int() refuses, a decimal past the int-to-str limit included
+not_an_int = st.text(max_size=6).filter(lambda s: not _is_int(s)) | (
+    st.just("9" * (sys.get_int_max_str_digits() + 1)) if hasattr(sys, "get_int_max_str_digits") else st.nothing()
+)
+unknown_word = st.text("abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=6).filter(
+    lambda w: w not in GROUPS + ["suite", "audit", "bound", "build", "verify", "inspect", "analyze", "decompose"]
+)
+
+
+@st.composite
+def usage_errors(draw):
+    """argv of a call argparse itself refuses."""
+    argv, int_options, required = draw(st.sampled_from(CALLS))
+    kind = draw(st.sampled_from(["ill-typed", "missing", "no value", "unknown option", "unknown command"]))
+    if kind == "ill-typed" and int_options:
+        at = argv.index(draw(st.sampled_from(int_options))) + 1
+        return argv[:at] + [draw(not_an_int)] + argv[at + 1:]
+    if kind == "missing" and required:
+        at = argv.index(draw(st.sampled_from(required)))
+        return argv[:at] + argv[at + 2:]
+    if kind == "no value":
+        return argv[:-1]
+    if kind == "unknown option":
+        # no option starts with --z, so argparse cannot read it as an abbreviation (--h is --help)
+        return argv + ["--z" + draw(unknown_word)]
+    # an unknown command or subcommand, or a group without its subcommand; an
+    # ill-typed or missing kind drawn for a call with no such option lands here too
+    if argv[0] == "suite" or draw(st.booleans()):
+        return [draw(unknown_word)] + argv[1:]
+    return argv[:1] + [draw(unknown_word)] + argv[2:] if draw(st.booleans()) else argv[:1]
+
+
+@settings(max_examples=60)
+@given(argv=usage_errors(), as_json=st.booleans())
+@example(argv=["betti", "bound", "--b2", "x"], as_json=False)
+@example(argv=[], as_json=False)
+def test_usage_errors_exit_2_with_one_line(workdir, argv, as_json):
+    code, err = _run(workdir, argv + ["--json"] * as_json)
+    _assert_usage_error(code, err)
+    assert "usage:" not in err
+
+
+def test_help_exits_0(workdir):
+    for argv in (["--help"], ["betti", "--help"], ["betti", "bound", "-h"]):
+        assert _run(workdir, argv) == (0, "")
+
+
 # -- small valid inputs -----------------------------------------------------------
 
 nonzero = st.integers(-9, 9).filter(bool)

@@ -305,7 +305,6 @@ def test_sparse_core_matches_dense_reference(drawn):
     # one matrix, however it was built, compares and hashes equal
     built = [
         Matrix.from_columns(zip(*a)),
-        Matrix.from_sparse_columns([{i: a[i][j] for i in range(len(a))} for j in range(len(a[0]))], len(a)),
         m + Matrix.zeros(m.rows, m.cols),
         m * Matrix.identity(m.cols),
         (m - m2) + m2,
@@ -403,7 +402,6 @@ def test_float_rejected():
     for build in (
         lambda: Matrix([[1, 0.0]]),
         lambda: Matrix.from_columns([[0, 0.0]]),
-        lambda: Matrix.from_sparse_columns([{0: 0.0}], 1),
         lambda: Matrix.diagonal([0.0]),
         lambda: Matrix.identity(2).matvec([1, 0.0]),
     ):

@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from ksw.errors import CapExceeded, NotApplicable
+from ksw.errors import CapExceeded, DecompositionFailure, LevelMismatch, NotApplicable
 from ksw.hodge import HKStructure
 from ksw import sympow as sympow_mod
 from ksw.linalg import Matrix, rank_and_kernel, same_span
@@ -271,6 +271,69 @@ def test_level_two_part_falls_back_to_the_exact_kernel(monkeypatch):
     assert calls == [sym_dim(5, 3)]
 
 
+def _patched_lift(monkeypatch, columns):
+    """Make level_two_part's Q-power lift the matrix whose columns are columns(true lift columns)."""
+    real = sympow_mod.q_power_lift
+
+    def lift(*args):
+        m = real(*args)
+        return Matrix.from_columns(columns([m.column(j) for j in range(m.cols)]))
+
+    monkeypatch.setattr(sympow_mod, "q_power_lift", lift)
+
+
+def test_level_two_part_rejects_a_degenerate_image(monkeypatch):
+    # two equal lift columns: still in the Casimir kernel, but dependent
+    hk = random_hk(random.Random(71), 5)
+    _patched_lift(monkeypatch, lambda cols: [cols[0]] + cols[:-1])
+    with pytest.raises(LevelMismatch, match="Q-power image of H\\^2 is degenerate"):
+        level_two_part(hk, 3)
+
+
+def test_level_two_part_rejects_an_image_off_the_kernel(monkeypatch):
+    # h independent coordinate vectors: not the span of the Casimir kernel
+    hk = random_hk(random.Random(71), 5)
+    _patched_lift(monkeypatch, lambda cols: [Matrix.identity(len(cols[0])).column(j) for j in range(len(cols))])
+    with pytest.raises(LevelMismatch, match="kernel and Q-power image of H\\^2 differ"):
+        level_two_part(hk, 3)
+
+
+def test_block_max_level_rejects_a_wrong_annihilator(monkeypatch):
+    hk = random_hk(random.Random(69), 4)
+    # D_A = I: no factor D_A^2 + c, c >= 0, kills anything
+    monkeypatch.setattr(sympow_mod, "sym_derivation", lambda sym, op: Matrix.identity(sym.dim))
+    with pytest.raises(LevelMismatch, match="block l=0 not annihilated at level 6"):
+        block_max_level(hk, 3)
+    # D_A = 0 kills every block before its top factor
+    monkeypatch.setattr(sympow_mod, "sym_derivation", lambda sym, op: Matrix.zeros(sym.dim, sym.dim))
+    with pytest.raises(LevelMismatch, match="block l=0 already killed below level 6"):
+        block_max_level(hk, 3)
+
+
+def test_decompose_rejects_a_wrong_harmonic_basis(monkeypatch):
+    space = QuadraticSpace(Matrix.diagonal([1, -1, 2]))
+    real = sympow_mod._harmonic_basis
+    monkeypatch.setattr(sympow_mod, "_harmonic_basis", lambda sym: real(sym)[1:])
+    with pytest.raises(DecompositionFailure, match="block dimensions total 8 != 10"):
+        decompose(space, 3)
+    # the first vector twice: the right count, but rank deficient
+    monkeypatch.setattr(sympow_mod, "_harmonic_basis", lambda sym: real(sym)[:1] + real(sym)[:-1])
+    with pytest.raises(DecompositionFailure, match="stacked block basis is rank deficient"):
+        decompose(space, 3)
+    # a right basis the rank certificate refuses
+    monkeypatch.setattr(sympow_mod, "_harmonic_basis", real)
+    monkeypatch.setattr(sympow_mod, "rank_at_least", lambda m, target: False)
+    with pytest.raises(DecompositionFailure, match="stacked block basis is rank deficient"):
+        decompose(space, 3)
+
+
+def test_decompose_rejects_negative_k():
+    space = QuadraticSpace(Matrix.diagonal([1, -1, 2]))
+    for k in (-1, -2):
+        with pytest.raises(ValueError, match="k must be nonnegative"):
+            decompose(space, k)
+
+
 def test_level_two_part_rejects_even_k():
     rng = random.Random(68)
     hk = random_hk(rng, 4)
@@ -350,12 +413,15 @@ def test_power_vector_multinomial():
     assert power_vector(sym, (Fraction(3, 5), 0)) == (Fraction(27, 125), 0, 0, 0)
 
 
-def test_caps_and_allow_large():
+def test_caps():
     space8 = QuadraticSpace(Matrix.diagonal([1] * 8))
     with pytest.raises(CapExceeded):
         build_sym(space8, 2)
-    sym = build_sym(space8, 2, allow_large=True)
-    assert sym.dim == comb(9, 2)
+    with pytest.raises(CapExceeded):
+        build_sym(QuadraticSpace(Matrix.diagonal([1, -1])), 6)
+    # the caps are inclusive
+    assert build_sym(QuadraticSpace(Matrix.diagonal([1] * 7)), 2).dim == comb(8, 2)
+    assert build_sym(QuadraticSpace(Matrix.diagonal([1, -1])), 5).dim == comb(6, 5)
 
 
 # -- pinned canonical bases --------------------------------------------------------
