@@ -16,10 +16,10 @@ Families (i)-(iii) are element identities; by associativity (property-
 tested in the Clifford suite) they are equivalent to the corresponding
 operator identities on the full algebra.  Family (iv) is associativity
 itself, checked as one operator identity on the full algebra: L_e is
-built once per call and R_c once per sample, and L_e . R_c and R_c . L_e
-are compared one row at a time as the rows are produced, so neither
-product is ever held.  Column A of the two sides is e.(e_A.c) and
-(e.e_A).c.
+built once per call and R_c once per sample, and `linalg.products_equal`
+decides L_e . R_c == R_c . L_e one row at a time in unreduced integers,
+so neither product is ever held or put in lowest terms.  Column A of the
+two sides is e.(e_A.c) and (e.e_A).c.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .clifford import (
 )
 from .errors import CommutatorViolation, NullReference
 from .hodge import HKStructure, Weight1Structure
-from .linalg import Matrix, _product_rows, rank_and_kernel, rank_at_least, vector
+from .linalg import Matrix, products_equal, rank_and_kernel, rank_at_least, vector
 from .qspace import QuadraticSpace
 
 _ONE = Fraction(1)
@@ -170,8 +170,7 @@ def structure_commutators(
     left = _mul_block(e, "left", "full") if samples > 0 else None
     for s in range(samples):
         right = _mul_block(_random_element(alg, rng), "right", "full")
-        # row by row, so neither product is held and the first differing row ends the check
-        ok = all(x == y for x, y in zip(_product_rows(left, right), _product_rows(right, left)))
+        ok = products_equal(left, right, right, left)
         checks.append(
             ("right_mul_commutes[%d]" % s, ok, "R_c . L_e == L_e . R_c on full Cliff")
         )
@@ -302,7 +301,7 @@ def embedding_sign_laws(ks: KSStructure, v0, matrix_level: bool = False) -> bool
             (ks.base.period.beta, -1),
         ] + [(w, 1) for w in perp]:
             ev = endomorphism_embedding(ks, v_coords, v0)
-            if j * ev != sign * (ev * j):
+            if not products_equal(j, ev, -ev if sign < 0 else ev, j):
                 return False
     return True
 

@@ -9,7 +9,9 @@ of such rows, a Clifford element is one, and so is a single vector the
 package computes with (`Matrix._apply` maps one to another).  A family of
 vectors is the columns of one matrix, so an operator acts on it in one
 product.  Products, sums and elimination run on plain ints over the
-nonzeros.  ``==``/``hash`` compare the stored rows however the matrix was
+nonzeros; an operator identity a . b == c . d is one `products_equal`
+call, which compares the two products row by row in unreduced integers
+and holds neither.  ``==``/``hash`` compare the stored rows however the matrix was
 built.  The symmetric-power, exterior-power and Clifford operators have a
 few percent of nonzeros; `induced_operator` builds them all from integer
 weights over one denominator.  Entries, rows, columns, iteration and ``matvec`` are
@@ -236,10 +238,13 @@ class Matrix:
             return Matrix._of(
                 (_row({j: p * x for j, x in n.items()}, d * q) for n, d in self._rows), self.cols
             )
-        if self.cols != other.rows:
-            shapes = (self.rows, self.cols, other.rows, other.cols)
-            raise ValueError("cannot multiply %dx%d by %dx%d" % shapes)
-        return Matrix._of(_product_rows(self, other), other.cols)
+        _check_multipliable(self, other)
+        # other's rows over one common denominator, so each output row sums ints
+        brows, common = other.cleared()
+        return Matrix._of(
+            (_row({j: x for j, x in _accumulate({}, n, brows, 1).items() if x}, d * common) for n, d in self._rows),
+            other.cols,
+        )
 
     __rmul__ = __mul__
 
@@ -272,20 +277,43 @@ class Matrix:
         return solve_or_invert(self)
 
 
-def _product_rows(a: Matrix, b: Matrix):
-    """The rows of a . b one at a time, as lowest-terms integer rows.
+def _check_multipliable(a: Matrix, b: Matrix) -> None:
+    if a.cols != b.rows:
+        raise ValueError("cannot multiply %dx%d by %dx%d" % (a.rows, a.cols, b.rows, b.cols))
 
-    Shapes are the caller's to check.  A caller that only compares two
-    products can stop at the first differing row and never holds either.
+
+def _accumulate(acc: dict[int, int], nums: dict[int, int], rows: list[dict[int, int]], f: int) -> dict[int, int]:
+    """acc plus f times the integer row nums . rows, with cancelled entries kept as 0."""
+    for k, x in nums.items():
+        x *= f
+        for j, y in rows[k].items():
+            acc[j] = acc.get(j, 0) + x * y
+    return acc
+
+
+def products_equal(a: Matrix, b: Matrix, c: Matrix, d: Matrix) -> bool:
+    """a . b == c . d, decided one output row at a time; neither product is held.
+
+    Row i of a . b is X / (aden_i D_b) and row i of c . d is Y / (cden_i D_d),
+    D_b and D_d the common denominators of b and d.  All are positive, so
+    the rows agree exactly when X s - Y t = 0 for s = cden_i D_d / g and
+    t = aden_i D_b / g, g = gcd(D_b, D_d): no row is put in lowest terms,
+    and the first nonzero row ends the check.  Non-multipliable operands
+    raise ValueError as ``*`` does; products of different shapes are unequal.
     """
-    # b's rows over one common denominator, so each output row sums ints
-    brows, common = b.cleared()
-    for anums, aden in a._rows:
-        acc = {}
-        for k, x in anums.items():
-            for j, y in brows[k].items():
-                acc[j] = acc.get(j, 0) + x * y
-        yield _row({j: x for j, x in acc.items() if x}, aden * common)
+    _check_multipliable(a, b)
+    _check_multipliable(c, d)
+    if a.rows != c.rows or b.cols != d.cols:
+        return False
+    brows, db = b.cleared()
+    drows, dd = d.cleared()
+    g = gcd(db, dd)
+    db, dd = db // g, dd // g
+    for (anums, aden), (cnums, cden) in zip(a._rows, c._rows):
+        acc = _accumulate({}, anums, brows, cden * dd)
+        if any(_accumulate(acc, cnums, drows, -aden * db).values()):
+            return False
+    return True
 
 
 def induced_operator(keys, index, moves, den: int) -> Matrix:

@@ -24,7 +24,7 @@ from . import betti, formal_corr, kuga_satake, sympow
 from .clifford import CliffordAlgebra, _mul_block
 from .errors import CapExceeded, NotApplicable, UsageError, WorkbenchError
 from .hodge import HKStructure, h2_spectrum, rotation_generator
-from .linalg import Matrix, same_span
+from .linalg import Matrix, products_equal, same_span
 from .qspace import QuadraticSpace, same_square_class
 from .randgen import (
     random_congruence_scramble,
@@ -163,9 +163,37 @@ _RANGE_KEYS = (
     ("betti", "b2_range", 3),
 )
 
+#: size and count keys (each entry, for a list) and the least value each family can run
+_LEAST = (
+    ("linalg", "trials", 0),
+    ("linalg", "max_size", 1),
+    ("qspace", "scrambles", 0),
+    ("clifford", "element_h", 1),
+    ("clifford", "pair_trials", 0),
+    ("clifford", "triple_trials", 0),
+    ("ks", "instances_per_h", 0),
+    ("ks", "commutator_samples", 0),
+    ("weil", "conjugations", 0),
+    ("corr", "b3", 2),
+    ("corr", "n", 2),
+)
+
+#: [h, k] pair-list keys, the least h and k, and whether k must be odd
+_PAIR_KEYS = (
+    ("sympow", "decompose", 1, 0, False),
+    ("sympow", "level", 2, 1, True),
+    ("sympow", "isotropic", 1, 0, False),
+    ("sympow", "block_level", 2, 0, False),
+)
+
+
+def _at_least(path: str, value: int, least: int, what: str = "value") -> None:
+    if value < least:
+        raise UsageError("suite config %s: %s must be at least %d, got %d" % (path, what, least, value))
+
 
 def _validate_ranges(cfg: dict) -> None:
-    """UsageError unless every range key is [lo, hi] with lo in its family's domain.
+    """UsageError unless every range, size, count and [h, k] key is in its family's domain.
 
     lo > hi is allowed: it is the empty range, and the family reports vacuous.
     """
@@ -174,10 +202,26 @@ def _validate_ranges(cfg: dict) -> None:
         path = "%s.%s" % (family, key)
         if len(value) != 2:
             raise UsageError("suite config %s: expected [lo, hi], got %s" % (path, json.dumps(value)))
-        if value[0] < least:
-            raise UsageError(
-                "suite config %s: lo must be at least %d, got %d" % (path, least, value[0])
-            )
+        _at_least(path, value[0], least, "lo")
+    for family, key, least in _LEAST:
+        value = cfg[family][key]
+        path = "%s.%s" % (family, key)
+        if isinstance(value, list):
+            for i, x in enumerate(value):
+                _at_least("%s[%d]" % (path, i), x, least)
+        else:
+            _at_least(path, value, least)
+    for family, key, least_h, least_k, odd in _PAIR_KEYS:
+        for i, pair in enumerate(cfg[family][key]):
+            path = "%s.%s[%d]" % (family, key, i)
+            if len(pair) != 2:
+                raise UsageError("suite config %s: expected [h, k], got %s" % (path, json.dumps(pair)))
+            _at_least(path, pair[0], least_h, "h")
+            _at_least(path, pair[1], least_k, "k")
+            if odd and not pair[1] % 2:
+                raise UsageError("suite config %s: k must be odd, got %d" % (path, pair[1]))
+    if cfg["corr"]["sign_rule"] not in (formal_corr.SIGN_KOSZUL, formal_corr.SIGN_BROKEN):
+        raise UsageError("suite config corr.sign_rule: unknown sign rule %s" % json.dumps(cfg["corr"]["sign_rule"]))
 
 
 def load_config(overrides: dict | None = None) -> dict:
@@ -363,7 +407,7 @@ def _ks_checks(cfg, rng) -> list[dict]:
         ok["ks.odd_even_iso"] &= inverse_ok
         if h <= 6:
             j_odd = _mul_block(ks.e, "left", "odd")
-            ok["ks.odd_even_iso"] &= j_odd * riso == riso * ks.j_even
+            ok["ks.odd_even_iso"] &= products_equal(j_odd, riso, riso, ks.j_even)
     if unbuilt and not count:
         return [_result(name, *unbuilt) for name in _KS_CHECKS]
     checks = _family({name: (ok[name], d.format(count=count)) for name, d in _KS_CHECKS.items()}, count)

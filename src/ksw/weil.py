@@ -49,6 +49,7 @@ from .clifford import reorder_parity
 from .linalg import (
     Matrix,
     induced_operator,
+    products_equal,
     rank_and_kernel,
     reduced_echelon_basis,
 )
@@ -93,7 +94,7 @@ def check_quadratic_endo(j: Matrix, phi: Matrix) -> QuadraticEndo:
     d = -scalar
     if d <= 0:
         raise NotQuadratic("phi^2 = %s.I; need a negative scalar" % scalar)
-    if phi * j != j * phi:
+    if not products_equal(phi, j, j, phi):
         raise NotCommutingWithJ("phi does not commute with J")
     return QuadraticEndo(phi=phi, j=j, d=d)
 

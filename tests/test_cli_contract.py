@@ -35,6 +35,22 @@ TINY_SUITE = {
     "corr": {"b3": 2, "n": [2], "negative_control": False},
 }
 RANGE_KEYS = [("qspace", "h_range", 1), ("clifford", "h_range", 1), ("ks", "h_range", 2), ("betti", "b2_range", 3)]
+#: size and count keys (each entry of corr.n) and the least value the suite runs
+LEAST_KEYS = [
+    ("linalg", "trials", 0),
+    ("linalg", "max_size", 1),
+    ("qspace", "scrambles", 0),
+    ("clifford", "element_h", 1),
+    ("clifford", "pair_trials", 0),
+    ("clifford", "triple_trials", 0),
+    ("ks", "instances_per_h", 0),
+    ("ks", "commutator_samples", 0),
+    ("weil", "conjugations", 0),
+    ("corr", "b3", 2),
+    ("corr", "n", 2),
+]
+#: sympow [h, k] pair-list keys: the least h, the least k, and whether k must be odd
+PAIR_KEYS = [("decompose", 1, 0, False), ("level", 2, 1, True), ("isotropic", 1, 0, False), ("block_level", 2, 0, False)]
 
 #: format -> (valid payload, the commands reading it from "@", with every other file valid)
 FORMATS = {
@@ -166,7 +182,7 @@ def broken_payloads(draw):
                 "weight1": ["rational", "missing", "ragged", "dim"],
                 "phi": ["rational", "ragged"],
                 "catalog": ["entry", "missing"],
-                "config": ["wrong_type", "unknown_key", "range"],
+                "config": ["wrong_type", "unknown_key", "range", "shape"],
             }[fmt]
         )
     )
@@ -209,6 +225,8 @@ def broken_payloads(draw):
         known = set(TINY_SUITE) | {"seed", "cap_h"} if section is None else set(TINY_SUITE[section])
         key = draw(st.text(min_size=1, max_size=6).filter(lambda k: k not in known))
         return argv, _replace(payload, (key,) if section is None else (section, key), draw(json_values))
+    if kind == "shape":
+        return argv, draw(misshapen_configs())[1]
     if kind == "range":
         family, key, least = draw(st.sampled_from(RANGE_KEYS))
         bad = st.tuples(st.integers(-(10**6), least - 1), st.integers(-5, 20)).map(list) | st.lists(
@@ -219,6 +237,29 @@ def broken_payloads(draw):
     path = draw(st.sampled_from([("seed",), ("cap_h",)] + [(s, k) for s in TINY_SUITE for k in TINY_SUITE[s]]))
     default = 0 if len(path) == 1 else TINY_SUITE[path[0]][path[1]]
     return argv, _replace(payload, path, draw((json_values | deep).filter(lambda v: type(v) is not type(default))))
+
+
+@st.composite
+def misshapen_configs(draw):
+    """(the key, a TINY_SUITE copy) with one well-typed value outside its key's domain."""
+    if draw(st.booleans()):
+        section, key, least = draw(st.sampled_from(LEAST_KEYS))
+        bad = st.integers(-(10**6), least - 1)
+        value = draw(st.lists(bad, min_size=1, max_size=2) if key == "n" else bad)
+        return "%s.%s" % (section, key), _replace(TINY_SUITE, (section, key), value)
+    if draw(st.booleans()):
+        rule = draw(st.text(max_size=6).filter(lambda r: r not in ("koszul", "broken")))
+        return "corr.sign_rule", _replace(TINY_SUITE, ("corr", "sign_rule"), rule)
+    key, least_h, least_k, odd = draw(st.sampled_from(PAIR_KEYS))
+    h, k = st.integers(least_h, least_h + 2), st.integers(least_k, least_k + 2)
+    bad = (
+        st.lists(st.integers(0, 5), max_size=4).filter(lambda p: len(p) != 2)
+        | st.tuples(st.integers(-(10**6), least_h - 1), k).map(list)
+        | st.tuples(h, st.integers(-(10**6), least_k - 1)).map(list)
+    )
+    if odd:
+        bad |= st.tuples(h, k.map(lambda x: 2 * x)).map(list)
+    return "sympow.%s" % key, _replace(TINY_SUITE, ("sympow", key), [draw(bad)])
 
 
 def _assert_usage_error(code, err) -> None:
@@ -239,6 +280,17 @@ AUDIT = ["betti", "audit", "--catalog", "@"]
 def test_malformed_payloads_exit_2_with_one_line(workdir, case):
     argv, payload = case
     _assert_usage_error(*_run(workdir, argv, payload))
+
+
+@settings(max_examples=40)
+@given(case=misshapen_configs())
+@example(case=("sympow.decompose", {"sympow": {"decompose": [[3]]}}))
+@example(case=("linalg.max_size", {"linalg": {"max_size": 0}}))
+def test_misshapen_suite_configs_name_the_key(workdir, case):
+    key, payload = case
+    code, err = _run(workdir, ["suite", "--config", "@"], payload)
+    _assert_usage_error(code, err)
+    assert key in err, err
 
 
 # -- out-of-range arguments -------------------------------------------------------
@@ -405,6 +457,18 @@ catalog_entries = st.fixed_dictionaries(
 
 
 @st.composite
+def valid_suite_configs(draw):
+    """TINY_SUITE with one size, count or [h, k] key drawn at or just above its domain's least value."""
+    if draw(st.booleans()):
+        section, key, least = draw(st.sampled_from(LEAST_KEYS))
+        value = draw(st.integers(least, least + 1))
+        return _replace(TINY_SUITE, (section, key), [value] if key == "n" else value)
+    key, least_h, least_k, odd = draw(st.sampled_from(PAIR_KEYS))
+    k = draw(st.integers(least_k, least_k + 2))
+    return _replace(TINY_SUITE, ("sympow", key), [[draw(st.integers(least_h, least_h + 1)), k | 1 if odd else k]])
+
+
+@st.composite
 def valid_invocations(draw):
     """(argv, {file name: payload}) of one small valid call of some subcommand."""
     commands = ["qform", "ks build", "ks verify", "sym", "weil", "audit", "bound", "corr", "suite"]
@@ -434,7 +498,7 @@ def valid_invocations(draw):
     if command == "corr":
         args = ["--b3", str(draw(st.integers(2, 8))), "--n", str(draw(st.integers(2, 3)))]
         return ["corr", "verify"] + args + draw(st.sampled_from([[], ["--broken-sign"]])), {}
-    return ["suite", "--config", "a", "--seed", str(draw(st.integers(0, 10**6)))], {"a": TINY_SUITE}
+    return ["suite", "--config", "a", "--seed", str(draw(st.integers(0, 10**6)))], {"a": draw(valid_suite_configs())}
 
 
 @settings(max_examples=40)

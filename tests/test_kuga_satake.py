@@ -1,15 +1,18 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
 from ksw import kuga_satake as ks_mod
+from ksw import suite
 from ksw.clifford import CliffordAlgebra, left_mul_operator
-from ksw.errors import CapExceeded, CommutatorViolation, NullReference
+from ksw.errors import CapExceeded, CommutatorViolation, NotCommutingWithJ, NullReference
 from ksw.hodge import HKStructure
 from ksw.linalg import Matrix
 from ksw.qspace import QuadraticSpace
-from ksw.randgen import random_hk
+from ksw.randgen import random_hk, random_unimodular
+from ksw.weil import check_quadratic_endo
 
 from oracles import right_mul_commutes_reference
 
@@ -237,6 +240,39 @@ def test_odd_even_iso_intertwines_j():
 
         j_odd = _mul_block(ks.e, "left", "odd")
         assert j_odd * r == r * ks.j_even
+
+
+def _perturbed(ks):
+    """ks with 1 added to the (0, 0) entry of J: J stays square, no longer L_e on C+."""
+    n = ks.j_even.rows
+    return dataclasses.replace(ks, j_even=ks.j_even + Matrix.diagonal([1] + [0] * (n - 1)))
+
+
+@pytest.mark.parametrize("h", [3, 4, 5, 6])
+def test_operator_identity_checks_reject_a_perturbed_j(h, monkeypatch):
+    rng = random.Random(60 + h)
+    ks = ks_mod.build(random_hk(rng, h))
+    v0 = ks_mod.default_v0(ks)
+    bad = _perturbed(ks)
+    assert ks_mod.embedding_sign_laws(ks, v0, matrix_level=True)
+    assert not ks_mod.embedding_sign_laws(bad, v0, matrix_level=True)
+
+    cfg = suite.load_config({"ks": {"h_range": [h, h], "instances_per_h": 1, "commutator_samples": 0}})
+
+    def odd_even_iso():
+        return {c["name"]: c["status"] for c in suite._ks_checks(cfg, random.Random(h))}["ks.odd_even_iso"]
+
+    assert odd_even_iso() == "pass"
+    build = ks_mod.build
+    monkeypatch.setattr(ks_mod, "build", lambda hk, cap=None: _perturbed(build(hk, cap=cap)))
+    assert odd_even_iso() == "fail"
+
+    # a square root of -1 conjugate to J: phi^2 = -I, but phi J != J phi
+    g = random_unimodular(rng, ks.j_even.rows)
+    phi = g.inverse() * ks.j_even * g
+    assert phi * phi == -Matrix.identity(ks.j_even.rows) and phi * ks.j_even != ks.j_even * phi
+    with pytest.raises(NotCommutingWithJ):
+        check_quadratic_endo(ks.j_even, phi)
 
 
 def test_default_v0_outside_plane():

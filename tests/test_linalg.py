@@ -13,7 +13,9 @@ from ksw.linalg import (
     _numerators,
     _rank_mod_p,
     determinant,
+    hstack,
     primitive_integer_vector,
+    products_equal,
     rank_and_kernel,
     rank_at_least,
     reduced_echelon_basis,
@@ -321,6 +323,48 @@ def test_sparse_core_matches_dense_reference(drawn):
     k = len(diag)
     eye = Matrix([[1 if i == j else 0 for j in range(k)] for i in range(k)])
     assert Matrix.identity(k) == eye and hash(Matrix.identity(k)) == hash(eye)
+
+
+@st.composite
+def _sparse(draw, rows, cols):
+    """A rows x cols matrix whose rows are zero or mix denominators, by row."""
+    zero = [0] * cols
+    return Matrix([zero if draw(st.booleans()) else draw(_grid(1, cols))[0] for _ in range(rows)], cols)
+
+
+@st.composite
+def _chains(draw):
+    """a (r x k), m (k x j), n (j x c) and x (r x i), y (i x c): a . (m n) == (a m) . n."""
+    r, k, j, c, i = (draw(st.integers(0, 4)) for _ in range(5))
+    return tuple(draw(_sparse(*shape)) for shape in ((r, k), (k, j), (j, c), (r, i), (i, c)))
+
+
+@given(_chains(), st.data())
+def test_products_equal_decides_the_product_identity(chain, data):
+    a, m, n, x, y = chain
+    b = m * n
+    assert products_equal(a, b, a * m, n)
+    assert products_equal(a, b, x, y) == (a * b == x * y)
+    # negative control: the product with one entry moved is never equal
+    ab = a * b
+    if ab.rows and ab.cols:
+        i = data.draw(st.integers(0, ab.rows - 1))
+        j = data.draw(st.integers(0, ab.cols - 1))
+        delta = data.draw(st.fractions(min_value=-9, max_value=9, max_denominator=4).filter(bool))
+        bump = Matrix([[delta if (p, q) == (i, j) else 0 for q in range(ab.cols)] for p in range(ab.rows)])
+        assert not products_equal(a, b, ab + bump, Matrix.identity(ab.cols))
+        assert not products_equal(Matrix.identity(ab.rows), ab + bump, a, b)
+    # non-multipliable operands raise, as * does
+    wrong = Matrix.zeros(b.rows + 1, b.cols)
+    with pytest.raises(ValueError):
+        products_equal(a, wrong, a, b)
+    with pytest.raises(ValueError):
+        products_equal(a, b, a, wrong)
+    # a product with one more zero row or column is a different shape, though its other rows agree
+    taller = Matrix(list(a) + [[0] * a.cols], a.cols)
+    assert not products_equal(a, b, taller, b) and not products_equal(taller, b, a, b)
+    wider = hstack(b, Matrix.zeros(b.rows, 1))
+    assert not products_equal(a, b, a, wider) and not products_equal(a, wider, a, b)
 
 
 def _eager_bareiss(rows, ncols):
