@@ -161,16 +161,3 @@ def entry_from_dict(data: dict) -> CatalogEntry:
         b_odd_first_nonzero=tuple(first) if first else None,
         h_2n_minus_3_vanishes=data.get("h_2n_minus_3_vanishes"),
     )
-
-
-def entry_to_dict(entry: CatalogEntry) -> dict:
-    return {
-        "name": entry.name,
-        "dim2n": entry.dim2n,
-        "b2": entry.b2,
-        "b3": entry.b3,
-        "b_odd_first_nonzero": list(entry.b_odd_first_nonzero)
-        if entry.b_odd_first_nonzero
-        else None,
-        "h_2n_minus_3_vanishes": entry.h_2n_minus_3_vanishes,
-    }

@@ -174,10 +174,6 @@ class CliffordAlgebra:
     def blade(self, mask: int, coef=1) -> "CliffordElement":
         return self.element({mask: coef})
 
-    def basis_vector(self, i: int) -> "CliffordElement":
-        """Grade-1 element for the i-th *diagonal* basis vector (0-based)."""
-        return self.blade(1 << i)
-
     def vector_diag(self, coords) -> "CliffordElement":
         coords = vector(coords)
         if len(coords) != self.h:

@@ -75,14 +75,6 @@ class GradedAlgebra:
             raise IndexOutOfRange("generator mask out of range")
         return self.element({(fmask, emask, qpow): frac(coef)})
 
-    def f_generator(self, i: int) -> "GradedElement":
-        self._check_index(i)
-        return self.term(1 << (i - 1), 0, 0)
-
-    def e_generator(self, i: int) -> "GradedElement":
-        self._check_index(i)
-        return self.term(0, 1 << (i - 1), 0)
-
     def q_generator(self) -> "GradedElement":
         return self.term(0, 0, 1)
 

@@ -95,7 +95,7 @@ def rotation_generator(hk: HKStructure) -> Matrix:
     """
     a, b = hk.period.alpha, hk.period.beta
     # b (G a)^t - a (G b)^t = [b | a] . diag(1, -1) . [G a | G b]^t, G symmetric
-    return Matrix.from_columns([b, a]) * Matrix.diagonal([1, -1]) * (Matrix([a, b]) * hk.space.gram)
+    return Matrix([b, a]).transpose() * Matrix.diagonal([1, -1]) * (Matrix([a, b]) * hk.space.gram)
 
 
 @dataclass
@@ -173,7 +173,3 @@ class Weight1Structure:
             raise ValueError("J^2 != -identity")
         self.dim = dim
         self.j = j
-
-    @property
-    def complex_dim(self) -> int:
-        return self.dim // 2

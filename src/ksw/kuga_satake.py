@@ -35,7 +35,7 @@ from .clifford import (
     left_mul_operator,
 )
 from .errors import CommutatorViolation, NullReference
-from .hodge import HKStructure, Weight1Structure
+from .hodge import HKStructure
 from .linalg import Matrix, products_equal, rank_and_kernel, rank_at_least, vector
 from .qspace import QuadraticSpace
 
@@ -84,11 +84,6 @@ def build(hk: HKStructure, cap: int | None = None) -> KSStructure:
         j_even=j_even,
         torus_complex_dim=1 << (hk.space.h - 2),
     )
-
-
-def weight1_structure(ks: KSStructure) -> Weight1Structure:
-    """The weight-1 structure on C+: dimension 2^(h-1), J = L_e."""
-    return Weight1Structure(1 << (ks.space.h - 1), ks.j_even)
 
 
 def verify_e_square(ks: KSStructure) -> bool:
@@ -235,22 +230,8 @@ def endomorphism_embedding(ks: KSStructure, v, v0) -> Matrix:
     return _mul_block(alg.vector(vector(v)), "left", "odd") * right
 
 
-def embedding_matrix_stack(ks: KSStructure, v0) -> Matrix:
-    """Rows = vectorized E_{b_i} over the original basis b_i; rank h expected."""
-    h = ks.space.h
-    rows = []
-    for i in range(h):
-        basis_vec = tuple(_ONE if j == i else 0 for j in range(h))
-        em = endomorphism_embedding(ks, basis_vec, v0)
-        rows.append([x for row in em for x in row])
-    return Matrix(rows)
-
-
 def embedding_unit_block(ks: KSStructure, v0) -> Matrix:
-    """Rows = E_{b_i}(1) = b_i . v0 over the even blades, h x 2^(h-1).
-
-    These are the unit-blade columns of ``embedding_matrix_stack``.
-    """
+    """Rows = E_{b_i}(1) = b_i . v0 over the even blades, h x 2^(h-1)."""
     alg = ks.algebra
     ev0 = alg.vector(_non_null(ks, v0))
     h = ks.space.h
@@ -261,17 +242,13 @@ def embedding_unit_block(ks: KSStructure, v0) -> Matrix:
     return Matrix._of(rows, len(alg.even_masks))
 
 
-def embedding_rank(ks: KSStructure, v0) -> int:
-    return embedding_matrix_stack(ks, v0).rank()
-
-
 def embedding_has_full_rank(ks: KSStructure, v0) -> bool:
     """rank of v -> E_v equals h, via the sound modular certificate.
 
-    The unit-blade block is a column subset of the full stack, so rank h
-    there proves rank h for the stack.  Right multiplication by a non-null
-    v0 is injective, so the block always has rank h and the h x 4^(h-1)
-    stack is never needed here; ``embedding_rank`` still builds it.
+    The rows E_{b_i}(1) of the unit-blade block are the unit-blade columns
+    of the h x 4^(h-1) stack of vectorized E_{b_i}, so rank h there proves
+    rank h for the stack, which is never built.  Right multiplication by a
+    non-null v0 is injective, so the block always has rank h.
     """
     return rank_at_least(embedding_unit_block(ks, v0), ks.space.h)
 
@@ -316,8 +293,5 @@ def odd_even_isomorphism(ks: KSStructure, v0) -> Matrix:
 
 
 def odd_even_inverse(ks: KSStructure, v0) -> Matrix:
-    v0 = vector(v0)
-    norm = ks.space.quadratic(v0)
-    if not norm:
-        raise NullReference("(v0, v0) = 0")
-    return _mul_block(ks.algebra.vector(v0) / norm, "right", "odd")
+    v0 = _non_null(ks, v0)
+    return _mul_block(ks.algebra.vector(v0) / ks.space.quadratic(v0), "right", "odd")

@@ -30,7 +30,7 @@ suite's oracles.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, lcm
 
 from .errors import Singular
 
@@ -111,7 +111,8 @@ class Matrix:
     column index to a nonzero int numerator, positive int denominator) in
     lowest terms; ``m[i, j]``, ``m.row(i)``, ``m.column(j)`` and iteration
     build dense `Fraction` views on demand.  All operations return new
-    matrices.
+    matrices.  ``Matrix(rows)`` builds one from dense entries, ``_of`` from
+    integer rows; vectors as columns are ``Matrix(vectors, n).transpose()``.
     """
 
     __slots__ = ("_rows", "rows", "cols")
@@ -154,18 +155,6 @@ class Matrix:
     def diagonal(cls, values) -> "Matrix":
         vals = list(values)
         return cls._of((_int_row(((i, v),)) for i, v in enumerate(vals)), len(vals))
-
-    @classmethod
-    def from_columns(cls, columns, rows: int | None = None) -> "Matrix":
-        """Matrix with the given dense columns; ``rows`` is read only when there are no columns."""
-        cols = [tuple(c) for c in columns]
-        if any(len(c) != len(cols[0]) for c in cols):
-            raise ValueError("ragged columns")
-        if cols:
-            return cls(zip(*cols), len(cols))
-        if rows is None:
-            raise ValueError("a matrix with no columns needs an explicit row count")
-        return cls.zeros(rows, 0)
 
     # -- access ---------------------------------------------------------------
 
@@ -271,7 +260,7 @@ class Matrix:
     # -- derived --------------------------------------------------------------
 
     def rank(self) -> int:
-        return len(_bareiss_echelon(_numerators(self), self.cols)[0])
+        return len(_bareiss_echelon(_numerators(self), self.cols))
 
     def inverse(self) -> "Matrix":
         return solve_or_invert(self)
@@ -366,11 +355,6 @@ def _dense(vec: tuple[dict[int, int], int], n: int) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-def primitive_integer_vector(v) -> tuple[int, ...]:
-    """Clear denominators, remove content, make the first nonzero entry positive."""
-    return _primitive(_int_row(enumerate(v))[0], len(v))
-
-
 def _primitive(ints: dict[int, int], n: int) -> tuple[int, ...]:
     """Dense length-n primitive form of a sparse integer vector."""
     g = gcd(*ints.values())
@@ -389,8 +373,8 @@ def _numerators(m: Matrix) -> list[dict[int, int]]:
     return [nums for nums, _ in m._rows]
 
 
-def _bareiss_echelon(rows: list[dict[int, int]], ncols: int) -> tuple[list[int], int]:
-    """Fraction-free row echelon of sparse rows; returns (pivot columns, row swaps).
+def _bareiss_echelon(rows: list[dict[int, int]], ncols: int) -> list[int]:
+    """Fraction-free row echelon of sparse rows; returns the pivot columns.
 
     The list is reordered and its entries replaced; no row dict is mutated,
     so the rows may be a matrix's stored numerators.
@@ -404,7 +388,6 @@ def _bareiss_echelon(rows: list[dict[int, int]], ncols: int) -> tuple[list[int],
     integers of the eager elimination.
     """
     pivots = []
-    swaps = 0
     prev = 1
     base = [1] * len(rows)
     for c in range(ncols):
@@ -418,7 +401,6 @@ def _bareiss_echelon(rows: list[dict[int, int]], ncols: int) -> tuple[list[int],
         if k != r:
             rows[k], rows[r] = rows[r], rows[k]
             base[k], base[r] = base[r], base[k]
-            swaps += 1
         rr = rows[r]
         if base[r] != prev:
             rr = rows[r] = {j: x * prev // base[r] for j, x in rr.items()}
@@ -434,7 +416,7 @@ def _bareiss_echelon(rows: list[dict[int, int]], ncols: int) -> tuple[list[int],
             base[i] = piv
         prev = piv
         pivots.append(c)
-    return pivots, swaps
+    return pivots
 
 
 def _back_substitute(rows: list[dict[int, int]], pivots: list[int], ncols: int):
@@ -466,7 +448,7 @@ def rank_and_kernel(m: Matrix) -> tuple[int, list[tuple[int, ...]]]:
     rank + len(kernel) == cols; every kernel vector maps to zero exactly.
     """
     rows = _numerators(m)
-    pivots, _ = _bareiss_echelon(rows, m.cols)
+    pivots = _bareiss_echelon(rows, m.cols)
     _, y = _back_substitute(rows, pivots, m.cols)
     pivot_set = set(pivots)
     vectors = {f: {} for f in range(m.cols) if f not in pivot_set}
@@ -528,24 +510,12 @@ def solve_or_invert(m: Matrix) -> Matrix:
         raise Singular("inverse of a %dx%d matrix" % (m.rows, m.cols))
     n = m.rows
     rows = _numerators(hstack(m, -Matrix.identity(n)))
-    pivots, _ = _bareiss_echelon(rows, 2 * n)
+    pivots = _bareiss_echelon(rows, 2 * n)
     if any(p >= n for p in pivots):
         raise Singular("matrix is singular (rank < %d)" % n)
     d, y = _back_substitute(rows, pivots, 2 * n)
     sign = 1 if d > 0 else -1
     return Matrix._of((_row({f - n: sign * v for f, v in y[j].items()}, abs(d)) for j in range(n)), n)
-
-
-def determinant(m: Matrix) -> Fraction:
-    """Exact determinant: +-(last Bareiss pivot) / (product of the row denominators)."""
-    if m.rows != m.cols:
-        raise ValueError("determinant of a non-square matrix")
-    rows = _numerators(m)
-    pivots, swaps = _bareiss_echelon(rows, m.cols)
-    if len(pivots) < m.rows:
-        return _ZERO
-    last = rows[-1][pivots[-1]] if pivots else 1
-    return Fraction(-last if swaps & 1 else last, prod(d for _, d in m._rows))
 
 
 def _rank_mod_p(m: Matrix, p: int) -> int | None:

@@ -86,18 +86,6 @@ def clifford_element_to_json(x: CliffordElement) -> dict:
     return {"terms": terms}
 
 
-def clifford_element_from_json(algebra, data) -> CliffordElement:
-    if not isinstance(data, dict) or "terms" not in data:
-        raise UsageError('clifford element payload needs "terms"')
-    terms = {}
-    for item in data["terms"]:
-        mask = 0
-        for i in item["mask"]:
-            mask |= 1 << (int(i) - 1)
-        terms[mask] = terms.get(mask, 0) + parse_rational(item["coef"])
-    return algebra.element(terms)
-
-
 def weight1_from_json(data) -> Weight1Structure:
     if not isinstance(data, dict) or "J" not in data:
         raise UsageError('weight1 payload needs "J" (and optionally "dim")')

@@ -222,6 +222,8 @@ def _validate_ranges(cfg: dict) -> None:
                 raise UsageError("suite config %s: k must be odd, got %d" % (path, pair[1]))
     if cfg["corr"]["sign_rule"] not in (formal_corr.SIGN_KOSZUL, formal_corr.SIGN_BROKEN):
         raise UsageError("suite config corr.sign_rule: unknown sign rule %s" % json.dumps(cfg["corr"]["sign_rule"]))
+    if cfg["betti"]["catalog"] != "default":
+        raise UsageError("suite config betti.catalog: only \"default\" ships, got %s" % json.dumps(cfg["betti"]["catalog"]))
 
 
 def load_config(overrides: dict | None = None) -> dict:

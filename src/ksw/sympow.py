@@ -40,7 +40,6 @@ from .hodge import HKStructure, rotation_generator
 from .linalg import (
     CERTIFICATE_PRIME,
     Matrix,
-    _dense,
     _int_row,
     _rank_mod_p,
     _row,
@@ -152,11 +151,6 @@ def _differential_operator(terms, basis, index, den: int) -> Matrix:
     return induced_operator(basis, index, moves, den)
 
 
-def power_vector(sym: SymTensorSpace, v) -> tuple[Fraction, ...]:
-    """Coordinates of (sum v_i y_i)^k in the monomial basis."""
-    return _dense(_power_row(sym, v), sym.dim)
-
-
 def _power_row(sym: SymTensorSpace, v) -> tuple[dict[int, int], int]:
     """(sum v_i y_i)^k as an integer row.
 
@@ -253,7 +247,7 @@ def _blocks(space: QuadraticSpace, k: int):
     for l in range(k // 2 + 1):
         kh = k - 2 * l
         vecs = _harmonic_basis(syms[kh])
-        lift = Matrix.from_columns(vecs, syms[kh].dim)
+        lift = Matrix(vecs, syms[kh].dim).transpose()
         for j in range(kh + 2, k + 1, 2):
             lift = syms[j].q_mult * lift
         blocks.append((l, vecs, lift))
@@ -431,7 +425,7 @@ def level_two_part(hk: HKStructure, k: int):
             "Casimir eigenspace has dimension %d, expected h = %d" % (len(kernel), h)
         )
     d_a = sym_derivation(sym, rotation_generator(hk))
-    cols = Matrix.from_columns(kernel, sym.dim)
+    cols = Matrix(kernel, sym.dim).transpose()
     if not _level_factor(d_a, norm, 2, _level_factor(d_a, norm, 0, cols)).is_zero():
         raise LevelMismatch("kernel vector carries a type with |p-q| > 2")
     if image is None:

@@ -183,7 +183,7 @@ def weil_class_space(endo: QuadraticEndo) -> list[tuple[int, ...]]:
     d, d_phi = endo.d, derivation_wedge4(endo.phi)
     pair = _eigenvector_wedge(endo) if d > 0 and endo.phi * endo.phi == -d * Matrix.identity(8) else None
     basis = pair and reduced_echelon_basis(pair)
-    cols = basis and Matrix.from_columns(basis)
+    cols = basis and Matrix(basis).transpose()
     if basis and d_phi * (d_phi * cols) == (-16 * d) * cols:
         return basis
     _, kernel = rank_and_kernel(d_phi * d_phi + (16 * d) * Matrix.identity(d_phi.rows))
@@ -271,7 +271,7 @@ def certify_22(classes, j: Matrix) -> bool:
     d_j = derivation_wedge4(j)
     if any(len(v) != d_j.cols for v in classes):
         raise ValueError("class vectors must have length %d" % d_j.cols)
-    return (d_j * Matrix.from_columns(classes, d_j.cols)).is_zero()
+    return (d_j * Matrix(classes, d_j.cols).transpose()).is_zero()
 
 
 def hodge_class_dimension(dim: int, j: Matrix) -> int:

@@ -162,7 +162,7 @@ def diagonalize_reference(gram, repairs=None):
         for j in range(i + 1, n):
             if g[i][j]:
                 add_basis(j, i, -g[i][j] / piv)
-    return Matrix.from_columns(basis), tuple(g[i][i] for i in range(n))
+    return Matrix(basis, n).transpose(), tuple(g[i][i] for i in range(n))
 
 
 def right_mul_commutes_reference(ks, samples, rng):
@@ -179,3 +179,21 @@ def right_mul_commutes_reference(ks, samples, rng):
         c = _random_element(alg, rng)
         out.append((c, all(e * (alg.blade(m) * c) == (e * alg.blade(m)) * c for m in range(alg.dim))))
     return out
+
+
+def embedding_matrix_stack(ks, v0):
+    """Rows = vectorized E_{b_i} over the original basis b_i, h x 4^(h-1); rank h expected."""
+    from ksw.kuga_satake import endomorphism_embedding
+    from ksw.linalg import Matrix
+
+    h = ks.space.h
+    rows = []
+    for i in range(h):
+        em = endomorphism_embedding(ks, tuple(Fraction(1) if j == i else 0 for j in range(h)), v0)
+        rows.append([x for row in em for x in row])
+    return Matrix(rows)
+
+
+def embedding_rank(ks, v0):
+    """Exact rank of the full stack: the reference for `embedding_has_full_rank`."""
+    return embedding_matrix_stack(ks, v0).rank()

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from ksw.betti import (
@@ -12,7 +14,6 @@ from ksw.betti import (
     bound_exponent,
     default_catalog,
     entry_from_dict,
-    entry_to_dict,
     ks_factor_dims,
 )
 from ksw.errors import MissingHypothesisData, TooSmall
@@ -118,7 +119,7 @@ def test_default_catalog_audits_tight():
 
 def test_entry_dict_roundtrip():
     for entry in default_catalog():
-        assert entry_from_dict(entry_to_dict(entry)) == entry
+        assert entry_from_dict(dataclasses.asdict(entry)) == entry
 
 
 def test_entry_validation():

@@ -51,6 +51,8 @@ LEAST_KEYS = [
 ]
 #: sympow [h, k] pair-list keys: the least h, the least k, and whether k must be odd
 PAIR_KEYS = [("decompose", 1, 0, False), ("level", 2, 1, True), ("isotropic", 1, 0, False), ("block_level", 2, 0, False)]
+#: string keys and the values the suite accepts
+CHOICE_KEYS = [("corr", "sign_rule", ("koszul", "broken")), ("betti", "catalog", ("default",))]
 
 #: format -> (valid payload, the commands reading it from "@", with every other file valid)
 FORMATS = {
@@ -248,8 +250,9 @@ def misshapen_configs(draw):
         value = draw(st.lists(bad, min_size=1, max_size=2) if key == "n" else bad)
         return "%s.%s" % (section, key), _replace(TINY_SUITE, (section, key), value)
     if draw(st.booleans()):
-        rule = draw(st.text(max_size=6).filter(lambda r: r not in ("koszul", "broken")))
-        return "corr.sign_rule", _replace(TINY_SUITE, ("corr", "sign_rule"), rule)
+        section, key, allowed = draw(st.sampled_from(CHOICE_KEYS))
+        value = draw(st.text(max_size=6).filter(lambda v: v not in allowed))
+        return "%s.%s" % (section, key), _replace(TINY_SUITE, (section, key), value)
     key, least_h, least_k, odd = draw(st.sampled_from(PAIR_KEYS))
     h, k = st.integers(least_h, least_h + 2), st.integers(least_k, least_k + 2)
     bad = (
@@ -286,6 +289,7 @@ def test_malformed_payloads_exit_2_with_one_line(workdir, case):
 @given(case=misshapen_configs())
 @example(case=("sympow.decompose", {"sympow": {"decompose": [[3]]}}))
 @example(case=("linalg.max_size", {"linalg": {"max_size": 0}}))
+@example(case=("betti.catalog", {"betti": {"catalog": "x"}}))
 def test_misshapen_suite_configs_name_the_key(workdir, case):
     key, payload = case
     code, err = _run(workdir, ["suite", "--config", "@"], payload)

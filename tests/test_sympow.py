@@ -8,7 +8,7 @@ import pytest
 from ksw.errors import CapExceeded, DecompositionFailure, LevelMismatch, NotApplicable
 from ksw.hodge import HKStructure
 from ksw import sympow as sympow_mod
-from ksw.linalg import Matrix, rank_and_kernel, same_span
+from ksw.linalg import Matrix, _dense, rank_and_kernel, same_span
 from ksw.qspace import QuadraticSpace
 from ksw.randgen import random_congruence_scramble, random_hk
 from ksw.sympow import (
@@ -20,7 +20,6 @@ from ksw.sympow import (
     harmonic_dim,
     isotropic_span_check,
     level_two_part,
-    power_vector,
     q_power_lift,
     sym_derivation,
     sym_dim,
@@ -58,7 +57,7 @@ def test_contraction_kills_isotropic_powers():
     # q(1,0,1) = 0 for diag(1, 1, -1): the cube of the vector is harmonic
     space = QuadraticSpace(Matrix.diagonal([1, 1, -1]))
     sym = build_sym(space, 3)
-    power = power_vector(sym, (1, 0, 1))
+    power = _power_vector(sym, (1, 0, 1))
     assert all(x == 0 for x in sym.contraction.matvec(power))
     assert any(power)
 
@@ -277,7 +276,7 @@ def _patched_lift(monkeypatch, columns):
 
     def lift(*args):
         m = real(*args)
-        return Matrix.from_columns(columns([m.column(j) for j in range(m.cols)]))
+        return Matrix(columns([m.column(j) for j in range(m.cols)]), m.rows).transpose()
 
     monkeypatch.setattr(sympow_mod, "q_power_lift", lift)
 
@@ -295,6 +294,16 @@ def test_level_two_part_rejects_an_image_off_the_kernel(monkeypatch):
     hk = random_hk(random.Random(71), 5)
     _patched_lift(monkeypatch, lambda cols: [Matrix.identity(len(cols[0])).column(j) for j in range(len(cols))])
     with pytest.raises(LevelMismatch, match="kernel and Q-power image of H\\^2 differ"):
+        level_two_part(hk, 3)
+
+
+def test_level_two_part_rejects_a_wrong_rotation_generator(monkeypatch):
+    # 2A in place of A: its derivation doubles every type eigenvalue, so the
+    # level <= 2 annihilator no longer kills the Casimir kernel
+    hk = random_hk(random.Random(71), 5)
+    real = sympow_mod.rotation_generator
+    monkeypatch.setattr(sympow_mod, "rotation_generator", lambda hk: 2 * real(hk))
+    with pytest.raises(LevelMismatch, match="kernel vector carries a type with \\|p-q\\| > 2"):
         level_two_part(hk, 3)
 
 
@@ -392,10 +401,15 @@ def _check_derivation_column_by_column(sym, a):
         assert sum(1 for x in col if x) == sum(1 for c in expected.values() if c)
 
 
+def _power_vector(sym, v):
+    """Coordinates of (sum v_i y_i)^k in the monomial basis."""
+    return _dense(sympow_mod._power_row(sym, v), sym.dim)
+
+
 def test_power_vector_multinomial():
     space = QuadraticSpace(Matrix.diagonal([1, 1]))
     sym = build_sym(space, 3)
-    v = power_vector(sym, (1, 2))
+    v = _power_vector(sym, (1, 2))
     # (y1 + 2 y2)^3 = y1^3 + 6 y1^2 y2 + 12 y1 y2^2 + 8 y2^3
     coeffs = {mu: c for mu, c in zip(sym.basis, v)}
     assert coeffs[(3, 0)] == 1
@@ -403,14 +417,14 @@ def test_power_vector_multinomial():
     assert coeffs[(1, 2)] == 12
     assert coeffs[(0, 3)] == 8
     # (y1/2 - 2 y2/3)^3 = y1^3/8 - y1^2 y2/2 + 2 y1 y2^2/3 - 8 y2^3/27
-    v = power_vector(sym, (Fraction(1, 2), Fraction(-2, 3)))
+    v = _power_vector(sym, (Fraction(1, 2), Fraction(-2, 3)))
     assert dict(zip(sym.basis, v)) == {
         (3, 0): Fraction(1, 8),
         (2, 1): Fraction(-1, 2),
         (1, 2): Fraction(2, 3),
         (0, 3): Fraction(-8, 27),
     }
-    assert power_vector(sym, (Fraction(3, 5), 0)) == (Fraction(27, 125), 0, 0, 0)
+    assert _power_vector(sym, (Fraction(3, 5), 0)) == (Fraction(27, 125), 0, 0, 0)
 
 
 def test_caps():

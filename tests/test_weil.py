@@ -322,6 +322,19 @@ def test_class_space_falls_back_when_phi_squared_is_not_minus_d(monkeypatch):
     assert calls == [70, 70]
 
 
+def test_a_wrong_eigenvector_wedge_falls_back_to_the_exact_kernel(monkeypatch):
+    # two independent standard basis vectors of the fourth exterior power
+    # are no class space: D_phi(D_phi X) = -16 d X fails on them, and the
+    # exact kernel decides
+    pair = ([1] + [0] * 69, [0, 1] + [0] * 68)
+    monkeypatch.setattr(weil_mod, "_eigenvector_wedge", lambda endo: pair)
+    j, phi = block_j(), block_phi()
+    g = random_unimodular(random.Random(57), 8)
+    ginv = g.inverse()
+    for endo in (check_quadratic_endo(j, phi), check_quadratic_endo(ginv * j * g, ginv * phi * g)):
+        assert weil_class_space(endo) == _exact_class_space(endo)
+
+
 def test_weil_class_space_dimension_precondition():
     j = Matrix([[0, -1], [1, 0]])
     with pytest.raises(ValueError):
@@ -414,7 +427,7 @@ def test_ks_invariant_subspace_is_weil():
             for mask, coef in product.terms.items():
                 col[index[mask]] = coef  # KeyError would mean not invariant
             cols.append(col)
-        return Matrix.from_columns(cols)
+        return Matrix(cols).transpose()
 
     j_r = restricted(lambda x: e * x)
     phi_r = restricted(lambda x: x * c45)
