@@ -450,7 +450,7 @@ def _decompose_laws(space: QuadraticSpace, k: int) -> tuple[bool, str]:
     """
     h = space.h
     dec = sympow.decompose(space, k)
-    dims_ok = all(len(vecs) == sympow.harmonic_dim(h, k - 2 * l) for l, vecs in dec.blocks)
+    dims_ok = all(d == sympow.harmonic_dim(h, k - 2 * l) for l, d in dec.block_dims)
     return (
         dims_ok and dec.total == sympow.sym_dim(h, k),
         "contraction surjective; block dims as computed; certificate %s" % dec.certificate,

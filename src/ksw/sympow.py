@@ -17,15 +17,18 @@ normalization of the contraction has the same kernel, and the kernel is
 what is normative.
 
 The blocks q_mult^l(Harm^(k-2l)) decompose Sym^k.  Each block basis is
-the columns of one matrix, lifted by one product per degree; the
-full-rank certificate for the blocks side by side is a maximal minor
-checked modulo a fixed 61-bit prime (nonzero residue certifies exact
-nonvanishing), with exact elimination as the fallback.  The same
-certificate, behind an exact product that bounds the rank from above,
-stands in for elimination where the answer is built: the level <= 2
-block as the Q-power image of H^2, and a full-rank stack of isotropic
-powers.  The Hodge-level annihilators act on a block basis the same way,
-one product per factor.
+the columns of one matrix, lifted by one product per degree.  The blocks
+side by side are certified nonsingular through the contraction: the
+harmonic block owns one row per column and the contraction kills it
+(one exact product), and the contraction of the other blocks, a
+dim Sym^(k-2) square, has a maximal minor nonzero modulo a fixed 61-bit
+prime (nonzero residue certifies exact nonvanishing).  If any of these
+fails, the same modular minor of the whole stack decides, with exact
+elimination as its fallback.  The modular certificate, behind an exact
+product that bounds the rank from above, also stands in for elimination
+where the answer is built: the level <= 2 block as the Q-power image of
+H^2, and a full-rank stack of isotropic powers.  The Hodge-level
+annihilators act on a block basis the same way, one product per factor.
 """
 
 from __future__ import annotations
@@ -193,20 +196,33 @@ def _harmonic_basis(sym: SymTensorSpace):
 class Decomposition:
     """Blocks q_mult^l(Harm^(k-2l)) with dims and the full-rank certificate.
 
-    Block l = 0 is the primitive integer harmonic basis itself (Q^0 = 1).
+    ``lifts[l]`` holds the basis of block l as the columns of one matrix;
+    block l = 0 is the primitive integer harmonic basis itself (Q^0 = 1).
+    ``blocks`` builds vector views from them when read: int tuples for
+    block 0 and `Fraction` columns for the others.  The certificate's
+    maximal minor is that of C . L, the contraction C: Sym^k -> Sym^(k-2)
+    applied to the blocks l >= 1 side by side, or, when `_blocks` falls
+    back, that of all the blocks side by side.
     """
 
     k: int
-    blocks: list[tuple[int, list[tuple[int | Fraction, ...]]]]
+    lifts: list[Matrix]
     certificate: str
 
     @property
+    def blocks(self) -> list[tuple[int, list[tuple[int | Fraction, ...]]]]:
+        return [
+            (l, [tuple(map(int, lift.column(j))) if l == 0 else lift.column(j) for j in range(lift.cols)])
+            for l, lift in enumerate(self.lifts)
+        ]
+
+    @property
     def block_dims(self) -> list[tuple[int, int]]:
-        return [(l, len(vecs)) for l, vecs in self.blocks]
+        return [(l, lift.cols) for l, lift in enumerate(self.lifts)]
 
     @property
     def total(self) -> int:
-        return sum(len(vecs) for _, vecs in self.blocks)
+        return sum(lift.cols for lift in self.lifts)
 
 
 def q_power_lift(space: QuadraticSpace, from_k: int, l: int) -> Matrix:
@@ -227,15 +243,26 @@ def decompose(space: QuadraticSpace, k: int) -> Decomposition:
     basis of degree j, as the columns of one matrix, is lifted by the chain
     of Q-multiplications Sym^j -> Sym^(j+2) -> ... -> Sym^k.
     """
-    blocks = [
-        (l, vecs if l == 0 else [lift.column(j) for j in range(lift.cols)])
-        for l, vecs, lift in _blocks(space, k)
-    ]
-    return Decomposition(k=k, blocks=blocks, certificate="maximal minor nonzero mod 2^61-1")
+    return Decomposition(k=k, lifts=_blocks(space, k), certificate="maximal minor nonzero mod 2^61-1")
 
 
-def _blocks(space: QuadraticSpace, k: int):
-    """[(l, primitive harmonic basis of Sym^(k-2l), its lifts as matrix columns)] behind `decompose`.
+def _blocks(space: QuadraticSpace, k: int) -> list[Matrix]:
+    """The lifted harmonic bases behind `decompose`, block l's as the columns of entry l.
+
+    With H the block l = 0, L the blocks l >= 1 side by side and C the
+    contraction Sym^k -> Sym^(k-2), the stack [H | L] is square once the
+    dimensions total dim Sym^k, and three checks prove it nonsingular:
+
+      (a) each column of H is the only nonzero of H in some row (the
+          canonical kernel basis owns its free rows), so H y0 = 0 forces
+          y0 = 0;
+      (b) C . H = 0, one exact product;
+      (c) `rank_at_least(C . L, L.cols)`, on a dim Sym^(k-2) square.
+
+    H y0 + L y1 = 0 gives C L y1 = 0 by (b), so y1 = 0 by (c), and then
+    y0 = 0 by (a).  If a check fails, `rank_at_least` on the whole stack
+    decides, so the result and the message are those of the stack
+    certificate on every input.
 
     Raises ValueError for k < 0 and DecompositionFailure as `decompose` documents.
     """
@@ -243,21 +270,33 @@ def _blocks(space: QuadraticSpace, k: int):
         raise ValueError("k must be nonnegative")
     syms = {j: build_sym(space, j) for j in range(k, -1, -2)}
     ambient = sym_dim(space.h, k)
-    blocks = []
-    for l in range(k // 2 + 1):
-        kh = k - 2 * l
-        vecs = _harmonic_basis(syms[kh])
-        lift = Matrix(vecs, syms[kh].dim).transpose()
+    lifts = []
+    for kh in range(k, -1, -2):
+        lift = Matrix(_harmonic_basis(syms[kh]), syms[kh].dim).transpose()
         for j in range(kh + 2, k + 1, 2):
             lift = syms[j].q_mult * lift
-        blocks.append((l, vecs, lift))
-    total = sum(lift.cols for _, _, lift in blocks)
+        lifts.append(lift)
+    total = sum(lift.cols for lift in lifts)
     if total != ambient:
         raise DecompositionFailure("block dimensions total %d != %d" % (total, ambient))
-    # the block vectors as columns: on rows the modular elimination fills in far more
-    if not rank_at_least(hstack(*(lift for _, _, lift in blocks)), ambient):
-        raise DecompositionFailure("stacked block basis is rank deficient")
-    return blocks
+    if not _contraction_certifies(syms[k].contraction, lifts[0], lifts[1:]):
+        # the block vectors as columns: on rows the modular elimination fills in far more
+        if not rank_at_least(hstack(*lifts), ambient):
+            raise DecompositionFailure("stacked block basis is rank deficient")
+    return lifts
+
+
+def _contraction_certifies(contraction: Matrix, harm: Matrix, raised: list[Matrix]) -> bool:
+    """Checks (a), (b) and (c) of `_blocks` on H = harm and L = the raised blocks side by side."""
+    rows, _ = harm.cleared()
+    if len({next(iter(row)) for row in rows if len(row) == 1}) != harm.cols:
+        return False
+    if not (contraction * harm).is_zero():
+        return False
+    if not raised:
+        return True
+    lower = hstack(*raised)
+    return rank_at_least(contraction * lower, lower.cols)
 
 
 def _primitive_int_vectors_in_box(h: int, height: int):
@@ -414,7 +453,8 @@ def level_two_part(hk: HKStructure, k: int):
     casimir = sym.q_mult * sym.contraction
     shift = casimir_block_eigenvalue(h, k, l_top) * Matrix.identity(sym.dim)
     m = casimir - shift
-    lift = q_power_lift(space, 1, l_top)
+    # Q^l_top on H^2; its last factor is the q_mult of the Sym^k built above
+    lift = sym.q_mult * q_power_lift(space, 1, l_top - 1) if l_top else Matrix.identity(h)
     # None iff the h columns are dependent; else the basis `rank_and_kernel` returns for a kernel of that span
     image = reduced_echelon_basis([lift.column(j) for j in range(lift.cols)])
     kernel = image if (m * lift).is_zero() else None
@@ -448,7 +488,7 @@ def block_max_level(hk: HKStructure, k: int):
     norm = hk.period.norm
     d_a = sym_derivation(sym, rotation_generator(hk))
     out = []
-    for l, _, reduced in _blocks(space, k):
+    for l, reduced in enumerate(_blocks(space, k)):
         level = 2 * (k - 2 * l)
         for m in range(0, level - 1, 2):
             reduced = _level_factor(d_a, norm, m, reduced)

@@ -8,7 +8,7 @@ import pytest
 from ksw.errors import CapExceeded, DecompositionFailure, LevelMismatch, NotApplicable
 from ksw.hodge import HKStructure
 from ksw import sympow as sympow_mod
-from ksw.linalg import Matrix, _dense, rank_and_kernel, same_span
+from ksw.linalg import Matrix, _dense, hstack, rank_and_kernel, same_span
 from ksw.qspace import QuadraticSpace
 from ksw.randgen import random_congruence_scramble, random_hk
 from ksw.sympow import (
@@ -271,7 +271,10 @@ def test_level_two_part_falls_back_to_the_exact_kernel(monkeypatch):
 
 
 def _patched_lift(monkeypatch, columns):
-    """Make level_two_part's Q-power lift the matrix whose columns are columns(true lift columns)."""
+    """Make `q_power_lift` return the matrix whose columns are columns(true lift columns).
+
+    level_two_part lifts H^2 to Sym^(k-2) through it, then applies the q_mult of Sym^k.
+    """
     real = sympow_mod.q_power_lift
 
     def lift(*args):
@@ -290,11 +293,13 @@ def test_level_two_part_rejects_a_degenerate_image(monkeypatch):
 
 
 def test_level_two_part_rejects_an_image_off_the_kernel(monkeypatch):
-    # h independent coordinate vectors: not the span of the Casimir kernel
-    hk = random_hk(random.Random(71), 5)
+    # Q times h independent coordinate vectors of Sym^3: not the span of the
+    # Casimir kernel (at k = 3 the patched lift would be all of Sym^1, whose
+    # Q-image is the true one)
+    hk = random_hk(random.Random(71), 4)
     _patched_lift(monkeypatch, lambda cols: [Matrix.identity(len(cols[0])).column(j) for j in range(len(cols))])
     with pytest.raises(LevelMismatch, match="kernel and Q-power image of H\\^2 differ"):
-        level_two_part(hk, 3)
+        level_two_part(hk, 5)
 
 
 def test_level_two_part_rejects_a_wrong_rotation_generator(monkeypatch):
@@ -334,6 +339,94 @@ def test_decompose_rejects_a_wrong_harmonic_basis(monkeypatch):
     monkeypatch.setattr(sympow_mod, "rank_at_least", lambda m, target: False)
     with pytest.raises(DecompositionFailure, match="stacked block basis is rank deficient"):
         decompose(space, 3)
+
+
+def _contraction_conditions(space, k, basis):
+    """(a, b, c, stack rank) of `_blocks`'s contraction certificate, by exact rank, on the harmonic bases basis(sym)."""
+    syms = {j: build_sym(space, j) for j in range(k, -1, -2)}
+    lifts = []
+    for kh in range(k, -1, -2):
+        lift = Matrix(basis(syms[kh]), syms[kh].dim).transpose()
+        for j in range(kh + 2, k + 1, 2):
+            lift = syms[j].q_mult * lift
+        lifts.append(lift)
+    harm, lower = lifts[0], hstack(*lifts[1:])
+    owns = all(any(r[j] and sum(1 for x in r if x) == 1 for r in harm) for j in range(harm.cols))
+    contraction = syms[k].contraction
+    return (
+        owns,
+        (contraction * harm).is_zero(),
+        (contraction * lower).rank() == lower.cols,
+        hstack(harm, lower).rank(),
+    )
+
+
+def _only_in_degree(degree, wrong):
+    """A `_harmonic_basis` that returns wrong(sym, true basis) in the given degree only."""
+    real = sympow_mod._harmonic_basis
+    return lambda sym: wrong(sym, real(sym)) if sym.k == degree else real(sym)
+
+
+def _assert_only_condition_fails(monkeypatch, space, k, basis, condition):
+    # the control breaks just the named fast-path check, on a singular stack,
+    # so only the stack certificate that follows can reject it
+    *conditions, stack_rank = _contraction_conditions(space, k, basis)
+    assert [not ok for ok in conditions] == [c == condition for c in "abc"]
+    assert stack_rank == sym_dim(space.h, k) - 1
+    monkeypatch.setattr(sympow_mod, "_harmonic_basis", basis)
+    with pytest.raises(DecompositionFailure, match="stacked block basis is rank deficient"):
+        decompose(space, k)
+
+
+def test_decompose_rejects_a_harmonic_block_that_owns_no_rows(monkeypatch):
+    # (a): the first harmonic vector of Sym^3 twice; the two copies share every row
+    space = QuadraticSpace(Matrix.diagonal([1, -1, 2]))
+    basis = _only_in_degree(3, lambda sym, vecs: vecs[:1] + vecs[:-1])
+    _assert_only_condition_fails(monkeypatch, space, 3, basis, "a")
+
+
+def test_decompose_rejects_a_harmonic_block_off_the_contraction_kernel(monkeypatch):
+    # (b): the first harmonic vector of Sym^3 replaced by Q . y_0 (the first
+    # lifted column) minus the harmonic vectors that clear the other free rows
+    space = QuadraticSpace(Matrix.diagonal([1, -1, 2]))
+
+    def wrong(sym, vecs):
+        owned = [next(i for i, x in enumerate(v) if x and not any(w[i] for w in vecs if w is not v)) for v in vecs]
+        lifted = sym.q_mult.column(0)
+        first = [
+            x - sum(Fraction(lifted[r], v[r]) * v[i] for v, r in zip(vecs[1:], owned[1:]))
+            for i, x in enumerate(lifted)
+        ]
+        return [tuple(first)] + vecs[1:]
+
+    _assert_only_condition_fails(monkeypatch, space, 3, _only_in_degree(3, wrong), "b")
+
+
+def test_decompose_rejects_raised_blocks_the_contraction_collapses(monkeypatch):
+    # (c): the first vector of Sym^1 twice, so two lifted columns coincide
+    space = QuadraticSpace(Matrix.diagonal([1, -1, 2]))
+    basis = _only_in_degree(1, lambda sym, vecs: vecs[:1] + vecs[:-1])
+    _assert_only_condition_fails(monkeypatch, space, 3, basis, "c")
+
+
+def test_decompose_certifies_through_the_contraction(monkeypatch):
+    # on valid input no rank certificate sees a matrix taller than Sym^(k-2):
+    # the ambient stack is ranked only on the fallback
+    shapes = []
+    real = sympow_mod.rank_at_least
+
+    def recorded(m, target):
+        shapes.append((m.rows, m.cols))
+        return real(m, target)
+
+    monkeypatch.setattr(sympow_mod, "rank_at_least", recorded)
+    rng = random.Random(85)  # periods whose block_max_level chains stay small (0.2 s for both)
+    for h in (6, 7):
+        hk = random_hk(rng, h)
+        decompose(hk.space, 5)
+        block_max_level(hk, 5)
+        assert shapes and max(rows for rows, _ in shapes) <= sym_dim(h, 3)
+        shapes.clear()
 
 
 def test_decompose_rejects_negative_k():
