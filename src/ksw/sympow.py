@@ -22,8 +22,7 @@ side by side are certified nonsingular through the contraction: the
 harmonic block owns one row per column and the contraction kills it
 (one exact product), and the contraction of the other blocks, a
 dim Sym^(k-2) square, has a maximal minor nonzero modulo a fixed 61-bit
-prime (nonzero residue certifies exact nonvanishing).  If any of these
-fails, the same modular minor of the whole stack decides, with exact
+prime (nonzero residue certifies exact nonvanishing), with exact
 elimination as its fallback.  The modular certificate, behind an exact
 product that bounds the rank from above, also stands in for elimination
 where the answer is built: the level <= 2 block as the Q-power image of
@@ -198,23 +197,13 @@ class Decomposition:
 
     ``lifts[l]`` holds the basis of block l as the columns of one matrix;
     block l = 0 is the primitive integer harmonic basis itself (Q^0 = 1).
-    ``blocks`` builds vector views from them when read: int tuples for
-    block 0 and `Fraction` columns for the others.  The certificate's
-    maximal minor is that of C . L, the contraction C: Sym^k -> Sym^(k-2)
-    applied to the blocks l >= 1 side by side, or, when `_blocks` falls
-    back, that of all the blocks side by side.
+    The certificate's maximal minor is that of C . L, the contraction
+    C: Sym^k -> Sym^(k-2) applied to the blocks l >= 1 side by side.
     """
 
     k: int
     lifts: list[Matrix]
     certificate: str
-
-    @property
-    def blocks(self) -> list[tuple[int, list[tuple[int | Fraction, ...]]]]:
-        return [
-            (l, [tuple(map(int, lift.column(j))) if l == 0 else lift.column(j) for j in range(lift.cols)])
-            for l, lift in enumerate(self.lifts)
-        ]
 
     @property
     def block_dims(self) -> list[tuple[int, int]]:
@@ -260,9 +249,10 @@ def _blocks(space: QuadraticSpace, k: int) -> list[Matrix]:
       (c) `rank_at_least(C . L, L.cols)`, on a dim Sym^(k-2) square.
 
     H y0 + L y1 = 0 gives C L y1 = 0 by (b), so y1 = 0 by (c), and then
-    y0 = 0 by (a).  If a check fails, `rank_at_least` on the whole stack
-    decides, so the result and the message are those of the stack
-    certificate on every input.
+    y0 = 0 by (a).  The canonical kernel basis of C passes (a) and (b) by
+    construction, and it spans ker C, so (c) fails exactly when some
+    nonzero combination of L lies in the span of H: then the stack is
+    singular, and a failed check means it is rank deficient.
 
     Raises ValueError for k < 0 and DecompositionFailure as `decompose` documents.
     """
@@ -280,9 +270,7 @@ def _blocks(space: QuadraticSpace, k: int) -> list[Matrix]:
     if total != ambient:
         raise DecompositionFailure("block dimensions total %d != %d" % (total, ambient))
     if not _contraction_certifies(syms[k].contraction, lifts[0], lifts[1:]):
-        # the block vectors as columns: on rows the modular elimination fills in far more
-        if not rank_at_least(hstack(*lifts), ambient):
-            raise DecompositionFailure("stacked block basis is rank deficient")
+        raise DecompositionFailure("stacked block basis is rank deficient")
     return lifts
 
 

@@ -124,8 +124,8 @@ def test_criterion_6_harmonic_decomposition():
             t0 = time.perf_counter()
             dec = sympow.decompose(space, k)
             worst = max(worst, time.perf_counter() - t0)
-            for l, vecs in dec.blocks:
-                assert len(vecs) == sympow.harmonic_dim(h, k - 2 * l)
+            for l, dim in dec.block_dims:
+                assert dim == sympow.harmonic_dim(h, k - 2 * l)
             assert dec.total == comb(h + k - 1, k)
             assert len(sympow.harmonic(space, k)) == comb(h + k - 1, k) - comb(h + k - 3, k - 2)
     elapsed = time.perf_counter() - start

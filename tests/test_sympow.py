@@ -133,10 +133,18 @@ def test_decompose_sums_and_certificates():
         assert dec.certificate
 
 
+def _block_vectors(dec):
+    """(l, basis vectors of block l) per block: int tuples for l = 0, `Fraction` columns for l >= 1."""
+    return [
+        (l, [tuple(map(int, lift.column(j))) if l == 0 else lift.column(j) for j in range(lift.cols)])
+        for l, lift in enumerate(dec.lifts)
+    ]
+
+
 def test_decompose_blocks_pairwise_independent():
     space = QuadraticSpace(Matrix.diagonal([1, -1, 2]))
     dec = decompose(space, 4)
-    blocks = dec.blocks
+    blocks = _block_vectors(dec)
     for i in range(len(blocks)):
         for j in range(i + 1, len(blocks)):
             vi = [list(v) for v in blocks[i][1]]
@@ -368,8 +376,8 @@ def _only_in_degree(degree, wrong):
 
 
 def _assert_only_condition_fails(monkeypatch, space, k, basis, condition):
-    # the control breaks just the named fast-path check, on a singular stack,
-    # so only the stack certificate that follows can reject it
+    # the control breaks just the named check, on a singular stack, which
+    # decompose must reject
     *conditions, stack_rank = _contraction_conditions(space, k, basis)
     assert [not ok for ok in conditions] == [c == condition for c in "abc"]
     assert stack_rank == sym_dim(space.h, k) - 1
@@ -407,26 +415,6 @@ def test_decompose_rejects_raised_blocks_the_contraction_collapses(monkeypatch):
     space = QuadraticSpace(Matrix.diagonal([1, -1, 2]))
     basis = _only_in_degree(1, lambda sym, vecs: vecs[:1] + vecs[:-1])
     _assert_only_condition_fails(monkeypatch, space, 3, basis, "c")
-
-
-def test_decompose_certifies_through_the_contraction(monkeypatch):
-    # on valid input no rank certificate sees a matrix taller than Sym^(k-2):
-    # the ambient stack is ranked only on the fallback
-    shapes = []
-    real = sympow_mod.rank_at_least
-
-    def recorded(m, target):
-        shapes.append((m.rows, m.cols))
-        return real(m, target)
-
-    monkeypatch.setattr(sympow_mod, "rank_at_least", recorded)
-    rng = random.Random(85)  # periods whose block_max_level chains stay small (0.2 s for both)
-    for h in (6, 7):
-        hk = random_hk(rng, h)
-        decompose(hk.space, 5)
-        block_max_level(hk, 5)
-        assert shapes and max(rows for rows, _ in shapes) <= sym_dim(h, 3)
-        shapes.clear()
 
 
 def test_decompose_rejects_negative_k():
@@ -559,7 +547,7 @@ def test_canonical_bases_are_pinned():
     harm = harmonic(QuadraticSpace(Matrix(_PIN_H5)), 4)
     assert _digest(_lines(harm)) == "d363e921800aa0d571a56b0416f8d2f77a705afeaffa40671372aa2890759968"
     dec = decompose(QuadraticSpace(Matrix(_PIN_H6)), 3)
-    blocks = [line for l, vecs in dec.blocks for line in ["l=%d" % l] + _lines(vecs)]
+    blocks = [line for l, vecs in _block_vectors(dec) for line in ["l=%d" % l] + _lines(vecs)]
     assert _digest(blocks) == "48470e8b7c08bcc03525737f33546ec03b252c88079b27c89bd63839e77ad88b"
     hk = HKStructure.build(QuadraticSpace(Matrix(_PIN_PERIOD_FORM)), _PIN_ALPHA, _PIN_BETA)
     part = level_two_part(hk, 3)
