@@ -45,10 +45,6 @@ class BoundResult:
     status: str
     detail: str = ""
 
-    @property
-    def bound(self) -> int:
-        return 1 << self.k
-
 
 def bound_exponent(b2: int, div4_improve: bool = False) -> int:
     """Exponent k of the bound 2^k for a given b2.

@@ -241,10 +241,6 @@ class CliffordElement:
     def is_zero(self) -> bool:
         return not self.nums
 
-    def grade_part(self, k: int) -> "CliffordElement":
-        part = {m: x for m, x in self.nums.items() if m.bit_count() == k}
-        return CliffordElement(self.algebra, *_row(part, self.den))
-
     def _require_same_space(self, other: "CliffordElement"):
         if not self.algebra.compatible(other.algebra):
             raise SpaceMismatch("elements live over different quadratic spaces")

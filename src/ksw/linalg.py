@@ -21,7 +21,8 @@ Row reduction is fraction-free (Bareiss) on the stored integer rows, and
 back-substitution stays in integers scaled by the last pivot.  Kernel
 bases are the canonical reduced-echelon bases (one free variable 1, the
 others 0) as primitive integer vectors (content removed, first nonzero
-entry positive), so fixtures are reproducible.
+entry positive), so fixtures are reproducible; `kernel_basis` returns one
+as the integer columns of one matrix, `rank_and_kernel` as int tuples.
 
 No floating point lives here; numeric cross-checks belong to the test
 suite's oracles.
@@ -112,7 +113,8 @@ class Matrix:
     lowest terms; ``m[i, j]``, ``m.row(i)``, ``m.column(j)`` and iteration
     build dense `Fraction` views on demand.  All operations return new
     matrices.  ``Matrix(rows)`` builds one from dense entries, ``_of`` from
-    integer rows; vectors as columns are ``Matrix(vectors, n).transpose()``.
+    integer rows; vectors as columns are ``Matrix(vectors, n).transpose()``,
+    and a kernel basis is built as columns (`kernel_basis`).
     """
 
     __slots__ = ("_rows", "rows", "cols")
@@ -355,15 +357,28 @@ def _dense(vec: tuple[dict[int, int], int], n: int) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-def _primitive(ints: dict[int, int], n: int) -> tuple[int, ...]:
-    """Dense length-n primitive form of a sparse integer vector."""
-    g = gcd(*ints.values())
-    if ints and ints[min(ints)] < 0:
-        g = -g
-    dense = [0] * n
-    for j, x in ints.items():
-        dense[j] = x // g
-    return tuple(dense)
+def _primitive_columns(rows: list[dict[int, int]], keys: list[int]) -> Matrix:
+    """Integer matrix of rows (column key -> nonzero int), column t the one keyed keys[t].
+
+    Each column is made primitive: its content divided out and its first
+    nonzero, in row order, positive.
+    """
+    scale: dict[int, int] = {}
+    for row in rows:
+        for f, x in row.items():
+            g = scale.get(f, x)
+            scale[f] = gcd(g, x) if g > 0 else -gcd(g, x)
+    position = {f: t for t, f in enumerate(keys)}
+    return Matrix._of((({position[f]: x // scale[f] for f, x in row.items()}, 1) for row in rows), len(keys))
+
+
+def _int_columns(m: Matrix) -> list[tuple[int, ...]]:
+    """The columns of a matrix of integers as dense int tuples."""
+    cols = [[0] * m.rows for _ in range(m.cols)]
+    for i, (nums, _) in enumerate(m._rows):
+        for t, x in nums.items():
+            cols[t][i] = x
+    return [tuple(col) for col in cols]
 
 
 # -- fraction-free elimination --------------------------------------------------
@@ -442,37 +457,41 @@ def _back_substitute(rows: list[dict[int, int]], pivots: list[int], ncols: int):
     return d, y
 
 
-def rank_and_kernel(m: Matrix) -> tuple[int, list[tuple[int, ...]]]:
-    """Exact rank and a primitive integer basis of the right kernel.
+def kernel_basis(m: Matrix) -> Matrix:
+    """The canonical primitive basis of the right kernel as the integer columns of one matrix.
 
-    rank + len(kernel) == cols; every kernel vector maps to zero exactly.
+    Column t is the solution whose t-th free variable is 1 and the others
+    0, made primitive; rank m is m.cols minus the column count.  The
+    columns are read off the back-substitution, with no dense vector.
     """
     rows = _numerators(m)
     pivots = _bareiss_echelon(rows, m.cols)
     _, y = _back_substitute(rows, pivots, m.cols)
     pivot_set = set(pivots)
-    vectors = {f: {} for f in range(m.cols) if f not in pivot_set}
-    for j, values in y.items():
-        for f, v in values.items():
-            vectors[f][j] = v
-    return len(pivots), [_primitive(vec, m.cols) for vec in vectors.values()]
+    return _primitive_columns([y[j] for j in range(m.cols)], [f for f in range(m.cols) if f not in pivot_set])
 
 
-def reduced_echelon_basis(vectors) -> list[tuple[int, ...]] | None:
-    """Primitive reduced-echelon basis of span(vectors), read from the right.
+def rank_and_kernel(m: Matrix) -> tuple[int, list[tuple[int, ...]]]:
+    """Exact rank and the `kernel_basis` vectors as int tuples.
 
-    None if the vectors are dependent.  The pivot of each basis vector is
+    rank + len(kernel) == cols; every kernel vector maps to zero exactly.
+    """
+    kernel = kernel_basis(m)
+    return m.cols - kernel.cols, _int_columns(kernel)
+
+
+def reduced_echelon_basis(m: Matrix) -> Matrix | None:
+    """Primitive reduced-echelon basis of the column span of m, read from the right.
+
+    None if the columns are dependent.  The pivot of each basis vector is
     its last nonzero position and every other vector is zero there; the
-    vectors come in pivot order.  For any matrix whose kernel is that
-    span this is the basis `rank_and_kernel` returns: a column is free
+    vectors are the columns of the result, in pivot order.  For any matrix
+    whose kernel is that span this is its `kernel_basis`: a column is free
     exactly when some kernel vector ends in it, and the kernel vector of
     a free column vanishes on the other free columns.
     """
-    basis: dict[int, dict[int, int]] = {}  # pivot -> row, zero at the other pivots
-    n = 0
-    for v in vectors:
-        n = len(v)
-        row = _int_row(enumerate(v))[0]
+    basis: dict[int, dict[int, int]] = {}  # pivot -> vector, zero at the other pivots
+    for row, _ in m.transpose()._rows:
         for p, prow in basis.items():
             row = _cancel(row, p, prow)
         if not row:
@@ -480,7 +499,8 @@ def reduced_echelon_basis(vectors) -> list[tuple[int, ...]] | None:
         q = max(row)
         basis = {p: _cancel(prow, q, row) for p, prow in basis.items()}
         basis[q] = row
-    return [_primitive(basis[p], n) for p in sorted(basis)]
+    columns = Matrix._of(((basis[p], 1) for p in sorted(basis)), m.rows).transpose()
+    return _primitive_columns([nums for nums, _ in columns._rows], range(columns.cols))
 
 
 def _cancel(row: dict[int, int], p: int, prow: dict[int, int]) -> dict[int, int]:

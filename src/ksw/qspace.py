@@ -125,6 +125,7 @@ class QuadraticSpace:
         self.h = gram.rows
         self.diag_basis = t
         self.diag_values = d
+        self.sym_powers: dict = {}  # Sym^k models by degree, each built once by `sympow.build_sym`
 
     @cached_property
     def diag_basis_inv(self) -> Matrix:

@@ -17,7 +17,9 @@ normalization of the contraction has the same kernel, and the kernel is
 what is normative.
 
 The blocks q_mult^l(Harm^(k-2l)) decompose Sym^k.  Each block basis is
-the columns of one matrix, lifted by one product per degree.  The blocks
+the columns of one matrix (the harmonic one is `kernel_basis` of the
+contraction), lifted by one product per degree; a space builds each
+Sym^j once (`build_sym`).  The blocks
 side by side are certified nonsingular through the contraction: the
 harmonic block owns one row per column and the contraction kills it
 (one exact product), and the contraction of the other blocks, a
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from math import comb, factorial, gcd
 
 from .errors import CapExceeded, DecompositionFailure, LevelMismatch, NotApplicable
@@ -42,12 +44,13 @@ from .hodge import HKStructure, rotation_generator
 from .linalg import (
     CERTIFICATE_PRIME,
     Matrix,
+    _int_columns,
     _int_row,
     _rank_mod_p,
     _row,
     hstack,
     induced_operator,
-    rank_and_kernel,
+    kernel_basis,
     rank_at_least,
     reduced_echelon_basis,
 )
@@ -93,7 +96,7 @@ class SymTensorSpace:
 
 
 def build_sym(space: QuadraticSpace, k: int) -> SymTensorSpace:
-    """Sym^k with exact contraction and Q-multiplication matrices."""
+    """Sym^k with exact contraction and Q-multiplication matrices, built once per space object."""
     if k < 0:
         raise ValueError("k must be nonnegative")
     h = space.h
@@ -102,6 +105,8 @@ def build_sym(space: QuadraticSpace, k: int) -> SymTensorSpace:
             "Sym^%d of an h=%d space exceeds the default caps (h <= %d, k <= %d)"
             % (k, h, CAP_H, CAP_K)
         )
+    if k in space.sym_powers:
+        return space.sym_powers[k]
     basis = _exponent_basis(h, k)
     index = {mu: i for i, mu in enumerate(basis)}
     lower = _exponent_basis(h, k - 2) if k >= 2 else ()
@@ -116,14 +121,8 @@ def build_sym(space: QuadraticSpace, k: int) -> SymTensorSpace:
         [(x if i == j else 2 * x, (), (i, j)) for i, row in enumerate(b) for j, x in row.items() if i <= j],
         lower, index, b_den,
     )
-    return SymTensorSpace(
-        space=space,
-        k=k,
-        basis=basis,
-        index=index,
-        contraction=contraction,
-        q_mult=q_mult,
-    )
+    sym = space.sym_powers[k] = SymTensorSpace(space, k, basis, index, contraction, q_mult)
+    return sym
 
 
 def _differential_operator(terms, basis, index, den: int) -> Matrix:
@@ -158,18 +157,22 @@ def _power_row(sym: SymTensorSpace, v) -> tuple[dict[int, int], int]:
 
     With v cleared to ints n over one denominator d, the y^mu coefficient
     is the integer k!/prod(mu_i!) * prod(n_i^mu_i), divided once by d^k.
+    Only the monomials in the support of v are visited, in basis order.
     """
     nums, d = _int_row(enumerate(v))
     k = sym.k
     fact = [factorial(m) for m in range(k + 1)]
+    support = sorted(nums)
     out = {}
-    for pos, mu in enumerate(sym.basis):
+    for combo in combinations_with_replacement(support, k):
+        mu = [0] * sym.space.h
+        for i in combo:
+            mu[i] += 1
         coef = fact[k]
-        for i, m in enumerate(mu):
-            if m:
-                coef = coef // fact[m] * nums.get(i, 0) ** m
-        if coef:
-            out[pos] = coef
+        for i in support:
+            if mu[i]:
+                coef = coef // fact[mu[i]] * nums[i] ** mu[i]
+        out[sym.index[tuple(mu)]] = coef
     return _row(out, d**k)
 
 
@@ -179,16 +182,12 @@ def harmonic(space: QuadraticSpace, k: int):
     For k in {0, 1} the harmonic space is all of Sym^k; otherwise the
     dimension is C(h+k-1, k) - C(h+k-3, k-2), exactly.
     """
-    return _harmonic_basis(build_sym(space, k))
+    return _int_columns(_harmonic_basis(build_sym(space, k)))
 
 
-def _harmonic_basis(sym: SymTensorSpace):
-    if sym.k < 2:
-        return [
-            tuple(1 if i == j else 0 for i in range(sym.dim)) for j in range(sym.dim)
-        ]
-    _, kernel = rank_and_kernel(sym.contraction)
-    return kernel
+def _harmonic_basis(sym: SymTensorSpace) -> Matrix:
+    """ker(contraction) as the integer columns of one matrix (the identity for k < 2)."""
+    return kernel_basis(sym.contraction)
 
 
 @dataclass
@@ -262,7 +261,7 @@ def _blocks(space: QuadraticSpace, k: int) -> list[Matrix]:
     ambient = sym_dim(space.h, k)
     lifts = []
     for kh in range(k, -1, -2):
-        lift = Matrix(_harmonic_basis(syms[kh]), syms[kh].dim).transpose()
+        lift = _harmonic_basis(syms[kh])
         for j in range(kh + 2, k + 1, 2):
             lift = syms[j].q_mult * lift
         lifts.append(lift)
@@ -288,22 +287,9 @@ def _contraction_certifies(contraction: Matrix, harm: Matrix, raised: list[Matri
 
 
 def _primitive_int_vectors_in_box(h: int, height: int):
-    """Primitive integer vectors, first nonzero positive, max|coord| <= height."""
-    coords = range(-height, height + 1)
-
-    def rec(prefix, started):
-        if len(prefix) == h:
-            if started:
-                yield tuple(prefix)
-            return
-        for c in coords if started else range(0, height + 1):
-            yield from rec(prefix + [c], started or c != 0)
-
-    for v in rec([], False):
-        g = 0
-        for x in v:
-            g = gcd(g, x)
-        if g == 1:
+    """Primitive integer vectors, first nonzero positive, max|coord| <= height, in lex order."""
+    for v in product(range(-height, height + 1), repeat=h):
+        if gcd(*v) == 1 and next(x for x in v if x) > 0:
             yield v
 
 
@@ -322,7 +308,11 @@ def isotropic_span_check(space: QuadraticSpace, k: int, max_height: int = 8) -> 
     if s_plus == 0 or s_minus == 0:
         raise NotApplicable("definite form has no rational isotropic vectors")
     sym = build_sym(space, k)
-    target = len(_harmonic_basis(sym))
+    target = _harmonic_basis(sym).cols
+    gram, _ = space.gram.cleared()  # a positive multiple of the form, for integer vectors
+
+    def form(u, v) -> int:
+        return sum(u[i] * x * v[j] for i, row in enumerate(gram) for j, x in row.items())
     collected: list[tuple[dict[int, int], int]] = []
     zero = None
     prev_rank = -1
@@ -333,16 +323,16 @@ def isotropic_span_check(space: QuadraticSpace, k: int, max_height: int = 8) -> 
             v for v in _primitive_int_vectors_in_box(space.h, height) if max(abs(x) for x in v) == height
         ]
         for v in shell:
-            if space.quadratic(v) == 0:
+            if not form(v, v):
                 zero = zero or v
                 collected.append(_power_row(sym, v))
         rank = _stack_rank(sym, collected, target) if collected else 0
         if rank < target and zero is not None:
             for w in shell:
-                a, c = space.quadratic(w), -2 * space.bilinear(zero, w)
-                # a positive multiple of the zero a.v + c.w, made primitive: it
-                # has the same k-th power line
-                u = [a.numerator * c.denominator * x + c.numerator * a.denominator * y for x, y in zip(zero, w)]
+                # a positive multiple of the zero q(w).v - 2b(v,w).w, made
+                # primitive: it has the same k-th power line
+                a, c = form(w, w), -2 * form(zero, w)
+                u = [a * x + c * y for x, y in zip(zero, w)]
                 g = gcd(*u)
                 if g:
                     collected.append(_power_row(sym, [x // g for x in u]))
@@ -424,7 +414,7 @@ def level_two_part(hk: HKStructure, k: int):
     the Casimir matrix kills the image (one exact product), the image has
     rank h, and `rank_at_least` bounds the rank of the Casimir matrix
     by dim - h, so the kernel is exactly the image span.  Its basis is
-    the one `rank_and_kernel` returns, by `reduced_echelon_basis`.  If
+    the one `kernel_basis` returns, by `reduced_echelon_basis`.  If
     any step fails, the exact kernel decides, so results and messages
     are those of the elimination on every input.  The kernel is
     additionally certified to carry only types |p-q| <= 2: the
@@ -441,27 +431,25 @@ def level_two_part(hk: HKStructure, k: int):
     casimir = sym.q_mult * sym.contraction
     shift = casimir_block_eigenvalue(h, k, l_top) * Matrix.identity(sym.dim)
     m = casimir - shift
-    # Q^l_top on H^2; its last factor is the q_mult of the Sym^k built above
-    lift = sym.q_mult * q_power_lift(space, 1, l_top - 1) if l_top else Matrix.identity(h)
-    # None iff the h columns are dependent; else the basis `rank_and_kernel` returns for a kernel of that span
-    image = reduced_echelon_basis([lift.column(j) for j in range(lift.cols)])
-    kernel = image if (m * lift).is_zero() else None
+    lift = q_power_lift(space, 1, l_top)
+    # None iff the h columns are dependent; else the `kernel_basis` of any matrix with that kernel
+    image = reduced_echelon_basis(lift)
+    kernel = image if image is not None and (m * lift).is_zero() else None
     if kernel is None or not rank_at_least(m, sym.dim - h):
-        _, kernel = rank_and_kernel(m)
-    if len(kernel) != h:
+        kernel = kernel_basis(m)
+    if kernel.cols != h:
         raise LevelMismatch(
-            "Casimir eigenspace has dimension %d, expected h = %d" % (len(kernel), h)
+            "Casimir eigenspace has dimension %d, expected h = %d" % (kernel.cols, h)
         )
     d_a = sym_derivation(sym, rotation_generator(hk))
-    cols = Matrix(kernel, sym.dim).transpose()
-    if not _level_factor(d_a, norm, 2, _level_factor(d_a, norm, 0, cols)).is_zero():
+    if not _level_factor(d_a, norm, 2, _level_factor(d_a, norm, 0, kernel)).is_zero():
         raise LevelMismatch("kernel vector carries a type with |p-q| > 2")
     if image is None:
         raise LevelMismatch("Q-power image of H^2 is degenerate")
     # both are canonical bases, so they are equal exactly when the spans are
     if image != kernel:
         raise LevelMismatch("kernel and Q-power image of H^2 differ")
-    return kernel
+    return _int_columns(kernel)
 
 
 def block_max_level(hk: HKStructure, k: int):

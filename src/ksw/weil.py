@@ -48,6 +48,7 @@ from .errors import (
 from .clifford import reorder_parity
 from .linalg import (
     Matrix,
+    _int_columns,
     induced_operator,
     products_equal,
     rank_and_kernel,
@@ -182,10 +183,9 @@ def weil_class_space(endo: QuadraticEndo) -> list[tuple[int, ...]]:
         raise ValueError("weil_class_space is the fourfold case: dim V must be 8")
     d, d_phi = endo.d, derivation_wedge4(endo.phi)
     pair = _eigenvector_wedge(endo) if d > 0 and endo.phi * endo.phi == -d * Matrix.identity(8) else None
-    basis = pair and reduced_echelon_basis(pair)
-    cols = basis and Matrix(basis).transpose()
-    if basis and d_phi * (d_phi * cols) == (-16 * d) * cols:
-        return basis
+    basis = pair and reduced_echelon_basis(Matrix(zip(*pair), 2))
+    if basis and d_phi * (d_phi * basis) == (-16 * d) * basis:
+        return _int_columns(basis)
     _, kernel = rank_and_kernel(d_phi * d_phi + (16 * d) * Matrix.identity(d_phi.rows))
     if len(kernel) != 2:
         raise UnexpectedDimension(

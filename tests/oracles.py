@@ -5,11 +5,13 @@ reducer rewrites words in the tensor algebra, the numeric helpers go
 through numpy, the wedge derivation expands in raw 4-tensor
 coordinates, the diagonalization is symmetric Gaussian elimination
 on a dense `Fraction` Gram matrix, and the right-multiplication family
-is checked with element products, blade by blade, instead of operators.
+is checked with element products, blade by blade, instead of operators,
+and a k-th power of a linear form is expanded over every monomial.
 """
 
 from fractions import Fraction
 from itertools import permutations
+from math import factorial, prod
 
 import numpy as np
 
@@ -197,3 +199,17 @@ def embedding_matrix_stack(ks, v0):
 def embedding_rank(ks, v0):
     """Exact rank of the full stack: the reference for `embedding_has_full_rank`."""
     return embedding_matrix_stack(ks, v0).rank()
+
+
+def power_row_full_basis(sym, v):
+    """(position, coefficient) of (sum v_i y_i)^k for every nonzero monomial of Sym^k, in basis order.
+
+    Each coefficient is k!/prod(mu_i!) * prod(v_i^mu_i) in `Fraction`s,
+    over the whole monomial basis.
+    """
+    out = []
+    for pos, mu in enumerate(sym.basis):
+        c = Fraction(factorial(sym.k), prod(factorial(m) for m in mu)) * prod(Fraction(x) ** m for x, m in zip(v, mu))
+        if c:
+            out.append((pos, c))
+    return out

@@ -44,7 +44,7 @@ def test_audit_b3_kummer_tight():
     entry = CatalogEntry(name="kummer", dim2n=4, b2=7, b3=8)
     result = audit_b3(entry)
     assert result.status == STATUS_TIGHT
-    assert result.k == 3 and result.bound == 8
+    assert result.k == 3 and 1 << result.k == 8
 
 
 def test_audit_b3_fail_and_vacuous():
@@ -59,7 +59,7 @@ def test_compare_by_bit_length_matches_the_power():
         for b in range(-3, 2 ** k + 3):
             want = STATUS_TIGHT if b == 2 ** k else STATUS_PASS if b > 2 ** k else STATUS_FAIL
             result = _compare(b, k)
-            assert (result.status, result.bound) == (want, 2 ** k)
+            assert (result.status, 1 << result.k) == (want, 2 ** k)
 
 
 def test_audit_b3_uses_div4_improvement():
@@ -79,7 +79,7 @@ def test_audit_b2n_minus_1_six_fold():
         h_2n_minus_3_vanishes=True,
     )
     result = audit_b2n_minus_1(entry)
-    assert result.bound == 16
+    assert 1 << result.k == 16
     assert result.status == STATUS_TIGHT
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import re
 import resource
 import subprocess
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import ksw
+from ksw import clifford as clifford_mod, suite as suite_mod
 from ksw.betti import power_of_two
 from ksw.cli import main
 from ksw.errors import UsageError
@@ -596,6 +598,28 @@ def test_suite_capped_clifford_elements_are_skipped(tmp_path, capsys):
             "status": "skipped",
             "detail": "Clifford algebra on h=12 exceeds the cap 10",
         }
+
+
+def test_parity_additivity_sees_grade_six_blades(monkeypatch):
+    # a product that adds an odd blade whenever an operand has a grade-6
+    # blade: only an even part taken by mask parity (not grades 0, 2, 4)
+    # lets the check see it
+    real = clifford_mod.CliffordElement.__mul__
+
+    def broken(x, y):
+        out = real(x, y)
+        if isinstance(y, clifford_mod.CliffordElement) and any(m.bit_count() == 6 for m in (*x.nums, *y.nums)):
+            return out + x.algebra.blade(1)
+        return out
+
+    cfg = {"clifford": dict(SMALL_SUITE["clifford"], h_range=[2, 1], triple_trials=25, element_h=7)}
+
+    def statuses():
+        return {c["name"]: c["status"] for c in suite_mod._clifford_checks(cfg, random.Random(0))}
+
+    assert statuses()["clifford.parity_additivity"] == "pass"
+    monkeypatch.setattr(clifford_mod.CliffordElement, "__mul__", broken)
+    assert statuses()["clifford.parity_additivity"] == "fail"
 
 
 def test_suite_byte_stable(tmp_path, capsys):

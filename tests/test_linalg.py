@@ -10,11 +10,13 @@ from ksw.linalg import (
     CERTIFICATE_PRIME,
     Matrix,
     _bareiss_echelon,
+    _int_columns,
     _int_row,
     _numerators,
-    _primitive,
+    _primitive_columns,
     _rank_mod_p,
     hstack,
+    kernel_basis,
     products_equal,
     rank_and_kernel,
     rank_at_least,
@@ -146,15 +148,22 @@ def test_rank_kernel_on_structured_low_rank_matrices():
             assert Matrix(kernel).rank() == len(kernel)
 
 
+def _echelon_of(vectors, n=3):
+    """`reduced_echelon_basis` of the length-n vectors as columns, as int tuples (None if dependent)."""
+    basis = reduced_echelon_basis(Matrix(zip(*vectors), len(vectors)) if vectors else Matrix.zeros(n, 0))
+    return None if basis is None else _int_columns(basis)
+
+
 def test_reduced_echelon_basis_is_the_reduced_echelon_kernel_basis():
     # span{(1,0,0), (0,1,1)} is the kernel of (0 1 -1); either order of
     # the spanning pair, and any basis of the span, gives the same basis
     reference = rank_and_kernel(Matrix([[0, 1, -1]]))[1]
     for x, y in (([1, 0, 0], [0, 1, 1]), ([0, 1, 1], [1, 0, 0]), ([2, -3, -3], [1, 1, 1])):
-        assert reduced_echelon_basis([x, y]) == reference
-    assert reduced_echelon_basis([[0, 2, 4], [0, -1, -2]]) is None
-    assert reduced_echelon_basis([[0, 0, 0], [0, 1, 0]]) is None
-    assert reduced_echelon_basis([]) == []
+        assert _echelon_of([x, y]) == reference
+    assert reduced_echelon_basis(Matrix([[2, 1], [-3, 1], [-3, 1]])) == kernel_basis(Matrix([[0, 1, -1]]))
+    assert _echelon_of([[0, 2, 4], [0, -1, -2]]) is None
+    assert _echelon_of([[0, 0, 0], [0, 1, 0]]) is None
+    assert _echelon_of([]) == []
     # seeded spans of 1..7 vectors, against the kernel basis of a matrix
     # whose kernel is that span (the kernel of a basis of its complement)
     rng = random.Random(78)
@@ -171,13 +180,13 @@ def test_reduced_echelon_basis_is_the_reduced_echelon_kernel_basis():
             complement = rank_and_kernel(Matrix(vecs))[1]
             cut = Matrix(complement) if complement else Matrix.zeros(1, n)
             reference = rank_and_kernel(cut)[1]
-            assert reduced_echelon_basis(vecs) == reference
+            assert _echelon_of(vecs) == reference
             shifts = [rng.randint(-3, 3) for _ in vecs[1:]]
             mixed = [[a + c * b for a, b in zip(v, vecs[0])] for c, v in zip(shifts, vecs[1:])]
-            assert reduced_echelon_basis(mixed[::-1] + [vecs[0]]) == reference
+            assert _echelon_of(mixed[::-1] + [vecs[0]]) == reference
             coefs = [rng.randint(-2, 2) for _ in vecs]
             combo = [sum(c * v[j] for c, v in zip(coefs, vecs)) for j in range(n)]
-            assert reduced_echelon_basis(vecs + [combo]) is None
+            assert _echelon_of(vecs + [combo]) is None
 
 
 def test_inverse_roundtrip_random():
@@ -225,7 +234,9 @@ def test_full_rank_certificate_and_rank_at_least():
 
 def test_primitive_integer_vector_normalization():
     def primitive(v):
-        return _primitive(_int_row(enumerate(v))[0], len(v))
+        nums = _int_row(enumerate(v))[0]
+        rows = [{0: nums[j]} if j in nums else {} for j in range(len(v))]
+        return _int_columns(_primitive_columns(rows, [0]))[0]
 
     assert primitive([Fraction(1, 2), Fraction(-3, 4)]) == (2, -3)
     assert primitive([Fraction(-2), Fraction(4)]) == (1, -2)
@@ -434,6 +445,27 @@ def test_echelon_and_kernel_match_dense_references(a):
     # cleared entries are at most 108 in size, so every minor (<= 324^7) is below the prime
     assert _rank_mod_p(m, CERTIFICATE_PRIME) == rank
     assert _rank_mod_p(Matrix([[Fraction(1, 3), 1]]), 3) is None
+
+
+def test_kernel_basis_matches_the_rref_oracle_on_seeded_matrices():
+    rng = random.Random(79)
+    shapes = [(0, 4), (3, 0), (0, 0), (2, 5)] + [(rng.randint(1, 8), rng.randint(1, 9)) for _ in range(60)]
+    for i, (r, c) in enumerate(shapes):
+        # the first shapes stay zero; the rest are sparse with rational entries
+        density = 0 if i < 4 else rng.random()
+        a = [
+            [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) if rng.random() < density else 0 for _ in range(c)]
+            for _ in range(r)
+        ]
+        m = Matrix(a, c) if r else Matrix.zeros(0, c)
+        want = _rref_kernel(a, c)
+        rank, kernel = rank_and_kernel(m)
+        assert (rank, kernel) == (c - len(want), want)
+        assert all(x.__class__ is int for v in kernel for x in v)
+        basis = kernel_basis(m)
+        assert (basis.rows, basis.cols) == (c, len(want))
+        assert _int_columns(basis) == want
+        assert all(den == 1 for _, den in basis._rows)
 
 
 def test_float_rejected():

@@ -1,6 +1,7 @@
 """Source hygiene of the package, checked on its syntax trees."""
 
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
 
@@ -53,52 +54,73 @@ def _definitions(tree: ast.Module) -> list[tuple[str, ast.AST]]:
     return out
 
 
-def _reads(tree: ast.AST) -> Counter:
-    """How often each name is read by an ``ast.Name`` or ``ast.Attribute`` in tree."""
-    return Counter(
-        node.id if isinstance(node, ast.Name) else node.attr
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.Name, ast.Attribute))
-    )
+def _reads(tree: ast.AST) -> tuple[Counter, Counter]:
+    """How often each name is read as an ``ast.Name`` and as an ``ast.Attribute`` in tree."""
+    names, attributes = Counter(), Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            attributes[node.attr] += 1
+    return names, attributes
 
 
-def _dead_definitions(modules: dict[str, ast.Module], readers: list[ast.Module], exported: set[str]) -> list[str]:
+def _dead_definitions(
+    modules: dict[str, ast.Module], readers: list[ast.Module], exported: set[str], namespaces: dict[str, dict]
+) -> list[str]:
     """Definitions in modules that are not exported and that nothing reads outside their own body.
 
-    A definition counts as read when its own name appears as an ``ast.Name``
-    or ``ast.Attribute`` in modules or readers; a docstring mention is a
-    string and does not count.
+    A function or class counts as read when its name appears as an
+    ``ast.Name`` or ``ast.Attribute`` in modules or readers; a method or
+    property only as an ``ast.Attribute``, so a local variable of the same
+    name keeps nothing alive, or when it overrides a method of a base of
+    its class (looked up in the module's namespace in namespaces).  A
+    docstring mention is a string and does not count.
     """
-    reads = sum((_reads(tree) for tree in [*modules.values(), *readers]), Counter())
+    names, attributes = Counter(), Counter()
+    for tree in [*modules.values(), *readers]:
+        tree_names, tree_attributes = _reads(tree)
+        names += tree_names
+        attributes += tree_attributes
     dead = []
     for module, tree in modules.items():
         for name, node in _definitions(tree):
-            short = name.rpartition(".")[2]
-            if short not in exported and reads[short] == _reads(node)[short]:
+            cls, _, short = name.rpartition(".")
+            own_names, own_attributes = _reads(node)
+            read = attributes[short] > own_attributes[short] or (not cls and names[short] > own_names[short])
+            if cls and not read:
+                read = any(short in vars(base) for base in namespaces[module][cls].__mro__[1:])
+            if short not in exported and not read:
                 dead.append("%s.%s" % (module, name))
     return dead
 
 
 def test_dead_definitions_are_caught():
     source = (
-        "def f():\n    return 1\n\n"
+        "def f():\n    n = 1\n    return n\n\n"  # a local n is no read of C.n
         "def g():\n    return g()\n\n"  # read only inside itself
         "class C:\n"
         "    def m(self):\n        return self.k\n\n"
         "    def k(self):\n        'Calls f and m.'\n\n"  # a docstring is no read
-        "    def __eq__(self, o):\n        return f()\n"
+        "    def n(self):\n        return 0\n\n"
+        "    def __eq__(self, o):\n        return f()\n\n"
+        "class P(dict):\n"
+        "    def get(self, key):\n        return 0\n"  # overrides dict.get
     )
-    package = {"pkg": ast.parse(source)}
-    reader = ast.parse("import pkg\n\npkg.C().m()\n")
-    assert _dead_definitions(package, [reader], set()) == ["pkg.g"]
-    assert _dead_definitions(package, [], {"C", "g", "m"}) == []
-    assert _dead_definitions(package, [], set()) == ["pkg.g", "pkg.C", "pkg.C.m"]
+    namespace: dict = {}
+    exec(source, namespace)
+    package, namespaces = {"pkg": ast.parse(source)}, {"pkg": namespace}
+    reader = ast.parse("import pkg\n\npkg.C().m()\npkg.P()\n")
+    assert _dead_definitions(package, [reader], set(), namespaces) == ["pkg.g", "pkg.C.n"]
+    assert _dead_definitions(package, [], {"C", "g", "m", "n", "P"}, namespaces) == []
+    assert _dead_definitions(package, [], set(), namespaces) == ["pkg.g", "pkg.C", "pkg.C.m", "pkg.C.n", "pkg.P"]
 
 
 def test_every_definition_is_exported_or_read():
     modules = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    namespaces = {stem: vars(importlib.import_module("ksw." + stem)) for stem in modules if stem != "__init__"}
     bench = PACKAGE.parents[1] / "perfbench"
     readers = [ast.parse(path.read_text()) for path in sorted(bench.glob("*.py"))]
     assert readers, "perfbench sources not found next to src/"
-    dead = _dead_definitions(modules, readers, set(ksw.__all__))
+    dead = _dead_definitions(modules, readers, set(ksw.__all__), namespaces)
     assert not dead, "not exported and never read: " + ", ".join(dead)

@@ -8,7 +8,7 @@ import pytest
 from ksw.errors import CapExceeded, DecompositionFailure, LevelMismatch, NotApplicable
 from ksw.hodge import HKStructure
 from ksw import sympow as sympow_mod
-from ksw.linalg import Matrix, _dense, hstack, rank_and_kernel, same_span
+from ksw.linalg import Matrix, _dense, _int_columns, hstack, kernel_basis, rank_and_kernel, same_span
 from ksw.qspace import QuadraticSpace
 from ksw.randgen import random_congruence_scramble, random_hk
 from ksw.sympow import (
@@ -24,6 +24,8 @@ from ksw.sympow import (
     sym_derivation,
     sym_dim,
 )
+
+from oracles import power_row_full_basis
 
 
 def test_sym_dims():
@@ -259,7 +261,7 @@ def _refuse_elimination(m):
 def test_level_two_part_certified_without_elimination(h, k, monkeypatch):
     hk = random_hk(random.Random(70 + 10 * h + k), h)
     reference = _casimir_kernel(hk, k)
-    monkeypatch.setattr(sympow_mod, "rank_and_kernel", _refuse_elimination)
+    monkeypatch.setattr(sympow_mod, "kernel_basis", _refuse_elimination)
     assert level_two_part(hk, k) == reference
 
 
@@ -270,24 +272,29 @@ def test_level_two_part_falls_back_to_the_exact_kernel(monkeypatch):
 
     def counted(m):
         calls.append(m.rows)
-        return rank_and_kernel(m)
+        return kernel_basis(m)
 
     monkeypatch.setattr(sympow_mod, "rank_at_least", lambda m, target: False)
-    monkeypatch.setattr(sympow_mod, "rank_and_kernel", counted)
+    monkeypatch.setattr(sympow_mod, "kernel_basis", counted)
     assert level_two_part(hk, 3) == certified
     assert calls == [sym_dim(5, 3)]
+
+
+def _columns(vectors, n):
+    """The n-row matrix whose columns are the given vectors."""
+    return Matrix(zip(*vectors), len(vectors)) if vectors else Matrix.zeros(n, 0)
 
 
 def _patched_lift(monkeypatch, columns):
     """Make `q_power_lift` return the matrix whose columns are columns(true lift columns).
 
-    level_two_part lifts H^2 to Sym^(k-2) through it, then applies the q_mult of Sym^k.
+    level_two_part lifts H^2 to Sym^k through it.
     """
     real = sympow_mod.q_power_lift
 
     def lift(*args):
         m = real(*args)
-        return Matrix(columns([m.column(j) for j in range(m.cols)]), m.rows).transpose()
+        return _columns(columns([m.column(j) for j in range(m.cols)]), m.rows)
 
     monkeypatch.setattr(sympow_mod, "q_power_lift", lift)
 
@@ -301,9 +308,7 @@ def test_level_two_part_rejects_a_degenerate_image(monkeypatch):
 
 
 def test_level_two_part_rejects_an_image_off_the_kernel(monkeypatch):
-    # Q times h independent coordinate vectors of Sym^3: not the span of the
-    # Casimir kernel (at k = 3 the patched lift would be all of Sym^1, whose
-    # Q-image is the true one)
+    # h independent coordinate vectors of Sym^5: not the span of the Casimir kernel
     hk = random_hk(random.Random(71), 4)
     _patched_lift(monkeypatch, lambda cols: [Matrix.identity(len(cols[0])).column(j) for j in range(len(cols))])
     with pytest.raises(LevelMismatch, match="kernel and Q-power image of H\\^2 differ"):
@@ -332,18 +337,25 @@ def test_block_max_level_rejects_a_wrong_annihilator(monkeypatch):
         block_max_level(hk, 3)
 
 
+_TRUE_HARMONIC_BASIS = sympow_mod._harmonic_basis
+
+
+def _edited_basis(wrong):
+    """A `_harmonic_basis` whose columns are wrong(sym, true columns as int tuples)."""
+    return lambda sym: _columns(wrong(sym, _int_columns(_TRUE_HARMONIC_BASIS(sym))), sym.dim)
+
+
 def test_decompose_rejects_a_wrong_harmonic_basis(monkeypatch):
     space = QuadraticSpace(Matrix.diagonal([1, -1, 2]))
-    real = sympow_mod._harmonic_basis
-    monkeypatch.setattr(sympow_mod, "_harmonic_basis", lambda sym: real(sym)[1:])
+    monkeypatch.setattr(sympow_mod, "_harmonic_basis", _edited_basis(lambda sym, vecs: vecs[1:]))
     with pytest.raises(DecompositionFailure, match="block dimensions total 8 != 10"):
         decompose(space, 3)
     # the first vector twice: the right count, but rank deficient
-    monkeypatch.setattr(sympow_mod, "_harmonic_basis", lambda sym: real(sym)[:1] + real(sym)[:-1])
+    monkeypatch.setattr(sympow_mod, "_harmonic_basis", _edited_basis(lambda sym, vecs: vecs[:1] + vecs[:-1]))
     with pytest.raises(DecompositionFailure, match="stacked block basis is rank deficient"):
         decompose(space, 3)
     # a right basis the rank certificate refuses
-    monkeypatch.setattr(sympow_mod, "_harmonic_basis", real)
+    monkeypatch.setattr(sympow_mod, "_harmonic_basis", _TRUE_HARMONIC_BASIS)
     monkeypatch.setattr(sympow_mod, "rank_at_least", lambda m, target: False)
     with pytest.raises(DecompositionFailure, match="stacked block basis is rank deficient"):
         decompose(space, 3)
@@ -354,7 +366,7 @@ def _contraction_conditions(space, k, basis):
     syms = {j: build_sym(space, j) for j in range(k, -1, -2)}
     lifts = []
     for kh in range(k, -1, -2):
-        lift = Matrix(basis(syms[kh]), syms[kh].dim).transpose()
+        lift = basis(syms[kh])
         for j in range(kh + 2, k + 1, 2):
             lift = syms[j].q_mult * lift
         lifts.append(lift)
@@ -370,9 +382,9 @@ def _contraction_conditions(space, k, basis):
 
 
 def _only_in_degree(degree, wrong):
-    """A `_harmonic_basis` that returns wrong(sym, true basis) in the given degree only."""
-    real = sympow_mod._harmonic_basis
-    return lambda sym: wrong(sym, real(sym)) if sym.k == degree else real(sym)
+    """A `_harmonic_basis` that returns the columns wrong(sym, true columns) in the given degree only."""
+    edited = _edited_basis(wrong)
+    return lambda sym: edited(sym) if sym.k == degree else _TRUE_HARMONIC_BASIS(sym)
 
 
 def _assert_only_condition_fails(monkeypatch, space, k, basis, condition):
@@ -506,6 +518,34 @@ def test_power_vector_multinomial():
         (0, 3): Fraction(-8, 27),
     }
     assert _power_vector(sym, (Fraction(3, 5), 0)) == (Fraction(27, 125), 0, 0, 0)
+
+
+def test_power_row_matches_the_full_basis_expansion():
+    # the support-only expansion gives the same nonzeros in the same key order
+    rng = random.Random(72)
+    for h, k in [(1, 3), (3, 0), (3, 2), (4, 3), (5, 5), (7, 3)]:
+        sym = build_sym(QuadraticSpace(Matrix.identity(h)), k)
+        for _ in range(40):
+            v = [rng.choice((0, 0, rng.randint(-9, 9), Fraction(rng.randint(-5, 5), rng.randint(1, 6)))) for _ in range(h)]
+            nums, den = sympow_mod._power_row(sym, v)
+            assert [(pos, Fraction(x, den)) for pos, x in nums.items()] == power_row_full_basis(sym, v)
+
+
+def test_sym_powers_are_built_once_per_space(monkeypatch):
+    gram = Matrix.diagonal([1, -1, 2, 3])
+    space, twin = QuadraticSpace(gram), QuadraticSpace(gram)
+    assert build_sym(space, 3) is build_sym(space, 3)
+    # equal Grams, different spaces: nothing is shared
+    assert space == twin and build_sym(twin, 3) is not build_sym(space, 3)
+    assert not {id(s) for s in space.sym_powers.values()} & {id(s) for s in twin.sym_powers.values()}
+    built = []
+    real = sympow_mod.SymTensorSpace
+    monkeypatch.setattr(sympow_mod, "SymTensorSpace", lambda space, k, *rest: built.append(k) or real(space, k, *rest))
+    hk = random_hk(random.Random(69), 4)
+    block_max_level(hk, 5)
+    decompose(hk.space, 5)
+    level_two_part(hk, 5)
+    assert sorted(built) == [1, 3, 5]
 
 
 def test_caps():
