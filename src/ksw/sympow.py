@@ -25,11 +25,14 @@ harmonic block owns one row per column and the contraction kills it
 (one exact product), and the contraction of the other blocks, a
 dim Sym^(k-2) square, has a maximal minor nonzero modulo a fixed 61-bit
 prime (nonzero residue certifies exact nonvanishing), with exact
-elimination as its fallback.  The modular certificate, behind an exact
-product that bounds the rank from above, also stands in for elimination
-where the answer is built: the level <= 2 block as the Q-power image of
-H^2, and a full-rank stack of isotropic powers.  The Hodge-level
-annihilators act on a block basis the same way, one product per factor.
+elimination as its fallback.  Behind an exact product that bounds the
+rank from above, it also certifies a full-rank stack of isotropic
+powers.  The level <= 2 block, the Q-power image of H^2, is the Casimir
+eigenspace ker(Q.C - a) without that dim Sym^k square being formed: two
+thin products put the image in it, and a rank bound on the Sym^(k-2)
+square C.Q - a caps its dimension at h (w -> Q.w maps ker(C.Q - a) onto
+it for a != 0).  The Hodge-level annihilators act on a block basis the
+same way, one product per factor.
 """
 
 from __future__ import annotations
@@ -400,56 +403,52 @@ def level_two_part(hk: HKStructure, k: int):
 
     Every block Q^l(Harm^(k-2l)) with k - 2l > 1 has Hodge level
     2(k - 2l) > 2, so the level <= 2 piece of the decomposition is the
-    single block l = (k-1)/2, i.e. Q^((k-1)/2).H^2 of dimension h.  Two
-    descriptions must agree or LevelMismatch is raised:
+    single block l = (k-1)/2, i.e. Q^((k-1)/2).H^2 of dimension h.  With
+    Q = q_mult and C = contraction, it is the eigenspace ker(Q.C - a) of
+    the Casimir operator at its block eigenvalue a (the eigenvalues are
+    pairwise distinct; a polynomial in the rotation derivation alone cannot
+    cut the block out: its kernels are sums of full type components, and
+    the block shares the types |p-q| <= 2 with larger blocks).  The
+    eigenspace is read off the image of Q^((k-1)/2) on H^2, on one path
+    that raises LevelMismatch at its first failed step:
 
-      * kernel side: the eigenspace ker(q_mult . contraction - a_l) of the
-        Casimir operator, whose block eigenvalues are pairwise distinct
-        (a polynomial in the rotation derivation alone cannot cut the
-        block out: its kernels are sums of full type components, and the
-        block shares the types |p-q| <= 2 with larger blocks);
-      * image side: the columns of multiplication by Q^((k-1)/2) on H^2.
+      * the h image columns are independent (`reduced_echelon_basis`);
+      * Q.(C.lift) == a.lift, two thin products: the image lies in the
+        eigenspace;
+      * `rank_at_least(C.Q - a, dim Sym^(k-2) - h)` on the Sym^(k-2)
+        square leaves ker(C.Q - a) at most h dimensions.  For a != 0
+        (every odd k >= 3) each v in ker(Q.C - a) is Q(Cv/a) with Cv/a
+        in ker(C.Q - a), so w -> Q.w maps ker(C.Q - a) onto the
+        eigenspace.  At k = 3 the target is 0; at k = 1 (a = 0,
+        Sym^(-1) = 0) the h independent image columns are all of Sym^1;
+      * D_A(D_A^2 + N^2) kills the image, D_A the derivation of the
+        rotation generator: it carries only types |p-q| <= 2.
 
-    The kernel is read off the image and certified, not eliminated for:
-    the Casimir matrix kills the image (one exact product), the image has
-    rank h, and `rank_at_least` bounds the rank of the Casimir matrix
-    by dim - h, so the kernel is exactly the image span.  Its basis is
-    the one `kernel_basis` returns, by `reduced_echelon_basis`.  If
-    any step fails, the exact kernel decides, so results and messages
-    are those of the elimination on every input.  The kernel is
-    additionally certified to carry only types |p-q| <= 2: the
-    derivation D_A of the rotation generator kills it under
-    D_A(D_A^2 + N^2).
+    So the eigenspace is exactly the image span, and the basis returned is
+    the one `kernel_basis` would return for Q.C - a (`reduced_echelon_basis`).
+    No dim Sym^k square is formed.
     """
     if k % 2 != 1:
         raise ValueError("level filtration applies to odd symmetric powers")
     space = hk.space
     sym = build_sym(space, k)
     h = space.h
-    norm = hk.period.norm
-    l_top = (k - 1) // 2
-    casimir = sym.q_mult * sym.contraction
-    shift = casimir_block_eigenvalue(h, k, l_top) * Matrix.identity(sym.dim)
-    m = casimir - shift
-    lift = q_power_lift(space, 1, l_top)
-    # None iff the h columns are dependent; else the `kernel_basis` of any matrix with that kernel
+    a = casimir_block_eigenvalue(h, k, (k - 1) // 2)
+    lift = q_power_lift(space, 1, (k - 1) // 2)
     image = reduced_echelon_basis(lift)
-    kernel = image if image is not None and (m * lift).is_zero() else None
-    if kernel is None or not rank_at_least(m, sym.dim - h):
-        kernel = kernel_basis(m)
-    if kernel.cols != h:
-        raise LevelMismatch(
-            "Casimir eigenspace has dimension %d, expected h = %d" % (kernel.cols, h)
-        )
-    d_a = sym_derivation(sym, rotation_generator(hk))
-    if not _level_factor(d_a, norm, 2, _level_factor(d_a, norm, 0, kernel)).is_zero():
-        raise LevelMismatch("kernel vector carries a type with |p-q| > 2")
     if image is None:
         raise LevelMismatch("Q-power image of H^2 is degenerate")
-    # both are canonical bases, so they are equal exactly when the spans are
-    if image != kernel:
+    if sym.q_mult * (sym.contraction * lift) != a * lift:
         raise LevelMismatch("kernel and Q-power image of H^2 differ")
-    return _int_columns(kernel)
+    target = sym_dim(h, k - 2) - h
+    if not rank_at_least(sym.contraction * sym.q_mult - a * Matrix.identity(sym_dim(h, k - 2)), target):
+        raise LevelMismatch(
+            "Casimir eigenspace not bounded by h = %d: rank of C.Q - %s on Sym^%d is below %d" % (h, a, k - 2, target)
+        )
+    d_a, norm = sym_derivation(sym, rotation_generator(hk)), hk.period.norm
+    if not _level_factor(d_a, norm, 2, _level_factor(d_a, norm, 0, image)).is_zero():
+        raise LevelMismatch("kernel vector carries a type with |p-q| > 2")
+    return _int_columns(image)
 
 
 def block_max_level(hk: HKStructure, k: int):

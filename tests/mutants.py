@@ -1,0 +1,162 @@
+"""Mutation catalog: every certificate step must be load-bearing.
+
+Each entry is (name, file, exact old text, new text, killing tests).  The
+old text must occur exactly once in its file; the new text drops or
+weakens one certificate step; the killing tests are pytest node ids, and
+at least one of them must fail once the mutant is in place.
+
+Run from anywhere, with the test dependencies installed:
+
+    python tests/mutants.py
+
+Each mutant is applied to a fresh temporary copy of ``src/`` and
+``tests/``, and only its killing tests run there, with ``pytest -x``.  The
+run exits 1 if an old text does not match exactly once, if a mutant
+survives (its tests pass) or if its test run errors instead of failing.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from concurrent.futures import ThreadPoolExecutor
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+_SYMPOW = "src/ksw/sympow.py"
+_T_SYMPOW = "tests/test_sympow.py::"
+
+CATALOG = [
+    (
+        "level_two_part: drop the degenerate-image check",
+        _SYMPOW,
+        "    if image is None:\n",
+        "    if False:\n",
+        [_T_SYMPOW + "test_level_two_part_rejects_a_degenerate_image"],
+    ),
+    (
+        "level_two_part: drop the annihilation product",
+        _SYMPOW,
+        "    if sym.q_mult * (sym.contraction * lift) != a * lift:\n",
+        "    if False:\n",
+        [_T_SYMPOW + "test_level_two_part_rejects_an_image_off_the_kernel"],
+    ),
+    (
+        "level_two_part: drop the Sym^(k-2) rank bound",
+        _SYMPOW,
+        "    if not rank_at_least(sym.contraction * sym.q_mult - a * Matrix.identity(sym_dim(h, k - 2)), target):\n",
+        "    if False:\n",
+        [_T_SYMPOW + "test_level_two_part_raises_on_a_refused_rank_bound"],
+    ),
+    (
+        "level_two_part: drop the |p-q| <= 2 check",
+        _SYMPOW,
+        "    if not _level_factor(d_a, norm, 2, _level_factor(d_a, norm, 0, image)).is_zero():\n",
+        "    if False:\n",
+        [_T_SYMPOW + "test_level_two_part_rejects_a_wrong_rotation_generator"],
+    ),
+    (
+        "_contraction_certifies: drop (a), the harmonic block owns its rows",
+        _SYMPOW,
+        "    if len({next(iter(row)) for row in rows if len(row) == 1}) != harm.cols:\n",
+        "    if False:\n",
+        [_T_SYMPOW + "test_decompose_rejects_a_harmonic_block_that_owns_no_rows"],
+    ),
+    (
+        "_contraction_certifies: drop (b), C . H = 0",
+        _SYMPOW,
+        "    if not (contraction * harm).is_zero():\n",
+        "    if False:\n",
+        [_T_SYMPOW + "test_decompose_rejects_a_harmonic_block_off_the_contraction_kernel"],
+    ),
+    (
+        "_contraction_certifies: drop (c), the rank of C . L",
+        _SYMPOW,
+        "    return rank_at_least(contraction * lower, lower.cols)\n",
+        "    return True\n",
+        [_T_SYMPOW + "test_decompose_rejects_raised_blocks_the_contraction_collapses"],
+    ),
+    (
+        "rank_at_least: drop the exact fallback",
+        "src/ksw/linalg.py",
+        "    return m.rank() >= target\n",
+        "    return False\n",
+        ["tests/test_linalg.py::test_full_rank_certificate_and_rank_at_least"],
+    ),
+    (
+        "_stack_rank: drop the harmonicity product",
+        _SYMPOW,
+        "            if (stack * sym.contraction.transpose()).is_zero():\n",
+        "            if True:\n",
+        [_T_SYMPOW + "test_isotropic_stack_rank_certifies_only_harmonic_stacks"],
+    ),
+    (
+        "weil_class_space: drop the D_phi(D_phi X) = -16d X check",
+        "src/ksw/weil.py",
+        "    if basis and d_phi * (d_phi * basis) == (-16 * d) * basis:\n",
+        "    if basis:\n",
+        ["tests/test_weil.py::test_a_wrong_eigenvector_wedge_falls_back_to_the_exact_kernel"],
+    ),
+    (
+        "verify_j_square: accept every e",
+        "src/ksw/kuga_satake.py",
+        "        if e * (e * x) != -x:\n",
+        "        if False:\n",
+        ["tests/test_kuga_satake.py::test_j_square_rejects_a_perturbed_e"],
+    ),
+]
+
+
+def _read(path: str) -> str:
+    with open(os.path.join(ROOT, path), encoding="utf-8") as fh:
+        return fh.read()
+
+
+def unmatched() -> list[str]:
+    """Names of the mutants whose old text does not occur exactly once in its file."""
+    return [name for name, path, old, _, _ in CATALOG if _read(path).count(old) != 1]
+
+
+def run_mutant(mutant) -> tuple[str, str, float]:
+    """(name, verdict, seconds): 'killed', 'SURVIVED' or 'ERROR (exit n)'."""
+    name, path, old, new, tests = mutant
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory(prefix="ksw-mutant-") as tmp:
+        skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+        for sub in ("src", "tests"):
+            shutil.copytree(os.path.join(ROOT, sub), os.path.join(tmp, sub), ignore=skip)
+        shutil.copy(os.path.join(ROOT, "pyproject.toml"), tmp)
+        with open(os.path.join(tmp, path), "w", encoding="utf-8") as fh:
+            fh.write(_read(path).replace(old, new))
+        result = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
+            cwd=tmp,
+            env=dict(os.environ, PYTHONPATH=os.path.join(tmp, "src")),
+            capture_output=True,
+        )
+    # pytest exits 1 when a collected test failed; 0 means every killing test passed
+    verdict = {0: "SURVIVED", 1: "killed"}.get(result.returncode, "ERROR (exit %d)" % result.returncode)
+    return name, verdict, time.perf_counter() - start
+
+
+def main() -> int:
+    stale = unmatched()
+    if stale:
+        for name in stale:
+            print("old text does not match exactly once: %s" % name)
+        return 1
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        results = list(pool.map(run_mutant, CATALOG))
+    for name, verdict, seconds in results:
+        print("%-8s %5.1f s  %s" % (verdict, seconds, name))
+    killed = sum(verdict == "killed" for _, verdict, _ in results)
+    print("%d of %d mutants killed" % (killed, len(results)))
+    return 0 if killed == len(results) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -230,6 +230,9 @@ def test_full_rank_certificate_and_rank_at_least():
     deficient = Matrix([[1, 2], [2, 4]])
     assert rank_at_least(deficient, 1)
     assert not rank_at_least(deficient, 2)
+    # the prime divides an entry, then a denominator: only the exact fallback decides
+    assert rank_at_least(Matrix([[CERTIFICATE_PRIME, 0], [0, 1]]), 2)
+    assert rank_at_least(Matrix([[Fraction(1, CERTIFICATE_PRIME), 1]]), 1)
 
 
 def test_primitive_integer_vector_normalization():

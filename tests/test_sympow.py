@@ -8,7 +8,7 @@ import pytest
 from ksw.errors import CapExceeded, DecompositionFailure, LevelMismatch, NotApplicable
 from ksw.hodge import HKStructure
 from ksw import sympow as sympow_mod
-from ksw.linalg import Matrix, _dense, _int_columns, hstack, kernel_basis, rank_and_kernel, same_span
+from ksw.linalg import Matrix, _dense, _int_columns, hstack, rank_and_kernel, same_span
 from ksw.qspace import QuadraticSpace
 from ksw.randgen import random_congruence_scramble, random_hk
 from ksw.sympow import (
@@ -257,7 +257,7 @@ def _refuse_elimination(m):
     raise AssertionError("the certified path eliminated on the Casimir matrix")
 
 
-@pytest.mark.parametrize("h, k", [(3, 3), (5, 3), (4, 5), (7, 3), (3, 5)])
+@pytest.mark.parametrize("h, k", [(2, 3), (3, 3), (5, 3), (7, 3), (2, 5), (3, 5), (4, 5), (5, 5)])
 def test_level_two_part_certified_without_elimination(h, k, monkeypatch):
     hk = random_hk(random.Random(70 + 10 * h + k), h)
     reference = _casimir_kernel(hk, k)
@@ -265,19 +265,34 @@ def test_level_two_part_certified_without_elimination(h, k, monkeypatch):
     assert level_two_part(hk, k) == reference
 
 
-def test_level_two_part_falls_back_to_the_exact_kernel(monkeypatch):
-    hk = random_hk(random.Random(71), 5)
-    certified = level_two_part(hk, 3)
-    calls = []
+def test_level_two_part_forms_no_square_of_sym_k(monkeypatch):
+    # the Casimir matrix Q.C - a would be dim Sym^5 square: 56 x 56 at h = 4
+    hk = random_hk(random.Random(72), 4)
+    shapes = []
+    real = Matrix.__mul__
 
-    def counted(m):
-        calls.append(m.rows)
-        return kernel_basis(m)
+    def recorded(self, other):
+        product = real(self, other)
+        shapes.append((product.rows, product.cols))
+        return product
 
+    monkeypatch.setattr(Matrix, "__mul__", recorded)
+    monkeypatch.setattr(Matrix, "__rmul__", recorded)
+    level_two_part(hk, 5)
+    assert (20, 20) in shapes and (56, 4) in shapes
+    assert (sym_dim(4, 5), sym_dim(4, 5)) not in shapes
+
+
+def test_level_two_part_raises_on_a_refused_rank_bound(monkeypatch):
+    # rank_at_least(C.Q - a, dim Sym^3 - h) refused: no elimination decides instead
+    hk = random_hk(random.Random(71), 4)
     monkeypatch.setattr(sympow_mod, "rank_at_least", lambda m, target: False)
-    monkeypatch.setattr(sympow_mod, "kernel_basis", counted)
-    assert level_two_part(hk, 3) == certified
-    assert calls == [sym_dim(5, 3)]
+    monkeypatch.setattr(sympow_mod, "kernel_basis", _refuse_elimination)
+    with pytest.raises(LevelMismatch) as raised:
+        level_two_part(hk, 5)
+    message = str(raised.value)
+    assert "\n" not in message and message.startswith("Casimir eigenspace")
+    assert "on Sym^3 is below %d" % (sym_dim(4, 3) - 4) in message
 
 
 def _columns(vectors, n):
