@@ -24,6 +24,9 @@ from . import betti, formal_corr, kuga_satake, sympow
 from .errors import (
     CapExceeded,
     MissingHypothesisData,
+    NonScalarSquare,
+    NotCommutingWithJ,
+    NotQuadratic,
     TooSmall,
     UsageError,
     WorkbenchError,
@@ -216,7 +219,7 @@ def cmd_weil_analyze(args) -> RunReport:
     phi = phi_from_json(pdata)
     try:
         result = weil_analyze(weight1.j, phi)
-    except WorkbenchError as exc:
+    except (NonScalarSquare, NotQuadratic, NotCommutingWithJ) as exc:
         raise UsageError("weil analysis rejected the input: %s" % exc) from exc
     checks = [_check("weil.quadratic_endo", True, "phi^2 scalar negative, commutes with J")]
     if result.weil_space_dim is not None:

@@ -71,12 +71,14 @@ def _pair(gv, w) -> int:
     return sum(x * w_nums[k] for k, x in gv[0].items() if k in w_nums)
 
 
-def is_rational_square(r: Fraction) -> bool:
+def rational_sqrt(r: Fraction) -> Fraction | None:
+    """The nonnegative rational square root of r, or None if r has none."""
     r = frac(r)
     if r < 0:
-        return False
+        return None
     n, d = r.numerator, r.denominator
-    return isqrt(n) ** 2 == n and isqrt(d) ** 2 == d
+    rn, rd = isqrt(n), isqrt(d)
+    return Fraction(rn, rd) if rn * rn == n and rd * rd == d else None
 
 
 def same_square_class(a: Fraction, b: Fraction) -> bool:
@@ -87,7 +89,7 @@ def same_square_class(a: Fraction, b: Fraction) -> bool:
     a, b = frac(a), frac(b)
     if not a or not b:
         raise ValueError("square classes are defined for nonzero rationals")
-    return is_rational_square(a * b)
+    return rational_sqrt(a * b) is not None
 
 
 def square_class_representative(r: Fraction) -> int:

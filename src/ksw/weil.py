@@ -27,8 +27,8 @@ phi^2 = -d with d > 0 then phi has eigenvalues +-lam of multiplicity 4
 (conjugation swaps them), D_phi is (2a - 4) lam on wedge^a E+ (x)
 wedge^(4-a) E-, and the kernel wedge^4 E+ + wedge^4 E- has dimension 2.
 So that hypothesis, A and B in the kernel, and their independence certify
-span{A, B}; if any check fails, the exact 70x70 kernel decides, so results
-and errors are those of the elimination on every input.
+span{A, B}.  The hypothesis is checked on entry; the first check that
+fails raises, and no 70x70 matrix is eliminated or formed.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, isqrt
 
 from .errors import (
     NonScalarSquare,
@@ -48,12 +47,13 @@ from .errors import (
 from .clifford import reorder_parity
 from .linalg import (
     Matrix,
+    _cancel,
     _int_columns,
     induced_operator,
     products_equal,
-    rank_and_kernel,
     reduced_echelon_basis,
 )
+from .qspace import rational_sqrt
 
 _ZERO = Fraction(0)
 
@@ -100,14 +100,6 @@ def check_quadratic_endo(j: Matrix, phi: Matrix) -> QuadraticEndo:
     return QuadraticEndo(phi=phi, j=j, d=d)
 
 
-def _rational_sqrt(d: Fraction) -> Fraction | None:
-    n, den = d.numerator, d.denominator
-    rn, rd = isqrt(n), isqrt(den)
-    if rn * rn == n and rd * rd == den:
-        return Fraction(rn, rd)
-    return None
-
-
 def weil_multiplicities(endo: QuadraticEndo) -> tuple[int, int]:
     """Multiplicities (a, b) of +-i.sqrt(d) on the (1,0) part.
 
@@ -119,7 +111,7 @@ def weil_multiplicities(endo: QuadraticEndo) -> tuple[int, int]:
     n = endo.dim
     g = n // 2
     fj = endo.phi * endo.j
-    m = _rational_sqrt(endo.d)
+    m = rational_sqrt(endo.d)
     if m is None:
         if fj.trace() != 0:
             raise WorkbenchError(
@@ -171,27 +163,26 @@ def derivation_wedge4(op: Matrix) -> Matrix:
 def weil_class_space(endo: QuadraticEndo) -> list[tuple[int, ...]]:
     """Primitive basis of ker(D_phi^2 + 16 d) inside the fourth exterior power.
 
-    Exactly 2-dimensional for dim V = 8 when phi^2 = -d, d > 0 (the theorem
-    above); UnexpectedDimension otherwise.  The basis is the reduced-echelon
-    one of `rank_and_kernel` (one vector per free column, in column order),
-    read off the eigenvector wedge A + lam.B once phi.phi == -d.I and d > 0
-    hold exactly, A and B are independent, and D_phi(D_phi X) = -16 d X for
-    the 70x2 matrix X of the basis (two products).  If any check fails, the
-    exact kernel decides.
+    dim V must be 8 (ValueError), and phi.phi == -d.I with d > 0 must hold
+    exactly (NotQuadratic): then the kernel is 2-dimensional (the theorem
+    above).  The basis is the reduced-echelon one of the exact kernel (one
+    vector per free column, in column order), read off the eigenvector
+    wedge A + lam.B.  UnexpectedDimension if A and B are dependent or if
+    D_phi(D_phi X) != -16 d X for the 70x2 matrix X of the basis (two
+    products).
     """
     if endo.dim != 8:
         raise ValueError("weil_class_space is the fourfold case: dim V must be 8")
-    d, d_phi = endo.d, derivation_wedge4(endo.phi)
-    pair = _eigenvector_wedge(endo) if d > 0 and endo.phi * endo.phi == -d * Matrix.identity(8) else None
-    basis = pair and reduced_echelon_basis(Matrix(zip(*pair), 2))
-    if basis and d_phi * (d_phi * basis) == (-16 * d) * basis:
-        return _int_columns(basis)
-    _, kernel = rank_and_kernel(d_phi * d_phi + (16 * d) * Matrix.identity(d_phi.rows))
-    if len(kernel) != 2:
-        raise UnexpectedDimension(
-            "subfield-power kernel has dimension %d, expected 2" % len(kernel)
-        )
-    return kernel
+    d = endo.d
+    if not (d > 0 and endo.phi * endo.phi == -d * Matrix.identity(8)):
+        raise NotQuadratic("class space needs phi^2 = -d.I with d > 0; d = %s" % d)
+    basis = reduced_echelon_basis(Matrix(zip(*_eigenvector_wedge(endo)), 2))
+    if basis is None:
+        raise UnexpectedDimension("eigenvector wedge: A and B are dependent")
+    d_phi = derivation_wedge4(endo.phi)
+    if d_phi * (d_phi * basis) != (-16 * d) * basis:
+        raise UnexpectedDimension("eigenvector wedge lies outside the kernel of D_phi^2 + 16 d")
+    return _int_columns(basis)
 
 
 #: Laplace expansion of a 4x4 determinant along its first two columns:
@@ -206,42 +197,37 @@ _LAPLACE = (
 )
 
 
-def _eigenvector_wedge(endo: QuadraticEndo) -> tuple[list[int], list[int]] | None:
+def _eigenvector_wedge(endo: QuadraticEndo) -> tuple[list[int], list[int]]:
     """Integer (X, Y) with w_1^w_2^w_3^w_4 a positive multiple of X + mu.Y.
 
     u_i = e_c is taken greedily whenever e_c is outside the span of the
-    earlier u_i and phi u_i; for phi^2 = -d that span is phi-invariant and
-    grows by 2 each time (phi e_c = s + t e_c with s in it would put
-    (-d - t^2) e_c in it), so four are taken.  Any other count gives None.
+    earlier u_i and phi u_i; for phi^2 = -d, d > 0, that span is
+    phi-invariant and grows by 2 each time (phi e_c = s + t e_c with s in
+    it would put (-d - t^2) e_c in it), so exactly four are taken.
     With P = den.phi integral, m.den.w_i = m.P u_i + den.mu u_i, and each
     coordinate is a 4x4 minor of that 8x4 matrix over Z[mu], mu^2 = -n.m,
     expanded along the 2x2 minors of its first and last two columns.
     """
     rows, den = endo.phi.cleared()
-    cols = [[row.get(c, 0) for row in rows] for c in range(8)]
-    echelon: list[tuple[int, list[int]]] = []
+    cols = [{r: row[c] for r, row in enumerate(rows) if c in row} for c in range(8)]
+    echelon: dict[int, dict[int, int]] = {}  # pivot -> row, zero at the earlier pivots
 
-    def extend(v: list[int]) -> bool:
-        for p, row in echelon:
-            if v[p]:
-                v = [row[p] * a - v[p] * b for a, b in zip(v, row)]
-        pivot = next((i for i, a in enumerate(v) if a), None)
-        if pivot is not None:
-            g = gcd(*v)
-            echelon.append((pivot, [a // g for a in v]))
-        return pivot is not None
+    def extend(v: dict[int, int]) -> bool:
+        for p, row in echelon.items():
+            v = _cancel(v, p, row)
+        if v:
+            echelon[min(v)] = v
+        return bool(v)
 
     us = []
     for c in range(8):
-        if extend([int(r == c) for r in range(8)]):
+        if extend({c: 1}):
             us.append(c)
             extend(cols[c])
-    if len(us) != 4:
-        return None
     d = Fraction(endo.d)
     n, m = d.numerator, d.denominator
     nm = n * m
-    w = [[(m * cols[c][r], den if r == c else 0) for c in us] for r in range(8)]
+    w = [[(m * cols[c].get(r, 0), den if r == c else 0) for c in us] for r in range(8)]
 
     def mul(x, y):
         return x[0] * y[0] - nm * x[1] * y[1], x[0] * y[1] + x[1] * y[0]

@@ -28,7 +28,13 @@ from concurrent.futures import ThreadPoolExecutor
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 _SYMPOW = "src/ksw/sympow.py"
+_WEIL = "src/ksw/weil.py"
+_LINALG = "src/ksw/linalg.py"
 _T_SYMPOW = "tests/test_sympow.py::"
+_T_WEIL = "tests/test_weil.py::"
+_T_CLI = "tests/test_cli.py::"
+_T_PRODUCTS = "tests/test_linalg.py::test_products_equal_controls"
+_T_ECHELON = "tests/test_linalg.py::test_kernel_basis_matches_the_rref_oracle_on_seeded_matrices"
 
 CATALOG = [
     (
@@ -82,7 +88,7 @@ CATALOG = [
     ),
     (
         "rank_at_least: drop the exact fallback",
-        "src/ksw/linalg.py",
+        _LINALG,
         "    return m.rank() >= target\n",
         "    return False\n",
         ["tests/test_linalg.py::test_full_rank_certificate_and_rank_at_least"],
@@ -95,11 +101,123 @@ CATALOG = [
         [_T_SYMPOW + "test_isotropic_stack_rank_certifies_only_harmonic_stacks"],
     ),
     (
+        "weil_class_space: drop the entry check phi^2 = -d.I, d > 0",
+        _WEIL,
+        "    if not (d > 0 and endo.phi * endo.phi == -d * Matrix.identity(8)):\n",
+        "    if False:\n",
+        [_T_WEIL + "test_class_space_refuses_phi_squared_not_minus_d_before_any_elimination"],
+    ),
+    (
+        "weil_class_space: drop the d > 0 guard",
+        _WEIL,
+        "    if not (d > 0 and endo.phi * endo.phi == -d * Matrix.identity(8)):\n",
+        "    if not (endo.phi * endo.phi == -d * Matrix.identity(8)):\n",
+        [_T_WEIL + "test_class_space_refuses_d_not_positive_before_any_elimination"],
+    ),
+    (
+        "weil_class_space: drop the dependent-pair check",
+        _WEIL,
+        "    if basis is None:\n",
+        "    if False:\n",
+        [_T_WEIL + "test_a_wrong_eigenvector_wedge_raises"],
+    ),
+    (
         "weil_class_space: drop the D_phi(D_phi X) = -16d X check",
-        "src/ksw/weil.py",
-        "    if basis and d_phi * (d_phi * basis) == (-16 * d) * basis:\n",
-        "    if basis:\n",
-        ["tests/test_weil.py::test_a_wrong_eigenvector_wedge_falls_back_to_the_exact_kernel"],
+        _WEIL,
+        "    if d_phi * (d_phi * basis) != (-16 * d) * basis:\n",
+        "    if False:\n",
+        [_T_WEIL + "test_a_wrong_eigenvector_wedge_raises"],
+    ),
+    (
+        "_LAPLACE: flip the sign of one term",
+        _WEIL,
+        "    ((0, 2), (1, 3), -1),\n",
+        "    ((0, 2), (1, 3), 1),\n",
+        [_T_WEIL + "test_weil_class_space_bases_are_pinned"],
+    ),
+    (
+        "_eigenvector_wedge: mu^2 = +n.m in the Z[mu] product",
+        _WEIL,
+        "        return x[0] * y[0] - nm * x[1] * y[1], x[0] * y[1] + x[1] * y[0]\n",
+        "        return x[0] * y[0] + nm * x[1] * y[1], x[0] * y[1] + x[1] * y[0]\n",
+        [_T_WEIL + "test_weil_class_space_bases_are_pinned"],
+    ),
+    (
+        "cmd_weil_analyze: turn every workbench error into exit 2",
+        "src/ksw/cli.py",
+        "    except (NonScalarSquare, NotQuadratic, NotCommutingWithJ) as exc:\n",
+        "    except WorkbenchError as exc:\n",
+        [_T_CLI + "test_weil_analyze_class_space_fault_is_a_violation"],
+    ),
+    (
+        "rational_sqrt: drop the denominator test",
+        "src/ksw/qspace.py",
+        "rn * rn == n and rd * rd == d",
+        "rn * rn == n",
+        ["tests/test_qspace.py::test_is_rational_square_and_same_class"],
+    ),
+    (
+        "qspace: import sympy eagerly",
+        "src/ksw/qspace.py",
+        "from math import isqrt\n",
+        "from math import isqrt\n\nimport sympy\n",
+        [_T_CLI + "test_importing_the_cli_leaves_sympy_out"],
+    ),
+    (
+        "products_equal: drop the shape check",
+        _LINALG,
+        "    if a.rows != c.rows or b.cols != d.cols:\n",
+        "    if False:\n",
+        [_T_PRODUCTS],
+    ),
+    (
+        "products_equal: swap s and t",
+        _LINALG,
+        "anums, brows, cden * dd)\n        if any(_accumulate(acc, cnums, drows, -aden * db)",
+        "anums, brows, aden * db)\n        if any(_accumulate(acc, cnums, drows, -cden * dd)",
+        [_T_PRODUCTS],
+    ),
+    (
+        "products_equal: swap D_b and D_d",
+        _LINALG,
+        "anums, brows, cden * dd)\n        if any(_accumulate(acc, cnums, drows, -aden * db)",
+        "anums, brows, cden * db)\n        if any(_accumulate(acc, cnums, drows, -aden * dd)",
+        [_T_PRODUCTS],
+    ),
+    (
+        "_bareiss_echelon: divide by prev instead of the row's stored pivot",
+        _LINALG,
+        "            rows[i] = {j: x // base[i] for j, x in new.items() if x}\n",
+        "            rows[i] = {j: x // prev for j, x in new.items() if x}\n",
+        [_T_ECHELON],
+    ),
+    (
+        "_bareiss_echelon: skip the pivot-row rescale",
+        _LINALG,
+        "        if base[r] != prev:\n",
+        "        if False:\n",
+        [_T_ECHELON],
+    ),
+    (
+        "_primitive_columns: drop the sign normalisation",
+        _LINALG,
+        "            scale[f] = gcd(g, x) if g > 0 else -gcd(g, x)\n",
+        "            scale[f] = gcd(g, x)\n",
+        ["tests/test_linalg.py::test_rank_kernel_rank_one"],
+    ),
+    (
+        "_sign_table: a wrong step",
+        "src/ksw/clifford.py",
+        "        table[mask] = table[mask ^ low] ^ (low - 1)\n",
+        "        table[mask] = table[mask ^ low] ^ low\n",
+        ["tests/test_clifford.py::test_sign_and_contract_tables_exhaustive_h1_to_h6"],
+    ),
+    (
+        "block_max_level: drop the already-killed test",
+        _SYMPOW,
+        "        if level > 0 and reduced.is_zero():\n",
+        "        if False:\n",
+        [_T_SYMPOW + "test_block_max_level_rejects_a_wrong_annihilator"],
     ),
     (
         "verify_j_square: accept every e",

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import ksw
-from ksw import clifford as clifford_mod, suite as suite_mod
+from ksw import clifford as clifford_mod, suite as suite_mod, weil as weil_mod
 from ksw.betti import power_of_two
 from ksw.cli import main
 from ksw.errors import UsageError
@@ -680,6 +680,17 @@ def _weil_block_files(tmp_path):
     (tmp_path / "weight1.json").write_text(json.dumps({"dim": 8, "J": [[str(x) for x in r] for r in j]}))
     (tmp_path / "phi.json").write_text(json.dumps({"phi": [[str(x) for x in r] for r in phi]}))
     return str(tmp_path / "weight1.json"), str(tmp_path / "phi.json")
+
+
+def test_weil_analyze_class_space_fault_is_a_violation(tmp_path, capsys, monkeypatch):
+    # checked input, then a failed class-space step: a program fault, exit 1
+    pair = ([1] + [0] * 69, [0, 1] + [0] * 68)
+    monkeypatch.setattr(weil_mod, "_eigenvector_wedge", lambda endo: pair)
+    weight1, phi = _weil_block_files(tmp_path)
+    assert main(["weil", "analyze", "-f", weight1, "--phi", phi]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("violation: ") and captured.err.count("\n") == 1
 
 
 #: sha256 of the --json stdout of each command on the fixtures above

@@ -378,6 +378,17 @@ def test_products_equal_decides_the_product_identity(chain, data):
     assert not products_equal(a, b, a, wider) and not products_equal(a, wider, a, b)
 
 
+def test_products_equal_controls():
+    # 1 * 2 == 4 * (1/2): the two row scales 1 and 2 differ, so swapping
+    # them, or the two denominators, breaks the comparison
+    one, two, four, half = (Matrix([[x]]) for x in (1, 2, 4, Fraction(1, 2)))
+    assert products_equal(one, two, four, half) and products_equal(four, half, one, two)
+    assert not products_equal(one, two, four, one)
+    # the same first row in a taller product is still a different product
+    assert not products_equal(Matrix([[1], [0]]), one, one, one)
+    assert not products_equal(one, one, Matrix([[1], [0]]), one)
+
+
 def _eager_bareiss(rows, ncols):
     """Textbook Bareiss that rescales every row below the pivot at every step."""
     rows = [list(r) for r in rows]

@@ -10,7 +10,7 @@ from ksw.qspace import (
     QuadraticSpace,
     diagonalize,
     inverse_form,
-    is_rational_square,
+    rational_sqrt,
     same_square_class,
     signature,
     square_class_representative,
@@ -166,9 +166,12 @@ def test_square_class_representative():
 
 
 def test_is_rational_square_and_same_class():
-    assert is_rational_square(Fraction(9, 4))
-    assert not is_rational_square(Fraction(2))
-    assert not is_rational_square(Fraction(-4))
+    assert rational_sqrt(Fraction(9, 4)) == Fraction(3, 2)
+    assert rational_sqrt(Fraction(0)) == 0
+    assert rational_sqrt(Fraction(1, 49)) == Fraction(1, 7)
+    assert rational_sqrt(49) == 7
+    for r in (Fraction(2), Fraction(-4), Fraction(9, 2), Fraction(2, 9)):
+        assert rational_sqrt(r) is None
     assert same_square_class(Fraction(2), Fraction(8))
     assert not same_square_class(Fraction(2), Fraction(-8))
     assert not same_square_class(Fraction(2), Fraction(3))

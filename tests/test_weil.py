@@ -208,47 +208,28 @@ def _exact_class_space(endo):
     return rank_and_kernel(mat)[1]
 
 
-def _refuse_elimination(mat):
-    raise AssertionError("the exact kernel ran: the constructed basis was not certified")
-
-
-def test_constructed_class_space_is_the_exact_kernel_basis(monkeypatch):
-    # every case must be decided by the construction and its certificate,
-    # and give the primitive reduced-echelon basis of the exact kernel
-    j, phi = block_j(), block_phi()
-    phi4 = [[0, -2, 0, 0], [1, 0, 0, 0], [0, 0, 0, -2], [0, 0, 1, 0]]
-    j4 = [[0, 0, -1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0]]
-
-    def doubled(block):
-        return Matrix([[block[i % 4][k % 4] if i // 4 == k // 4 else 0 for k in range(8)] for i in range(8)])
-
-    endos = [
-        check_quadratic_endo(j, phi * Fraction(1, 2)),
-        check_quadratic_endo(j, 3 * phi),
-        check_quadratic_endo(doubled(j4), doubled(phi4)),
-    ]
-    assert [e.d for e in endos] == [Fraction(1, 4), 9, 2]
-    rng = random.Random(56)
-    for _ in range(5):
-        g = random_unimodular(rng, 8)
-        ginv = g.inverse()
-        for cand in (phi, j):
-            endos.append(check_quadratic_endo(ginv * j * g, ginv * cand * g))
-    for endo in endos:
-        with monkeypatch.context() as patch:
-            patch.setattr(weil_mod, "rank_and_kernel", _refuse_elimination)
-            constructed = weil_class_space(endo)
-        assert constructed == _exact_class_space(endo)
-
-
 def _refuse(*args):
-    raise AssertionError("a rank bound or an elimination ran on valid input")
+    raise AssertionError("a rank bound or an elimination ran")
 
 
-def test_class_space_is_certified_from_the_hypothesis_alone(monkeypatch):
-    # phi^2 = -d with d > 0 makes the kernel 2-dimensional (Weil), so on
-    # valid input the basis needs no rank bound, no elimination and no
-    # 70x70 square D_phi^2; it is still the exact kernel's basis
+def _no_elimination(patch):
+    """Make every rank, kernel and 70x70 by 70x70 product raise inside the context."""
+    for name in ("rank_and_kernel", "kernel_basis", "rank_at_least"):
+        patch.setattr(weil_mod, name, _refuse, raising=False)
+        patch.setattr(linalg_mod, name, _refuse)
+    patch.setattr(Matrix, "rank", _refuse)
+    product = Matrix.__mul__
+
+    def no_square_of_size_70(a, b):
+        if isinstance(b, Matrix) and a.cols == b.rows == b.cols == 70:
+            raise AssertionError("a 70x70 by 70x70 product was formed")
+        return product(a, b)
+
+    patch.setattr(Matrix, "__mul__", no_square_of_size_70)
+
+
+def _hypothesis_endos():
+    """phi = J/2, 3J, a doubled d = 2 block, and five conjugates each of phi and J."""
     j, phi = block_j(), block_phi()
     phi4 = [[0, -2, 0, 0], [1, 0, 0, 0], [0, 0, 0, -2], [0, 0, 1, 0]]
     j4 = [[0, 0, -1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0]]
@@ -260,79 +241,73 @@ def test_class_space_is_certified_from_the_hypothesis_alone(monkeypatch):
         g = random_unimodular(rng, 8)
         ginv = g.inverse()
         endos += [check_quadratic_endo(ginv * j * g, ginv * cand * g) for cand in (phi, j)]
-    product = Matrix.__mul__
+    return endos
 
-    def no_square_of_size_70(a, b):
-        if isinstance(b, Matrix) and a.cols == b.rows == b.cols == 70:
-            raise AssertionError("a 70x70 by 70x70 product was formed")
-        return product(a, b)
 
+def test_constructed_class_space_is_the_exact_kernel_basis():
+    # every case gives the primitive reduced-echelon basis of the exact kernel
+    endos = _hypothesis_endos()
+    assert [e.d for e in endos[:3]] == [Fraction(1, 4), 9, 2]
     for endo in endos:
+        assert weil_class_space(endo) == _exact_class_space(endo)
+
+
+def test_class_space_is_certified_from_the_hypothesis_alone(monkeypatch):
+    # phi^2 = -d with d > 0 makes the kernel 2-dimensional (Weil), so the
+    # basis needs no rank bound, no elimination and no 70x70 square
+    # D_phi^2; every case is decided by the construction and its
+    # certificate, and it is still the exact kernel's basis
+    for endo in _hypothesis_endos():
         with monkeypatch.context() as patch:
-            patch.setattr(weil_mod, "rank_and_kernel", _refuse)
-            patch.setattr(weil_mod, "rank_at_least", _refuse, raising=False)
-            patch.setattr(linalg_mod, "rank_at_least", _refuse)
-            patch.setattr(Matrix, "__mul__", no_square_of_size_70)
+            _no_elimination(patch)
             certified = weil_class_space(endo)
         assert certified == _exact_class_space(endo)
 
 
-def test_class_space_falls_back_when_d_is_not_positive(monkeypatch):
-    # QuadraticEndo built without check_quadratic_endo and d <= 0: the
-    # hypothesis fails, so the exact kernel decides; in the last two
-    # cases phi^2 = -d.I holds and only d > 0 fails
-    calls = []
-
-    def counted(mat):
-        calls.append(mat.rows)
-        return rank_and_kernel(mat)
-
-    monkeypatch.setattr(weil_mod, "rank_and_kernel", counted)
-    cases = [
-        (block_phi(), -4, 0),
-        (block_phi(), 0, 36),
-        (Matrix.zeros(8, 8), 0, 70),
-        (Matrix.diagonal([1] * 5 + [-1] * 3), -1, 5),
-    ]
-    for phi, d, dim in cases:
-        with pytest.raises(UnexpectedDimension, match="dimension %d, expected 2" % dim):
+def _assert_refused_before_any_elimination(monkeypatch, phi, d):
+    # QuadraticEndo built without check_quadratic_endo: the entry check
+    # raises NotQuadratic before the construction runs
+    with monkeypatch.context() as inner:
+        _no_elimination(inner)
+        inner.setattr(weil_mod, "_eigenvector_wedge", _refuse)
+        with pytest.raises(NotQuadratic, match="d = %d$" % d):
             weil_class_space(QuadraticEndo(phi=phi, j=block_j(), d=Fraction(d)))
-    # real eigenvalues +-1, four each: the exact kernel is 2-dimensional
-    # and is returned as it is
+
+
+def test_class_space_refuses_d_not_positive_before_any_elimination(monkeypatch):
+    # in the d = 0 and d = -1 cases phi^2 = -d.I holds and only d > 0 fails
     swaps = Matrix([[int(i // 2 == k // 2 and i != k) for k in range(8)] for i in range(8)])
-    endo = QuadraticEndo(phi=swaps, j=block_j(), d=Fraction(-1))
     assert swaps * swaps == Matrix.identity(8)
-    assert weil_class_space(endo) == _exact_class_space(endo)
-    assert calls == [70] * 5
+    cases = [
+        (block_phi(), -4),
+        (block_phi(), 0),
+        (Matrix.zeros(8, 8), 0),
+        (Matrix.diagonal([1] * 5 + [-1] * 3), -1),
+        (swaps, -1),
+    ]
+    for phi, d in cases:
+        _assert_refused_before_any_elimination(monkeypatch, phi, d)
 
 
-def test_class_space_falls_back_when_phi_squared_is_not_minus_d(monkeypatch):
-    # QuadraticEndo built without check_quadratic_endo: the certificate
-    # fails, and the exact kernel (dimension 0 here) decides as before
-    calls = []
-
-    def counted(mat):
-        calls.append(mat.rows)
-        return rank_and_kernel(mat)
-
-    monkeypatch.setattr(weil_mod, "rank_and_kernel", counted)
+def test_class_space_refuses_phi_squared_not_minus_d_before_any_elimination(monkeypatch):
     for phi, d in ((Matrix.zeros(8, 8), 1), (block_phi(), 4)):
-        with pytest.raises(UnexpectedDimension, match="dimension 0, expected 2"):
-            weil_class_space(QuadraticEndo(phi=phi, j=block_j(), d=Fraction(d)))
-    assert calls == [70, 70]
+        _assert_refused_before_any_elimination(monkeypatch, phi, d)
 
 
-def test_a_wrong_eigenvector_wedge_falls_back_to_the_exact_kernel(monkeypatch):
+def test_a_wrong_eigenvector_wedge_raises(monkeypatch):
     # two independent standard basis vectors of the fourth exterior power
-    # are no class space: D_phi(D_phi X) = -16 d X fails on them, and the
-    # exact kernel decides
-    pair = ([1] + [0] * 69, [0, 1] + [0] * 68)
-    monkeypatch.setattr(weil_mod, "_eigenvector_wedge", lambda endo: pair)
+    # are no class space, and X = Y spans a line: each raises at its step
+    e0, e1 = [1] + [0] * 69, [0, 1] + [0] * 68
     j, phi = block_j(), block_phi()
     g = random_unimodular(random.Random(57), 8)
     ginv = g.inverse()
     for endo in (check_quadratic_endo(j, phi), check_quadratic_endo(ginv * j * g, ginv * phi * g)):
-        assert weil_class_space(endo) == _exact_class_space(endo)
+        for pair, step in (((e0, e1), "outside the kernel"), ((e1, e1), "A and B are dependent")):
+            with monkeypatch.context() as patch:
+                _no_elimination(patch)
+                patch.setattr(weil_mod, "_eigenvector_wedge", lambda endo: pair)
+                with pytest.raises(UnexpectedDimension, match=step):
+                    weil_class_space(endo)
 
 
 def test_weil_class_space_dimension_precondition():
