@@ -17,22 +17,18 @@ normalization of the contraction has the same kernel, and the kernel is
 what is normative.
 
 The blocks q_mult^l(Harm^(k-2l)) decompose Sym^k.  Each block basis is
-the columns of one matrix (the harmonic one is `kernel_basis` of the
-contraction), lifted by one product per degree; a space builds each
-Sym^j once (`build_sym`).  The blocks
-side by side are certified nonsingular through the contraction: the
-harmonic block owns one row per column and the contraction kills it
-(one exact product), and the contraction of the other blocks, a
-dim Sym^(k-2) square, has a maximal minor nonzero modulo a fixed 61-bit
-prime (nonzero residue certifies exact nonvanishing), with exact
-elimination as its fallback.  Behind an exact product that bounds the
-rank from above, it also certifies a full-rank stack of isotropic
-powers.  The level <= 2 block, the Q-power image of H^2, is the Casimir
-eigenspace ker(Q.C - a) without that dim Sym^k square being formed: two
-thin products put the image in it, and a rank bound on the Sym^(k-2)
-square C.Q - a caps its dimension at h (w -> Q.w maps ker(C.Q - a) onto
-it for a != 0).  The Hodge-level annihilators act on a block basis the
-same way, one product per factor.
+the columns of one matrix: the harmonic one is `kernel_basis` of the
+contraction, and block l >= 1 is Q times block l-1 of Sym^(k-2), so the
+stack is built by recursion on k and a space builds each Sym^j once
+(`build_sym`).  One exact identity certifies the stack nonsingular, the
+sl2 relation contraction(Q.f) = (2h + 4 deg f).f + Q.contraction(f):
+the contraction kills the harmonic block, which owns one row per column,
+and sends block l to a nonzero multiple c_l of block l-1 of Sym^(k-2),
+one exact comparison per block and no rank.  Behind an exact product
+that bounds the rank from above, a rank modulo a fixed 61-bit prime
+certifies a full-rank stack of isotropic powers.  The level <= 2 block,
+the Q-power image of H^2, is the top block of the stack.  The Hodge-level
+annihilators act on a block basis one product per factor.
 """
 
 from __future__ import annotations
@@ -51,10 +47,8 @@ from .linalg import (
     _int_row,
     _rank_mod_p,
     _row,
-    hstack,
     induced_operator,
     kernel_basis,
-    rank_at_least,
     reduced_echelon_basis,
 )
 from .qspace import QuadraticSpace
@@ -199,8 +193,8 @@ class Decomposition:
 
     ``lifts[l]`` holds the basis of block l as the columns of one matrix;
     block l = 0 is the primitive integer harmonic basis itself (Q^0 = 1).
-    The certificate's maximal minor is that of C . L, the contraction
-    C: Sym^k -> Sym^(k-2) applied to the blocks l >= 1 side by side.
+    The certificate names the exact identity `_blocks` checked on them:
+    the contraction C sends Q^l H to c_l Q^(l-1) H.
     """
 
     k: int
@@ -230,63 +224,57 @@ def decompose(space: QuadraticSpace, k: int) -> Decomposition:
 
     Dimensions must total dim Sym^k and the stacked basis must have full
     rank; DecompositionFailure otherwise (it would signal an arithmetic
-    bug for a nondegenerate form).  Each Sym^j is built once; a harmonic
-    basis of degree j, as the columns of one matrix, is lifted by the chain
-    of Q-multiplications Sym^j -> Sym^(j+2) -> ... -> Sym^k.
+    bug for a nondegenerate form).  Each Sym^j is built once; the blocks
+    of Sym^(k-2), as the columns of one matrix each, are lifted by one
+    Q-multiplication Sym^(k-2) -> Sym^k.
     """
-    return Decomposition(k=k, lifts=_blocks(space, k), certificate="maximal minor nonzero mod 2^61-1")
+    return Decomposition(k=k, lifts=_blocks(space, k), certificate="C.Q^l H = c_l Q^(l-1) H, exact")
 
 
 def _blocks(space: QuadraticSpace, k: int) -> list[Matrix]:
     """The lifted harmonic bases behind `decompose`, block l's as the columns of entry l.
 
-    With H the block l = 0, L the blocks l >= 1 side by side and C the
-    contraction Sym^k -> Sym^(k-2), the stack [H | L] is square once the
-    dimensions total dim Sym^k, and three checks prove it nonsingular:
+    Block 0 is H, the canonical kernel basis of the contraction
+    C: Sym^k -> Sym^(k-2); block l >= 1 is Q times block l-1 of
+    `_blocks(space, k - 2)`, and below k = 2 there is no lower block.  With
+    L the blocks l >= 1 side by side, the stack [H | L] is square once the
+    dimensions total dim Sym^k, and three exact checks prove it nonsingular:
 
       (a) each column of H is the only nonzero of H in some row (the
           canonical kernel basis owns its free rows), so H y0 = 0 forces
           y0 = 0;
       (b) C . H = 0, one exact product;
-      (c) `rank_at_least(C . L, L.cols)`, on a dim Sym^(k-2) square.
+      (c') C . (block l) == c_l . (block l-1 of Sym^(k-2)) for each l >= 1,
+          with c_l = `casimir_block_eigenvalue(h, k, l)` = 2l(h + 2k - 2l - 2)
+          >= 2h > 0.
 
-    H y0 + L y1 = 0 gives C L y1 = 0 by (b), so y1 = 0 by (c), and then
-    y0 = 0 by (a).  The canonical kernel basis of C passes (a) and (b) by
-    construction, and it spans ker C, so (c) fails exactly when some
-    nonzero combination of L lies in the span of H: then the stack is
-    singular, and a failed check means it is rank deficient.
+    By induction on k the Sym^(k-2) stack is nonsingular.  H y0 + L y1 = 0
+    gives C L y1 = 0 by (b); by (c') that is the Sym^(k-2) stack applied to
+    y1 scaled blockwise by the c_l, so y1 = 0, and then y0 = 0 by (a).  The
+    true blocks pass all three (the sl2 relation of C and Q), and a failed
+    check means the stack is not certified: it is reported rank deficient.
 
     Raises ValueError for k < 0 and DecompositionFailure as `decompose` documents.
     """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    syms = {j: build_sym(space, j) for j in range(k, -1, -2)}
-    ambient = sym_dim(space.h, k)
-    lifts = []
-    for kh in range(k, -1, -2):
-        lift = _harmonic_basis(syms[kh])
-        for j in range(kh + 2, k + 1, 2):
-            lift = syms[j].q_mult * lift
-        lifts.append(lift)
+    sym = build_sym(space, k)
+    harm = _harmonic_basis(sym)
+    lower = _blocks(space, k - 2) if k >= 2 else []
+    lifts = [harm] + [sym.q_mult * block for block in lower]
     total = sum(lift.cols for lift in lifts)
-    if total != ambient:
-        raise DecompositionFailure("block dimensions total %d != %d" % (total, ambient))
-    if not _contraction_certifies(syms[k].contraction, lifts[0], lifts[1:]):
+    if total != sym.dim:
+        raise DecompositionFailure("block dimensions total %d != %d" % (total, sym.dim))
+    rows, _ = harm.cleared()
+    owns_rows = len({next(iter(row)) for row in rows if len(row) == 1}) == harm.cols
+    if not (
+        owns_rows
+        and (sym.contraction * harm).is_zero()
+        and all(
+            sym.contraction * lift == casimir_block_eigenvalue(space.h, k, l) * block
+            for l, (lift, block) in enumerate(zip(lifts[1:], lower), 1)
+        )
+    ):
         raise DecompositionFailure("stacked block basis is rank deficient")
     return lifts
-
-
-def _contraction_certifies(contraction: Matrix, harm: Matrix, raised: list[Matrix]) -> bool:
-    """Checks (a), (b) and (c) of `_blocks` on H = harm and L = the raised blocks side by side."""
-    rows, _ = harm.cleared()
-    if len({next(iter(row)) for row in rows if len(row) == 1}) != harm.cols:
-        return False
-    if not (contraction * harm).is_zero():
-        return False
-    if not raised:
-        return True
-    lower = hstack(*raised)
-    return rank_at_least(contraction * lower, lower.cols)
 
 
 def _primitive_int_vectors_in_box(h: int, height: int):
@@ -403,48 +391,30 @@ def level_two_part(hk: HKStructure, k: int):
 
     Every block Q^l(Harm^(k-2l)) with k - 2l > 1 has Hodge level
     2(k - 2l) > 2, so the level <= 2 piece of the decomposition is the
-    single block l = (k-1)/2, i.e. Q^((k-1)/2).H^2 of dimension h.  With
-    Q = q_mult and C = contraction, it is the eigenspace ker(Q.C - a) of
-    the Casimir operator at its block eigenvalue a (the eigenvalues are
-    pairwise distinct; a polynomial in the rotation derivation alone cannot
-    cut the block out: its kernels are sums of full type components, and
-    the block shares the types |p-q| <= 2 with larger blocks).  The
-    eigenspace is read off the image of Q^((k-1)/2) on H^2, on one path
-    that raises LevelMismatch at its first failed step:
+    single block l = (k-1)/2, i.e. Q^((k-1)/2).H^2 of dimension h: the top
+    block of `_blocks`, certified with the whole stack.  With Q = q_mult and
+    C = contraction it is the eigenspace ker(Q.C - a) of the Casimir
+    operator at a = c_((k-1)/2): by check (c') of `_blocks`, Q.C acts on
+    block l by c_l, and these values are pairwise distinct.  (A polynomial
+    in the rotation derivation alone cannot cut the block out: its kernels
+    are sums of full type components, and the block shares the types
+    |p-q| <= 2 with larger blocks.)  On one path that raises LevelMismatch
+    at its first failed step:
 
-      * the h image columns are independent (`reduced_echelon_basis`);
-      * Q.(C.lift) == a.lift, two thin products: the image lies in the
-        eigenspace;
-      * `rank_at_least(C.Q - a, dim Sym^(k-2) - h)` on the Sym^(k-2)
-        square leaves ker(C.Q - a) at most h dimensions.  For a != 0
-        (every odd k >= 3) each v in ker(Q.C - a) is Q(Cv/a) with Cv/a
-        in ker(C.Q - a), so w -> Q.w maps ker(C.Q - a) onto the
-        eigenspace.  At k = 3 the target is 0; at k = 1 (a = 0,
-        Sym^(-1) = 0) the h independent image columns are all of Sym^1;
-      * D_A(D_A^2 + N^2) kills the image, D_A the derivation of the
-        rotation generator: it carries only types |p-q| <= 2.
+      * the h columns of the top block are independent
+        (`reduced_echelon_basis`);
+      * D_A(D_A^2 + N^2) kills them, D_A the derivation of the rotation
+        generator: they carry only types |p-q| <= 2.
 
-    So the eigenspace is exactly the image span, and the basis returned is
-    the one `kernel_basis` would return for Q.C - a (`reduced_echelon_basis`).
-    No dim Sym^k square is formed.
+    The basis returned is the one `kernel_basis` would return for Q.C - a
+    (`reduced_echelon_basis`).  No dim Sym^k square is formed.
     """
     if k % 2 != 1:
         raise ValueError("level filtration applies to odd symmetric powers")
-    space = hk.space
-    sym = build_sym(space, k)
-    h = space.h
-    a = casimir_block_eigenvalue(h, k, (k - 1) // 2)
-    lift = q_power_lift(space, 1, (k - 1) // 2)
-    image = reduced_echelon_basis(lift)
+    sym = build_sym(hk.space, k)
+    image = reduced_echelon_basis(_blocks(hk.space, k)[-1])
     if image is None:
         raise LevelMismatch("Q-power image of H^2 is degenerate")
-    if sym.q_mult * (sym.contraction * lift) != a * lift:
-        raise LevelMismatch("kernel and Q-power image of H^2 differ")
-    target = sym_dim(h, k - 2) - h
-    if not rank_at_least(sym.contraction * sym.q_mult - a * Matrix.identity(sym_dim(h, k - 2)), target):
-        raise LevelMismatch(
-            "Casimir eigenspace not bounded by h = %d: rank of C.Q - %s on Sym^%d is below %d" % (h, a, k - 2, target)
-        )
     d_a, norm = sym_derivation(sym, rotation_generator(hk)), hk.period.norm
     if not _level_factor(d_a, norm, 2, _level_factor(d_a, norm, 0, image)).is_zero():
         raise LevelMismatch("kernel vector carries a type with |p-q| > 2")

@@ -45,20 +45,6 @@ CATALOG = [
         [_T_SYMPOW + "test_level_two_part_rejects_a_degenerate_image"],
     ),
     (
-        "level_two_part: drop the annihilation product",
-        _SYMPOW,
-        "    if sym.q_mult * (sym.contraction * lift) != a * lift:\n",
-        "    if False:\n",
-        [_T_SYMPOW + "test_level_two_part_rejects_an_image_off_the_kernel"],
-    ),
-    (
-        "level_two_part: drop the Sym^(k-2) rank bound",
-        _SYMPOW,
-        "    if not rank_at_least(sym.contraction * sym.q_mult - a * Matrix.identity(sym_dim(h, k - 2)), target):\n",
-        "    if False:\n",
-        [_T_SYMPOW + "test_level_two_part_raises_on_a_refused_rank_bound"],
-    ),
-    (
         "level_two_part: drop the |p-q| <= 2 check",
         _SYMPOW,
         "    if not _level_factor(d_a, norm, 2, _level_factor(d_a, norm, 0, image)).is_zero():\n",
@@ -66,25 +52,39 @@ CATALOG = [
         [_T_SYMPOW + "test_level_two_part_rejects_a_wrong_rotation_generator"],
     ),
     (
-        "_contraction_certifies: drop (a), the harmonic block owns its rows",
+        "_blocks: drop (a), the harmonic block owns its rows",
         _SYMPOW,
-        "    if len({next(iter(row)) for row in rows if len(row) == 1}) != harm.cols:\n",
-        "    if False:\n",
+        "    owns_rows = len({next(iter(row)) for row in rows if len(row) == 1}) == harm.cols\n",
+        "    owns_rows = True\n",
         [_T_SYMPOW + "test_decompose_rejects_a_harmonic_block_that_owns_no_rows"],
     ),
     (
-        "_contraction_certifies: drop (b), C . H = 0",
+        "_blocks: drop (b), C . H = 0",
         _SYMPOW,
-        "    if not (contraction * harm).is_zero():\n",
-        "    if False:\n",
+        "        and (sym.contraction * harm).is_zero()\n",
+        "        and True\n",
         [_T_SYMPOW + "test_decompose_rejects_a_harmonic_block_off_the_contraction_kernel"],
     ),
     (
-        "_contraction_certifies: drop (c), the rank of C . L",
+        "_blocks: drop (c'), C . Q^l H == c_l Q^(l-1) H",
         _SYMPOW,
-        "    return rank_at_least(contraction * lower, lower.cols)\n",
-        "    return True\n",
-        [_T_SYMPOW + "test_decompose_rejects_raised_blocks_the_contraction_collapses"],
+        "            sym.contraction * lift == casimir_block_eigenvalue(space.h, k, l) * block\n",
+        "            True\n",
+        [_T_SYMPOW + "test_decompose_rejects_a_lower_block_with_a_swapped_column"],
+    ),
+    (
+        "_blocks: the scalar of (c') taken at l + 1",
+        _SYMPOW,
+        "casimir_block_eigenvalue(space.h, k, l) * block",
+        "casimir_block_eigenvalue(space.h, k, l + 1) * block",
+        [_T_SYMPOW + "test_decompose_sums_and_certificates"],
+    ),
+    (
+        "_blocks: no lower blocks at k = 2",
+        _SYMPOW,
+        "    lower = _blocks(space, k - 2) if k >= 2 else []\n",
+        "    lower = _blocks(space, k - 2) if k > 2 else []\n",
+        [_T_SYMPOW + "test_decompose_k2"],
     ),
     (
         "rank_at_least: drop the exact fallback",

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import ksw
-from ksw import clifford as clifford_mod, suite as suite_mod, weil as weil_mod
+from ksw import clifford as clifford_mod, suite as suite_mod, sympow as sympow_mod, weil as weil_mod
 from ksw.betti import power_of_two
 from ksw.cli import main
 from ksw.errors import UsageError
@@ -622,6 +622,23 @@ def test_parity_additivity_sees_grade_six_blades(monkeypatch):
     assert statuses()["clifford.parity_additivity"] == "fail"
 
 
+def test_suite_sympow_checks_fail_on_a_wrong_block_eigenvalue(monkeypatch):
+    # c_1 off by one breaks the one block certificate: every check whose
+    # subject runs it fails with its message, and no other status moves
+    def checks():
+        return {c["name"]: (c["status"], c["detail"]) for c in suite_mod.run_full_suite(SMALL_SUITE).checks}
+
+    before = checks()
+    real = sympow_mod.casimir_block_eigenvalue
+    monkeypatch.setattr(sympow_mod, "casimir_block_eigenvalue", lambda h, k, l: real(h, k, l) + (l == 1))
+    after = checks()
+    moved = {"sympow.decompose[h=3,k=2]", "sympow.level_filtration[h=3,k=3]", "sympow.block_level[h=3,k=3]"}
+    assert after.keys() == before.keys() >= moved | {"sympow.harmonic_symmetry", "sympow.isotropic_span[h=3,k=2]"}
+    assert {name: after[name] for name in moved} == dict.fromkeys(moved, ("fail", "stacked block basis is rank deficient"))
+    assert all(before[name][0] == "pass" for name in moved)
+    assert all(after[name][0] == before[name][0] for name in before.keys() - moved)
+
+
 def test_suite_byte_stable(tmp_path, capsys):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(SMALL_SUITE))
@@ -695,11 +712,11 @@ def test_weil_analyze_class_space_fault_is_a_violation(tmp_path, capsys, monkeyp
 
 #: sha256 of the --json stdout of each command on the fixtures above
 PINNED_REPORT_DIGESTS = {
-    "suite": "3350a9a86a04a573c65ba74261c9d17acf42e068715ce639fde10683fa9bfff6",
+    "suite": "c897b6b9682dd5d18ae229e4c1f07deb17085af89e975b00f53e1c406a4cdb65",
     "qform inspect": "27b45e9955bb4b97c96a1f2c8a7b1b691a77cbab286a7434804260642c09e0a8",
     "ks build": "ae42a5df7c19fa2559135ee2b7d2c59c0eaa9471a44a2c9cbf902cf5beb7dad3",
     "ks verify": "d2a711d1cd22b87f86185cb939a1d0fc53ed8dea2ced9f2e301f164731ccd6aa",
-    "sym decompose": "da7e8930a3a5356b75bd4adc64980af442f00ed54f5267ebb2d1068aa4ca2d61",
+    "sym decompose": "848f64d94e4d0648b9e35ab2737d0a4a5d90f59716aa761c335eb1e3b76e053b",
     "weil analyze": "e18620d1ef9ddc8616a941dbf30fa5e591d9c0c4cc756454eb7fc1984400b011",
     "betti audit": "16af0b1cf1e770dfb7986873b0b9d2099087ee25e89e9c4e13d6084b89371a4f",
     "corr verify": "a70f17f8739f9ebf192134fd22ced38d0458ad20856f75522a55d55fd2b03fb1",

@@ -132,7 +132,7 @@ def test_decompose_sums_and_certificates():
         dec = decompose(space, k)
         assert [d for _, d in dec.block_dims] == dims
         assert dec.total == sym_dim(h, k)
-        assert dec.certificate
+        assert dec.certificate == "C.Q^l H = c_l Q^(l-1) H, exact"
 
 
 def _block_vectors(dec):
@@ -253,15 +253,19 @@ def _casimir_kernel(hk, k):
     return rank_and_kernel(sym.q_mult * sym.contraction - a * Matrix.identity(sym.dim))[1]
 
 
-def _refuse_elimination(m):
-    raise AssertionError("the certified path eliminated on the Casimir matrix")
-
-
 @pytest.mark.parametrize("h, k", [(2, 3), (3, 3), (5, 3), (7, 3), (2, 5), (3, 5), (4, 5), (5, 5)])
 def test_level_two_part_certified_without_elimination(h, k, monkeypatch):
+    # the harmonic blocks are kernels of contractions; nothing else is eliminated
     hk = random_hk(random.Random(70 + 10 * h + k), h)
     reference = _casimir_kernel(hk, k)
-    monkeypatch.setattr(sympow_mod, "kernel_basis", _refuse_elimination)
+    contractions = {id(build_sym(hk.space, j).contraction) for j in range(k, -1, -2)}
+    real = sympow_mod.kernel_basis
+
+    def contraction_kernel(m):
+        assert id(m) in contractions, "the certified path eliminated on a matrix other than a contraction"
+        return real(m)
+
+    monkeypatch.setattr(sympow_mod, "kernel_basis", contraction_kernel)
     assert level_two_part(hk, k) == reference
 
 
@@ -279,20 +283,9 @@ def test_level_two_part_forms_no_square_of_sym_k(monkeypatch):
     monkeypatch.setattr(Matrix, "__mul__", recorded)
     monkeypatch.setattr(Matrix, "__rmul__", recorded)
     level_two_part(hk, 5)
-    assert (20, 20) in shapes and (56, 4) in shapes
+    # C.(Q^2 H^1) = c_2 Q H^1 in Sym^3, and the top block Q^2 H^1 itself
+    assert (20, 4) in shapes and (56, 4) in shapes
     assert (sym_dim(4, 5), sym_dim(4, 5)) not in shapes
-
-
-def test_level_two_part_raises_on_a_refused_rank_bound(monkeypatch):
-    # rank_at_least(C.Q - a, dim Sym^3 - h) refused: no elimination decides instead
-    hk = random_hk(random.Random(71), 4)
-    monkeypatch.setattr(sympow_mod, "rank_at_least", lambda m, target: False)
-    monkeypatch.setattr(sympow_mod, "kernel_basis", _refuse_elimination)
-    with pytest.raises(LevelMismatch) as raised:
-        level_two_part(hk, 5)
-    message = str(raised.value)
-    assert "\n" not in message and message.startswith("Casimir eigenspace")
-    assert "on Sym^3 is below %d" % (sym_dim(4, 3) - 4) in message
 
 
 def _columns(vectors, n):
@@ -300,33 +293,36 @@ def _columns(vectors, n):
     return Matrix(zip(*vectors), len(vectors)) if vectors else Matrix.zeros(n, 0)
 
 
-def _patched_lift(monkeypatch, columns):
-    """Make `q_power_lift` return the matrix whose columns are columns(true lift columns).
+def _edited(m, columns):
+    """The matrix whose columns are columns(the columns of m)."""
+    return _columns(columns([m.column(j) for j in range(m.cols)]), m.rows)
 
-    level_two_part lifts H^2 to Sym^k through it.
-    """
-    real = sympow_mod.q_power_lift
 
-    def lift(*args):
-        m = real(*args)
-        return _columns(columns([m.column(j) for j in range(m.cols)]), m.rows)
+def _patched_blocks(monkeypatch, degree, edit):
+    """Make `_blocks` return edit(true blocks) in the given degree; the recursion sees the edit too."""
+    real = sympow_mod._blocks
+    monkeypatch.setattr(sympow_mod, "_blocks", lambda space, k: edit(real(space, k)) if k == degree else real(space, k))
 
-    monkeypatch.setattr(sympow_mod, "q_power_lift", lift)
+
+def _patched_top_block(monkeypatch, k, columns):
+    """Make the top block of Sym^k, which level_two_part reads, the one with columns(true top columns)."""
+    _patched_blocks(monkeypatch, k, lambda lifts: lifts[:-1] + [_edited(lifts[-1], columns)])
 
 
 def test_level_two_part_rejects_a_degenerate_image(monkeypatch):
-    # two equal lift columns: still in the Casimir kernel, but dependent
+    # two equal top-block columns: still in the Casimir kernel, but dependent
     hk = random_hk(random.Random(71), 5)
-    _patched_lift(monkeypatch, lambda cols: [cols[0]] + cols[:-1])
+    _patched_top_block(monkeypatch, 3, lambda cols: [cols[0]] + cols[:-1])
     with pytest.raises(LevelMismatch, match="Q-power image of H\\^2 is degenerate"):
         level_two_part(hk, 3)
 
 
 def test_level_two_part_rejects_an_image_off_the_kernel(monkeypatch):
-    # h independent coordinate vectors of Sym^5: not the span of the Casimir kernel
+    # h independent coordinate vectors of Sym^5 as the top block: not the span
+    # of the Casimir kernel, and they carry types with |p-q| > 2
     hk = random_hk(random.Random(71), 4)
-    _patched_lift(monkeypatch, lambda cols: [Matrix.identity(len(cols[0])).column(j) for j in range(len(cols))])
-    with pytest.raises(LevelMismatch, match="kernel and Q-power image of H\\^2 differ"):
+    _patched_top_block(monkeypatch, 5, lambda cols: [Matrix.identity(len(cols[0])).column(j) for j in range(len(cols))])
+    with pytest.raises(LevelMismatch, match="kernel vector carries a type with \\|p-q\\| > 2"):
         level_two_part(hk, 5)
 
 
@@ -362,38 +358,42 @@ def _edited_basis(wrong):
 
 def test_decompose_rejects_a_wrong_harmonic_basis(monkeypatch):
     space = QuadraticSpace(Matrix.diagonal([1, -1, 2]))
-    monkeypatch.setattr(sympow_mod, "_harmonic_basis", _edited_basis(lambda sym, vecs: vecs[1:]))
-    with pytest.raises(DecompositionFailure, match="block dimensions total 8 != 10"):
+    # one harmonic vector of Sym^3 missing; Sym^1 is right
+    monkeypatch.setattr(sympow_mod, "_harmonic_basis", _only_in_degree(3, lambda sym, vecs: vecs[1:]))
+    with pytest.raises(DecompositionFailure, match="block dimensions total 9 != 10"):
         decompose(space, 3)
     # the first vector twice: the right count, but rank deficient
     monkeypatch.setattr(sympow_mod, "_harmonic_basis", _edited_basis(lambda sym, vecs: vecs[:1] + vecs[:-1]))
     with pytest.raises(DecompositionFailure, match="stacked block basis is rank deficient"):
         decompose(space, 3)
-    # a right basis the rank certificate refuses
-    monkeypatch.setattr(sympow_mod, "_harmonic_basis", _TRUE_HARMONIC_BASIS)
-    monkeypatch.setattr(sympow_mod, "rank_at_least", lambda m, target: False)
-    with pytest.raises(DecompositionFailure, match="stacked block basis is rank deficient"):
-        decompose(space, 3)
 
 
-def _contraction_conditions(space, k, basis):
-    """(a, b, c, stack rank) of `_blocks`'s contraction certificate, by exact rank, on the harmonic bases basis(sym)."""
-    syms = {j: build_sym(space, j) for j in range(k, -1, -2)}
+def _lifted(space, k, basis):
+    """The blocks of Sym^k from the harmonic bases basis(sym), each lifted by its chain of Q-multiplications."""
     lifts = []
     for kh in range(k, -1, -2):
-        lift = basis(syms[kh])
+        lift = basis(build_sym(space, kh))
         for j in range(kh + 2, k + 1, 2):
-            lift = syms[j].q_mult * lift
+            lift = build_sym(space, j).q_mult * lift
         lifts.append(lift)
-    harm, lower = lifts[0], hstack(*lifts[1:])
+    return lifts
+
+
+def _failing_conditions(space, k, lifts, lower):
+    """The checks (a), (b), (c') of `_blocks` that fail on the Sym^k blocks lifts over the Sym^(k-2) blocks lower.
+
+    Decided column by column in dense `Fraction`s; the stack must be singular.
+    """
+    assert hstack(*lifts).rank() == sym_dim(space.h, k) - 1
+    harm, contraction = lifts[0], build_sym(space, k).contraction
     owns = all(any(r[j] and sum(1 for x in r if x) == 1 for r in harm) for j in range(harm.cols))
-    contraction = syms[k].contraction
-    return (
-        owns,
-        (contraction * harm).is_zero(),
-        (contraction * lower).rank() == lower.cols,
-        hstack(harm, lower).rank(),
+    annihilated = all(not any(contraction.matvec(harm.column(j))) for j in range(harm.cols))
+    lowered = all(
+        contraction.matvec(lift.column(j)) == tuple(casimir_block_eigenvalue(space.h, k, l) * x for x in below.column(j))
+        for l, (lift, below) in enumerate(zip(lifts[1:], lower), 1)
+        for j in range(lift.cols)
     )
+    return [name for name, ok in zip(("a", "b", "c'"), (owns, annihilated, lowered)) if not ok]
 
 
 def _only_in_degree(degree, wrong):
@@ -405,9 +405,7 @@ def _only_in_degree(degree, wrong):
 def _assert_only_condition_fails(monkeypatch, space, k, basis, condition):
     # the control breaks just the named check, on a singular stack, which
     # decompose must reject
-    *conditions, stack_rank = _contraction_conditions(space, k, basis)
-    assert [not ok for ok in conditions] == [c == condition for c in "abc"]
-    assert stack_rank == sym_dim(space.h, k) - 1
+    assert _failing_conditions(space, k, _lifted(space, k, basis), _lifted(space, k - 2, basis)) == [condition]
     monkeypatch.setattr(sympow_mod, "_harmonic_basis", basis)
     with pytest.raises(DecompositionFailure, match="stacked block basis is rank deficient"):
         decompose(space, k)
@@ -437,11 +435,55 @@ def test_decompose_rejects_a_harmonic_block_off_the_contraction_kernel(monkeypat
     _assert_only_condition_fails(monkeypatch, space, 3, _only_in_degree(3, wrong), "b")
 
 
-def test_decompose_rejects_raised_blocks_the_contraction_collapses(monkeypatch):
-    # (c): the first vector of Sym^1 twice, so two lifted columns coincide
+def test_decompose_rejects_a_lower_block_with_a_swapped_column(monkeypatch):
+    # (c'): the first column of Harm^2 swapped for Q, the column of the l = 1
+    # block of Sym^2, so Q times it is a second copy of Q^2 in Sym^4; the
+    # contraction sends that copy to c_2 Q, not c_1 Q
     space = QuadraticSpace(Matrix.diagonal([1, -1, 2]))
-    basis = _only_in_degree(1, lambda sym, vecs: vecs[:1] + vecs[:-1])
-    _assert_only_condition_fails(monkeypatch, space, 3, basis, "c")
+
+    def swap(lifts):
+        harm, raised = lifts
+        return [_edited(harm, lambda cols: [raised.column(0)] + cols[1:]), raised]
+
+    lower = swap(_lifted(space, 2, _TRUE_HARMONIC_BASIS))
+    lifts = [_TRUE_HARMONIC_BASIS(build_sym(space, 4))] + [build_sym(space, 4).q_mult * b for b in lower]
+    assert _failing_conditions(space, 4, lifts, lower) == ["c'"]
+    _patched_blocks(monkeypatch, 2, swap)
+    with pytest.raises(DecompositionFailure, match="stacked block basis is rank deficient"):
+        decompose(space, 4)
+
+
+def test_decompose_rejects_a_wrong_block_eigenvalue(monkeypatch):
+    # (c') with c_1 off by one: the true blocks, which the checked identity no longer describes
+    space = QuadraticSpace(Matrix.diagonal([1, -1, 2]))
+    real = sympow_mod.casimir_block_eigenvalue
+    monkeypatch.setattr(sympow_mod, "casimir_block_eigenvalue", lambda h, k, l: real(h, k, l) + (l == 1))
+    for k in (2, 3):
+        with pytest.raises(DecompositionFailure, match="stacked block basis is rank deficient"):
+            decompose(space, k)
+
+
+def test_sympow_certificates_take_no_rank(monkeypatch):
+    # the block and level <= 2 certificates are exact identities: no rank is
+    # taken, modular or exact, and the results are those with ranks allowed
+    gram = random_congruence_scramble(random.Random(73), Matrix.diagonal([1, -1, 2, 3, -5, 1, -2]))
+    inputs = {
+        "decompose": (decompose, lambda: QuadraticSpace(gram), 5),
+        "level_two_part h=4": (level_two_part, lambda: random_hk(random.Random(74), 4), 5),
+        "level_two_part h=7": (level_two_part, lambda: random_hk(random.Random(75), 7), 3),
+        "block_max_level": (block_max_level, lambda: random_hk(random.Random(76), 4), 3),
+    }
+    built = {name: (fn, make(), k) for name, (fn, make, k) in inputs.items()}
+    expected = {name: fn(make(), k) for name, (fn, make, k) in inputs.items()}
+
+    def refuse(*args):
+        raise AssertionError("a rank was taken")
+
+    monkeypatch.setattr(Matrix, "rank", refuse)
+    monkeypatch.setattr(sympow_mod, "rank_at_least", refuse, raising=False)
+    monkeypatch.setattr(sympow_mod, "_rank_mod_p", refuse)
+    for name, (fn, subject, k) in built.items():
+        assert fn(subject, k) == expected[name], name
 
 
 def test_decompose_rejects_negative_k():
