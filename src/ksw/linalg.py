@@ -18,11 +18,14 @@ weights over one denominator.  Entries, rows, columns, iteration and ``matvec`` 
 dense `Fraction` views built on demand (`_dense`).
 
 Row reduction is fraction-free (Bareiss) on the stored integer rows, and
-back-substitution stays in integers scaled by the last pivot.  Kernel
-bases are the canonical reduced-echelon bases (one free variable 1, the
-others 0) as primitive integer vectors (content removed, first nonzero
-entry positive), so fixtures are reproducible; `kernel_basis` returns one
-as the integer columns of one matrix, `rank_and_kernel` as int tuples.
+back-substitution stays in integers scaled by the last pivot: that one
+echelon is all the package's exact elimination, behind rank, kernel,
+inverse, the reduced-echelon basis of a span and the Weil eigenvector
+choice.  Kernel bases are the canonical reduced-echelon bases (one free
+variable 1, the others 0) as primitive integer vectors (content removed,
+first nonzero entry positive), so fixtures are reproducible;
+`kernel_basis` returns one as the integer columns of one matrix,
+`rank_and_kernel` as int tuples.
 
 No floating point lives here; numeric cross-checks belong to the test
 suite's oracles.
@@ -327,25 +330,6 @@ def induced_operator(keys, index, moves, den: int) -> Matrix:
     return Matrix._of((_row(r, den) for r in out), len(keys))
 
 
-def hstack(*mats: Matrix) -> Matrix:
-    """Side-by-side blocks; each row is cleared over the lcm of its pieces' denominators."""
-    if any(m.rows != mats[0].rows for m in mats):
-        raise ValueError("row counts differ")
-    offsets = [0]
-    for m in mats:
-        offsets.append(offsets[-1] + m.cols)
-    out = []
-    for pieces in zip(*(m._rows for m in mats)):
-        den = lcm(*[d for _, d in pieces])
-        row = {}
-        for offset, (nums, d) in zip(offsets, pieces):
-            f = den // d
-            for j, x in nums.items():
-                row[offset + j] = x * f
-        out.append((row, den))
-    return Matrix._of(out, offsets[-1])
-
-
 # -- vector helpers ------------------------------------------------------------
 
 def _dense(vec: tuple[dict[int, int], int], n: int) -> tuple[Fraction, ...]:
@@ -489,35 +473,24 @@ def reduced_echelon_basis(m: Matrix) -> Matrix | None:
     whose kernel is that span this is its `kernel_basis`: a column is free
     exactly when some kernel vector ends in it, and the kernel vector of
     a free column vanishes on the other free columns.
+
+    The columns of m, positions reversed (j -> m.rows - 1 - j), are the
+    rows of one `_bareiss_echelon`; with (d, y) from `_back_substitute`,
+    the reduced row of pivot p times d is d at p and -y[p][f] at each free
+    f.  The reduced echelon form of a span is unique, and so is this basis.
     """
-    basis: dict[int, dict[int, int]] = {}  # pivot -> vector, zero at the other pivots
-    for row, _ in m.transpose()._rows:
-        for p, prow in basis.items():
-            row = _cancel(row, p, prow)
-        if not row:
-            return None
-        q = max(row)
-        basis = {p: _cancel(prow, q, row) for p, prow in basis.items()}
-        basis[q] = row
-    columns = Matrix._of(((basis[p], 1) for p in sorted(basis)), m.rows).transpose()
-    return _primitive_columns([nums for nums, _ in columns._rows], range(columns.cols))
-
-
-def _cancel(row: dict[int, int], p: int, prow: dict[int, int]) -> dict[int, int]:
-    """Content-free integer combination of row and prow that is zero at p."""
-    b = row.get(p)
-    if not b:
-        return row
-    a = prow[p]
-    out = {j: a * x for j, x in row.items()}
-    for j, x in prow.items():
-        s = out.get(j, 0) - b * x
-        if s:
-            out[j] = s
-        else:
-            del out[j]
-    g = gcd(*out.values())
-    return {j: x // g for j, x in out.items()}
+    n = m.rows
+    rows = [{n - 1 - j: x for j, x in nums.items()} for nums, _ in m.transpose()._rows]
+    pivots = _bareiss_echelon(rows, n)
+    if len(pivots) < m.cols:
+        return None
+    d, y = _back_substitute(rows, pivots, n)
+    out: list[dict[int, int]] = [{} for _ in range(n)]
+    for p in pivots:
+        out[n - 1 - p][p] = d
+        for f, v in y[p].items():
+            out[n - 1 - f][p] = -v
+    return _primitive_columns(out, pivots[::-1])
 
 
 def solve_or_invert(m: Matrix) -> Matrix:
@@ -529,7 +502,7 @@ def solve_or_invert(m: Matrix) -> Matrix:
     if m.rows != m.cols:
         raise Singular("inverse of a %dx%d matrix" % (m.rows, m.cols))
     n = m.rows
-    rows = _numerators(hstack(m, -Matrix.identity(n)))
+    rows = [{**nums, n + i: -den} for i, (nums, den) in enumerate(m._rows)]
     pivots = _bareiss_echelon(rows, 2 * n)
     if any(p >= n for p in pivots):
         raise Singular("matrix is singular (rank < %d)" % n)

@@ -17,7 +17,8 @@ ker(D_phi^2 + 16 d): the derivation eigenvalues on a-fold products of the
 for a in {0, 4}.
 
 The kernel is built rather than eliminated for.  Over Q(lam), lam^2 = -d,
-take standard basis vectors u_1..u_4 with {u_i, phi u_i} a basis of V.
+take standard basis vectors u_1..u_4 with {u_i, phi u_i} a basis of V,
+the pivots of one fraction-free echelon of the pairs (e_c, phi e_c).
 Then w_i = phi u_i + lam u_i are lam-eigenvectors, w_1^w_2^w_3^w_4 =
 A + lam B with A, B rational, and it spans the kernel together with its
 conjugate A - lam B, so the kernel is span{A, B}.  The coordinates of A
@@ -47,7 +48,7 @@ from .errors import (
 from .clifford import reorder_parity
 from .linalg import (
     Matrix,
-    _cancel,
+    _bareiss_echelon,
     _int_columns,
     induced_operator,
     products_equal,
@@ -203,27 +204,19 @@ def _eigenvector_wedge(endo: QuadraticEndo) -> tuple[list[int], list[int]]:
     u_i = e_c is taken greedily whenever e_c is outside the span of the
     earlier u_i and phi u_i; for phi^2 = -d, d > 0, that span is
     phi-invariant and grows by 2 each time (phi e_c = s + t e_c with s in
-    it would put (-d - t^2) e_c in it), so exactly four are taken.
+    it would put (-d - t^2) e_c in it), so exactly four are taken.  They
+    are the even pivots of `_bareiss_echelon` on the 8x16 matrix with
+    columns e_c, P e_c for c = 0..7: a pivot column lies outside the span
+    of the columns before it, and that span is the span of the earlier u_i
+    and phi u_i, since a skipped e_j lies in it and so does phi e_j.
     With P = den.phi integral, m.den.w_i = m.P u_i + den.mu u_i, and each
     coordinate is a 4x4 minor of that 8x4 matrix over Z[mu], mu^2 = -n.m,
     expanded along the 2x2 minors of its first and last two columns.
     """
     rows, den = endo.phi.cleared()
     cols = [{r: row[c] for r, row in enumerate(rows) if c in row} for c in range(8)]
-    echelon: dict[int, dict[int, int]] = {}  # pivot -> row, zero at the earlier pivots
-
-    def extend(v: dict[int, int]) -> bool:
-        for p, row in echelon.items():
-            v = _cancel(v, p, row)
-        if v:
-            echelon[min(v)] = v
-        return bool(v)
-
-    us = []
-    for c in range(8):
-        if extend({c: 1}):
-            us.append(c)
-            extend(cols[c])
+    pairs = [{2 * r: 1, **{2 * c + 1: x for c, x in row.items()}} for r, row in enumerate(rows)]
+    us = [p // 2 for p in _bareiss_echelon(pairs, 16) if p % 2 == 0]
     d = Fraction(endo.d)
     n, m = d.numerator, d.denominator
     nm = n * m

@@ -35,6 +35,7 @@ _T_WEIL = "tests/test_weil.py::"
 _T_CLI = "tests/test_cli.py::"
 _T_PRODUCTS = "tests/test_linalg.py::test_products_equal_controls"
 _T_ECHELON = "tests/test_linalg.py::test_kernel_basis_matches_the_rref_oracle_on_seeded_matrices"
+_T_REDUCED = "tests/test_linalg.py::test_reduced_echelon_basis_is_the_reduced_echelon_kernel_basis"
 
 CATALOG = [
     (
@@ -197,6 +198,34 @@ CATALOG = [
         "        if base[r] != prev:\n",
         "        if False:\n",
         [_T_ECHELON],
+    ),
+    (
+        "reduced_echelon_basis: drop the dependent-columns test",
+        _LINALG,
+        "    if len(pivots) < m.cols:\n",
+        "    if False:\n",
+        [_T_SYMPOW + "test_level_two_part_rejects_a_degenerate_image"],
+    ),
+    (
+        "reduced_echelon_basis: keep the sign of the free entries",
+        _LINALG,
+        "            out[n - 1 - f][p] = -v\n",
+        "            out[n - 1 - f][p] = v\n",
+        [_T_REDUCED],
+    ),
+    (
+        "reduced_echelon_basis: drop the position reversal",
+        _LINALG,
+        "    rows = [{n - 1 - j: x for j, x in nums.items()}",
+        "    rows = [{j: x for j, x in nums.items()}",
+        [_T_REDUCED],
+    ),
+    (
+        "_eigenvector_wedge: take every pivot, not only those of the e_c",
+        _WEIL,
+        " for p in _bareiss_echelon(pairs, 16) if p % 2 == 0]\n",
+        " for p in _bareiss_echelon(pairs, 16)]\n",
+        [_T_WEIL + "test_weil_class_space_bases_are_pinned"],
     ),
     (
         "_primitive_columns: drop the sign normalisation",

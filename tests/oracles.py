@@ -10,8 +10,8 @@ and a k-th power of a linear form is expanded over every monomial.
 """
 
 from fractions import Fraction
-from itertools import permutations
-from math import factorial, prod
+from itertools import combinations, permutations
+from math import factorial, gcd, prod
 
 import numpy as np
 
@@ -213,3 +213,83 @@ def power_row_full_basis(sym, v):
         if c:
             out.append((pos, c))
     return out
+
+
+def hstack(*mats):
+    """The `Matrix` of the side-by-side blocks, built from their dense rows."""
+    from ksw.linalg import Matrix
+
+    if any(m.rows != mats[0].rows for m in mats):
+        raise ValueError("row counts differ")
+    return Matrix([sum((m.row(i) for m in mats), ()) for i in range(mats[0].rows)], sum(m.cols for m in mats))
+
+
+def _cancel(row, p, prow):
+    """Content-free integer combination of the sparse rows row and prow that is zero at p."""
+    b = row.get(p)
+    if not b:
+        return row
+    a = prow[p]
+    out = {j: a * x for j, x in row.items()}
+    for j, x in prow.items():
+        s = out.get(j, 0) - b * x
+        if s:
+            out[j] = s
+        else:
+            del out[j]
+    g = gcd(*out.values())
+    return {j: x // g for j, x in out.items()}
+
+
+def greedy_eigenvector_choice(phi):
+    """The c with e_c outside the span of the e_c' and phi e_c' taken before it, for c = 0..7.
+
+    Each e_c is reduced against a pairwise Gauss-Jordan echelon of the
+    vectors taken so far; when it survives, e_c and phi e_c join it.
+    """
+    rows, _ = phi.cleared()
+    cols = [{r: row[c] for r, row in enumerate(rows) if c in row} for c in range(phi.cols)]
+    echelon = {}  # pivot -> row, zero at the earlier pivots
+
+    def extend(v):
+        for p, row in echelon.items():
+            v = _cancel(v, p, row)
+        if v:
+            echelon[min(v)] = v
+        return bool(v)
+
+    us = []
+    for c in range(phi.cols):
+        if extend({c: 1}):
+            us.append(c)
+            extend(cols[c])
+    return us
+
+
+def eigenvector_wedge_reference(endo):
+    """(u's, X, Y) of the Weil eigenvector wedge, the minors expanded by Leibniz's formula.
+
+    The u's are `greedy_eigenvector_choice`.  With P = den.phi integral,
+    d = n/m and mu^2 = -n.m, column i of the 8x4 matrix over Z[mu] is
+    m.P u_i + den.mu u_i, and X + mu.Y on the 4-subset S is the sum over
+    the 24 permutations of its signed products.
+    """
+    us = greedy_eigenvector_choice(endo.phi)
+    rows, den = endo.phi.cleared()
+    d = Fraction(endo.d)
+    n, m = d.numerator, d.denominator
+    w = [[(m * rows[r].get(c, 0), den if r == c else 0) for c in us] for r in range(8)]
+    xs, ys = [], []
+    for subset in combinations(range(8), 4):
+        x = y = 0
+        for perm in permutations(range(4)):
+            a, b = 1, 0
+            for t in range(4):
+                p, q = w[subset[t]][perm[t]]
+                a, b = a * p - n * m * b * q, a * q + b * p
+            sign = _perm_sign(perm)
+            x += sign * a
+            y += sign * b
+        xs.append(x)
+        ys.append(y)
+    return us, xs, ys

@@ -15,7 +15,6 @@ from ksw.linalg import (
     _numerators,
     _primitive_columns,
     _rank_mod_p,
-    hstack,
     kernel_basis,
     products_equal,
     rank_and_kernel,
@@ -24,7 +23,7 @@ from ksw.linalg import (
     solve_or_invert,
 )
 
-from oracles import float_rank
+from oracles import float_rank, hstack
 
 
 def test_rank_kernel_identity():
@@ -164,6 +163,7 @@ def test_reduced_echelon_basis_is_the_reduced_echelon_kernel_basis():
     assert _echelon_of([[0, 2, 4], [0, -1, -2]]) is None
     assert _echelon_of([[0, 0, 0], [0, 1, 0]]) is None
     assert _echelon_of([]) == []
+    assert reduced_echelon_basis(Matrix.zeros(0, 2)) is None
     # seeded spans of 1..7 vectors, against the kernel basis of a matrix
     # whose kernel is that span (the kernel of a basis of its complement)
     rng = random.Random(78)

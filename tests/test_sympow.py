@@ -7,8 +7,9 @@ import pytest
 
 from ksw.errors import CapExceeded, DecompositionFailure, LevelMismatch, NotApplicable
 from ksw.hodge import HKStructure
+from ksw import linalg as linalg_mod
 from ksw import sympow as sympow_mod
-from ksw.linalg import Matrix, _dense, _int_columns, hstack, rank_and_kernel, same_span
+from ksw.linalg import Matrix, _dense, _int_columns, rank_and_kernel, same_span
 from ksw.qspace import QuadraticSpace
 from ksw.randgen import random_congruence_scramble, random_hk
 from ksw.sympow import (
@@ -25,7 +26,7 @@ from ksw.sympow import (
     sym_dim,
 )
 
-from oracles import power_row_full_basis
+from oracles import hstack, power_row_full_basis
 
 
 def test_sym_dims():
@@ -255,17 +256,28 @@ def _casimir_kernel(hk, k):
 
 @pytest.mark.parametrize("h, k", [(2, 3), (3, 3), (5, 3), (7, 3), (2, 5), (3, 5), (4, 5), (5, 5)])
 def test_level_two_part_certified_without_elimination(h, k, monkeypatch):
-    # the harmonic blocks are kernels of contractions; nothing else is eliminated
+    # the harmonic blocks are kernels of contractions; nothing else is
+    # eliminated but the h columns of the top block
     hk = random_hk(random.Random(70 + 10 * h + k), h)
     reference = _casimir_kernel(hk, k)
     contractions = {id(build_sym(hk.space, j).contraction) for j in range(k, -1, -2)}
-    real = sympow_mod.kernel_basis
+    real_kernel, real_echelon = sympow_mod.kernel_basis, linalg_mod._bareiss_echelon
+    inside = []
 
     def contraction_kernel(m):
         assert id(m) in contractions, "the certified path eliminated on a matrix other than a contraction"
-        return real(m)
+        inside.append(m)
+        try:
+            return real_kernel(m)
+        finally:
+            inside.pop()
+
+    def small_echelon(rows, ncols):
+        assert inside or len(rows) <= h, "an elimination of %d rows outside the contraction kernels" % len(rows)
+        return real_echelon(rows, ncols)
 
     monkeypatch.setattr(sympow_mod, "kernel_basis", contraction_kernel)
+    monkeypatch.setattr(linalg_mod, "_bareiss_echelon", small_echelon)
     assert level_two_part(hk, k) == reference
 
 

@@ -30,9 +30,10 @@ from ksw.weil import (
     is_weil,
     weil_class_space,
     weil_multiplicities,
+    _eigenvector_wedge,
 )
 
-from oracles import to_float, wedge4_derivation_bruteforce
+from oracles import eigenvector_wedge_reference, to_float, wedge4_derivation_bruteforce
 
 
 def block_j(dim=8):
@@ -213,11 +214,24 @@ def _refuse(*args):
 
 
 def _no_elimination(patch):
-    """Make every rank, kernel and 70x70 by 70x70 product raise inside the context."""
+    """Make every rank, kernel, 70x70 by 70x70 product and large echelon raise inside the context.
+
+    The echelons left are those of the 8 rows of the eigenvector choice and
+    of the 2 columns of the class space basis.
+    """
     for name in ("rank_and_kernel", "kernel_basis", "rank_at_least"):
         patch.setattr(weil_mod, name, _refuse, raising=False)
         patch.setattr(linalg_mod, name, _refuse)
     patch.setattr(Matrix, "rank", _refuse)
+    echelon = linalg_mod._bareiss_echelon
+
+    def small_echelon(rows, ncols):
+        if len(rows) > 8 or (ncols == 70 and len(rows) > 2):
+            raise AssertionError("an echelon of %d rows and %d columns ran" % (len(rows), ncols))
+        return echelon(rows, ncols)
+
+    patch.setattr(linalg_mod, "_bareiss_echelon", small_echelon)
+    patch.setattr(weil_mod, "_bareiss_echelon", small_echelon)
     product = Matrix.__mul__
 
     def no_square_of_size_70(a, b):
@@ -262,6 +276,36 @@ def test_class_space_is_certified_from_the_hypothesis_alone(monkeypatch):
             _no_elimination(patch)
             certified = weil_class_space(endo)
         assert certified == _exact_class_space(endo)
+
+
+def test_eigenvector_choice_is_the_greedy_reference(monkeypatch):
+    # the pivots of the [e_c | P e_c] echelon come in pairs (2u, 2u + 1),
+    # one per greedily taken u, and the wedge of the taken u's is the
+    # Leibniz expansion of its minors
+    j, phi = block_j(), block_phi()
+    endos = _hypothesis_endos()
+    rng = random.Random(58)
+    for _ in range(6):
+        g = random_unimodular(rng, 8)
+        ginv = g.inverse()
+        endos += [check_quadratic_endo(ginv * j * g, ginv * cand * g) for cand in (phi, j, 3 * phi)]
+    echelon = weil_mod._bareiss_echelon
+    pivots = []
+
+    def recorded(rows, ncols):
+        pivots[:] = echelon(rows, ncols)
+        return pivots
+
+    monkeypatch.setattr(weil_mod, "_bareiss_echelon", recorded)
+    choices = set()
+    for endo in endos:
+        us, xs, ys = eigenvector_wedge_reference(endo)
+        assert len(us) == 4
+        choices.add(tuple(us))
+        assert _eigenvector_wedge(endo) == (xs, ys)
+        assert pivots == [q for u in us for q in (2 * u, 2 * u + 1)]
+    # the block fixtures take every other basis vector, the conjugates the first four
+    assert {(0, 2, 4, 6), (0, 1, 2, 3)} <= choices
 
 
 def _assert_refused_before_any_elimination(monkeypatch, phi, d):
