@@ -376,12 +376,11 @@ def cmd_corr_verify(args) -> RunReport:
     sign_rule = formal_corr.SIGN_BROKEN if args.broken_sign else formal_corr.SIGN_KOSZUL
     gamma = formal_corr.kunneth_square(args.b3, args.n, sign_rule)
     pairs, coef, uniform = formal_corr.kunneth_coefficient(gamma, args.b3, args.n)
-    ok = uniform and coef is not None and coef != 0
     checks = [
         _check(
             "corr.uniform_coefficient",
-            ok,
-            "single nonzero c over all pairs" if ok else "no uniform nonzero coefficient",
+            uniform,
+            "single nonzero c over all pairs" if uniform else "no uniform nonzero coefficient",
         ),
         _check(
             "corr.kunneth_block",
@@ -398,7 +397,7 @@ def cmd_corr_verify(args) -> RunReport:
             "n": args.n,
             "pairs": pairs,
             "coefficient": rational_str(coef) if coef is not None else None,
-            "uniform": bool(uniform),
+            "uniform": uniform,
             "sign_rule": sign_rule,
         },
     )

@@ -36,7 +36,7 @@ from .clifford import (
 )
 from .errors import CommutatorViolation, NullReference
 from .hodge import HKStructure
-from .linalg import Matrix, products_equal, rank_and_kernel, rank_at_least, vector
+from .linalg import Matrix, products_equal, rank_and_kernel, vector
 from .qspace import QuadraticSpace
 
 _ONE = Fraction(1)
@@ -243,14 +243,14 @@ def embedding_unit_block(ks: KSStructure, v0) -> Matrix:
 
 
 def embedding_has_full_rank(ks: KSStructure, v0) -> bool:
-    """rank of v -> E_v equals h, via the sound modular certificate.
+    """rank of v -> E_v equals h, by the exact rank of the unit-blade block.
 
     The rows E_{b_i}(1) of the unit-blade block are the unit-blade columns
     of the h x 4^(h-1) stack of vectorized E_{b_i}, so rank h there proves
     rank h for the stack, which is never built.  Right multiplication by a
     non-null v0 is injective, so the block always has rank h.
     """
-    return rank_at_least(embedding_unit_block(ks, v0), ks.space.h)
+    return embedding_unit_block(ks, v0).rank() == ks.space.h
 
 
 def embedding_sign_laws(ks: KSStructure, v0, matrix_level: bool = False) -> bool:

@@ -42,7 +42,7 @@ Rational = Fraction
 
 _ZERO = Fraction(0)
 
-#: 61-bit Mersenne prime used by the rank certificate.
+#: 61-bit Mersenne prime of the isotropic stack's rank certificate (`sympow._stack_rank`).
 CERTIFICATE_PRIME = (1 << 61) - 1
 
 
@@ -541,19 +541,6 @@ def _rank_mod_p(m: Matrix, p: int) -> int | None:
                         del ri[j]
         rank += 1
     return rank
-
-
-def rank_at_least(m: Matrix, target: int) -> bool:
-    """Sound fast test for rank(m) >= target.
-
-    A rank >= target modulo the fixed 61-bit prime certifies the exact
-    statement (reduction can only lose rank); only on a shortfall, or when
-    the prime divides a denominator, does the exact elimination decide.
-    """
-    modular = _rank_mod_p(m, CERTIFICATE_PRIME)
-    if modular is not None and modular >= target:
-        return True
-    return m.rank() >= target
 
 
 def same_span(vectors_a, vectors_b) -> bool:

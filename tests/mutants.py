@@ -30,9 +30,11 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _SYMPOW = "src/ksw/sympow.py"
 _WEIL = "src/ksw/weil.py"
 _LINALG = "src/ksw/linalg.py"
+_CORR = "src/ksw/formal_corr.py"
 _T_SYMPOW = "tests/test_sympow.py::"
 _T_WEIL = "tests/test_weil.py::"
 _T_CLI = "tests/test_cli.py::"
+_T_CORR = "tests/test_formal_corr.py::"
 _T_PRODUCTS = "tests/test_linalg.py::test_products_equal_controls"
 _T_ECHELON = "tests/test_linalg.py::test_kernel_basis_matches_the_rref_oracle_on_seeded_matrices"
 _T_REDUCED = "tests/test_linalg.py::test_reduced_echelon_basis_is_the_reduced_echelon_kernel_basis"
@@ -88,11 +90,11 @@ CATALOG = [
         [_T_SYMPOW + "test_decompose_k2"],
     ),
     (
-        "rank_at_least: drop the exact fallback",
-        _LINALG,
-        "    return m.rank() >= target\n",
-        "    return False\n",
-        ["tests/test_linalg.py::test_full_rank_certificate_and_rank_at_least"],
+        "_stack_rank: drop the exact fallback",
+        _SYMPOW,
+        "    return stack.rank()\n",
+        "    return 0\n",
+        [_T_SYMPOW + "test_stack_rank_falls_back_to_the_exact_rank"],
     ),
     (
         "_stack_rank: drop the harmonicity product",
@@ -247,6 +249,41 @@ CATALOG = [
         "        if level > 0 and reduced.is_zero():\n",
         "        if False:\n",
         [_T_SYMPOW + "test_block_max_level_rejects_a_wrong_annihilator"],
+    ),
+    (
+        "embedding_has_full_rank: accept every block",
+        "src/ksw/kuga_satake.py",
+        "    return embedding_unit_block(ks, v0).rank() == ks.space.h\n",
+        "    return True\n",
+        ["tests/test_kuga_satake.py::test_embedding_full_rank_rejects_a_repeated_row"],
+    ),
+    (
+        "graded product: e's left out of the Koszul odd mask",
+        _CORR,
+        "f | e << b if koszul else f,",
+        "f if koszul else f,",
+        [_T_CORR + "test_kunneth_square_kummer_case"],
+    ),
+    (
+        "graded product: e's put into the broken odd mask",
+        _CORR,
+        "f | e << b if koszul else f,",
+        "f | e << b if koszul else f | e << b,",
+        [_T_CORR + "test_negative_control_broken_grading_kills_the_square"],
+    ),
+    (
+        "graded product: drop the e-square vanishing",
+        _CORR,
+        "                if f1 & f2 or e1 & e2:\n",
+        "                if f1 & f2:\n",
+        [_T_CORR + "test_odd_squares_vanish"],
+    ),
+    (
+        "graded product: over the left denominator alone",
+        _CORR,
+        "_row(out, self.den * other.den)",
+        "_row(out, self.den)",
+        [_T_CORR + "test_products_match_the_three_term_reference"],
     ),
     (
         "verify_j_square: accept every e",

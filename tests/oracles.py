@@ -6,7 +6,8 @@ through numpy, the wedge derivation expands in raw 4-tensor
 coordinates, the diagonalization is symmetric Gaussian elimination
 on a dense `Fraction` Gram matrix, and the right-multiplication family
 is checked with element products, blade by blade, instead of operators,
-and a k-th power of a linear form is expanded over every monomial.
+a k-th power of a linear form is expanded over every monomial, and the
+graded product multiplies its three sign terms, each counted pair by pair.
 """
 
 from fractions import Fraction
@@ -293,3 +294,39 @@ def eigenvector_wedge_reference(endo):
         xs.append(x)
         ys.append(y)
     return us, xs, ys
+
+
+def _inversion_parity(a, b):
+    """Parity of the pairs (i in mask a, j in mask b) with i > j, counted bit by bit."""
+    return sum(1 for i in range(a.bit_length()) for j in range(i) if a >> i & 1 and b >> j & 1) & 1
+
+
+def graded_product_reference(x, y):
+    """x * y of two graded elements as a ``dict[monomial, Fraction]``, sign term by sign term.
+
+    The f-f reordering sign always; under the Koszul rule also the e-e
+    reordering sign and the cross sign (-1)^(|E1||F2|) of moving the e's
+    of x past the f's of y.  The broken rule grades the e's even and
+    keeps only the first.  Monomials that repeat an f or an e vanish.
+    """
+    from ksw.formal_corr import SIGN_KOSZUL
+
+    koszul = x.algebra.sign_rule == SIGN_KOSZUL
+    out = {}
+    for (f1, e1, q1), c1 in x.terms.items():
+        for (f2, e2, q2), c2 in y.terms.items():
+            if f1 & f2 or e1 & e2:
+                continue
+            sign = -1 if _inversion_parity(f1, f2) else 1
+            if koszul:
+                if _inversion_parity(e1, e2):
+                    sign = -sign
+                if e1.bit_count() & 1 and f2.bit_count() & 1:
+                    sign = -sign
+            key = (f1 | f2, e1 | e2, q1 + q2)
+            s = out.get(key, 0) + sign * c1 * c2
+            if s:
+                out[key] = s
+            else:
+                out.pop(key, None)
+    return out

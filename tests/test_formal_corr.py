@@ -19,6 +19,8 @@ from ksw.formal_corr import (
     kunneth_square,
 )
 
+from oracles import graded_product_reference
+
 
 @pytest.fixture
 def alg():
@@ -83,6 +85,33 @@ def test_associativity_random(alg):
             xs.append(alg.element(terms))
         x, y, z = xs
         assert (x * y) * z == x * (y * z)
+
+
+def test_products_match_the_three_term_reference():
+    # seeded elements with fractional coefficients on few generators, so
+    # that factors often share an f or an e, under both sign rules
+    rng = random.Random(2302)
+    shared = nonzero = 0
+    for rule in (SIGN_KOSZUL, SIGN_BROKEN):
+        for _ in range(150):
+            alg = GradedAlgebra(rng.randint(2, 4), rule)
+            size = 1 << alg.generators
+            x, y = (
+                alg.element(
+                    {
+                        (rng.randrange(size), rng.randrange(size), rng.randrange(2)): Fraction(
+                            rng.randint(-5, 5), rng.randint(1, 6)
+                        )
+                        for _ in range(rng.randint(1, 4))
+                    }
+                )
+                for _ in range(2)
+            )
+            product = x * y
+            assert product.terms == graded_product_reference(x, y)
+            shared += any(f1 & f2 or e1 & e2 for (f1, e1, _) in x.terms for (f2, e2, _) in y.terms)
+            nonzero += not product.is_zero()
+    assert shared > 50 and nonzero > 50
 
 
 def test_kunneth_square_minimal_case():

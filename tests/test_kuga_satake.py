@@ -195,6 +195,16 @@ def test_endo_embedding_rank_and_signs():
         assert ks_mod.embedding_sign_laws(ks, v0)
 
 
+def test_embedding_full_rank_rejects_a_repeated_row(monkeypatch):
+    ks = ks_mod.build(random_hk(random.Random(48), 4))
+    v0 = ks_mod.default_v0(ks)
+    block = ks_mod.embedding_unit_block(ks, v0)
+    assert ks_mod.embedding_has_full_rank(ks, v0)
+    repeated = Matrix([block.row(0)] + [block.row(i) for i in range(block.rows - 1)])
+    monkeypatch.setattr(ks_mod, "embedding_unit_block", lambda *args: repeated)
+    assert ks_mod.embedding_has_full_rank(ks, v0) is False
+
+
 def test_unit_blade_block_is_a_column_subset_of_the_stack():
     rng = random.Random(50)
     for h in (3, 4, 5):

@@ -18,7 +18,6 @@ from ksw.linalg import (
     kernel_basis,
     products_equal,
     rank_and_kernel,
-    rank_at_least,
     reduced_echelon_basis,
     solve_or_invert,
 )
@@ -222,17 +221,6 @@ def test_rank_kernel_and_inverse_agree(pair):
     else:
         assert a * solve_or_invert(a) == Matrix.identity(n)
         assert (a * b).rank() == b.rank()
-
-
-def test_full_rank_certificate_and_rank_at_least():
-    m = Matrix([[1, 2], [3, 4]])
-    assert rank_at_least(m, 2)
-    deficient = Matrix([[1, 2], [2, 4]])
-    assert rank_at_least(deficient, 1)
-    assert not rank_at_least(deficient, 2)
-    # the prime divides an entry, then a denominator: only the exact fallback decides
-    assert rank_at_least(Matrix([[CERTIFICATE_PRIME, 0], [0, 1]]), 2)
-    assert rank_at_least(Matrix([[Fraction(1, CERTIFICATE_PRIME), 1]]), 1)
 
 
 def test_primitive_integer_vector_normalization():

@@ -9,7 +9,7 @@ from ksw.errors import CapExceeded, DecompositionFailure, LevelMismatch, NotAppl
 from ksw.hodge import HKStructure
 from ksw import linalg as linalg_mod
 from ksw import sympow as sympow_mod
-from ksw.linalg import Matrix, _dense, _int_columns, rank_and_kernel, same_span
+from ksw.linalg import CERTIFICATE_PRIME, Matrix, _dense, _int_columns, rank_and_kernel, same_span
 from ksw.qspace import QuadraticSpace
 from ksw.randgen import random_congruence_scramble, random_hk
 from ksw.sympow import (
@@ -66,21 +66,14 @@ def test_contraction_kills_isotropic_powers():
 
 
 def test_contraction_surjective():
-    # full row rank of the contraction on the whole h <= 7, k <= 5 grid;
-    # the big cases go through the sound modular certificate
-    from ksw.linalg import rank_at_least
-
+    # full row rank of the contraction on the whole h <= 7, k <= 5 grid
     rng = random.Random(62)
     for h in range(2, 8):
         entries = [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(h)]
         space = QuadraticSpace(Matrix.diagonal(entries))
         for k in range(2, 6):
             sym = build_sym(space, k)
-            target = sym_dim(h, k - 2)
-            if sym.dim <= 150:
-                assert sym.contraction.rank() == target
-            else:
-                assert rank_at_least(sym.contraction, target)
+            assert sym.contraction.rank() == sym_dim(h, k - 2)
 
 
 def test_commutator_of_contraction_and_q_mult():
@@ -226,6 +219,16 @@ def test_isotropic_stack_rank_certifies_only_harmonic_stacks(monkeypatch):
 
     monkeypatch.setattr(Matrix, "rank", refuse)
     assert sympow_mod._stack_rank(sym, rows, target) == target == exact(Matrix._of(rows, sym.dim))
+
+
+def test_stack_rank_falls_back_to_the_exact_rank():
+    sym = build_sym(QuadraticSpace(Matrix.diagonal([1, 1, -1])), 1)
+    p = CERTIFICATE_PRIME
+    # the prime divides an entry, then a denominator: only the exact rank decides
+    assert sympow_mod._stack_rank(sym, [({0: p}, 1), ({1: 1}, 1), ({2: 1}, 1)], 3) == 3
+    assert sympow_mod._stack_rank(sym, [({0: 1}, p), ({1: 1}, 1), ({2: 1}, 1)], 3) == 3
+    # a repeated row: the modular rank falls short and the exact rank is 2
+    assert sympow_mod._stack_rank(sym, [({0: 1}, 1), ({0: 1}, 1), ({2: 1}, 1)], 3) == 2
 
 
 def test_level_two_part_identity_case():
@@ -492,7 +495,6 @@ def test_sympow_certificates_take_no_rank(monkeypatch):
         raise AssertionError("a rank was taken")
 
     monkeypatch.setattr(Matrix, "rank", refuse)
-    monkeypatch.setattr(sympow_mod, "rank_at_least", refuse, raising=False)
     monkeypatch.setattr(sympow_mod, "_rank_mod_p", refuse)
     for name, (fn, subject, k) in built.items():
         assert fn(subject, k) == expected[name], name

@@ -219,7 +219,7 @@ def _no_elimination(patch):
     The echelons left are those of the 8 rows of the eigenvector choice and
     of the 2 columns of the class space basis.
     """
-    for name in ("rank_and_kernel", "kernel_basis", "rank_at_least"):
+    for name in ("rank_and_kernel", "kernel_basis"):
         patch.setattr(weil_mod, name, _refuse, raising=False)
         patch.setattr(linalg_mod, name, _refuse)
     patch.setattr(Matrix, "rank", _refuse)
