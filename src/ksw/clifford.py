@@ -20,14 +20,16 @@ algebra tabulates once
 
 so sign(A, B) is the parity of popcount(sign[A] & B).
 
-An element is stored as a `Matrix` row is: a dict from blade mask to a
-nonzero int numerator plus one positive int denominator, in lowest terms
-(`linalg._int_row` / `linalg._row`).  A product accumulates
-+-x_A * y_B * contract[A&B] over the stored numerators in ints and puts
-the result over dx * dy * scale in lowest terms with one gcd, so no
-`Fraction` is made; ``==`` and ``hash`` compare the stored pairs.  The
-kernel (`_product_numerators`) sums at least 2^h pairs into a list of
-2^h slots and fewer into a dict, and drops the zeros itself.
+An element is a `linalg.SparseElement`, the one element class shared
+with the graded elements of `formal_corr`: a dict from blade mask to a
+nonzero int numerator plus one positive int denominator, in lowest terms,
+as a `Matrix` row is stored.  Sums, scaling, ``==`` and ``hash`` are that
+class's, on the stored pair.  A product accumulates
++-x_A * y_B * contract[A&B] over the stored numerators in ints, and the
+shared frame puts the result over dx * dy * scale in lowest terms with
+one gcd, so no `Fraction` is made.  The kernel (`_product_numerators`)
+sums at least 2^h pairs into a list of 2^h slots and fewer into a dict,
+and drops the zeros itself.
 Multiplication operators are sparse matrices over the graded piece they
 act on, built from the unit-blade products by the same kernel.
 """
@@ -37,7 +39,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import CapExceeded, ParityViolation, SpaceMismatch
-from .linalg import Matrix, _int_row, _row, _row_sum, frac, induced_operator, vector
+from .linalg import Matrix, SparseElement, _int_row, induced_operator, vector
 from .qspace import QuadraticSpace
 
 _ONE = Fraction(1)
@@ -208,27 +210,18 @@ class CliffordAlgebra:
         )
 
 
-class CliffordElement:
+class CliffordElement(SparseElement):
     """Sparse blade-indexed rational element of a Clifford algebra.
 
-    ``nums`` maps each blade mask to a nonzero int numerator over the one
-    positive int ``den``, in lowest terms, as a `Matrix` row is stored;
-    neither is mutated.  ``terms`` is a new ``dict[int, Fraction]`` on
-    each access.
+    A `linalg.SparseElement`: ``nums`` maps each blade mask to a nonzero
+    int numerator over the one positive int ``den``, in lowest terms, as a
+    `Matrix` row is stored; the product numerators come from
+    `_product_numerators`, over the algebra's ``scale``.
     """
 
-    __slots__ = ("algebra", "nums", "den")
+    __slots__ = ()
 
-    def __init__(self, algebra: CliffordAlgebra, nums: dict[int, int], den: int = 1):
-        """Wrap a lowest-terms (numerators, denominator) pair as it is."""
-        self.algebra = algebra
-        self.nums = nums
-        self.den = den
-
-    @property
-    def terms(self) -> dict[int, Fraction]:
-        den = self.den
-        return {m: Fraction(x, den) for m, x in self.nums.items()}
+    _mismatch = SpaceMismatch, "elements live over different quadratic spaces"
 
     @property
     def parity(self) -> str:
@@ -238,51 +231,9 @@ class CliffordElement:
             return "odd"
         return "mixed" if len(parities) == 2 else "even"
 
-    def is_zero(self) -> bool:
-        return not self.nums
-
-    def _require_same_space(self, other: "CliffordElement"):
-        if not self.algebra.compatible(other.algebra):
-            raise SpaceMismatch("elements live over different quadratic spaces")
-
-    def __add__(self, other: "CliffordElement") -> "CliffordElement":
-        self._require_same_space(other)
-        return CliffordElement(self.algebra, *_row_sum(self.nums, self.den, other.nums, other.den))
-
-    def __sub__(self, other: "CliffordElement") -> "CliffordElement":
-        return self + (-other)
-
-    def __neg__(self) -> "CliffordElement":
-        return CliffordElement(self.algebra, {m: -x for m, x in self.nums.items()}, self.den)
-
-    def __mul__(self, other):
+    def _product(self, other: "CliffordElement") -> tuple[dict[int, int], int]:
         alg = self.algebra
-        if isinstance(other, CliffordElement):
-            self._require_same_space(other)
-            nums = _product_numerators(alg, self.nums.items(), other.nums.items())
-            return CliffordElement(alg, *_row(nums, self.den * other.den * alg.scale))
-        c = frac(other)
-        p = c.numerator
-        if not p:
-            return CliffordElement(alg, {})
-        return CliffordElement(alg, *_row({m: p * x for m, x in self.nums.items()}, self.den * c.denominator))
-
-    def __rmul__(self, other):
-        return self * other
-
-    def __truediv__(self, other):
-        return self * (_ONE / frac(other))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CliffordElement)
-            and self.den == other.den
-            and self.nums == other.nums
-            and self.algebra.compatible(other.algebra)
-        )
-
-    def __hash__(self):
-        return hash((frozenset(self.nums.items()), self.den))
+        return _product_numerators(alg, self.nums.items(), other.nums.items()), alg.scale
 
     def __repr__(self):
         if not self.nums:
@@ -349,6 +300,4 @@ def right_mul_operator(c: CliffordElement, restrict: str = "full") -> Matrix:
     Parity is mirrored: an odd c maps C+ to C- (restrict names the domain);
     mixed parity on a graded piece raises ParityViolation.
     """
-    if restrict != "full" and c.parity == "mixed":
-        raise ParityViolation("mixed-parity element on a graded piece")
     return _mul_block(c, "right", restrict)

@@ -2,12 +2,14 @@
 
 Two anticommuting families over Q -- degree-1 generators f1*..fb* (one per
 degree-3 class) and degree-3 generators e1..eb -- plus one central
-degree-4 generator Q.  An element is stored as a `CliffordElement` is:
-int numerators of the monomials (f-mask, e-mask, Q-power) over one
-denominator.  One sign rule governs every reordering: a monomial's odd
-generators form one mask, the f's in the low bits and, under the Koszul
-rule, the e's shifted above them (f | e << b), and a product of two
-monomials costs `reorder_parity` of their masks.  That counts the f-f
+degree-4 generator Q.  An element is a `linalg.SparseElement`, the one
+element class shared with `CliffordElement`: int numerators of the
+monomials (f-mask, e-mask, Q-power) over one denominator, with that
+class's sums, scaling, ``==``, ``hash`` and product frame.  One sign rule
+governs every reordering: a monomial's odd generators form one mask, the
+f's in the low bits and, under the Koszul rule, the e's shifted above
+them (f | e << b), and a product of two monomials costs `reorder_parity`
+of their masks.  That counts the f-f
 inversions, |E1||F2| (every e on the left sits above every f on the
 right) and the e-e inversions, so moving x past y costs (-1)^(|x||y|).
 
@@ -38,7 +40,7 @@ from math import comb
 
 from .clifford import reorder_parity
 from .errors import CapExceeded, IndexOutOfRange
-from .linalg import _int_row, _row, _row_sum, frac
+from .linalg import SparseElement, _int_row, _row
 
 SIGN_KOSZUL = "koszul"
 SIGN_BROKEN = "broken"
@@ -76,6 +78,9 @@ class GradedAlgebra:
     def q_generator(self) -> "GradedElement":
         return self.term(0, 0, 1)
 
+    def compatible(self, other: "GradedAlgebra") -> bool:
+        return self == other
+
     def _check_index(self, i: int):
         if not 1 <= i <= self.generators:
             raise IndexOutOfRange(
@@ -83,49 +88,24 @@ class GradedAlgebra:
             )
 
 
-class GradedElement:
+class GradedElement(SparseElement):
     """Sparse sum of monomials (f-mask, e-mask, Q-power) with rational coefficients.
 
-    ``nums`` maps each monomial to a nonzero int numerator over the one
-    positive int ``den``, in lowest terms; ``terms`` is their `Fraction` view.
+    A `linalg.SparseElement`, as a `CliffordElement` is: ``nums`` maps
+    each monomial to a nonzero int numerator over the one positive int
+    ``den``, in lowest terms; the product numerators come from one
+    `reorder_parity` per pair of monomials, over scale 1.
     """
 
-    __slots__ = ("algebra", "nums", "den")
+    __slots__ = ()
 
-    def __init__(self, algebra: GradedAlgebra, nums: dict[tuple[int, int, int], int], den: int = 1):
-        """Wrap a lowest-terms (numerators, denominator) pair as it is."""
-        self.algebra = algebra
-        self.nums = nums
-        self.den = den
+    _mismatch = ValueError, "elements of different graded algebras"
 
-    @property
-    def terms(self) -> dict[tuple[int, int, int], Fraction]:
-        return {k: Fraction(x, self.den) for k, x in self.nums.items()}
-
-    def is_zero(self) -> bool:
-        return not self.nums
-
-    def __add__(self, other: "GradedElement") -> "GradedElement":
-        self._check(other)
-        return GradedElement(self.algebra, *_row_sum(self.nums, self.den, other.nums, other.den))
-
-    def __sub__(self, other: "GradedElement") -> "GradedElement":
-        return self + (-other)
-
-    def __neg__(self) -> "GradedElement":
-        return GradedElement(self.algebra, {k: -x for k, x in self.nums.items()}, self.den)
-
-    def __mul__(self, other):
+    def _product(self, other: "GradedElement") -> tuple[dict[tuple[int, int, int], int], int]:
         alg = self.algebra
-        if not isinstance(other, GradedElement):
-            c = frac(other)
-            if not c:
-                return alg.zero()
-            return GradedElement(alg, *_row({k: c.numerator * x for k, x in self.nums.items()}, self.den * c.denominator))
-        self._check(other)
-        # one odd mask per monomial: the broken rule grades the e's even
         b = alg.generators
         koszul = alg.sign_rule == SIGN_KOSZUL
+        # one odd mask per monomial: the broken rule grades the e's even
         xs, ys = ([(f, e, q, f | e << b if koszul else f, x) for (f, e, q), x in u.nums.items()] for u in (self, other))
         out: dict[tuple[int, int, int], int] = {}
         for f1, e1, q1, odd1, x in xs:
@@ -138,21 +118,7 @@ class GradedElement:
                     out[key] = s
                 else:
                     del out[key]
-        return GradedElement(alg, *_row(out, self.den * other.den))
-
-    def __rmul__(self, other):
-        return self * other
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GradedElement)
-            and self.algebra == other.algebra
-            and (self.den, self.nums) == (other.den, other.nums)
-        )
-
-    def _check(self, other: "GradedElement"):
-        if self.algebra != other.algebra:
-            raise ValueError("elements of different graded algebras")
+        return out, 1
 
 
 def graded_mul(x: GradedElement, y: GradedElement) -> GradedElement:

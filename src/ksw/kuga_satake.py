@@ -149,15 +149,15 @@ def structure_commutators(
         ok = w * e == e * w
         checks.append(("perp_commutes[%d]" % idx, ok, "w.e == e.w on P-perp basis"))
 
-    for name, v in (("alpha", a), ("beta", b)):
-        ok = v * e == -(e * v)
-        checks.append(("plane_anticommutes[%s]" % name, ok, "v.e == -e.v for v in P"))
+    ae, ea, be, eb = a * e, e * a, b * e, e * b
+    for name, ve, ev in (("alpha", ae, ea), ("beta", be, eb)):
+        checks.append(("plane_anticommutes[%s]" % name, ve == -ev, "v.e == -e.v for v in P"))
 
     rotations = (
-        ("alpha.e == beta", a * e == b),
-        ("e.alpha == -beta", e * a == -b),
-        ("beta.e == -alpha", b * e == -a),
-        ("e.beta == alpha", e * b == a),
+        ("alpha.e == beta", ae == b),
+        ("e.alpha == -beta", ea == -b),
+        ("beta.e == -alpha", be == -a),
+        ("e.beta == alpha", eb == a),
     )
     for name, ok in rotations:
         checks.append(("rotation[%s]" % name, ok, "rational rotation identity"))

@@ -5,8 +5,9 @@ is one integer row: a dict from position to a nonzero ``int`` numerator
 plus one positive ``int`` denominator, in lowest terms (the gcd of the
 denominator and all numerators is 1; an empty row has denominator 1), put
 there by `_int_row` / `_row` / `_row_sum`.  A matrix is an immutable tuple
-of such rows, a Clifford element is one, and so is a single vector the
-package computes with (`Matrix._apply` maps one to another).  A family of
+of such rows, an algebra element (`SparseElement`: Clifford and graded
+elements) is one, and so is a single vector the package computes with
+(`Matrix._apply` maps one to another).  A family of
 vectors is the columns of one matrix, so an operator acts on it in one
 product.  Products, sums and elimination run on plain ints over the
 nonzeros; an operator identity a . b == c . d is one `products_equal`
@@ -106,6 +107,79 @@ def _row_sum(na: dict[int, int], da: int, nb: dict[int, int], db: int) -> tuple[
         else:
             del acc[j]
     return _row(acc, den)
+
+
+class SparseElement:
+    """Algebra element stored as one integer row, labelled by basis keys.
+
+    ``nums`` maps each basis label to a nonzero int numerator over the one
+    positive int ``den``, in lowest terms; neither is mutated, and
+    ``terms`` is a new `Fraction` view on each access.  Sums, negation,
+    scaling, ``==`` and ``hash`` act on that pair alone.  A subclass names
+    its mismatch error in ``_mismatch`` (its algebra has ``compatible``)
+    and gives ``_product(other)``: the zero-free product numerators and
+    an int scale, the product being their row over dx * dy * scale.
+    """
+
+    __slots__ = ("algebra", "nums", "den")
+
+    def __init__(self, algebra, nums: dict, den: int = 1):
+        """Wrap a lowest-terms (numerators, denominator) pair as it is."""
+        self.algebra = algebra
+        self.nums = nums
+        self.den = den
+
+    @property
+    def terms(self) -> dict:
+        den = self.den
+        return {k: Fraction(x, den) for k, x in self.nums.items()}
+
+    def is_zero(self) -> bool:
+        return not self.nums
+
+    def _check(self, other: "SparseElement"):
+        if not self.algebra.compatible(other.algebra):
+            error, message = self._mismatch
+            raise error(message)
+
+    def __add__(self, other):
+        self._check(other)
+        return type(self)(self.algebra, *_row_sum(self.nums, self.den, other.nums, other.den))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return type(self)(self.algebra, {k: -x for k, x in self.nums.items()}, self.den)
+
+    def __mul__(self, other):
+        cls = type(self)
+        if isinstance(other, cls):
+            self._check(other)
+            nums, scale = self._product(other)
+            return cls(self.algebra, *_row(nums, self.den * other.den * scale))
+        c = frac(other)
+        p = c.numerator
+        if not p:
+            return cls(self.algebra, {})
+        return cls(self.algebra, *_row({k: p * x for k, x in self.nums.items()}, self.den * c.denominator))
+
+    def __rmul__(self, other):
+        return self * other
+
+    def __truediv__(self, other):
+        return self * (1 / frac(other))
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, type(self))
+            and self.den == other.den
+            and self.nums == other.nums
+            and self.algebra.compatible(other.algebra)
+        )
+
+    def __hash__(self):
+        return hash((frozenset(self.nums.items()), self.den))
 
 
 class Matrix:

@@ -24,7 +24,7 @@ from . import betti, formal_corr, kuga_satake, sympow
 from .clifford import CliffordAlgebra, _mul_block
 from .errors import CapExceeded, NotApplicable, UsageError, WorkbenchError
 from .hodge import HKStructure, h2_spectrum, rotation_generator
-from .linalg import Matrix, products_equal, same_span
+from .linalg import Matrix, induced_operator, products_equal, reduced_echelon_basis
 from .qspace import QuadraticSpace, same_square_class
 from .randgen import (
     random_congruence_scramble,
@@ -466,23 +466,13 @@ def _sympow_checks(cfg, rng) -> list[dict]:
         result, outcome = _attempt(_decompose_laws, space, k)
         checks.append(_result(name, *outcome) if outcome else _check(name, *result))
     # harmonic symmetry under a norm-preserving basis permutation
-    space = QuadraticSpace(Matrix.diagonal([1, 1, -2]))
-    harm = sympow.harmonic(space, 2)
-    sym2 = sympow.build_sym(space, 2)
-    perm = {0: 1, 1: 0, 2: 2}
-    permuted = []
-    for v in harm:
-        out = [Fraction(0)] * sym2.dim
-        for pos, mu in enumerate(sym2.basis):
-            nu = [0, 0, 0]
-            for idx, mult in enumerate(mu):
-                nu[perm[idx]] += mult
-            out[sym2.index[tuple(nu)]] = Fraction(v[pos])
-        permuted.append(tuple(out))
+    sym2 = sympow.build_sym(QuadraticSpace(Matrix.diagonal([1, 1, -2])), 2)
+    harm = sympow._harmonic_basis(sym2)
+    swap = induced_operator(sym2.basis, sym2.index, lambda mu: (((mu[1], mu[0], mu[2]), 1),), 1)
     checks.append(
         _check(
             "sympow.harmonic_symmetry",
-            same_span(harm, permuted),
+            reduced_echelon_basis(swap * harm) == reduced_echelon_basis(harm),
             "swap of equal-norm diagonal vectors preserves Harm^2",
         )
     )

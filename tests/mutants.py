@@ -38,6 +38,8 @@ _T_CORR = "tests/test_formal_corr.py::"
 _T_PRODUCTS = "tests/test_linalg.py::test_products_equal_controls"
 _T_ECHELON = "tests/test_linalg.py::test_kernel_basis_matches_the_rref_oracle_on_seeded_matrices"
 _T_REDUCED = "tests/test_linalg.py::test_reduced_echelon_basis_is_the_reduced_echelon_kernel_basis"
+_SUITE = "src/ksw/suite.py"
+_T_CONTROLS = "tests/test_suite_controls.py::"
 
 CATALOG = [
     (
@@ -279,11 +281,14 @@ CATALOG = [
         [_T_CORR + "test_odd_squares_vanish"],
     ),
     (
-        "graded product: over the left denominator alone",
-        _CORR,
-        "_row(out, self.den * other.den)",
-        "_row(out, self.den)",
-        [_T_CORR + "test_products_match_the_three_term_reference"],
+        "element product frame: over the left denominator alone",
+        _LINALG,
+        "self.den * other.den * scale",
+        "self.den * scale",
+        [
+            _T_CORR + "test_products_match_the_three_term_reference",
+            "tests/test_clifford.py::test_element_product_matches_fraction_reference",
+        ],
     ),
     (
         "verify_j_square: accept every e",
@@ -292,6 +297,63 @@ CATALOG = [
         "        if False:\n",
         ["tests/test_kuga_satake.py::test_j_square_rejects_a_perturbed_e"],
     ),
+    (
+        "suite: drop the clifford.anticommutation comparison",
+        _SUITE,
+        "        if v * w + w * v != alg.scalar(2 * pairing):\n",
+        "        if False:\n",
+        [_T_CONTROLS + "test_clifford_checks_fail_under_their_faults"],
+    ),
+    (
+        "suite: drop the clifford.associativity comparison",
+        _SUITE,
+        "        if (x * y) * z != x * (y * z):\n",
+        "        if False:\n",
+        [_T_CONTROLS + "test_clifford_checks_fail_under_their_faults"],
+    ),
+    (
+        "suite: drop the corr.pushforward_pairing value comparison",
+        _SUITE,
+        "                push_ok &= fwd == gamma.algebra.element({(0, (1 << (i - 1)) | (1 << (jj - 1)), n - 2): coef or 0})\n",
+        "                pass\n",
+        [_T_CONTROLS + "test_corr_checks_fail_under_their_faults"],
+    ),
+    (
+        "suite: drop the corr.pushforward_pairing antisymmetry",
+        _SUITE,
+        "                push_ok &= formal_corr.gamma_pushforward(gamma, jj, i) == -fwd\n",
+        "                pass\n",
+        [_T_CONTROLS + "test_corr_checks_fail_under_their_faults"],
+    ),
+    (
+        "suite: corr.kunneth_block always concentrated",
+        _SUITE,
+        "formal_corr.is_kunneth_concentrated(gamma)",
+        "True",
+        [_T_CONTROLS + "test_corr_checks_fail_under_their_faults"],
+    ),
+]
+
+#: every ks.* predicate line of `suite._ks_checks` but the intertwining one, which tier-1 kills already
+CATALOG += [
+    (
+        "suite: drop the %s predicate" % check,
+        _SUITE,
+        '        ok["%s"] &= %s\n' % (check, predicate),
+        "        pass\n",
+        [_T_CONTROLS + "test_ks_checks_fail_under_their_faults"],
+    )
+    for check, predicate in (
+        ("ks.e_square", "kuga_satake.verify_e_square(ks)"),
+        ("ks.j_square", "kuga_satake.verify_j_square(ks)"),
+        ("ks.commutators", "report.ok"),
+        ("ks.torus_dimension", "ks.torus_complex_dim == 2 ** (h - 2)"),
+        ("ks.basis_independence", "kuga_satake.complex_structure_element(hk2, ks.algebra) == ks.e"),
+        ("ks.orientation_reversal", "kuga_satake.complex_structure_element(hk3, ks.algebra) == -ks.e"),
+        ("ks.endo_rank", "rank_ok"),
+        ("ks.endo_sign_laws", "sign_ok"),
+        ("ks.odd_even_iso", "inverse_ok"),
+    )
 ]
 
 

@@ -1,0 +1,184 @@
+"""Fault-injection controls: each suite check reports `fail` when its subject is wrong.
+
+Each row is (patches, failing checks).  The patches give a wrong but
+well-typed result; with them in place the named checks must report
+`fail` and every other check must keep its status.  A check predicate
+that cannot fail (a comparison dropped or short-circuited) leaves its
+check `pass` under the row's fault, so the row catches it.
+"""
+
+import dataclasses
+from functools import cache
+
+from ksw import formal_corr as corr_mod
+from ksw import kuga_satake as ks_mod
+from ksw import suite as suite_mod
+from ksw.clifford import CliffordAlgebra, CliffordElement
+from ksw.hodge import HKStructure
+from ksw.linalg import Matrix
+
+#: every family small; the clifford, ks (and hodge) and corr families still run
+TRIMMED = {
+    "linalg": {"trials": 0},
+    "qspace": {"h_range": [2, 1]},
+    "clifford": {"h_range": [2, 3], "pair_trials": 4, "triple_trials": 4, "element_h": 3},
+    "ks": {"h_range": [3, 4], "instances_per_h": 1, "commutator_samples": 1},
+    "sympow": {"decompose": [], "level": [], "isotropic": [], "block_level": []},
+    "weil": {"conjugations": 0},
+    "betti": {"b2_range": [3, 4]},
+    "corr": {"b3": 4, "n": [2], "sign_rule": "koszul", "negative_control": True},
+}
+
+
+def _statuses() -> dict[str, str]:
+    return {c["name"]: c["status"] for c in suite_mod.run_full_suite(TRIMMED).checks}
+
+
+@cache
+def _baseline() -> dict[str, str]:
+    return _statuses()
+
+
+def _check_row(monkeypatch, patches, failing):
+    before = _baseline()
+    assert all(before[name] == "pass" for name in failing)
+    with monkeypatch.context() as m:
+        for owner, attr, value in patches:
+            m.setattr(owner, attr, value)
+        after = _statuses()
+    assert after == dict(before, **dict.fromkeys(failing, "fail"))
+
+
+# -- clifford: the suite's own algebras, one table or product altered -------------
+
+
+class _ShortOddPart(CliffordAlgebra):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.odd_masks = self.odd_masks[1:]
+
+
+class _NoSigns(CliffordAlgebra):
+    """Every reordering sign +1: Q[e_i]/(e_i^2 - d_i), still associative and graded."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.sign = [0] * self.dim
+
+
+class _DoubledContractions(CliffordAlgebra):
+    """Contractions over two or more indices doubled: vectors still square to q(v)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.contract = [c * 2 if m.bit_count() > 1 else c for m, c in enumerate(self.contract)]
+
+
+class _EvenTimesEvenIsOdd(CliffordElement):
+    __slots__ = ()
+
+    def _product(self, other):
+        nums, scale = super()._product(other)
+        if self.parity == other.parity == "even":
+            nums = {m ^ 1: x for m, x in nums.items()}
+        return nums, scale
+
+
+class _UngradedProduct(CliffordAlgebra):
+    def element(self, terms):
+        x = super().element(terms)
+        return _EvenTimesEvenIsOdd(self, x.nums, x.den)
+
+
+CLIFFORD_ROWS = [
+    ([(suite_mod, "CliffordAlgebra", _ShortOddPart)], {"clifford.dimension_counts[h=2]", "clifford.dimension_counts[h=3]"}),
+    ([(suite_mod, "CliffordAlgebra", _NoSigns)], {"clifford.anticommutation"}),
+    ([(suite_mod, "CliffordAlgebra", _DoubledContractions)], {"clifford.associativity"}),
+    ([(suite_mod, "CliffordAlgebra", _UngradedProduct)], {"clifford.parity_additivity"}),
+]
+
+
+def test_clifford_checks_fail_under_their_faults(monkeypatch):
+    for patches, failing in CLIFFORD_ROWS:
+        _check_row(monkeypatch, patches, failing)
+
+
+# -- ks: one step of the construction wrong ---------------------------------------
+
+_complex_structure_element = ks_mod.complex_structure_element
+_build = ks_mod.build
+_embedding_unit_block = ks_mod.embedding_unit_block
+_endomorphism_embedding = ks_mod.endomorphism_embedding
+_odd_even_inverse = ks_mod.odd_even_inverse
+
+
+class _OrientationLost:
+    """HKStructure.build with beta negated: the rebuilt periods lose their orientation."""
+
+    @staticmethod
+    def build(space, alpha, beta):
+        return HKStructure.build(space, alpha, tuple(-x for x in beta))
+
+
+def _first_row_repeated(ks, v0):
+    block = _embedding_unit_block(ks, v0)
+    return Matrix([block.row(0)] + [block.row(i) for i in range(block.rows - 1)])
+
+
+KS_ROWS = [
+    (
+        [(ks_mod, "complex_structure_element", lambda hk, algebra=None: 2 * _complex_structure_element(hk, algebra))],
+        {"ks.e_square", "ks.j_square", "ks.commutators"},
+    ),
+    (
+        [(ks_mod, "build", lambda hk, cap=None: dataclasses.replace(_build(hk, cap), torus_complex_dim=1 << hk.space.h))],
+        {"ks.torus_dimension"},
+    ),
+    ([(suite_mod, "HKStructure", _OrientationLost)], {"ks.basis_independence", "ks.orientation_reversal"}),
+    ([(ks_mod, "embedding_unit_block", _first_row_repeated)], {"ks.endo_rank"}),
+    (
+        [(ks_mod, "endomorphism_embedding", lambda ks, v, v0: _endomorphism_embedding(ks, v, v0) + Matrix.identity(1 << (ks.space.h - 1)))],
+        {"ks.endo_sign_laws"},
+    ),
+    ([(ks_mod, "odd_even_inverse", lambda ks, v0: 2 * _odd_even_inverse(ks, v0))], {"ks.odd_even_iso"}),
+]
+
+
+def test_ks_checks_fail_under_their_faults(monkeypatch):
+    for patches, failing in KS_ROWS:
+        _check_row(monkeypatch, patches, failing)
+
+
+# -- corr: the Kunneth square or its contraction wrong ----------------------------
+
+_kunneth_square = corr_mod.kunneth_square
+_gamma_pushforward = corr_mod.gamma_pushforward
+
+
+def _with_cross_term(b3, n, sign_rule=corr_mod.SIGN_KOSZUL):
+    gamma = _kunneth_square(b3, n, sign_rule)
+    return gamma + gamma.algebra.term(0b111, 0b11, n - 2)
+
+
+CORR_ROWS = [
+    (
+        [(corr_mod, "kunneth_square", _with_cross_term)],
+        {"corr.uniform_coefficient[n=2]", "corr.kunneth_block[n=2]", "corr.pushforward_pairing[n=2]"},
+    ),
+    ([(corr_mod, "gamma_pushforward", lambda gamma, i, j: 2 * _gamma_pushforward(gamma, i, j))], {"corr.pushforward_pairing[n=2]"}),
+    (
+        [(corr_mod, "gamma_pushforward", lambda gamma, i, j: _gamma_pushforward(gamma, min(i, j), max(i, j)))],
+        {"corr.pushforward_pairing[n=2]"},
+    ),
+    ([(corr_mod, "kunneth_square", lambda b3, n, sign_rule=None: _kunneth_square(b3, n))], {"corr.negative_control"}),
+]
+
+
+def test_corr_checks_fail_under_their_faults(monkeypatch):
+    for patches, failing in CORR_ROWS:
+        _check_row(monkeypatch, patches, failing)
+
+
+def test_every_clifford_ks_and_corr_check_has_a_control_row():
+    covered = set().union(*(failing for _, failing in CLIFFORD_ROWS + KS_ROWS + CORR_ROWS))
+    assert {name for name in _baseline() if name.partition(".")[0] in ("clifford", "ks", "corr")} == covered
