@@ -46,9 +46,19 @@ def matrix_to_json(m: Matrix) -> list[list[str]]:
     return [[rational_str(x) for x in row] for row in m]
 
 
+def _matrix_entry(x):
+    """An ASCII digit string, optionally after one "-", as an int; else `parse_rational`."""
+    if x.__class__ is str and x.isascii() and x.removeprefix("-").isdigit():
+        try:
+            return int(x)
+        except ValueError:  # over the int digit limit: parse_rational words the message
+            pass
+    return parse_rational(x)
+
+
 def matrix_from_json(rows) -> Matrix:
     try:
-        return Matrix([[parse_rational(x) for x in row] for row in rows])
+        return Matrix([[_matrix_entry(x) for x in row] for row in rows])
     except (TypeError, ValueError) as exc:
         raise UsageError("bad matrix payload: %s" % exc) from exc
 

@@ -324,13 +324,8 @@ def _clifford_checks(cfg, rng) -> list[dict]:
         pairing = sum((a * b * d for a, b, d in zip(vc, wc, diag)), Fraction(0))
         if v * w + w * v != alg.scalar(2 * pairing):
             pair_ok = False
-    checks.append(
-        _check(
-            names[0],
-            pair_ok,
-            "v.w + w.v == 2(v,w).unit on %d random grade-1 pairs" % sub["pair_trials"],
-        )
-    )
+    detail = "v.w + w.v == 2(v,w).unit on %d random grade-1 pairs" % sub["pair_trials"]
+    checks += _family({names[0]: (pair_ok, detail)}, sub["pair_trials"])
 
     assoc_ok = True
     parity_ok = True
@@ -343,9 +338,13 @@ def _clifford_checks(cfg, rng) -> list[dict]:
         xe, ye = (alg.element({m: c for m, c in u.terms.items() if not m.bit_count() & 1}) for u in (x, y))
         if (xe * ye).parity != "even":
             parity_ok = False
-    checks.append(_check(names[1], assoc_ok, "(xy)z == x(yz) on random triples"))
-    checks.append(_check(names[2], parity_ok, "even.even stays even"))
-    return checks
+    return checks + _family(
+        {
+            names[1]: (assoc_ok, "(xy)z == x(yz) on random triples"),
+            names[2]: (parity_ok, "even.even stays even"),
+        },
+        sub["triple_trials"],
+    )
 
 
 def _ks_instances(cfg, rng):
@@ -524,49 +523,50 @@ def _weil_block_instance() -> tuple[Matrix, Matrix]:
 def _weil_checks(cfg, rng) -> list[dict]:
     checks = []
     j, phi = _weil_block_instance()
-    report = analyze(j, phi)
-    checks.append(
-        _check(
-            "weil.balanced_block",
-            report.mult_plus == 2
-            and report.mult_minus == 2
-            and report.is_weil
-            and report.weil_space_dim == 2
-            and report.all_weil_classes_22 is True,
-            "block instance: (2,2) multiplicities, 2-dim class space, all (2,2)",
-        )
-    )
-    unbalanced = analyze(j, j)
-    checks.append(
-        _check(
-            "weil.unbalanced_control",
-            unbalanced.mult_plus == 4
-            and unbalanced.mult_minus == 0
-            and not unbalanced.is_weil
-            and unbalanced.weil_space_dim == 2
-            and unbalanced.all_weil_classes_22 is False,
-            "phi = J: K-line survives but classes meet (4,0)+(0,4)",
-        )
-    )
-    trace_ok = True
-    conj_ok = True
-    for _ in range(cfg["weil"]["conjugations"]):
+    for name, cand, want, detail in (
+        ("weil.balanced_block", phi, (2, 2, True, 2, True),
+         "block instance: (2,2) multiplicities, 2-dim class space, all (2,2)"),
+        ("weil.unbalanced_control", j, (4, 0, False, 2, False),
+         "phi = J: K-line survives but classes meet (4,0)+(0,4)"),
+    ):
+        report, outcome = _attempt(analyze, j, cand)
+        if outcome:
+            checks.append(_result(name, *outcome))
+            continue
+        got = (report.mult_plus, report.mult_minus, report.is_weil, report.weil_space_dim, report.all_weil_classes_22)
+        checks.append(_check(name, got == want, detail))
+    trace, conj = "weil.trace_criterion", "weil.conjugation_invariance"
+    ok = {trace: True, conj: True}
+    raised = {}
+    count = cfg["weil"]["conjugations"]
+    for _ in range(count):
         g = random_unimodular(rng, 8)
         ginv = g.inverse()
         jc = ginv * j * g
         for cand, balanced in ((phi, True), (j, False)):
-            pc = ginv * cand * g
-            endo = check_quadratic_endo(jc, pc)
-            tr = (endo.phi * endo.j).trace()
-            trace_ok &= is_weil(endo) == (tr == 0) == balanced
-            conj_ok &= len(weil_class_space(endo)) == 2
-    checks.append(
-        _check("weil.trace_criterion", trace_ok, "is_weil iff trace(phi.J) == 0")
+            endo, outcome = _attempt(check_quadratic_endo, jc, ginv * cand * g)
+            if outcome:
+                raised.setdefault(trace, outcome)
+                raised.setdefault(conj, outcome)
+                continue
+            weil, outcome = _attempt(is_weil, endo)
+            if outcome:
+                raised.setdefault(trace, outcome)
+            else:
+                ok[trace] &= weil == ((endo.phi * endo.j).trace() == 0) == balanced
+            space, outcome = _attempt(weil_class_space, endo)
+            if outcome:
+                raised.setdefault(conj, outcome)
+            else:
+                ok[conj] &= len(space) == 2
+    family = _family(
+        {
+            trace: (ok[trace], "is_weil iff trace(phi.J) == 0"),
+            conj: (ok[conj], "class space dim 2 under base change"),
+        },
+        count,
     )
-    checks.append(
-        _check("weil.conjugation_invariance", conj_ok, "class space dim 2 under base change")
-    )
-    return checks
+    return checks + [_result(c["name"], *raised[c["name"]]) if c["name"] in raised else c for c in family]
 
 
 def _betti_checks(cfg, rng) -> list[dict]:

@@ -45,7 +45,6 @@ from .errors import (
     UnexpectedDimension,
     WorkbenchError,
 )
-from .clifford import reorder_parity
 from .linalg import (
     Matrix,
     _bareiss_echelon,
@@ -141,21 +140,28 @@ def derivation_wedge4(op: Matrix) -> Matrix:
     """Derivation extension of an operator to the fourth exterior power.
 
     Swapping e_t for e_j in the wedge e_S moves e_t to the front of
-    e_(S-t), replaces it, and moves e_j back into sorted position.
+    e_(S-t), replaces it, and moves e_j back into sorted position: the
+    sign is the parity of the indices of S - t strictly between j and t,
+    one popcount of (low(t) ^ low(j)) & (S - t) with low(x) = 2^x - 1
+    (the sign-mask identity of `clifford.reorder_parity`, for {t} and {j}).
+    Only the nonzero entries of each column t of op are visited.
     """
     dim = op.rows
     masks = [sum(1 << i for i in subset) for subset in combinations(range(dim), 4)]
     rows, den = op.cleared()
+    cols = [[] for _ in range(dim)]
+    for j, row in enumerate(rows):
+        for t, c in row.items():
+            cols[t].append((j, c))
 
     def moves(mask):
         for t in range(dim):
             if mask >> t & 1:
                 rest = mask ^ (1 << t)
-                out_parity = reorder_parity(1 << t, rest)
-                for j, row in enumerate(rows):
-                    c = row.get(t)
-                    if c and not rest >> j & 1:
-                        flip = out_parity ^ reorder_parity(1 << j, rest)
+                low_t = (1 << t) - 1
+                for j, c in cols[t]:
+                    if not rest >> j & 1:
+                        flip = ((low_t ^ ((1 << j) - 1)) & rest).bit_count() & 1
                         yield rest | (1 << j), -c if flip else c
 
     return induced_operator(masks, {mask: i for i, mask in enumerate(masks)}, moves, den)

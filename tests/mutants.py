@@ -332,6 +332,97 @@ CATALOG = [
         "True",
         [_T_CONTROLS + "test_corr_checks_fail_under_their_faults"],
     ),
+    (
+        "element product frame: over the left denominator alone, seen by the canonical forms",
+        _LINALG,
+        "self.den * other.den * scale",
+        "self.den * scale",
+        ["tests/test_clifford.py::test_one_element_built_several_ways_is_equal_and_hashes_equal"],
+    ),
+    (
+        "derivation_wedge4: drop the move sign",
+        _WEIL,
+        "                        flip = ((low_t ^ ((1 << j) - 1)) & rest).bit_count() & 1\n",
+        "                        flip = 0\n",
+        [_T_WEIL + "test_derivation_wedge4_against_bruteforce"],
+    ),
+    (
+        "derivation_wedge4: sign of moving e_t out alone",
+        _WEIL,
+        "flip = ((low_t ^ ((1 << j) - 1)) & rest)",
+        "flip = (low_t & rest)",
+        [_T_WEIL + "test_derivation_wedge4_against_bruteforce"],
+    ),
+    (
+        "matrix_from_json: a digit string over the int limit is a bad matrix payload",
+        "src/ksw/serialize.py",
+        "        except ValueError:  # over the int digit limit: parse_rational words the message\n            pass\n",
+        "        except ZeroDivisionError:\n            pass\n",
+        [_T_CLI + "test_matrix_entries_parse_as_before"],
+    ),
+    (
+        "suite: weil.balanced_block and weil.unbalanced_control always hold",
+        _SUITE,
+        "        checks.append(_check(name, got == want, detail))\n",
+        "        checks.append(_check(name, True, detail))\n",
+        [_T_CONTROLS + "test_weil_checks_fail_under_their_faults"],
+    ),
+    (
+        "suite: drop the weil.trace_criterion predicate",
+        _SUITE,
+        "                ok[trace] &= weil == ((endo.phi * endo.j).trace() == 0) == balanced\n",
+        "                pass\n",
+        [_T_CONTROLS + "test_weil_checks_fail_under_their_faults"],
+    ),
+    (
+        "suite: drop the weil.conjugation_invariance predicate",
+        _SUITE,
+        "                ok[conj] &= len(space) == 2\n",
+        "                pass\n",
+        [_T_CONTROLS + "test_weil_checks_fail_under_their_faults"],
+    ),
+    (
+        "suite: a class space that raises leaves weil.conjugation_invariance passing",
+        _SUITE,
+        "                raised.setdefault(conj, outcome)\n            else:\n",
+        "                pass\n            else:\n",
+        [_T_CONTROLS + "test_weil_checks_fail_under_their_faults"],
+    ),
+    (
+        "suite: analyze outside _attempt",
+        _SUITE,
+        "        report, outcome = _attempt(analyze, j, cand)\n",
+        "        report, outcome = analyze(j, cand), None\n",
+        [_T_CLI + "test_suite_weil_certificate_failure_fails_its_checks_and_reports_the_rest"],
+    ),
+    (
+        "suite: the conjugates' class spaces outside _attempt",
+        _SUITE,
+        "            space, outcome = _attempt(weil_class_space, endo)\n",
+        "            space, outcome = weil_class_space(endo), None\n",
+        [_T_CLI + "test_suite_weil_certificate_failure_fails_its_checks_and_reports_the_rest"],
+    ),
+    (
+        "suite: clifford.anticommutation passes with no pairs",
+        _SUITE,
+        "(pair_ok, detail)}, sub[\"pair_trials\"])",
+        "(pair_ok, detail)}, 1)",
+        [_T_CLI + "test_suite_check_with_zero_trials_is_vacuous"],
+    ),
+    (
+        "suite: the clifford triple checks pass with no triples",
+        _SUITE,
+        "        sub[\"triple_trials\"],\n",
+        "        1,\n",
+        [_T_CLI + "test_suite_check_with_zero_trials_is_vacuous"],
+    ),
+    (
+        "suite: the weil conjugate checks pass with no conjugates",
+        _SUITE,
+        "        count,\n    )\n    return checks + [_result(c[",
+        "        1,\n    )\n    return checks + [_result(c[",
+        [_T_CLI + "test_suite_check_with_zero_trials_is_vacuous"],
+    ),
 ]
 
 #: every ks.* predicate line of `suite._ks_checks` but the intertwining one, which tier-1 kills already

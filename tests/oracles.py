@@ -83,6 +83,7 @@ def wedge4_derivation_bruteforce(op):
     from itertools import combinations
 
     n = op.rows
+    dense = [list(row) for row in op]
     basis = list(combinations(range(n), 4))
     index = {s: i for i, s in enumerate(basis)}
     cols = []
@@ -96,7 +97,7 @@ def wedge4_derivation_bruteforce(op):
         for key, coef in tensor.items():
             for slot in range(4):
                 for j in range(n):
-                    c = op[j, key[slot]]
+                    c = dense[j][key[slot]]
                     if not c:
                         continue
                     new_key = key[:slot] + (j,) + key[slot + 1 :]

@@ -17,7 +17,8 @@ from ksw.betti import power_of_two
 from ksw.cli import main
 from ksw.errors import UsageError
 from ksw.formal_corr import CAP_B3, CAP_N
-from ksw.serialize import parse_rational
+from ksw.linalg import Matrix
+from ksw.serialize import matrix_from_json, parse_rational
 from ksw.suite import NO_INSTANCES, RunReport, exit_code_from_checks, load_config
 
 
@@ -241,6 +242,38 @@ def test_parse_rational_grammar(tmp_path, capsys):
     path.write_text(json.dumps({"dim": 2, "gram": [["1_000", "0"], ["0", "-1"]]}))
     assert main(["qform", "inspect", "-f", str(path)]) == 2
     assert capsys.readouterr().err.count("\n") == 1
+
+
+def _raised(fn, arg) -> str:
+    try:
+        fn(arg)
+    except (TypeError, ValueError) as exc:
+        return str(exc)
+    raise AssertionError("%r did not raise" % (arg,))
+
+
+def test_matrix_entries_parse_as_before():
+    # digit strings are read with int(), everything else by parse_rational:
+    # the same matrix or the same message either way, also past the int
+    # digit limit (the message names the rational, not the matrix payload)
+    long_digits = "9" * 5000
+    table = {
+        "0": 0, "-0": 0, "007": 7, "-12": -12, "+5": 5, " 3": 3, "3 ": 3,
+        "-3/4": Fraction(-3, 4), "1.5": Fraction(3, 2), "1e3": 1000, "\u0663": 3, 3: 3,
+        "1_000": "bad rational '1_000': Invalid literal for Fraction: '1_000'",
+        "1/0": "bad rational '1/0': Fraction(1, 0)",
+        long_digits: "bad rational %r: %s" % (long_digits, _raised(int, long_digits)),
+        True: "bad rational true: booleans are not numbers",
+        2.5: "bad rational 2.5: refusing to coerce float 2.5 to an exact rational",
+        None: "bad rational None: %s" % _raised(Fraction, None),
+    }
+    for entry, want in table.items():
+        if isinstance(want, str):
+            with pytest.raises(UsageError) as info:
+                matrix_from_json([[entry]])
+            assert str(info.value) == want
+        else:
+            assert matrix_from_json([[entry]]) == Matrix([[want]])
 
 
 def test_qform_inspect(fixture_dir, capsys):
@@ -568,6 +601,48 @@ def test_suite_empty_families_are_vacuous(tmp_path, capsys):
     ):
         assert checks[name]["status"] == "vacuous"
         assert checks[name]["detail"] == "no instances"
+
+
+@pytest.mark.parametrize(
+    "family, key, name",
+    [
+        ("weil", "conjugations", "weil.trace_criterion"),
+        ("weil", "conjugations", "weil.conjugation_invariance"),
+        ("clifford", "pair_trials", "clifford.anticommutation"),
+        ("clifford", "triple_trials", "clifford.associativity"),
+        ("clifford", "triple_trials", "clifford.parity_additivity"),
+    ],
+)
+def test_suite_check_with_zero_trials_is_vacuous(tmp_path, capsys, family, key, name):
+    # a pass needs at least one real instance
+    config = dict(SMALL_SUITE, **{family: dict(SMALL_SUITE[family], **{key: 0})})
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["suite", "--config", str(cfg), "--json"]) == 0
+    checks = {c["name"]: c for c in _json_output(capsys)["checks"]}
+    assert checks[name] == {"name": name, "status": "vacuous", "detail": NO_INSTANCES}
+
+
+def test_suite_weil_certificate_failure_fails_its_checks_and_reports_the_rest(tmp_path, capsys, monkeypatch):
+    # a dependent eigenvector wedge makes every class space raise: the
+    # checks that compute one fail with its message, the report is still
+    # written, and no other status moves
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(SMALL_SUITE))
+    assert main(["suite", "--config", str(cfg), "--json"]) == 0
+    before = {c["name"]: c for c in _json_output(capsys)["checks"]}
+    e1 = [0, 1] + [0] * 68
+    monkeypatch.setattr(weil_mod, "_eigenvector_wedge", lambda endo: (e1, e1))
+    assert main(["suite", "--config", str(cfg), "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    after = {c["name"]: c for c in json.loads(captured.out)["checks"]}
+    moved = {"weil.balanced_block", "weil.unbalanced_control", "weil.conjugation_invariance"}
+    assert after.keys() == before.keys()
+    for name in moved:
+        assert before[name]["status"] == "pass"
+        assert after[name] == {"name": name, "status": "fail", "detail": "eigenvector wedge: A and B are dependent"}
+    assert all(after[name] == before[name] for name in before.keys() - moved)
 
 
 def test_suite_cap_exceeded_is_skipped(tmp_path, capsys):

@@ -332,6 +332,7 @@ def test_one_element_built_several_ways_is_equal_and_hashes_equal():
             -(-target),
             alg.blade(m, c) * alg.unit,
             alg.blade(m ^ n, c / coef) * alg.blade(n),
+            alg.blade(m ^ n, 3 * c / coef) * alg.blade(n, Fraction(1, 3)),
         ]
         for x in ways:
             _assert_canonical(x)

@@ -9,22 +9,24 @@ check `pass` under the row's fault, so the row catches it.
 
 import dataclasses
 from functools import cache
+from itertools import combinations
 
 from ksw import formal_corr as corr_mod
 from ksw import kuga_satake as ks_mod
 from ksw import suite as suite_mod
+from ksw import weil as weil_mod
 from ksw.clifford import CliffordAlgebra, CliffordElement
 from ksw.hodge import HKStructure
-from ksw.linalg import Matrix
+from ksw.linalg import Matrix, induced_operator
 
-#: every family small; the clifford, ks (and hodge) and corr families still run
+#: every family small; the clifford, ks (and hodge), weil and corr families still run
 TRIMMED = {
     "linalg": {"trials": 0},
     "qspace": {"h_range": [2, 1]},
     "clifford": {"h_range": [2, 3], "pair_trials": 4, "triple_trials": 4, "element_h": 3},
     "ks": {"h_range": [3, 4], "instances_per_h": 1, "commutator_samples": 1},
     "sympow": {"decompose": [], "level": [], "isotropic": [], "block_level": []},
-    "weil": {"conjugations": 0},
+    "weil": {"conjugations": 1},
     "betti": {"b2_range": [3, 4]},
     "corr": {"b3": 4, "n": [2], "sign_rule": "koszul", "negative_control": True},
 }
@@ -179,6 +181,43 @@ def test_corr_checks_fail_under_their_faults(monkeypatch):
         _check_row(monkeypatch, patches, failing)
 
 
-def test_every_clifford_ks_and_corr_check_has_a_control_row():
-    covered = set().union(*(failing for _, failing in CLIFFORD_ROWS + KS_ROWS + CORR_ROWS))
-    assert {name for name in _baseline() if name.partition(".")[0] in ("clifford", "ks", "corr")} == covered
+# -- weil: the derivation, the multiplicities, the (2,2) test or the class space wrong --
+
+_weil_class_space = weil_mod.weil_class_space
+
+
+def _unsigned_derivation_wedge4(op):
+    """derivation_wedge4 with the sign of every move dropped."""
+    dim = op.rows
+    masks = [sum(1 << i for i in subset) for subset in combinations(range(dim), 4)]
+    rows, den = op.cleared()
+
+    def moves(mask):
+        for t in range(dim):
+            if mask >> t & 1:
+                rest = mask ^ (1 << t)
+                for j, row in enumerate(rows):
+                    if t in row and not rest >> j & 1:
+                        yield rest | (1 << j), row[t]
+
+    return induced_operator(masks, {mask: i for i, mask in enumerate(masks)}, moves, den)
+
+
+WEIL_ROWS = [
+    # on the block instance every move is within a 2x2 block and has sign
+    # +1, so only the conjugates see the dropped sign
+    ([(weil_mod, "derivation_wedge4", _unsigned_derivation_wedge4)], {"weil.conjugation_invariance"}),
+    ([(weil_mod, "weil_multiplicities", lambda endo: (endo.dim // 4, endo.dim // 4))], {"weil.unbalanced_control", "weil.trace_criterion"}),
+    ([(weil_mod, "certify_22", lambda classes, j: False)], {"weil.balanced_block"}),
+    ([(suite_mod, "weil_class_space", lambda endo: _weil_class_space(endo)[:1])], {"weil.conjugation_invariance"}),
+]
+
+
+def test_weil_checks_fail_under_their_faults(monkeypatch):
+    for patches, failing in WEIL_ROWS:
+        _check_row(monkeypatch, patches, failing)
+
+
+def test_every_clifford_ks_weil_and_corr_check_has_a_control_row():
+    covered = set().union(*(failing for _, failing in CLIFFORD_ROWS + KS_ROWS + WEIL_ROWS + CORR_ROWS))
+    assert {name for name in _baseline() if name.partition(".")[0] in ("clifford", "ks", "weil", "corr")} == covered

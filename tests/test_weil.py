@@ -420,6 +420,16 @@ def test_derivation_wedge4_against_bruteforce():
     q = Matrix([[Fraction(rng.randint(-3, 3), rng.randint(1, 6)) for _ in range(5)] for _ in range(5)])
     assert any(x.denominator != 1 for row in q for x in row)
     assert derivation_wedge4(q) == Matrix(wedge4_derivation_bruteforce(q))
+    # in dimension 8 (70 basis 4-vectors): the operators `analyze` meets,
+    # and a sparse rational one with diagonal entries and an all-zero column
+    j, phi = block_j(), block_phi()
+    g = random_unimodular(rng, 8)
+    sparse = [[Fraction(rng.randint(-4, 4), rng.randint(1, 5)) if rng.random() < 0.3 else 0 for _ in range(8)] for _ in range(8)]
+    for i in range(8):
+        sparse[i][i] = Fraction(i - 3, 2)
+        sparse[i][5] = 0
+    for op in (j, phi, g.inverse() * phi * g, Matrix(sparse)):
+        assert derivation_wedge4(op) == Matrix(wedge4_derivation_bruteforce(op))
 
 
 def test_ks_invariant_subspace_is_weil():
