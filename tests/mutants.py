@@ -38,6 +38,8 @@ _T_CORR = "tests/test_formal_corr.py::"
 _T_PRODUCTS = "tests/test_linalg.py::test_products_equal_controls"
 _T_ECHELON = "tests/test_linalg.py::test_kernel_basis_matches_the_rref_oracle_on_seeded_matrices"
 _T_REDUCED = "tests/test_linalg.py::test_reduced_echelon_basis_is_the_reduced_echelon_kernel_basis"
+_KS = "src/ksw/kuga_satake.py"
+_T_KS = "tests/test_kuga_satake.py::"
 _SUITE = "src/ksw/suite.py"
 _T_CONTROLS = "tests/test_suite_controls.py::"
 
@@ -254,10 +256,10 @@ CATALOG = [
     ),
     (
         "embedding_has_full_rank: accept every block",
-        "src/ksw/kuga_satake.py",
+        _KS,
         "    return embedding_unit_block(ks, v0).rank() == ks.space.h\n",
         "    return True\n",
-        ["tests/test_kuga_satake.py::test_embedding_full_rank_rejects_a_repeated_row"],
+        [_T_KS + "test_embedding_full_rank_rejects_a_repeated_row"],
     ),
     (
         "graded product: e's left out of the Koszul odd mask",
@@ -292,10 +294,10 @@ CATALOG = [
     ),
     (
         "verify_j_square: accept every e",
-        "src/ksw/kuga_satake.py",
+        _KS,
         "        if e * (e * x) != -x:\n",
         "        if False:\n",
-        ["tests/test_kuga_satake.py::test_j_square_rejects_a_perturbed_e"],
+        [_T_KS + "test_j_square_rejects_a_perturbed_e"],
     ),
     (
         "suite: drop the clifford.anticommutation comparison",
@@ -422,6 +424,62 @@ CATALOG = [
         "        count,\n    )\n    return checks + [_result(c[",
         "        1,\n    )\n    return checks + [_result(c[",
         [_T_CLI + "test_suite_check_with_zero_trials_is_vacuous"],
+    ),
+    (
+        "structure_commutators: the product table certificate always holds",
+        _KS,
+        "        table_ok = _table_is_clifford(alg)\n",
+        "        table_ok = True\n",
+        [_T_KS + "test_right_mul_commutes_needs_the_table_certificate", _T_CONTROLS + "test_ks_checks_fail_under_their_faults"],
+    ),
+    (
+        "structure_commutators: skip the last generator",
+        _KS,
+        "range(s, alg.h, samples)",
+        "range(s, alg.h - 1, samples)",
+        [_T_KS + "test_right_mul_commutes_entries_split_the_generators", _T_CONTROLS + "test_ks_checks_fail_under_their_faults"],
+    ),
+    (
+        "generator identity: drop the relabel sign on the left side",
+        _KS,
+        "                if target.get(m ^ bit, 0) * k != n * f[m]:\n",
+        "                if target.get(m ^ bit, 0) * k != n * contract[m & bit]:\n",
+        [_T_KS + "test_structure_commutators_random_h7"],
+    ),
+    (
+        "table certificate: drop the bilinear sign law",
+        _KS,
+        " or sign[m] != sign[m ^ low] ^ sign[low]:",
+        ":",
+        [_T_KS + "test_table_certificate_rejects_each_broken_law"],
+    ),
+    (
+        "table certificate: drop the nonzero d_i",
+        _KS,
+        "    return unit != 0 and all(contract[1 << i] for i in range(alg.h))\n",
+        "    return True\n",
+        [_T_KS + "test_table_certificate_rejects_each_broken_law"],
+    ),
+    (
+        "suite: drop the hodge.period_isotropy predicate",
+        _SUITE,
+        "        iso_ok &= d_aa == 0 and cross == 0 and half == hk.period.norm > 0\n",
+        "        pass\n",
+        [_T_CONTROLS + "test_hodge_checks_fail_under_their_faults"],
+    ),
+    (
+        "suite: drop the hodge.rotation_skew predicate",
+        _SUITE,
+        "        skew_ok &= (a.transpose() * g + g * a).is_zero()\n",
+        "        pass\n",
+        [_T_CONTROLS + "test_hodge_checks_fail_under_their_faults"],
+    ),
+    (
+        "suite: hodge.h2_spectrum holds once any instance holds",
+        _SUITE,
+        "        spec_ok &= (\n",
+        "        spec_ok |= (\n",
+        [_T_CONTROLS + "test_hodge_checks_fail_under_their_faults"],
     ),
 ]
 

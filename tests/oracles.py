@@ -5,7 +5,8 @@ reducer rewrites words in the tensor algebra, the numeric helpers go
 through numpy, the wedge derivation expands in raw 4-tensor
 coordinates, the diagonalization is symmetric Gaussian elimination
 on a dense `Fraction` Gram matrix, and the right-multiplication family
-is checked with element products, blade by blade, instead of operators,
+is sampled with element products, blade by blade, instead of proved on
+the generators,
 a k-th power of a linear form is expanded over every monomial, and the
 graded product multiplies its three sign terms, each counted pair by pair.
 """
@@ -170,9 +171,9 @@ def diagonalize_reference(gram, repairs=None):
 
 
 def right_mul_commutes_reference(ks, samples, rng):
-    """Family (iv) of `structure_commutators` as element identities.
+    """Family (iv) of `structure_commutators` sampled, as element identities.
 
-    For each sample c, drawn as `structure_commutators` draws it, whether
+    For each sample c, drawn as `structure_commutators` draws its unused c, whether
     e.(e_A.c) == (e.e_A).c for every blade A.  Returns [(c, outcome)].
     """
     from ksw.kuga_satake import _random_element

@@ -104,6 +104,18 @@ def test_structure_commutators_random_h7():
     assert any(name.startswith("right_mul_commutes") for name in names)
 
 
+def _right_mul_entries(ks, samples=3):
+    report = ks_mod.structure_commutators(ks, samples=samples, rng=random.Random(0), raise_on_failure=False)
+    return [ok for name, ok, _ in report.checks if name.startswith("right_mul_commutes")]
+
+
+def _generator_loop(ks):
+    """Family (iv) without the table certificate: every generator, on the columns e.x."""
+    alg = ks.algebra
+    columns = [ks_mod._product_numerators(alg, ks.e.nums.items(), ((x, 1),)) for x in range(alg.dim)]
+    return ks_mod._commutes_with_generators(alg, columns, range(alg.h))
+
+
 def test_right_mul_commutes_matches_element_reference():
     rng = random.Random(47)
     parities = set()
@@ -114,13 +126,99 @@ def test_right_mul_commutes_matches_element_reference():
             if tampered:
                 # e_1.e_1 = 2 d_1 while every other contraction is kept: not associative
                 alg.contract[1] *= 2
-            report = ks_mod.structure_commutators(ks, samples=3, rng=random.Random(h), raise_on_failure=False)
-            got = [ok for name, ok, _ in report.checks if name.startswith("right_mul_commutes")]
+            got = _right_mul_entries(ks)
             reference = right_mul_commutes_reference(ks, 3, random.Random(h))
-            assert got == [ok for _, ok in reference]
-            assert all(got) != tampered
+            sampled = [ok for _, ok in reference]
+            assert len(got) == 3
+            # the family is a proof, so it never passes where a sampled c fails
+            if tampered:
+                assert not all(got)
+            else:
+                assert all(got) and all(sampled)
             parities.update(c.parity for c, _ in reference)
     assert "mixed" in parities
+
+
+def test_right_mul_commutes_needs_the_table_certificate():
+    # at h = 6 this e never meets index 0 in a way the generators see, so
+    # the generator loop alone passes the doubled e_1.e_1; a sampled c and
+    # the table certificate both catch it
+    rng = random.Random(47)
+    for h in range(2, 7):
+        ks = ks_mod.build(random_hk(rng, h))
+    ks.algebra.contract[1] *= 2
+    assert _generator_loop(ks)
+    assert not ks_mod._table_is_clifford(ks.algebra)
+    assert not all(ok for _, ok in right_mul_commutes_reference(ks, 3, random.Random(6)))
+    assert _right_mul_entries(ks) == [False] * 3
+
+
+def _spoil(alg, law):
+    if law == "multiplicative":
+        # e_1.e_1 doubled alone
+        alg.contract[1] *= 2
+    elif law == "bilinear":
+        # e_1 e_2 . e_1 signed unlike e_2 . e_1
+        alg.sign[3] ^= 1
+    elif law == "unit":
+        # the unit multiplies with a sign
+        alg.sign[0] = 1
+    else:
+        # d_2 = 0 throughout: multiplicative and bilinear, but degenerate
+        alg.contract = [0 if m & 2 else c for m, c in enumerate(alg.contract)]
+
+
+@pytest.mark.parametrize("law", ["multiplicative", "bilinear", "unit", "nondegenerate"])
+def test_table_certificate_rejects_each_broken_law(law):
+    for h in (2, 3, 5):
+        ks = ks_mod.build(random_hk(random.Random(60 + h), h))
+        assert ks_mod._table_is_clifford(ks.algebra)
+        _spoil(ks.algebra, law)
+        assert not ks_mod._table_is_clifford(ks.algebra)
+        assert not any(_right_mul_entries(ks))
+
+
+@pytest.mark.parametrize("h", [3, 4, 5])
+def test_right_mul_commutes_entries_split_the_generators(h, monkeypatch):
+    # e.x negated whenever x holds the last index: a left operator that
+    # commutes with every R_(v_i) but the last, over an associative table
+    ks = ks_mod.build(random_hk(random.Random(50 + h), h))
+    top = 1 << (h - 1)
+    product = ks_mod._product_numerators
+
+    def flipped(alg, xs, ys):
+        ((x, _),) = ys
+        nums = product(alg, xs, ys)
+        return {m: -n for m, n in nums.items()} if x & top else nums
+
+    assert _right_mul_entries(ks, samples=h) == [True] * h
+    monkeypatch.setattr(ks_mod, "_product_numerators", flipped)
+    assert _right_mul_entries(ks, samples=h) == [True] * (h - 1) + [False]
+    assert _right_mul_entries(ks, samples=2) == [(h - 1) % 2 == 1, (h - 1) % 2 == 0]
+
+
+def test_structure_commutators_builds_no_full_algebra_matrix(monkeypatch):
+    block = ks_mod._mul_block
+
+    def graded_only(x, side, domain):
+        assert domain != "full", "a 2^h-square operator"
+        return block(x, side, domain)
+
+    monkeypatch.setattr(ks_mod, "_mul_block", graded_only)
+    for h in (2, 5, 8):
+        ks = ks_mod.build(random_hk(random.Random(70 + h), h))
+        report = ks_mod.structure_commutators(ks, samples=2, rng=random.Random(h))
+        assert report.ok and len(report.checks) == (h - 2) + 2 + 4 + 2
+
+
+def test_right_mul_commutes_keeps_the_random_stream():
+    ks = ks_mod.build(random_hk(random.Random(51), 4))
+    for samples in (0, 1, 3):
+        rng, mirror = random.Random(9), random.Random(9)
+        ks_mod.structure_commutators(ks, samples=samples, rng=rng)
+        for _ in range(samples):
+            ks_mod._random_element(ks.algebra, mirror)
+        assert rng.random() == mirror.random()
 
 
 def test_structure_commutators_operator_matrices_small_h():

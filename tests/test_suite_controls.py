@@ -16,10 +16,10 @@ from ksw import kuga_satake as ks_mod
 from ksw import suite as suite_mod
 from ksw import weil as weil_mod
 from ksw.clifford import CliffordAlgebra, CliffordElement
-from ksw.hodge import HKStructure
+from ksw.hodge import HKStructure, HodgeTypeSpectrum
 from ksw.linalg import Matrix, induced_operator
 
-#: every family small; the clifford, ks (and hodge), weil and corr families still run
+#: every family small; the clifford, ks, hodge, weil and corr families still run
 TRIMMED = {
     "linalg": {"trials": 0},
     "qspace": {"h_range": [2, 1]},
@@ -112,6 +112,7 @@ _build = ks_mod.build
 _embedding_unit_block = ks_mod.embedding_unit_block
 _endomorphism_embedding = ks_mod.endomorphism_embedding
 _odd_even_inverse = ks_mod.odd_even_inverse
+_product_numerators = ks_mod._product_numerators
 
 
 class _OrientationLost:
@@ -125,6 +126,21 @@ class _OrientationLost:
 def _first_row_repeated(ks, v0):
     block = _embedding_unit_block(ks, v0)
     return Matrix([block.row(0)] + [block.row(i) for i in range(block.rows - 1)])
+
+
+def _last_index_negated(alg, xs, ys):
+    """The column e.x negated when x holds the last index: it commutes with every R_(v_i) but the last."""
+    ((x, _),) = ys
+    nums = _product_numerators(alg, xs, ys)
+    return {m: -n for m, n in nums.items()} if x >> (alg.h - 1) & 1 else nums
+
+
+class _DoubledTripleContractions(CliffordAlgebra):
+    """Contractions over three or more indices doubled: not associative, but e.e and J read none of them."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.contract = [c * 2 if m.bit_count() > 2 else c for m, c in enumerate(self.contract)]
 
 
 KS_ROWS = [
@@ -143,12 +159,49 @@ KS_ROWS = [
         {"ks.endo_sign_laws"},
     ),
     ([(ks_mod, "odd_even_inverse", lambda ks, v0: 2 * _odd_even_inverse(ks, v0))], {"ks.odd_even_iso"}),
+    # family (iv) alone: one generator identity off by a sign, or the product table off
+    ([(ks_mod, "_product_numerators", _last_index_negated)], {"ks.commutators"}),
+    ([(ks_mod, "CliffordAlgebra", _DoubledTripleContractions)], {"ks.commutators"}),
 ]
 
 
 def test_ks_checks_fail_under_their_faults(monkeypatch):
     for patches, failing in KS_ROWS:
         _check_row(monkeypatch, patches, failing)
+
+
+# -- hodge: the period, the rotation generator or the spectrum wrong ---------------
+
+_sigma_isotropy = HKStructure.sigma_isotropy
+_rotation_generator = suite_mod.rotation_generator
+_h2_spectrum = suite_mod.h2_spectrum
+
+
+def _doubled_half_norm(hk):
+    d_aa, cross, half = _sigma_isotropy(hk)
+    return d_aa, cross, 2 * half
+
+
+def _one_more_11(hk):
+    spec = _h2_spectrum(hk)
+    return HodgeTypeSpectrum(spec.weight, {**spec.dims, (1, 1): spec.dim(1, 1) + 1})
+
+
+HODGE_ROWS = [
+    ([(HKStructure, "sigma_isotropy", _doubled_half_norm)], {"hodge.period_isotropy"}),
+    ([(suite_mod, "rotation_generator", lambda hk: _rotation_generator(hk) + Matrix.identity(hk.space.h))], {"hodge.rotation_skew"}),
+    ([(suite_mod, "h2_spectrum", _one_more_11)], {"hodge.h2_spectrum"}),
+]
+
+
+def test_hodge_checks_fail_under_their_faults(monkeypatch):
+    for patches, failing in HODGE_ROWS:
+        _check_row(monkeypatch, patches, failing)
+
+
+def test_every_hodge_check_has_a_control_row():
+    covered = set().union(*(failing for _, failing in HODGE_ROWS))
+    assert {name for name in _baseline() if name.startswith("hodge.")} == covered
 
 
 # -- corr: the Kunneth square or its contraction wrong ----------------------------
