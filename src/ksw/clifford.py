@@ -167,7 +167,7 @@ class CliffordAlgebra:
         return CliffordElement(self, nums, den)
 
     def scalar(self, c) -> "CliffordElement":
-        return self.element({0: c})
+        return self.blade(0, c)
 
     @property
     def unit(self) -> "CliffordElement":

@@ -20,11 +20,15 @@ algebra, so L_e commutes with every R_c once it commutes with the h
 operators R_(v_i), that is once (e.x).v_i == e.(x.v_i) for every blade x.
 The columns E[x] = e.x are computed once, on integer numerators; x.v_i
 is a signed multiple of the blade x ^ 2^i, so each identity compares E[x]
-relabelled term by term with one scalar multiple of E[x ^ 2^i], and no
-operator matrix is built.  The reduction to generators needs an
-associative product table, so the family also certifies the table
-itself in O(2^h): the contraction is multiplicative, the sign parity is
-bilinear and every d_i is nonzero.
+relabelled term by term with one scalar multiple of E[x ^ 2^i], once per
+pair x, x ^ 2^i, and no operator matrix is built.  The reduction to
+generators needs an associative product table, so the family also
+certifies the table itself in O(2^h): the contraction is multiplicative,
+the sign parity is bilinear and every d_i is nonzero.
+
+J^2 = -I is checked the same way, on the integer columns e.e_m of the
+even blades: e.(e.x) is summed from them by linearity and compared
+unreduced, so no element product is formed per blade.
 """
 
 from __future__ import annotations
@@ -98,15 +102,30 @@ def verify_e_square(ks: KSStructure) -> bool:
 
 
 def verify_j_square(ks: KSStructure) -> bool:
-    """J^2 = -I on C+, column by column: e.(e.x) == -x for every even blade.
+    """J^2 = -I on C+, column by column: e.(e.x) == -x for every even blade x.
 
     Each column of the J matrix is by definition e times a basis blade, so
     this is the matrix identity verified without materializing the product.
+    The integer columns E[m] = e.e_m, over e.den * scale, are computed once
+    from ``ks.e``; by linearity e.(e.x) is the sum of E[x]_m * E[m] over
+    the masks m of E[x], over (e.den * scale)^2.  That sum is compared
+    unreduced: slot x must hold -(e.den * scale)^2 and every other slot 0.
+    An even e reads only the even columns; any other e reads them all.
     """
-    e = ks.e
-    for mask in ks.algebra.even_masks:
-        x = ks.algebra.blade(mask)
-        if e * (e * x) != -x:
+    alg, e = ks.algebra, ks.e
+    terms = e.nums.items()
+    masks = alg.even_masks if e.parity == "even" else range(alg.dim)
+    columns = {m: _product_numerators(alg, terms, ((m, 1),)) for m in masks}
+    minus_one = -((e.den * alg.scale) ** 2)
+    for x in alg.even_masks:
+        slots = [0] * alg.dim
+        for m, c in columns[x].items():
+            for k, n in columns[m].items():
+                slots[k] += c * n
+        if slots[x] != minus_one:
+            return False
+        slots[x] = 0
+        if any(slots):
             return False
     return True
 
@@ -219,12 +238,22 @@ def _commutes_with_generators(alg: CliffordAlgebra, columns, generators) -> bool
     contraction of e_m . v_i, the left side relabels e.x term by term,
     n at m -> f[m] * n at m ^ 2^i, and the right side is f[x] times
     columns[x ^ 2^i]; both sides share one denominator.
+
+    Only the x without bit i are compared: each pair x, x ^ 2^i once.  On
+    a table with bilinear sign parity and nonzero contract[0] and
+    contract[2^i] (which `_table_is_clifford` certifies), f[m] * f[m ^ 2^i]
+    is one nonzero constant c for every m, namely contract[0] *
+    contract[2^i], negated when sign[2^i] & 2^i.  The identity at x fixes
+    columns[x ^ 2^i] as the relabelled columns[x] over f[x], and then the
+    identity at x ^ 2^i is the one at x multiplied through by c.
     """
     sign, contract = alg.sign, alg.contract
     for i in generators:
         bit = 1 << i
         f = [-contract[m & bit] if sign[m] & bit else contract[m & bit] for m in range(alg.dim)]
         for x, col in enumerate(columns):
+            if x & bit:
+                continue
             target = columns[x ^ bit]
             if len(target) != len(col):
                 return False

@@ -295,9 +295,16 @@ CATALOG = [
     (
         "verify_j_square: accept every e",
         _KS,
-        "        if e * (e * x) != -x:\n",
+        "        if slots[x] != minus_one:\n",
         "        if False:\n",
         [_T_KS + "test_j_square_rejects_a_perturbed_e"],
+    ),
+    (
+        "J^2 sum: drop the leftover-slot test",
+        _KS,
+        "        if any(slots):\n",
+        "        if False:\n",
+        [_T_KS + "test_j_square_rejects_a_square_off_minus_one_by_a_nonscalar"],
     ),
     (
         "suite: drop the clifford.anticommutation comparison",
@@ -440,6 +447,13 @@ CATALOG = [
         [_T_KS + "test_right_mul_commutes_entries_split_the_generators", _T_CONTROLS + "test_ks_checks_fail_under_their_faults"],
     ),
     (
+        "generator pairs: skip every x",
+        _KS,
+        "            if x & bit:\n",
+        "            if True:\n",
+        [_T_CONTROLS + "test_ks_checks_fail_under_their_faults"],
+    ),
+    (
         "generator identity: drop the relabel sign on the left side",
         _KS,
         "                if target.get(m ^ bit, 0) * k != n * f[m]:\n",
@@ -459,6 +473,27 @@ CATALOG = [
         "    return unit != 0 and all(contract[1 << i] for i in range(alg.h))\n",
         "    return True\n",
         [_T_KS + "test_table_certificate_rejects_each_broken_law"],
+    ),
+    (
+        "suite: drop the linalg.inverse_roundtrip comparison",
+        _SUITE,
+        "        if m * inv != Matrix.identity(n):\n",
+        "        if False:\n",
+        [_T_CONTROLS + "test_linalg_and_qspace_checks_fail_under_their_faults"],
+    ),
+    (
+        "suite: drop the qspace.signature_congruence predicate",
+        _SUITE,
+        "                sig_ok = False\n",
+        "                pass\n",
+        [_T_CONTROLS + "test_linalg_and_qspace_checks_fail_under_their_faults"],
+    ),
+    (
+        "suite: drop the qspace.discriminant_square_class predicate",
+        _SUITE,
+        "                disc_ok = False\n",
+        "                pass\n",
+        [_T_CONTROLS + "test_linalg_and_qspace_checks_fail_under_their_faults"],
     ),
     (
         "suite: drop the hodge.period_isotropy predicate",

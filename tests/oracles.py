@@ -6,7 +6,9 @@ through numpy, the wedge derivation expands in raw 4-tensor
 coordinates, the diagonalization is symmetric Gaussian elimination
 on a dense `Fraction` Gram matrix, and the right-multiplication family
 is sampled with element products, blade by blade, instead of proved on
-the generators,
+the generators, J^2 = -I is checked as e.(e.x) == -x with two element
+products per even blade, the generator identities of that proof are
+compared at both x and x ^ 2^i,
 a k-th power of a linear form is expanded over every monomial, and the
 graded product multiplies its three sign terms, each counted pair by pair.
 """
@@ -184,6 +186,28 @@ def right_mul_commutes_reference(ks, samples, rng):
         c = _random_element(alg, rng)
         out.append((c, all(e * (alg.blade(m) * c) == (e * alg.blade(m)) * c for m in range(alg.dim))))
     return out
+
+
+def j_square_reference(ks):
+    """J^2 = -I on C+ as element identities: e.(e.x) == -x for every even blade x."""
+    alg, e = ks.algebra, ks.e
+    return all(e * (e * alg.blade(m)) == -alg.blade(m) for m in alg.even_masks)
+
+
+def generator_identities_reference(alg, columns, generators):
+    """(e.x).v_i == e.(x.v_i) on the columns e.x, compared at every blade x, both x and x ^ 2^i."""
+    sign, contract = alg.sign, alg.contract
+    for i in generators:
+        bit = 1 << i
+        f = [-contract[m & bit] if sign[m] & bit else contract[m & bit] for m in range(alg.dim)]
+        for x, col in enumerate(columns):
+            target = columns[x ^ bit]
+            if len(target) != len(col):
+                return False
+            for m, n in col.items():
+                if target.get(m ^ bit, 0) * f[x] != n * f[m]:
+                    return False
+    return True
 
 
 def embedding_matrix_stack(ks, v0):

@@ -14,7 +14,13 @@ from ksw.qspace import QuadraticSpace
 from ksw.randgen import random_hk, random_unimodular
 from ksw.weil import check_quadratic_endo
 
-from oracles import embedding_matrix_stack, embedding_rank, right_mul_commutes_reference
+from oracles import (
+    embedding_matrix_stack,
+    embedding_rank,
+    generator_identities_reference,
+    j_square_reference,
+    right_mul_commutes_reference,
+)
 
 
 def _hk(diag, alpha, beta):
@@ -70,11 +76,46 @@ def test_j_square_random_periods():
 
 
 def test_j_square_rejects_a_perturbed_e():
-    # negative control: e + 1 squares to 2e, not -1, on every even blade
+    # negative controls: e + 1 squares to 2e, not -1, on every even blade;
+    # 2e squares to -4, so each e.(e.x) lies on x alone with the wrong coefficient
     rng = random.Random(43)
     for h in (3, 4, 5):
         ks = ks_mod.build(random_hk(rng, h))
         assert not ks_mod.verify_j_square(dataclasses.replace(ks, e=ks.e + ks.algebra.unit))
+        assert not ks_mod.verify_j_square(dataclasses.replace(ks, e=2 * ks.e))
+
+
+def test_j_square_rejects_a_square_off_minus_one_by_a_nonscalar():
+    # over diag(1, 1, -1), e' = 1 + (3/2) e1e2 + (1/2) e1e3 squares to -1 + 3 e1e2 + e1e3:
+    # e'.(e'.x) has coefficient -1 on x for every even x, the defect lies on other blades
+    ks = ks_mod.build(_hk([1, 1, -1], (1, 0, 0), (0, 1, 0)))
+    alg = ks.algebra
+    e = alg.element({0: 1, 0b011: Fraction(3, 2), 0b101: Fraction(1, 2)})
+    assert e * e == alg.element({0: -1, 0b011: 3, 0b101: 1})
+    bad = dataclasses.replace(ks, e=e)
+    assert not ks_mod.verify_j_square(bad)
+    assert not j_square_reference(bad)
+
+
+def test_j_square_matches_the_element_reference():
+    # the same boolean as e.(e.x) == -x, on e, e + 1, 2e, e plus one even or
+    # one odd blade, over the algebra's table and over a non-associative one
+    rng = random.Random(44)
+    outcomes = set()
+    for h in range(2, 9):
+        ks = ks_mod.build(random_hk(rng, h))
+        alg, e = ks.algebra, ks.e
+        variants = [e, e + alg.unit, 2 * e, e + alg.blade(0b11), e + alg.blade(1)]
+        for tampered in (False, True):
+            if tampered:
+                # e_1.e_1 = 2 d_1 while every other contraction is kept
+                alg.contract[1] *= 2
+            for v in variants:
+                ks_v = dataclasses.replace(ks, e=v)
+                got = ks_mod.verify_j_square(ks_v)
+                assert got == j_square_reference(ks_v), (h, tampered, v)
+                outcomes.add(got)
+    assert outcomes == {True, False}
 
 
 def test_rotation_identities_unit_case():
@@ -137,6 +178,37 @@ def test_right_mul_commutes_matches_element_reference():
                 assert all(got) and all(sampled)
             parities.update(c.parity for c, _ in reference)
     assert "mixed" in parities
+
+
+def test_halved_generator_loop_matches_both_halves():
+    # each pair x, x ^ 2^i compared once agrees with comparing it at both ends,
+    # on the columns e.x and on columns with one entry doubled, dropped or added
+    rng = random.Random(49)
+    outcomes = set()
+    for h in range(2, 8):
+        ks = ks_mod.build(random_hk(rng, h))
+        alg = ks.algebra
+        columns = [ks_mod._product_numerators(alg, ks.e.nums.items(), ((x, 1),)) for x in range(alg.dim)]
+        tables = [columns]
+        for kind in (0, 1, 2) * 8:
+            x = rng.randrange(alg.dim)
+            col = dict(columns[x])
+            if kind == 0:
+                col[rng.choice(sorted(col))] *= 2
+            elif kind == 1:
+                del col[rng.choice(sorted(col))]
+            else:
+                free = [m for m in range(alg.dim) if m not in col]
+                if not free:
+                    continue
+                col[rng.choice(free)] = rng.choice((-3, -1, 1, 2))
+            tables.append(columns[:x] + [col] + columns[x + 1 :])
+        for table in tables:
+            for i in range(h):
+                got = ks_mod._commutes_with_generators(alg, table, [i])
+                assert got == generator_identities_reference(alg, table, [i])
+                outcomes.add(got)
+    assert outcomes == {True, False}
 
 
 def test_right_mul_commutes_needs_the_table_certificate():

@@ -19,10 +19,10 @@ from ksw.clifford import CliffordAlgebra, CliffordElement
 from ksw.hodge import HKStructure, HodgeTypeSpectrum
 from ksw.linalg import Matrix, induced_operator
 
-#: every family small; the clifford, ks, hodge, weil and corr families still run
+#: every family small; the linalg, qspace, clifford, ks, hodge, weil and corr families still run
 TRIMMED = {
-    "linalg": {"trials": 0},
-    "qspace": {"h_range": [2, 1]},
+    "linalg": {"trials": 2, "max_size": 3},
+    "qspace": {"h_range": [3, 3], "scrambles": 1},
     "clifford": {"h_range": [2, 3], "pair_trials": 4, "triple_trials": 4, "element_h": 3},
     "ks": {"h_range": [3, 4], "instances_per_h": 1, "commutator_samples": 1},
     "sympow": {"decompose": [], "level": [], "isotropic": [], "block_level": []},
@@ -49,6 +49,63 @@ def _check_row(monkeypatch, patches, failing):
             m.setattr(owner, attr, value)
         after = _statuses()
     assert after == dict(before, **dict.fromkeys(failing, "fail"))
+
+
+# -- linalg and qspace: an inverse or a congruence scramble wrong -------------------
+
+_random_rational_matrix = suite_mod.random_rational_matrix
+_random_congruence_scramble = suite_mod.random_congruence_scramble
+
+
+class _DoubledInverse(Matrix):
+    __slots__ = ()
+
+    def inverse(self):
+        return 2 * super().inverse()
+
+
+def _with_doubled_inverse(rng, rows, cols):
+    m = _random_rational_matrix(rng, rows, cols)
+    return _DoubledInverse._of(m._rows, m.cols)
+
+
+def _rescrambled(diag_change):
+    """The scramble of a diagonal Gram matrix with its entries changed first; the draws stay."""
+
+    def scramble(rng, gram):
+        entries = [gram[i, i] for i in range(gram.rows)]
+        diag_change(entries)
+        return _random_congruence_scramble(rng, Matrix.diagonal(entries))
+
+    return scramble
+
+
+def _two_of_one_sign_negated(entries):
+    """Two entries of one sign negated: the determinant stays, the signature moves by two."""
+    i, j = next((i, j) for i, j in combinations(range(len(entries)), 2) if (entries[i] > 0) == (entries[j] > 0))
+    entries[i], entries[j] = -entries[i], -entries[j]
+
+
+def _first_doubled(entries):
+    """The first entry doubled: the signature stays, the determinant moves by the non-square 2."""
+    entries[0] *= 2
+
+
+LINALG_QSPACE_ROWS = [
+    ([(suite_mod, "random_rational_matrix", _with_doubled_inverse)], {"linalg.inverse_roundtrip"}),
+    ([(suite_mod, "random_congruence_scramble", _rescrambled(_two_of_one_sign_negated))], {"qspace.signature_congruence"}),
+    ([(suite_mod, "random_congruence_scramble", _rescrambled(_first_doubled))], {"qspace.discriminant_square_class"}),
+]
+
+
+def test_linalg_and_qspace_checks_fail_under_their_faults(monkeypatch):
+    for patches, failing in LINALG_QSPACE_ROWS:
+        _check_row(monkeypatch, patches, failing)
+
+
+def test_every_linalg_and_qspace_check_has_a_control_row():
+    covered = set().union(*(failing for _, failing in LINALG_QSPACE_ROWS))
+    assert {name for name in _baseline() if name.partition(".")[0] in ("linalg", "qspace")} == covered
 
 
 # -- clifford: the suite's own algebras, one table or product altered -------------
@@ -129,10 +186,10 @@ def _first_row_repeated(ks, v0):
 
 
 def _last_index_negated(alg, xs, ys):
-    """The column e.x negated when x holds the last index: it commutes with every R_(v_i) but the last."""
+    """The column e.x negated when x is odd and holds the last index: J^2 reads only even columns."""
     ((x, _),) = ys
     nums = _product_numerators(alg, xs, ys)
-    return {m: -n for m, n in nums.items()} if x >> (alg.h - 1) & 1 else nums
+    return {m: -n for m, n in nums.items()} if x.bit_count() & 1 and x >> (alg.h - 1) & 1 else nums
 
 
 class _DoubledTripleContractions(CliffordAlgebra):
@@ -159,7 +216,7 @@ KS_ROWS = [
         {"ks.endo_sign_laws"},
     ),
     ([(ks_mod, "odd_even_inverse", lambda ks, v0: 2 * _odd_even_inverse(ks, v0))], {"ks.odd_even_iso"}),
-    # family (iv) alone: one generator identity off by a sign, or the product table off
+    # family (iv) alone: generator identities off by a sign, or the product table off
     ([(ks_mod, "_product_numerators", _last_index_negated)], {"ks.commutators"}),
     ([(ks_mod, "CliffordAlgebra", _DoubledTripleContractions)], {"ks.commutators"}),
 ]
