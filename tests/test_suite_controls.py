@@ -5,29 +5,40 @@ well-typed result; with them in place the named checks must report
 `fail` and every other check must keep its status.  A check predicate
 that cannot fail (a comparison dropped or short-circuited) leaves its
 check `pass` under the row's fault, so the row catches it.
+
+Two pins guard what the rows cannot see: the values each family draws
+from its own random stream, and the shapes of a ks family with instances
+over the cap.
 """
 
 import dataclasses
+import hashlib
+import random
 from functools import cache
 from itertools import combinations
+from types import SimpleNamespace
 
+from ksw import betti as betti_mod
 from ksw import formal_corr as corr_mod
 from ksw import kuga_satake as ks_mod
 from ksw import suite as suite_mod
+from ksw import sympow as sympow_mod
 from ksw import weil as weil_mod
+from ksw.errors import NotApplicable
 from ksw.clifford import CliffordAlgebra, CliffordElement
 from ksw.hodge import HKStructure, HodgeTypeSpectrum
 from ksw.linalg import Matrix, induced_operator
 
-#: every family small; the linalg, qspace, clifford, ks, hodge, weil and corr families still run
+#: every family small, and every family still runs
 TRIMMED = {
     "linalg": {"trials": 2, "max_size": 3},
     "qspace": {"h_range": [3, 3], "scrambles": 1},
     "clifford": {"h_range": [2, 3], "pair_trials": 4, "triple_trials": 4, "element_h": 3},
     "ks": {"h_range": [3, 4], "instances_per_h": 1, "commutator_samples": 1},
-    "sympow": {"decompose": [], "level": [], "isotropic": [], "block_level": []},
+    "sympow": {"decompose": [[3, 2]], "level": [[3, 3]], "isotropic": [[3, 2]], "block_level": [[3, 3]]},
     "weil": {"conjugations": 1},
-    "betti": {"b2_range": [3, 4]},
+    # two b2 of each parity, so that bound_monotone compares
+    "betti": {"b2_range": [3, 6]},
     "corr": {"b3": 4, "n": [2], "sign_rule": "koszul", "negative_control": True},
 }
 
@@ -101,11 +112,6 @@ LINALG_QSPACE_ROWS = [
 def test_linalg_and_qspace_checks_fail_under_their_faults(monkeypatch):
     for patches, failing in LINALG_QSPACE_ROWS:
         _check_row(monkeypatch, patches, failing)
-
-
-def test_every_linalg_and_qspace_check_has_a_control_row():
-    covered = set().union(*(failing for _, failing in LINALG_QSPACE_ROWS))
-    assert {name for name in _baseline() if name.partition(".")[0] in ("linalg", "qspace")} == covered
 
 
 # -- clifford: the suite's own algebras, one table or product altered -------------
@@ -256,11 +262,6 @@ def test_hodge_checks_fail_under_their_faults(monkeypatch):
         _check_row(monkeypatch, patches, failing)
 
 
-def test_every_hodge_check_has_a_control_row():
-    covered = set().union(*(failing for _, failing in HODGE_ROWS))
-    assert {name for name in _baseline() if name.startswith("hodge.")} == covered
-
-
 # -- corr: the Kunneth square or its contraction wrong ----------------------------
 
 _kunneth_square = corr_mod.kunneth_square
@@ -328,6 +329,169 @@ def test_weil_checks_fail_under_their_faults(monkeypatch):
         _check_row(monkeypatch, patches, failing)
 
 
-def test_every_clifford_ks_weil_and_corr_check_has_a_control_row():
-    covered = set().union(*(failing for _, failing in CLIFFORD_ROWS + KS_ROWS + WEIL_ROWS + CORR_ROWS))
-    assert {name for name in _baseline() if name.partition(".")[0] in ("clifford", "ks", "weil", "corr")} == covered
+# -- sympow: one dimension, swap, level piece, level or span wrong -----------------
+
+_harmonic_dim = sympow_mod.harmonic_dim
+_induced_operator = suite_mod.induced_operator
+_level_two_part = sympow_mod.level_two_part
+_block_max_level = sympow_mod.block_max_level
+_isotropic_span_check = sympow_mod.isotropic_span_check
+
+
+def _unequal_norm_swap(basis, index, moves, den):
+    """The suite's swap built on x0 <-> x2, whose norms 1 and -2 differ."""
+    return _induced_operator(basis, index, lambda mu: (((mu[2], mu[1], mu[0]), 1),), den)
+
+
+def _definite_span_passes(space, k):
+    """isotropic_span_check with NotApplicable turned into a plain False."""
+    try:
+        return _isotropic_span_check(space, k)
+    except NotApplicable:
+        return False
+
+
+SYMPOW_ROWS = [
+    # the block certificate holds; only the suite's dimension count is off
+    ([(sympow_mod, "harmonic_dim", lambda h, k: _harmonic_dim(h, k) + (k == 0))], {"sympow.decompose[h=3,k=2]"}),
+    ([(suite_mod, "induced_operator", _unequal_norm_swap)], {"sympow.harmonic_symmetry"}),
+    ([(sympow_mod, "level_two_part", lambda hk, k: _level_two_part(hk, k)[:-1])], {"sympow.level_filtration[h=3,k=3]"}),
+    (
+        [(sympow_mod, "block_max_level", lambda hk, k: [(l, lvl + 2 * (l == 0)) for l, lvl in _block_max_level(hk, k)])],
+        {"sympow.block_level[h=3,k=3]"},
+    ),
+    # the definite control still raises NotApplicable inside the negation
+    ([(sympow_mod, "isotropic_span_check", lambda space, k: not _isotropic_span_check(space, k))], {"sympow.isotropic_span[h=3,k=2]"}),
+    ([(sympow_mod, "isotropic_span_check", _definite_span_passes)], {"sympow.isotropic_definite_control"}),
+]
+
+
+def test_sympow_checks_fail_under_their_faults(monkeypatch):
+    for patches, failing in SYMPOW_ROWS:
+        _check_row(monkeypatch, patches, failing)
+
+
+# -- betti: the bound exponent, the catalog or the factor dimensions wrong ---------
+
+_bound_exponent = betti_mod.bound_exponent
+_default_catalog = betti_mod.default_catalog
+_ks_factor_dims = betti_mod.ks_factor_dims
+
+BETTI_ROWS = [
+    # k(5) below k(3); the catalog's b2 = 7 keeps its exponent
+    (
+        [(betti_mod, "bound_exponent", lambda b2, div4_improve=False: _bound_exponent(b2, div4_improve) - 2 * (b2 == 5))],
+        {"betti.bound_monotone"},
+    ),
+    (
+        [(betti_mod, "default_catalog", lambda: [dataclasses.replace(e, b3=2 * e.b3) for e in _default_catalog()])],
+        {"betti.catalog_tight"},
+    ),
+    ([(betti_mod, "ks_factor_dims", lambda h: _ks_factor_dims(h) | {1 << h})], {"betti.factor_dims"}),
+]
+
+
+def test_betti_checks_fail_under_their_faults(monkeypatch):
+    for patches, failing in BETTI_ROWS:
+        _check_row(monkeypatch, patches, failing)
+
+
+ROWS = LINALG_QSPACE_ROWS + CLIFFORD_ROWS + KS_ROWS + HODGE_ROWS + CORR_ROWS + WEIL_ROWS + SYMPOW_ROWS + BETTI_ROWS
+
+
+def test_every_check_has_a_control_row():
+    assert {c.partition(".")[0] for c in _baseline()} == {
+        "linalg", "qspace", "clifford", "ks", "hodge", "sympow", "weil", "betti", "corr",
+    }
+    assert set().union(*(failing for _, failing in ROWS)) == _baseline().keys()
+
+
+# -- the draws of each family's stream ---------------------------------------------
+
+#: stream key -> (values drawn, sha256 prefix of their reprs), default config and seed 7
+PINNED_DRAWS = {
+    None: {
+        "_linalg_checks": (971, "51c456f4c51c01d2"),
+        "_qspace_checks": (1159, "1a9207aae765bbd9"),
+        "_clifford_checks": (4902, "3b12d37fbfa86252"),
+        "_ks_checks": (1966, "ea88fc37fc3c739e"),
+        "_hodge_checks": (1406, "f2f43865247f034f"),
+        "_sympow_checks": (387, "1fb8a14ae8a18770"),
+        "_weil_checks": (318, "34b42cd44db9cf33"),
+        "_betti_checks": (0, "4f53cda18c2baa0c"),
+        "_corr_checks": (0, "4f53cda18c2baa0c"),
+    },
+    7: {
+        "_linalg_checks": (1074, "0a067d9845f271b9"),
+        "_qspace_checks": (1116, "1a815c139526b286"),
+        "_clifford_checks": (4903, "574366729dbde9a4"),
+        "_ks_checks": (1981, "33c190b27c46f60a"),
+        "_hodge_checks": (1441, "7573a2495a9eaa69"),
+        "_sympow_checks": (394, "93d7608c6f83d683"),
+        "_weil_checks": (303, "3ed8e60bdec4c843"),
+        "_betti_checks": (0, "4f53cda18c2baa0c"),
+        "_corr_checks": (0, "4f53cda18c2baa0c"),
+    },
+}
+
+
+def _draws(monkeypatch, overrides) -> dict[str, tuple[int, str]]:
+    """Every random() and getrandbits() value of each family's stream, by stream key."""
+    logs: dict[int, list] = {}
+
+    class Recorder(random.Random):
+        # both methods, so that randrange keeps the getrandbits path of random.Random
+        def random(self):
+            x = super().random()
+            logs.setdefault(self.stream, []).append(x)
+            return x
+
+        def getrandbits(self, k):
+            x = super().getrandbits(k)
+            logs.setdefault(self.stream, []).append(x)
+            return x
+
+        def seed(self, a=None, version=2):
+            self.stream = a
+            super().seed(a, version)
+
+    with monkeypatch.context() as m:
+        m.setattr(suite_mod, "random", SimpleNamespace(Random=Recorder))
+        seed = suite_mod.run_full_suite(overrides).seed
+    by_seed = {seed + sum(key.encode()): key for key in PINNED_DRAWS[None]}
+    assert logs.keys() <= by_seed.keys()
+    return {
+        key: (len(logs.get(s, [])), hashlib.sha256(repr(logs.get(s, [])).encode()).hexdigest()[:16])
+        for s, key in by_seed.items()
+    }
+
+
+def test_each_family_draws_what_it_drew(monkeypatch):
+    # the report digests cannot see a family's instances move to other draws
+    for seed, pinned in PINNED_DRAWS.items():
+        assert _draws(monkeypatch, None if seed is None else {"seed": seed}) == pinned, seed
+
+
+# -- ks instances over the cap ------------------------------------------------------
+
+KS_NAMES = [
+    "ks.e_square", "ks.j_square", "ks.commutators", "ks.torus_dimension", "ks.basis_independence",
+    "ks.orientation_reversal", "ks.endo_rank", "ks.endo_sign_laws", "ks.odd_even_iso",
+]
+
+
+def _ks_lines(h_range) -> list[tuple[str, str, str]]:
+    config = dict(TRIMMED, cap_h=3, ks=dict(TRIMMED["ks"], h_range=h_range))
+    return [(c["name"], c["status"], c["detail"]) for c in suite_mod.run_full_suite(config).checks if c["name"].startswith("ks.")]
+
+
+def test_ks_instances_over_the_cap_keep_their_shapes():
+    cap = "Clifford algebra on h=4 exceeds the cap 3"
+    # some built: their checks, then one ks.build line
+    partly = _ks_lines([3, 4])
+    assert [name for name, _, _ in partly] == KS_NAMES + ["ks.build"]
+    assert {status for _, status, _ in partly[:-1]} == {"pass"}
+    assert partly[0][2] == "e.e == -unit on 1 instances"
+    assert partly[-1] == ("ks.build", "skipped", cap)
+    # none built: every ks check takes the cap outcome
+    assert _ks_lines([4, 4]) == [(name, "skipped", cap) for name in KS_NAMES]
