@@ -162,14 +162,13 @@ def structure_commutators(
     Family (iv) reports ``samples`` entries ``right_mul_commutes[s]``: entry
     s covers the generators v_i with i == s (mod samples), and every entry
     also carries the table certificate, so together they prove the family
-    for every c.  ``samples=0`` skips the family.  Each entry still draws
-    one random element from ``rng``, as the sampled check did, so a caller
-    sharing ``rng`` sees the same later draws.
+    for every c.  ``samples=0`` skips the family.  Being a proof, the
+    family draws nothing: ``rng`` is accepted and unread, for callers that
+    still pass one (the benchmark's ks case does).
 
     Raises CommutatorViolation naming the first failed identity unless
     ``raise_on_failure`` is False, in which case the report carries them.
     """
-    rng = rng or random.Random(0)
     alg = ks.algebra
     e = ks.e
     a = alg.vector(ks.base.period.alpha)
@@ -198,8 +197,6 @@ def structure_commutators(
         table_ok = _table_is_clifford(alg)
         columns = [_product_numerators(alg, e.nums.items(), ((x, 1),)) for x in range(alg.dim)]
     for s in range(samples):
-        # the draw is unused; it keeps the caller's random stream where it was
-        _random_element(alg, rng)
         ok = table_ok and _commutes_with_generators(alg, columns, range(s, alg.h, samples))
         checks.append(
             ("right_mul_commutes[%d]" % s, ok, "R_c . L_e == L_e . R_c on full Cliff")

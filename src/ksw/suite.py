@@ -384,9 +384,7 @@ def _ks_checks(cfg, rng) -> list[dict]:
         count += 1
         ok["ks.e_square"] &= kuga_satake.verify_e_square(ks)
         ok["ks.j_square"] &= kuga_satake.verify_j_square(ks)
-        report = kuga_satake.structure_commutators(
-            ks, samples=sub["commutator_samples"], rng=rng, raise_on_failure=False
-        )
+        report = kuga_satake.structure_commutators(ks, samples=sub["commutator_samples"], raise_on_failure=False)
         ok["ks.commutators"] &= report.ok
         ok["ks.torus_dimension"] &= ks.torus_complex_dim == 2 ** (h - 2)
 

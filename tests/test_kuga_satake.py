@@ -283,16 +283,6 @@ def test_structure_commutators_builds_no_full_algebra_matrix(monkeypatch):
         assert report.ok and len(report.checks) == (h - 2) + 2 + 4 + 2
 
 
-def test_right_mul_commutes_keeps_the_random_stream():
-    ks = ks_mod.build(random_hk(random.Random(51), 4))
-    for samples in (0, 1, 3):
-        rng, mirror = random.Random(9), random.Random(9)
-        ks_mod.structure_commutators(ks, samples=samples, rng=rng)
-        for _ in range(samples):
-            ks_mod._random_element(ks.algebra, mirror)
-        assert rng.random() == mirror.random()
-
-
 def test_structure_commutators_operator_matrices_small_h():
     rng = random.Random(43)
     ks = ks_mod.build(random_hk(rng, 4))

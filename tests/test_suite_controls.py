@@ -414,7 +414,7 @@ PINNED_DRAWS = {
         "_linalg_checks": (971, "51c456f4c51c01d2"),
         "_qspace_checks": (1159, "1a9207aae765bbd9"),
         "_clifford_checks": (4902, "3b12d37fbfa86252"),
-        "_ks_checks": (1966, "ea88fc37fc3c739e"),
+        "_ks_checks": (1368, "c6e8875ce427f346"),
         "_hodge_checks": (1406, "f2f43865247f034f"),
         "_sympow_checks": (387, "1fb8a14ae8a18770"),
         "_weil_checks": (318, "34b42cd44db9cf33"),
@@ -425,7 +425,7 @@ PINNED_DRAWS = {
         "_linalg_checks": (1074, "0a067d9845f271b9"),
         "_qspace_checks": (1116, "1a815c139526b286"),
         "_clifford_checks": (4903, "574366729dbde9a4"),
-        "_ks_checks": (1981, "33c190b27c46f60a"),
+        "_ks_checks": (1380, "de177db98f2dd113"),
         "_hodge_checks": (1441, "7573a2495a9eaa69"),
         "_sympow_checks": (394, "93d7608c6f83d683"),
         "_weil_checks": (303, "3ed8e60bdec4c843"),
