@@ -31,6 +31,7 @@ from .errors import (
     WorkbenchError,
 )
 from .hodge import HKStructure
+from .linalg import Matrix
 from .qspace import QuadraticSpace
 from .serialize import (
     catalog_from_json,
@@ -49,7 +50,6 @@ from .suite import (
     NO_INSTANCES,
     RunReport,
     _check,
-    _embedding_laws,
     _result,
     _vacuous,
     run_full_suite,
@@ -192,14 +192,16 @@ def cmd_ks_verify(args) -> RunReport:
     ks = kuga_satake.build(hk, cap=resolve_cap())
     checks = _ks_identity_checks(ks, verbose_families=True)
     h = hk.space.h
-    rank_ok, sign_ok, inverse_ok, _ = _embedding_laws(ks, kuga_satake.default_v0(ks))
-    checks.append(_check("ks.endo_rank", rank_ok, "rank of v -> E_v equals h"))
-    checks.append(
-        _check("ks.endo_sign_laws", sign_ok, "J (anti)commutes with E_v by plane membership")
-    )
-    checks.append(
-        _check("ks.odd_even_iso", inverse_ok, "R_v0 has exact two-sided inverse R_v0/(v0,v0)")
-    )
+    v0 = kuga_satake.default_v0(ks)
+    rank_ok = kuga_satake.embedding_has_full_rank(ks, v0)
+    sign_ok = kuga_satake.embedding_sign_laws(ks, v0, matrix_level=h <= 5)
+    riso = kuga_satake.odd_even_isomorphism(ks, v0)
+    inverse_ok = kuga_satake.odd_even_inverse(ks, v0) * riso == Matrix.identity(1 << (h - 1))
+    checks += [
+        _check("ks.endo_rank", rank_ok, "rank of v -> E_v equals h"),
+        _check("ks.endo_sign_laws", sign_ok, "J (anti)commutes with E_v by plane membership"),
+        _check("ks.odd_even_iso", inverse_ok, "R_v0 has exact two-sided inverse R_v0/(v0,v0)"),
+    ]
     return RunReport(
         command="ks verify",
         inputs=inputs,

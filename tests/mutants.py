@@ -307,41 +307,6 @@ CATALOG = [
         [_T_KS + "test_j_square_rejects_a_square_off_minus_one_by_a_nonscalar"],
     ),
     (
-        "suite: drop the clifford.anticommutation comparison",
-        _SUITE,
-        "        if v * w + w * v != alg.scalar(2 * pairing):\n",
-        "        if False:\n",
-        [_T_CONTROLS + "test_clifford_checks_fail_under_their_faults"],
-    ),
-    (
-        "suite: drop the clifford.associativity comparison",
-        _SUITE,
-        "        if (x * y) * z != x * (y * z):\n",
-        "        if False:\n",
-        [_T_CONTROLS + "test_clifford_checks_fail_under_their_faults"],
-    ),
-    (
-        "suite: drop the corr.pushforward_pairing value comparison",
-        _SUITE,
-        "                push_ok &= fwd == gamma.algebra.element({(0, (1 << (i - 1)) | (1 << (jj - 1)), n - 2): coef or 0})\n",
-        "                pass\n",
-        [_T_CONTROLS + "test_corr_checks_fail_under_their_faults"],
-    ),
-    (
-        "suite: drop the corr.pushforward_pairing antisymmetry",
-        _SUITE,
-        "                push_ok &= formal_corr.gamma_pushforward(gamma, jj, i) == -fwd\n",
-        "                pass\n",
-        [_T_CONTROLS + "test_corr_checks_fail_under_their_faults"],
-    ),
-    (
-        "suite: corr.kunneth_block always concentrated",
-        _SUITE,
-        "formal_corr.is_kunneth_concentrated(gamma)",
-        "True",
-        [_T_CONTROLS + "test_corr_checks_fail_under_their_faults"],
-    ),
-    (
         "element product frame: over the left denominator alone, seen by the canonical forms",
         _LINALG,
         "self.den * other.den * scale",
@@ -368,69 +333,6 @@ CATALOG = [
         "        except ValueError:  # over the int digit limit: parse_rational words the message\n            pass\n",
         "        except ZeroDivisionError:\n            pass\n",
         [_T_CLI + "test_matrix_entries_parse_as_before"],
-    ),
-    (
-        "suite: weil.balanced_block and weil.unbalanced_control always hold",
-        _SUITE,
-        "        checks.append(_check(name, got == want, detail))\n",
-        "        checks.append(_check(name, True, detail))\n",
-        [_T_CONTROLS + "test_weil_checks_fail_under_their_faults"],
-    ),
-    (
-        "suite: drop the weil.trace_criterion predicate",
-        _SUITE,
-        "                ok[trace] &= weil == ((endo.phi * endo.j).trace() == 0) == balanced\n",
-        "                pass\n",
-        [_T_CONTROLS + "test_weil_checks_fail_under_their_faults"],
-    ),
-    (
-        "suite: drop the weil.conjugation_invariance predicate",
-        _SUITE,
-        "                ok[conj] &= len(space) == 2\n",
-        "                pass\n",
-        [_T_CONTROLS + "test_weil_checks_fail_under_their_faults"],
-    ),
-    (
-        "suite: a class space that raises leaves weil.conjugation_invariance passing",
-        _SUITE,
-        "                raised.setdefault(conj, outcome)\n            else:\n",
-        "                pass\n            else:\n",
-        [_T_CONTROLS + "test_weil_checks_fail_under_their_faults"],
-    ),
-    (
-        "suite: analyze outside _attempt",
-        _SUITE,
-        "        report, outcome = _attempt(analyze, j, cand)\n",
-        "        report, outcome = analyze(j, cand), None\n",
-        [_T_CLI + "test_suite_weil_certificate_failure_fails_its_checks_and_reports_the_rest"],
-    ),
-    (
-        "suite: the conjugates' class spaces outside _attempt",
-        _SUITE,
-        "            space, outcome = _attempt(weil_class_space, endo)\n",
-        "            space, outcome = weil_class_space(endo), None\n",
-        [_T_CLI + "test_suite_weil_certificate_failure_fails_its_checks_and_reports_the_rest"],
-    ),
-    (
-        "suite: clifford.anticommutation passes with no pairs",
-        _SUITE,
-        "(pair_ok, detail)}, sub[\"pair_trials\"])",
-        "(pair_ok, detail)}, 1)",
-        [_T_CLI + "test_suite_check_with_zero_trials_is_vacuous"],
-    ),
-    (
-        "suite: the clifford triple checks pass with no triples",
-        _SUITE,
-        "        sub[\"triple_trials\"],\n",
-        "        1,\n",
-        [_T_CLI + "test_suite_check_with_zero_trials_is_vacuous"],
-    ),
-    (
-        "suite: the weil conjugate checks pass with no conjugates",
-        _SUITE,
-        "        count,\n    )\n    return checks + [_result(c[",
-        "        1,\n    )\n    return checks + [_result(c[",
-        [_T_CLI + "test_suite_check_with_zero_trials_is_vacuous"],
     ),
     (
         "structure_commutators: the product table certificate always holds",
@@ -474,70 +376,186 @@ CATALOG = [
         "    return True\n",
         [_T_KS + "test_table_certificate_rejects_each_broken_law"],
     ),
-    (
-        "suite: drop the linalg.inverse_roundtrip comparison",
-        _SUITE,
-        "        if m * inv != Matrix.identity(n):\n",
-        "        if False:\n",
-        [_T_CONTROLS + "test_linalg_and_qspace_checks_fail_under_their_faults"],
-    ),
-    (
-        "suite: drop the qspace.signature_congruence predicate",
-        _SUITE,
-        "                sig_ok = False\n",
-        "                pass\n",
-        [_T_CONTROLS + "test_linalg_and_qspace_checks_fail_under_their_faults"],
-    ),
-    (
-        "suite: drop the qspace.discriminant_square_class predicate",
-        _SUITE,
-        "                disc_ok = False\n",
-        "                pass\n",
-        [_T_CONTROLS + "test_linalg_and_qspace_checks_fail_under_their_faults"],
-    ),
-    (
-        "suite: drop the hodge.period_isotropy predicate",
-        _SUITE,
-        "        iso_ok &= d_aa == 0 and cross == 0 and half == hk.period.norm > 0\n",
-        "        pass\n",
-        [_T_CONTROLS + "test_hodge_checks_fail_under_their_faults"],
-    ),
-    (
-        "suite: drop the hodge.rotation_skew predicate",
-        _SUITE,
-        "        skew_ok &= (a.transpose() * g + g * a).is_zero()\n",
-        "        pass\n",
-        [_T_CONTROLS + "test_hodge_checks_fail_under_their_faults"],
-    ),
-    (
-        "suite: hodge.h2_spectrum holds once any instance holds",
-        _SUITE,
-        "        spec_ok &= (\n",
-        "        spec_ok |= (\n",
-        [_T_CONTROLS + "test_hodge_checks_fail_under_their_faults"],
-    ),
 ]
 
-#: every ks.* predicate line of `suite._ks_checks` but the intertwining one, which tier-1 kills already
+_FAULTS = _T_CONTROLS + "test_%s_checks_fail_under_their_faults"
+
+#: one mutant per predicate of the suite's check table (check, old text, new text, family of its control rows)
+CATALOG += [
+    ("suite: %s always holds" % check, _SUITE, old, new, [_FAULTS % family])
+    for check, old, new, family in (
+        ("linalg.inverse_roundtrip", "lambda t: t.m * t.inv == Matrix.identity(t.m.rows)", "lambda t: True", "linalg_and_qspace"),
+        ("qspace.signature_congruence", "lambda t: t.scrambled.signature == t.base.signature", "lambda t: True", "linalg_and_qspace"),
+        (
+            "qspace.discriminant_square_class",
+            "lambda t: same_square_class(t.disc, prod(t.scrambled.diag_values, start=_ONE))",
+            "lambda t: True",
+            "linalg_and_qspace",
+        ),
+        (
+            "clifford.dimension_counts",
+            "    return alg.dim == 2 ** t.h and len(alg.even_masks) == 2 ** (t.h - 1) and len(alg.odd_masks) == 2 ** (t.h - 1)\n",
+            "    return True\n",
+            "clifford",
+        ),
+        ("clifford.anticommutation", "t.v * t.w + t.w * t.v == t.two_vw if t.pair", "True if t.pair", "clifford"),
+        ("clifford.associativity", "(t.x * t.y) * t.z == t.x * (t.y * t.z)", "True", "clifford"),
+        ("clifford.parity_additivity", '(_even_part(t.x) * _even_part(t.y)).parity == "even"', "True", "clifford"),
+        ("ks.e_square", "lambda t: kuga_satake.verify_e_square(t.ks)", "lambda t: True", "ks"),
+        ("ks.j_square", "lambda t: kuga_satake.verify_j_square(t.ks)", "lambda t: True", "ks"),
+        (
+            "ks.commutators",
+            "lambda t: kuga_satake.structure_commutators(t.ks, samples=t.samples, raise_on_failure=False).ok",
+            "lambda t: True",
+            "ks",
+        ),
+        ("ks.torus_dimension", "lambda t: t.ks.torus_complex_dim == 2 ** (t.h - 2)", "lambda t: True", "ks"),
+        (
+            "ks.basis_independence",
+            "    return _e_of(t, tuple(a * x + b * y for x, y in pairs), tuple(-b * x + a * y for x, y in pairs)) == t.ks.e\n",
+            "    return True\n",
+            "ks",
+        ),
+        (
+            "ks.orientation_reversal",
+            "lambda t: _e_of(t, t.hk.period.beta, t.hk.period.alpha) == -t.ks.e",
+            "lambda t: True",
+            "ks",
+        ),
+        ("ks.endo_rank", "lambda t: kuga_satake.embedding_has_full_rank(t.ks, t.v0)", "lambda t: True", "ks"),
+        ("ks.endo_sign_laws", "lambda t: kuga_satake.embedding_sign_laws(t.ks, t.v0, matrix_level=t.h <= 5)", "lambda t: True", "ks"),
+        (
+            "ks.odd_even_iso inverse",
+            "lambda t: kuga_satake.odd_even_inverse(t.ks, t.v0) * t.riso == Matrix.identity(1 << (t.h - 1))",
+            "lambda t: True",
+            "ks",
+        ),
+        ("hodge.period_isotropy", "    return d_aa == 0 and cross == 0 and half == t.hk.period.norm > 0\n", "    return True\n", "hodge"),
+        ("hodge.rotation_skew", "    return (a.transpose() * g + g * a).is_zero()\n", "    return True\n", "hodge"),
+        (
+            "hodge.h2_spectrum",
+            "    return spec.dim(2, 0) == 1 and spec.dim(0, 2) == 1 and spec.dim(1, 1) == t.h - 2\n",
+            "    return True\n",
+            "hodge",
+        ),
+        ("sympow.decompose", "        dims_ok and dec.total == sympow.sym_dim(t.h, t.k),\n", "        True,\n", "sympow"),
+        (
+            "sympow.harmonic_symmetry",
+            "    return reduced_echelon_basis(swap * harm) == reduced_echelon_basis(harm)\n",
+            "    return True\n",
+            "sympow",
+        ),
+        ("sympow.level_filtration", "lambda t: len(sympow.level_two_part(t.hk, t.k)) == t.h", "lambda t: True", "sympow"),
+        ("sympow.block_level", "    return all(lvl == 2 * (t.k - 2 * l) for l, lvl in levels), str(levels)\n", "    return True, str(levels)\n", "sympow"),
+        ("sympow.isotropic_span", "lambda t: sympow.isotropic_span_check(t.space, t.k)", "lambda t: True", "sympow"),
+        ("sympow.isotropic_definite_control", '    return False, "expected NotApplicable"\n', '    return True, "expected NotApplicable"\n', "sympow"),
+        ("weil.balanced_block", "lambda t: _analysis(t.j, t.phi) == (2, 2, True, 2, True)", "lambda t: True", "weil"),
+        ("weil.unbalanced_control", "lambda t: _analysis(t.j, t.j) == (4, 0, False, 2, False)", "lambda t: True", "weil"),
+        (
+            "weil.trace_criterion",
+            "lambda t: is_weil(t.endo) == ((t.endo.phi * t.endo.j).trace() == 0) == t.balanced",
+            "lambda t: True",
+            "weil",
+        ),
+        ("weil.conjugation_invariance", "lambda t: len(weil_class_space(t.endo)) == 2", "lambda t: True", "weil"),
+        ("betti.bound_monotone", "lambda t: t.k >= t.prev", "lambda t: True", "betti"),
+        (
+            "betti.catalog_tight",
+            "lambda t: all(betti.audit_b3(e).status == betti.STATUS_TIGHT for e in betti.default_catalog())",
+            "lambda t: True",
+            "betti",
+        ),
+        (
+            "betti.factor_dims",
+            "lambda t: [betti.ks_factor_dims(h) for h in (7, 6, 3)] == [{4, 8}, {2, 4, 8}, {1, 2}]",
+            "lambda t: True",
+            "betti",
+        ),
+        ("corr.uniform_coefficient", "lambda t: (t.uniform, ", "lambda t: (True, ", "corr"),
+        ("corr.kunneth_block", "lambda t: formal_corr.is_kunneth_concentrated(t.gamma)", "lambda t: True", "corr"),
+        (
+            "corr.pushforward_pairing value",
+            "            ok &= fwd == gamma.algebra.element({(0, (1 << (i - 1)) | (1 << (jj - 1)), n - 2): t.coef or 0})\n",
+            "            pass\n",
+            "corr",
+        ),
+        ("corr.pushforward_pairing antisymmetry", "            ok &= formal_corr.gamma_pushforward(gamma, jj, i) == -fwd\n", "            pass\n", "corr"),
+        ("corr.negative_control", "lambda t: not formal_corr.kunneth_coefficient(t.gamma, t.b3, 2)[2]", "lambda t: True", "corr"),
+    )
+]
+
+#: the intertwining row of ks.odd_even_iso, and the driver that folds the table
 CATALOG += [
     (
-        "suite: drop the %s predicate" % check,
+        "suite: drop the ks.odd_even_iso intertwining",
         _SUITE,
-        '        ok["%s"] &= %s\n' % (check, predicate),
+        'lambda t: products_equal(_mul_block(t.ks.e, "left", "odd"), t.riso, t.riso, t.ks.j_even) if t.h <= 6 else None',
+        "lambda t: None",
+        [_T_KS + "test_operator_identity_checks_reject_a_perturbed_j"],
+    ),
+    (
+        "suite driver: a check with no instances passes",
+        _SUITE,
+        "_check(name, ok, detail) if count else _vacuous(name, NO_INSTANCES)",
+        "_check(name, True, detail)",
+        [_T_CLI + "test_suite_check_with_zero_trials_is_vacuous"],
+    ),
+    (
+        "suite driver: predicates outside _attempt",
+        _SUITE,
+        "(None, t.outcome) if t.outcome else _attempt(predicate, t)",
+        "(None, t.outcome) if t.outcome else (predicate(t), None)",
+        [_T_CLI + "test_suite_weil_certificate_failure_fails_its_checks_and_reports_the_rest"],
+    ),
+    (
+        "suite driver: a predicate that raised leaves its check passing",
+        _SUITE,
+        "            if outcome:\n                raised.setdefault(name, outcome)\n",
+        "            if outcome:\n                pass\n",
+        [_T_CLI + "test_suite_weil_certificate_failure_fails_its_checks_and_reports_the_rest"],
+    ),
+    (
+        "suite driver: an instance that could not be built is dropped",
+        _SUITE,
+        "(None, t.outcome) if t.outcome else",
+        "(None, None) if t.outcome else",
+        [_T_CLI + "test_suite_capped_clifford_elements_are_skipped"],
+    ),
+    (
+        "suite driver: the last instance or row of a name decides it",
+        _SUITE,
+        "                ok[name] = ok.get(name, True) and result\n",
+        "                ok[name] = result\n",
+        [_FAULTS % "ks"],
+    ),
+    (
+        "suite driver: a predicate's (ok, detail) always passes",
+        _SUITE,
+        "                    result, details[name] = result\n",
+        "                    details[name] = result[1]\n",
+        [_FAULTS % "sympow"],
+    ),
+    (
+        "suite driver: ks instances over the cap fail every ks check",
+        _SUITE,
+        "        if t.outcome and family.unbuilt:\n",
+        "        if False:\n",
+        [_T_CONTROLS + "test_ks_instances_over_the_cap_keep_their_shapes"],
+    ),
+    (
+        "suite driver: no ks instance built leaves the ks checks vacuous",
+        _SUITE,
+        "    if unbuilt and not count:\n",
+        "    if False:\n",
+        [_T_CONTROLS + "test_ks_instances_over_the_cap_keep_their_shapes"],
+    ),
+    (
+        "suite driver: no ks.build line",
+        _SUITE,
+        "        checks.append(_result(family.unbuilt, *unbuilt))\n",
         "        pass\n",
-        [_T_CONTROLS + "test_ks_checks_fail_under_their_faults"],
-    )
-    for check, predicate in (
-        ("ks.e_square", "kuga_satake.verify_e_square(ks)"),
-        ("ks.j_square", "kuga_satake.verify_j_square(ks)"),
-        ("ks.commutators", "report.ok"),
-        ("ks.torus_dimension", "ks.torus_complex_dim == 2 ** (h - 2)"),
-        ("ks.basis_independence", "kuga_satake.complex_structure_element(hk2, ks.algebra) == ks.e"),
-        ("ks.orientation_reversal", "kuga_satake.complex_structure_element(hk3, ks.algebra) == -ks.e"),
-        ("ks.endo_rank", "rank_ok"),
-        ("ks.endo_sign_laws", "sign_ok"),
-        ("ks.odd_even_iso", "inverse_ok"),
-    )
+        [_T_CONTROLS + "test_ks_instances_over_the_cap_keep_their_shapes"],
+    ),
 ]
 
 

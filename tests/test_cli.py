@@ -690,7 +690,7 @@ def test_parity_additivity_sees_grade_six_blades(monkeypatch):
     cfg = {"clifford": dict(SMALL_SUITE["clifford"], h_range=[2, 1], triple_trials=25, element_h=7)}
 
     def statuses():
-        return {c["name"]: c["status"] for c in suite_mod._clifford_checks(cfg, random.Random(0))}
+        return {c["name"]: c["status"] for c in suite_mod._stream_checks("_clifford_checks", cfg, random.Random(0))}
 
     assert statuses()["clifford.parity_additivity"] == "pass"
     monkeypatch.setattr(clifford_mod.CliffordElement, "__mul__", broken)

@@ -438,7 +438,7 @@ def test_operator_identity_checks_reject_a_perturbed_j(h, monkeypatch):
     cfg = suite.load_config({"ks": {"h_range": [h, h], "instances_per_h": 1, "commutator_samples": 0}})
 
     def odd_even_iso():
-        return {c["name"]: c["status"] for c in suite._ks_checks(cfg, random.Random(h))}["ks.odd_even_iso"]
+        return {c["name"]: c["status"] for c in suite._stream_checks("_ks_checks", cfg, random.Random(h))}["ks.odd_even_iso"]
 
     assert odd_even_iso() == "pass"
     build = ks_mod.build
