@@ -52,6 +52,12 @@ def _baseline() -> dict[str, str]:
     return _statuses()
 
 
+def _assert_rows_cover(families, rows):
+    """Every check of the trimmed run in `families` is failed by some row of `rows`."""
+    covered = set().union(*(failing for _, failing in rows))
+    assert {name for name in _baseline() if name.partition(".")[0] in families} == covered
+
+
 def _check_row(monkeypatch, patches, failing):
     before = _baseline()
     assert all(before[name] == "pass" for name in failing)
@@ -112,6 +118,10 @@ LINALG_QSPACE_ROWS = [
 def test_linalg_and_qspace_checks_fail_under_their_faults(monkeypatch):
     for patches, failing in LINALG_QSPACE_ROWS:
         _check_row(monkeypatch, patches, failing)
+
+
+def test_every_linalg_and_qspace_check_has_a_control_row():
+    _assert_rows_cover({"linalg", "qspace"}, LINALG_QSPACE_ROWS)
 
 
 # -- clifford: the suite's own algebras, one table or product altered -------------
@@ -262,6 +272,10 @@ def test_hodge_checks_fail_under_their_faults(monkeypatch):
         _check_row(monkeypatch, patches, failing)
 
 
+def test_every_hodge_check_has_a_control_row():
+    _assert_rows_cover({"hodge"}, HODGE_ROWS)
+
+
 # -- corr: the Kunneth square or its contraction wrong ----------------------------
 
 _kunneth_square = corr_mod.kunneth_square
@@ -327,6 +341,10 @@ WEIL_ROWS = [
 def test_weil_checks_fail_under_their_faults(monkeypatch):
     for patches, failing in WEIL_ROWS:
         _check_row(monkeypatch, patches, failing)
+
+
+def test_every_clifford_ks_weil_and_corr_check_has_a_control_row():
+    _assert_rows_cover({"clifford", "ks", "weil", "corr"}, CLIFFORD_ROWS + KS_ROWS + WEIL_ROWS + CORR_ROWS)
 
 
 # -- sympow: one dimension, swap, level piece, level or span wrong -----------------
