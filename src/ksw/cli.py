@@ -36,9 +36,8 @@ from .qspace import QuadraticSpace
 from .serialize import (
     catalog_from_json,
     clifford_element_to_json,
-    content_hash,
     load_json_file,
-    matrix_to_json,
+    matrix_content_hash,
     period_from_json,
     phi_from_json,
     pretty_json,
@@ -181,7 +180,7 @@ def cmd_ks_build(args) -> RunReport:
                 "torus_complex_dim": ks.torus_complex_dim,
             },
             "e": clifford_element_to_json(ks.e),
-            "j_checksum": content_hash(matrix_to_json(ks.j_even)),
+            "j_checksum": matrix_content_hash(ks.j_even),
             "v0": [rational_str(x) for x in v0],
         },
     )

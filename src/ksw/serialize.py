@@ -46,6 +46,24 @@ def matrix_to_json(m: Matrix) -> list[list[str]]:
     return [[rational_str(x) for x in row] for row in m]
 
 
+def matrix_content_hash(m: Matrix) -> str:
+    """`content_hash(matrix_to_json(m))`, with sha256 fed the same bytes one row at a time.
+
+    Each row's canonical JSON is one '"0"' template patched at the row's
+    nonzeros, so no dense matrix of strings is held.
+    """
+    rows, den = m.cleared()
+    zeros = ['"0"'] * m.cols
+    digest = hashlib.sha256(b"[")
+    for i, nums in enumerate(rows):
+        row = zeros.copy()
+        for j, x in nums.items():
+            row[j] = '"%s"' % rational_str(Fraction(x, den))
+        digest.update(("%s[%s]" % ("," if i else "", ",".join(row))).encode("ascii"))
+    digest.update(b"]")
+    return digest.hexdigest()
+
+
 def _matrix_entry(x):
     """An ASCII digit string, optionally after one "-", as an int; else `parse_rational`."""
     if x.__class__ is str and x.isascii() and x.removeprefix("-").isdigit():

@@ -429,9 +429,18 @@ def _weil_block_instance() -> tuple[Matrix, Matrix]:
     return Matrix(rows), Matrix([row if i < 4 else [-x for x in row] for i, row in enumerate(rows)])
 
 
+#: one fixed signed permutation, (row i, column order[i]) = sign[i]: inside the
+#: 2x2 blocks every move of `derivation_wedge4` has sign +1, across them not
+_WEIL_ORDER = (0, 2, 4, 6, 1, 3, 5, 7)
+_WEIL_SIGNS = (1, -1, 1, 1, -1, 1, 1, -1)
+
+
 def _weil_block(cfg, rng):
+    """The block instance conjugated by `_WEIL_ORDER` and `_WEIL_SIGNS`, so a dropped move sign shows."""
     j, phi = _weil_block_instance()
-    yield _Instance(j=j, phi=phi)
+    p = Matrix([[s if k == o else 0 for k in range(8)] for o, s in zip(_WEIL_ORDER, _WEIL_SIGNS)])
+    p_inv = p.transpose()
+    yield _Instance(j=p_inv * j * p, phi=p_inv * phi * p)
 
 
 def _analysis(j: Matrix, cand: Matrix) -> tuple:

@@ -9,7 +9,10 @@ operators drive everything:
   * contraction: the Laplacian of the form itself,
         sum_ij G_ij d/dy_i d/dy_j,    Sym^k -> Sym^(k-2),
 
-which pair into the classical raising/lowering structure.  A linear form
+which pair into the classical raising/lowering structure.  Both come from
+one pass over the raising moves y^nu -> y^nu y_i y_j (i <= j) of
+Sym^(k-2): each move is one entry of each, and no two moves share an
+entry, so nothing is accumulated.  A linear form
 l_a = sum a_i y_i satisfies contraction(l_a^k) = k(k-1) q(a) l_a^(k-2), so
 the harmonic space ker(contraction) is exactly the span of k-th powers of
 isotropic vectors whenever the form has rational zeros; any nonzero
@@ -107,46 +110,32 @@ def build_sym(space: QuadraticSpace, k: int) -> SymTensorSpace:
     basis = _exponent_basis(h, k)
     index = {mu: i for i, mu in enumerate(basis)}
     lower = _exponent_basis(h, k - 2) if k >= 2 else ()
-    lower_index = {mu: i for i, mu in enumerate(lower)}
-    # sum over ordered pairs of a symmetric form: (i, j) for i < j stands for both
+    # a symmetric form summed over ordered pairs: (i, j) for i < j stands for both
     (g, g_den), (b, b_den) = space.gram.cleared(), space.inverse_gram.cleared()
-    contraction = _differential_operator(
-        [(x if i == j else 2 * x, (i, j), ()) for i, row in enumerate(g) for j, x in row.items() if i <= j],
-        basis, lower_index, g_den,
-    )
-    q_mult = _differential_operator(
-        [(x if i == j else 2 * x, (), (i, j)) for i, row in enumerate(b) for j, x in row.items() if i <= j],
-        lower, index, b_den,
-    )
+    pairs = [
+        (i, j, g[i].get(j, 0) * (1 if i == j else 2), b[i].get(j, 0) * (1 if i == j else 2))
+        for i in range(h) for j in range(i, h) if j in g[i] or j in b[i]
+    ]
+    # the raising move nu -> mu = nu + y_i y_j is the one entry of C at
+    # (nu, mu), d/dy_i d/dy_j y^mu = mu_i (mu_j - [i == j]) y^nu, and the one
+    # entry of Q at (mu, nu); distinct moves meet distinct entries
+    c_rows, q_rows = [], [{} for _ in basis]
+    for n, nu in enumerate(lower):
+        c_row = {}
+        for i, j, gw, bw in pairs:
+            mu = list(nu)
+            mu[i] += 1
+            mu[j] += 1
+            m = index[tuple(mu)]
+            if gw:
+                c_row[m] = gw * mu[i] * (mu[j] - (i == j))
+            if bw:
+                q_rows[m][n] = bw
+        c_rows.append(_row(c_row, g_den))
+    contraction = Matrix._of(c_rows, len(basis))
+    q_mult = Matrix._of((_row(row, b_den) for row in q_rows), len(lower))
     sym = space.sym_powers[k] = SymTensorSpace(space, k, basis, index, contraction, q_mult)
     return sym
-
-
-def _differential_operator(terms, basis, index, den: int) -> Matrix:
-    """Matrix of sum c * y^raised * d^lowered / den, from ``basis`` into ``index``.
-
-    terms are (int c, lowered indices, raised indices) on monomials given
-    as exponent tuples; each d/dy_i contributes the exponent of y_i left
-    by the lowerings before it, so c is weighted before any copy is made.
-    """
-    steps = [
-        (c, [(i, lowered[:n].count(i)) for n, i in enumerate(lowered)], raised)
-        for c, lowered, raised in terms
-    ]
-
-    def moves(mu):
-        for c, lowered, raised in steps:
-            for i, before in lowered:
-                c *= mu[i] - before
-            if c:
-                target = list(mu)
-                for i, _ in lowered:
-                    target[i] -= 1
-                for j in raised:
-                    target[j] += 1
-                yield tuple(target), c
-
-    return induced_operator(basis, index, moves, den)
 
 
 def _power_row(sym: SymTensorSpace, v) -> tuple[dict[int, int], int]:
@@ -368,10 +357,20 @@ def sym_derivation(sym: SymTensorSpace, op: Matrix) -> Matrix:
     if op.rows != h or op.cols != h:
         raise ValueError("operator must be %dx%d" % (h, h))
     rows, den = op.cleared()
-    # y_i -> sum_j A_ji y_j, once per slot: A_ji y_j d/dy_i
-    return _differential_operator(
-        [(c, (i,), (j,)) for j, row in enumerate(rows) for i, c in row.items()], sym.basis, sym.index, den
-    )
+    # y_i -> sum_j A_ji y_j, once per slot: A_ji y_j d/dy_i, for the i in the
+    # support of mu and the nonzeros of column i; every i = j move lands on mu
+    columns = [[(j, row[i]) for j, row in enumerate(rows) if i in row] for i in range(h)]
+
+    def moves(mu):
+        for i, e in enumerate(mu):
+            if e:
+                for j, a in columns[i]:
+                    target = list(mu)
+                    target[i] -= 1
+                    target[j] += 1
+                    yield tuple(target), a * e
+
+    return induced_operator(sym.basis, sym.index, moves, den)
 
 
 def casimir_block_eigenvalue(h: int, k: int, l: int) -> Fraction:

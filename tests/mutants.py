@@ -108,6 +108,27 @@ CATALOG = [
         [_T_SYMPOW + "test_isotropic_stack_rank_certifies_only_harmonic_stacks"],
     ),
     (
+        "build_sym: drop the off-diagonal 2 of the contraction",
+        _SYMPOW,
+        "g[i].get(j, 0) * (1 if i == j else 2)",
+        "g[i].get(j, 0)",
+        [_T_SYMPOW + "test_contraction_and_q_mult_against_polynomial_oracle"],
+    ),
+    (
+        "build_sym: mu_j for the falling factor mu_j - 1 of d^2/dy_i^2",
+        _SYMPOW,
+        "gw * mu[i] * (mu[j] - (i == j))",
+        "gw * mu[i] * mu[j]",
+        [_T_SYMPOW + "test_contraction_and_q_mult_against_polynomial_oracle"],
+    ),
+    (
+        "sym_derivation: drop the exponent weight of d/dy_i",
+        _SYMPOW,
+        "yield tuple(target), a * e\n",
+        "yield tuple(target), a\n",
+        [_T_SYMPOW + "test_sym_derivation_against_polynomial_oracle"],
+    ),
+    (
         "weil_class_space: drop the entry check phi^2 = -d.I, d > 0",
         _WEIL,
         "    if not (d > 0 and endo.phi * endo.phi == -d * Matrix.identity(8)):\n",

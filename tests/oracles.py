@@ -9,12 +9,14 @@ is sampled with element products, blade by blade, instead of proved on
 the generators, J^2 = -I is checked as e.(e.x) == -x with two element
 products per even blade, the generator identities of that proof are
 compared at both x and x ^ 2^i,
-a k-th power of a linear form is expanded over every monomial, and the
+a k-th power of a linear form is expanded over every monomial, the
+contraction and the Q-multiplication of Sym^k apply sum G_ij d_i d_j and
+sum B_ij y_i y_j term by term over every ordered pair (i, j), and the
 graded product multiplies its three sign terms, each counted pair by pair.
 """
 
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import factorial, gcd, prod
 
 import numpy as np
@@ -240,6 +242,34 @@ def power_row_full_basis(sym, v):
         if c:
             out.append((pos, c))
     return out
+
+
+def contraction_column_reference(gram, mu):
+    """sum_ij G_ij d/dy_i d/dy_j applied to y^mu, as {exponent tuple: Fraction}, zeros dropped.
+
+    Every ordered pair (i, j) is its own term: d/dy_j first, then d/dy_i.
+    """
+    out = {}
+    for i, j in product(range(len(mu)), repeat=2):
+        nu = list(mu)
+        c = gram[i, j] * nu[j]
+        nu[j] -= 1
+        c *= nu[i]
+        nu[i] -= 1
+        if c:
+            out[tuple(nu)] = out.get(tuple(nu), 0) + c
+    return {key: c for key, c in out.items() if c}
+
+
+def q_mult_column_reference(inverse_gram, nu):
+    """sum_ij B_ij y_i y_j times y^nu, as {exponent tuple: Fraction}, zeros dropped; B = G^-1."""
+    out = {}
+    for i, j in product(range(len(nu)), repeat=2):
+        mu = list(nu)
+        mu[i] += 1
+        mu[j] += 1
+        out[tuple(mu)] = out.get(tuple(mu), 0) + inverse_gram[i, j]
+    return {key: c for key, c in out.items() if c}
 
 
 def hstack(*mats):

@@ -12,13 +12,14 @@ from pathlib import Path
 import pytest
 
 import ksw
-from ksw import clifford as clifford_mod, suite as suite_mod, sympow as sympow_mod, weil as weil_mod
+from ksw import clifford as clifford_mod, kuga_satake, suite as suite_mod, sympow as sympow_mod, weil as weil_mod
 from ksw.betti import power_of_two
 from ksw.cli import main
 from ksw.errors import UsageError
 from ksw.formal_corr import CAP_B3, CAP_N
 from ksw.linalg import Matrix
-from ksw.serialize import matrix_from_json, parse_rational
+from ksw.randgen import random_hk
+from ksw.serialize import content_hash, matrix_content_hash, matrix_from_json, matrix_to_json, parse_rational
 from ksw.suite import NO_INSTANCES, RunReport, exit_code_from_checks, load_config
 
 
@@ -310,6 +311,17 @@ def test_ks_build_report(fixture_dir, capsys):
         "ks.j_square",
         "ks.commutators",
     }
+
+
+def test_matrix_content_hash_is_the_hash_of_the_dense_json():
+    # the j_checksum of `ks build`, streamed row by row
+    for h in range(3, 10):
+        j = kuga_satake.build(random_hk(random.Random(100 * h), h)).j_even
+        assert matrix_content_hash(j) == content_hash(matrix_to_json(j)), h
+    f = Fraction
+    rational = Matrix([[0, 0, 0], [f(-3, 4), 0, 5], [0, 0, 0], [7, f(1, 3), f(-22, 6)]])
+    for m in (rational, Matrix.zeros(2, 0), Matrix.zeros(0, 3)):
+        assert matrix_content_hash(m) == content_hash(matrix_to_json(m))
 
 
 def test_ks_build_byte_stable(fixture_dir, capsys):

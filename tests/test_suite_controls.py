@@ -43,8 +43,8 @@ TRIMMED = {
 }
 
 
-def _statuses() -> dict[str, str]:
-    return {c["name"]: c["status"] for c in suite_mod.run_full_suite(TRIMMED).checks}
+def _statuses(config=TRIMMED) -> dict[str, str]:
+    return {c["name"]: c["status"] for c in suite_mod.run_full_suite(config).checks}
 
 
 @cache
@@ -58,13 +58,13 @@ def _assert_rows_cover(families, rows):
     assert {name for name in _baseline() if name.partition(".")[0] in families} == covered
 
 
-def _check_row(monkeypatch, patches, failing):
-    before = _baseline()
+def _check_row(monkeypatch, patches, failing, config=TRIMMED):
+    before = _baseline() if config is TRIMMED else _statuses(config)
     assert all(before[name] == "pass" for name in failing)
     with monkeypatch.context() as m:
         for owner, attr, value in patches:
             m.setattr(owner, attr, value)
-        after = _statuses()
+        after = _statuses(config)
     assert after == dict(before, **dict.fromkeys(failing, "fail"))
 
 
@@ -329,9 +329,12 @@ def _unsigned_derivation_wedge4(op):
 
 
 WEIL_ROWS = [
-    # on the block instance every move is within a 2x2 block and has sign
-    # +1, so only the conjugates see the dropped sign
-    ([(weil_mod, "derivation_wedge4", _unsigned_derivation_wedge4)], {"weil.conjugation_invariance"}),
+    # the block instance is a signed-permutation conjugate, so its moves
+    # carry both signs and the block checks see the dropped sign too
+    (
+        [(weil_mod, "derivation_wedge4", _unsigned_derivation_wedge4)],
+        {"weil.balanced_block", "weil.unbalanced_control", "weil.conjugation_invariance"},
+    ),
     ([(weil_mod, "weil_multiplicities", lambda endo: (endo.dim // 4, endo.dim // 4))], {"weil.unbalanced_control", "weil.trace_criterion"}),
     ([(weil_mod, "certify_22", lambda classes, j: False)], {"weil.balanced_block"}),
     ([(suite_mod, "weil_class_space", lambda endo: _weil_class_space(endo)[:1])], {"weil.conjugation_invariance"}),
@@ -341,6 +344,12 @@ WEIL_ROWS = [
 def test_weil_checks_fail_under_their_faults(monkeypatch):
     for patches, failing in WEIL_ROWS:
         _check_row(monkeypatch, patches, failing)
+
+
+def test_weil_block_checks_see_a_dropped_move_sign_without_conjugates(monkeypatch):
+    no_conjugates = dict(TRIMMED, weil={"conjugations": 0})
+    patches = [(weil_mod, "derivation_wedge4", _unsigned_derivation_wedge4)]
+    _check_row(monkeypatch, patches, {"weil.balanced_block", "weil.unbalanced_control"}, no_conjugates)
 
 
 def test_every_clifford_ks_weil_and_corr_check_has_a_control_row():

@@ -26,7 +26,7 @@ from ksw.sympow import (
     sym_dim,
 )
 
-from oracles import hstack, power_row_full_basis
+from oracles import contraction_column_reference, hstack, power_row_full_basis, q_mult_column_reference
 
 
 def test_sym_dims():
@@ -563,6 +563,40 @@ def _check_derivation_column_by_column(sym, a):
         for key, c in expected.items():
             assert col[sym.index[key]] == c
         assert sum(1 for x in col if x) == sum(1 for c in expected.values() if c)
+
+
+def _rational_gram(rng, h):
+    """A nondegenerate symmetric rational Gram matrix whose inverse is not integral."""
+    while True:
+        entries = [[Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(h)] for _ in range(h)]
+        gram = Matrix([[entries[min(i, j)][max(i, j)] for j in range(h)] for i in range(h)])
+        if gram.rank() == h and any(x.denominator != 1 for row in gram.inverse() for x in row):
+            return gram
+
+
+@pytest.mark.parametrize("h", [1, 3, 5])
+def test_contraction_and_q_mult_against_polynomial_oracle(h):
+    # every column of C and Q against the operators expanded term by term,
+    # on a scrambled integer Gram and on a rational one; Sym^(k-2) is empty
+    # for k < 2
+    rng = random.Random(290 + h)
+    scrambled = random_congruence_scramble(rng, Matrix.diagonal([rng.choice([1, -1, 2, -3]) for _ in range(h)]))
+    for gram in (scrambled, _rational_gram(rng, h)):
+        space = QuadraticSpace(gram)
+        assert gram * space.inverse_gram == Matrix.identity(h)
+        for k in range(5):
+            sym = build_sym(space, k)
+            lower = build_sym(space, k - 2).basis if k >= 2 else ()
+            assert (sym.contraction.rows, sym.contraction.cols) == (len(lower), sym.dim)
+            assert (sym.q_mult.rows, sym.q_mult.cols) == (sym.dim, len(lower))
+            for pos, mu in enumerate(sym.basis):
+                col = sym.contraction.column(pos)
+                assert {lower[r]: x for r, x in enumerate(col) if x} == contraction_column_reference(gram, mu), (k, mu)
+            for pos, nu in enumerate(lower):
+                col = sym.q_mult.column(pos)
+                assert {sym.basis[r]: x for r, x in enumerate(col) if x} == q_mult_column_reference(
+                    space.inverse_gram, nu
+                ), (k, nu)
 
 
 def _power_vector(sym, v):
