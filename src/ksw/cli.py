@@ -452,7 +452,9 @@ def build_parser() -> argparse.ArgumentParser:
     verify_p = ks_sub.add_parser("verify", help="full identity-family verification", parents=[json_flag])
     verify_p.add_argument("-f", "--form", required=True)
     verify_p.add_argument("-p", "--period", required=True)
-    verify_p.add_argument("--seed", type=int, default=0)
+    verify_p.add_argument(
+        "--seed", type=int, default=0, help="only echoed into the report: no ks verify check draws from it"
+    )
     verify_p.set_defaults(func=cmd_ks_verify)
 
     weil_p = sub.add_parser("weil", help="quadratic endomorphism analysis")

@@ -30,8 +30,11 @@ shared frame puts the result over dx * dy * scale in lowest terms with
 one gcd, so no `Fraction` is made.  The kernel (`_product_numerators`)
 sums at least 2^h pairs into a list of 2^h slots and fewer into a dict,
 and drops the zeros itself.
-Multiplication operators are sparse matrices over the graded piece they
-act on, built from the unit-blade products by the same kernel.
+Multiplying by one blade b is a signed relabel: the terms c_m e_m of x
+land on the distinct masks m ^ b, with weights +-c_m * contract[m & b],
+so `_blade_columns` writes the columns x.e_b and e_b.x straight from the
+tables, with nothing to sum.  Multiplication operators are sparse
+matrices over the graded piece they act on, with those columns.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import CapExceeded, ParityViolation, SpaceMismatch
-from .linalg import Matrix, SparseElement, _int_row, induced_operator, vector
+from .linalg import Matrix, SparseElement, _int_row, _row, vector
 from .qspace import QuadraticSpace
 
 _ONE = Fraction(1)
@@ -103,9 +106,9 @@ def _product_numerators(alg: "CliffordAlgebra", xs, ys) -> dict[int, int]:
     """Zero-free integer product of (mask, numerator) operands; divide by dx * dy * alg.scale.
 
     At least 2^h pairs sum into a list with one slot per blade, fewer into
-    a dict (the dict is faster well below 2^h pairs, e.g. an operator
-    column's h pairs); both give the same dict without the masks whose
-    terms cancelled.
+    a dict (the dict is faster well below 2^h pairs, e.g. the h^2 pairs of
+    two vectors); both give the same dict without the masks whose terms
+    cancelled.  A product with one blade is `_blade_columns`' relabel.
     """
     sign = alg.sign
     contract = alg.contract
@@ -183,8 +186,13 @@ class CliffordAlgebra:
         return self.element({1 << i: c for i, c in enumerate(coords) if c})
 
     def vector(self, coords) -> "CliffordElement":
-        """Grade-1 element for a vector given in the original basis."""
-        return self.vector_diag(self.space.to_diag_coords(coords))
+        """Grade-1 element for a vector given in the original basis, from its integer diagonal coordinates."""
+        inv = self.space.diag_basis_inv
+        coords = vector(coords)
+        if len(coords) != inv.cols:
+            raise ValueError("vector length %d != cols %d" % (len(coords), inv.cols))
+        nums, den = inv._apply(_int_row(enumerate(coords)))
+        return CliffordElement(self, {1 << i: x for i, x in nums.items()}, den)
 
     def compatible(self, other: "CliffordAlgebra") -> bool:
         return self is other or self.space == other.space
@@ -254,6 +262,28 @@ def mul(x: CliffordElement, y: CliffordElement) -> CliffordElement:
     return x * y
 
 
+def _blade_columns(x: CliffordElement, side: str, blades):
+    """The columns x.e_b (side 'left') or e_b.x ('right'), one per blade b, over x.den * scale.
+
+    Term c_m e_m goes to its own mask m ^ b, weight c_m * contract[m & b]
+    negated on the parity of sign[m] & b (x.e_b) or sign[b] & m (e_b.x); a
+    zero weight, which only a corrupted ``contract`` has, is left out.
+    """
+    alg = x.algebra
+    sign, contract = alg.sign, alg.contract
+    terms = [(m, c, sign[m]) for m, c in x.nums.items()]
+    left = side == "left"
+    for b in blades:
+        sb = sign[b]
+        column = {}
+        for m, c, sm in terms:
+            w = c * contract[m & b]
+            if w:
+                flip = sm & b if left else sb & m
+                column[m ^ b] = -w if flip.bit_count() & 1 else w
+        yield column
+
+
 def _mul_block(x: CliffordElement, side: str, domain: str) -> Matrix:
     """Matrix of left/right multiplication by x from one graded piece.
 
@@ -262,22 +292,17 @@ def _mul_block(x: CliffordElement, side: str, domain: str) -> Matrix:
     """
     alg = x.algebra
     par = x.parity
-    if domain == "full":
-        codomain = "full"
-    else:
-        if par == "mixed":
-            raise ParityViolation("mixed-parity element on a graded piece")
-        if par == "even":
-            codomain = domain
-        else:
-            codomain = "odd" if domain == "even" else "even"
-    xs = x.nums.items()
-
-    def moves(m):
-        operands = (xs, ((m, 1),)) if side == "left" else (((m, 1),), xs)
-        return _product_numerators(alg, *operands).items()
-
-    return induced_operator(alg.masks(domain), alg.index_map(codomain), moves, x.den * alg.scale)
+    if domain != "full" and par == "mixed":
+        raise ParityViolation("mixed-parity element on a graded piece")
+    masks = alg.masks(domain)
+    codomain = {"even": "odd", "odd": "even"}[domain] if domain != "full" and par == "odd" else domain
+    index = alg.index_map(codomain)
+    rows = [{} for _ in range(len(index))]
+    for j, column in enumerate(_blade_columns(x, side, masks)):
+        for m, w in column.items():
+            rows[index[m]][j] = w
+    den = x.den * alg.scale
+    return Matrix._of([_row(r, den) for r in rows], len(masks))
 
 
 def left_mul_operator(v: CliffordElement, restrict: str = "full") -> Matrix:

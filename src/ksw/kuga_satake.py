@@ -18,7 +18,8 @@ operator identities on the full algebra.  Family (iv) is proved on the
 generators: R_(cd) = R_d . R_c and the basis vectors v_i generate the
 algebra, so L_e commutes with every R_c once it commutes with the h
 operators R_(v_i), that is once (e.x).v_i == e.(x.v_i) for every blade x.
-The columns E[x] = e.x are computed once, on integer numerators; x.v_i
+The columns E[x] = e.x are written once, on integer numerators, by
+`clifford._blade_columns` (each is a signed relabel of e's terms); x.v_i
 is a signed multiple of the blade x ^ 2^i, so each identity compares E[x]
 relabelled term by term with one scalar multiple of E[x ^ 2^i], once per
 pair x, x ^ 2^i, and no operator matrix is built.  The reduction to
@@ -40,8 +41,8 @@ from fractions import Fraction
 from .clifford import (
     CliffordAlgebra,
     CliffordElement,
+    _blade_columns,
     _mul_block,
-    _product_numerators,
     left_mul_operator,
 )
 from .errors import CommutatorViolation, NullReference
@@ -113,9 +114,8 @@ def verify_j_square(ks: KSStructure) -> bool:
     An even e reads only the even columns; any other e reads them all.
     """
     alg, e = ks.algebra, ks.e
-    terms = e.nums.items()
     masks = alg.even_masks if e.parity == "even" else range(alg.dim)
-    columns = {m: _product_numerators(alg, terms, ((m, 1),)) for m in masks}
+    columns = dict(zip(masks, _blade_columns(e, "left", masks)))
     minus_one = -((e.den * alg.scale) ** 2)
     for x in alg.even_masks:
         slots = [0] * alg.dim
@@ -195,7 +195,7 @@ def structure_commutators(
 
     if samples > 0:
         table_ok = _table_is_clifford(alg)
-        columns = [_product_numerators(alg, e.nums.items(), ((x, 1),)) for x in range(alg.dim)]
+        columns = list(_blade_columns(e, "left", range(alg.dim)))
     for s in range(samples):
         ok = table_ok and _commutes_with_generators(alg, columns, range(s, alg.h, samples))
         checks.append(

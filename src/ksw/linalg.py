@@ -14,9 +14,10 @@ nonzeros; an operator identity a . b == c . d is one `products_equal`
 call, which compares the two products row by row in unreduced integers
 and holds neither.  ``==``/``hash`` compare the stored rows however the matrix was
 built.  The symmetric-power, exterior-power and Clifford operators have a
-few percent of nonzeros; `induced_operator` builds them all from integer
-weights over one denominator.  Entries, rows, columns, iteration and ``matvec`` are
-dense `Fraction` views built on demand (`_dense`).
+few percent of nonzeros; `induced_operator` builds the derivations, whose
+moves can meet, from integer weights over one denominator.  Entries, rows,
+columns, iteration and ``matvec`` are dense `Fraction` views built on
+demand (`_dense`).
 
 Row reduction is fraction-free (Bareiss) on the stored integer rows, and
 back-substitution stays in integers scaled by the last pivot: that one

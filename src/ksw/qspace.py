@@ -162,9 +162,6 @@ class QuadraticSpace:
     def quadratic(self, v) -> Fraction:
         return self.bilinear(v, v)
 
-    def to_diag_coords(self, v) -> tuple[Fraction, ...]:
-        return self.diag_basis_inv.matvec(vector(v))
-
     def from_diag_coords(self, c) -> tuple[Fraction, ...]:
         return self.diag_basis.matvec(vector(c))
 

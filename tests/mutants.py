@@ -10,9 +10,12 @@ Run from anywhere, with the test dependencies installed:
     python tests/mutants.py
 
 Each mutant is applied to a fresh temporary copy of ``src/`` and
-``tests/``, and only its killing tests run there, with ``pytest -x``.  The
-run exits 1 if an old text does not match exactly once, if a mutant
-survives (its tests pass) or if its test run errors instead of failing.
+``tests/``, and only its killing tests run there, with ``pytest -x`` and
+``PYTEST_DISABLE_PLUGIN_AUTOLOAD=1``.  Before any mutant, the union of the
+killing tests runs once the same way on an unmutated copy.  The run exits
+1 if an old text does not match exactly once, if a killing test fails or
+errors on the unmutated copy, if a mutant survives (its tests pass) or if
+its test run errors instead of failing.
 """
 
 from __future__ import annotations
@@ -30,6 +33,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _SYMPOW = "src/ksw/sympow.py"
 _WEIL = "src/ksw/weil.py"
 _LINALG = "src/ksw/linalg.py"
+_CLIFFORD = "src/ksw/clifford.py"
+_T_BLADE_COLUMNS = "tests/test_clifford.py::test_blade_columns_are_the_unit_blade_products"
 _CORR = "src/ksw/formal_corr.py"
 _T_SYMPOW = "tests/test_sympow.py::"
 _T_WEIL = "tests/test_weil.py::"
@@ -263,10 +268,31 @@ CATALOG = [
     ),
     (
         "_sign_table: a wrong step",
-        "src/ksw/clifford.py",
+        _CLIFFORD,
         "        table[mask] = table[mask ^ low] ^ (low - 1)\n",
         "        table[mask] = table[mask ^ low] ^ low\n",
         ["tests/test_clifford.py::test_sign_and_contract_tables_exhaustive_h1_to_h6"],
+    ),
+    (
+        "_blade_columns: drop the reordering sign",
+        _CLIFFORD,
+        "                column[m ^ b] = -w if flip.bit_count() & 1 else w\n",
+        "                column[m ^ b] = w\n",
+        [_T_BLADE_COLUMNS],
+    ),
+    (
+        "_blade_columns: the contraction read at the target mask",
+        _CLIFFORD,
+        "            w = c * contract[m & b]\n",
+        "            w = c * contract[m ^ b]\n",
+        [_T_BLADE_COLUMNS],
+    ),
+    (
+        "_blade_columns: the left and right sign masks swapped",
+        _CLIFFORD,
+        "                flip = sm & b if left else sb & m\n",
+        "                flip = sb & m if left else sm & b\n",
+        [_T_BLADE_COLUMNS],
     ),
     (
         "block_max_level: drop the already-killed test",
@@ -590,23 +616,45 @@ def unmatched() -> list[str]:
     return [name for name, path, old, _, _ in CATALOG if _read(path).count(old) != 1]
 
 
+def _copy_tree(tmp: str) -> None:
+    skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for sub in ("src", "tests"):
+        shutil.copytree(os.path.join(ROOT, sub), os.path.join(tmp, sub), ignore=skip)
+    shutil.copy(os.path.join(ROOT, "pyproject.toml"), tmp)
+
+
+def _pytest(tmp: str, tests) -> subprocess.CompletedProcess:
+    """pytest -x on the copy in tmp, with no entry-point plugins loaded (they only cost start-up)."""
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
+        cwd=tmp,
+        env=dict(os.environ, PYTHONPATH=os.path.join(tmp, "src"), PYTEST_DISABLE_PLUGIN_AUTOLOAD="1"),
+        capture_output=True,
+        text=True,
+    )
+
+
+def killing_tests() -> list[str]:
+    """Every killing test of the catalog once, in catalog order."""
+    return list(dict.fromkeys(node_id for *_, tests in CATALOG for node_id in tests))
+
+
+def run_unmutated() -> subprocess.CompletedProcess:
+    """The killing tests on an unmutated copy, run as each mutant's are: all must pass."""
+    with tempfile.TemporaryDirectory(prefix="ksw-unmutated-") as tmp:
+        _copy_tree(tmp)
+        return _pytest(tmp, killing_tests())
+
+
 def run_mutant(mutant) -> tuple[str, str, float]:
     """(name, verdict, seconds): 'killed', 'SURVIVED' or 'ERROR (exit n)'."""
     name, path, old, new, tests = mutant
     start = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="ksw-mutant-") as tmp:
-        skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
-        for sub in ("src", "tests"):
-            shutil.copytree(os.path.join(ROOT, sub), os.path.join(tmp, sub), ignore=skip)
-        shutil.copy(os.path.join(ROOT, "pyproject.toml"), tmp)
+        _copy_tree(tmp)
         with open(os.path.join(tmp, path), "w", encoding="utf-8") as fh:
             fh.write(_read(path).replace(old, new))
-        result = subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
-            cwd=tmp,
-            env=dict(os.environ, PYTHONPATH=os.path.join(tmp, "src")),
-            capture_output=True,
-        )
+        result = _pytest(tmp, tests)
     # pytest exits 1 when a collected test failed; 0 means every killing test passed
     verdict = {0: "SURVIVED", 1: "killed"}.get(result.returncode, "ERROR (exit %d)" % result.returncode)
     return name, verdict, time.perf_counter() - start
@@ -617,6 +665,13 @@ def main() -> int:
     if stale:
         for name in stale:
             print("old text does not match exactly once: %s" % name)
+        return 1
+    # a killing test that fails without a mutant (a broken environment, a
+    # test already red) would count every mutant it names as killed
+    clean = run_unmutated()
+    if clean.returncode:
+        print("the killing tests do not pass on the unmutated sources (exit %d):" % clean.returncode)
+        print(clean.stdout[-4000:] + clean.stderr[-4000:])
         return 1
     with ThreadPoolExecutor(max_workers=2) as pool:
         results = list(pool.map(run_mutant, CATALOG))

@@ -8,7 +8,8 @@ on a dense `Fraction` Gram matrix, and the right-multiplication family
 is sampled with element products, blade by blade, instead of proved on
 the generators, J^2 = -I is checked as e.(e.x) == -x with two element
 products per even blade, the generator identities of that proof are
-compared at both x and x ^ 2^i,
+compared at both x and x ^ 2^i, the Clifford multiplication operators
+sum every unit-blade product move by move into `induced_operator`,
 a k-th power of a linear form is expanded over every monomial, the
 contraction and the Q-multiplication of Sym^k apply sum G_ij d_i d_j and
 sum B_ij y_i y_j term by term over every ordered pair (i, j), and the
@@ -210,6 +211,29 @@ def generator_identities_reference(alg, columns, generators):
                 if target.get(m ^ bit, 0) * f[x] != n * f[m]:
                     return False
     return True
+
+
+def mul_block_reference(x, side, domain):
+    """Left/right multiplication by x from one graded piece, as `induced_operator` of element-kernel products.
+
+    Column m is `_product_numerators` of x against the unit blade m, its
+    moves summed and zero-tested by `induced_operator`.
+    """
+    from ksw.clifford import _product_numerators
+    from ksw.linalg import induced_operator
+
+    alg = x.algebra
+    if domain == "full":
+        codomain = "full"
+    else:
+        codomain = domain if x.parity == "even" else {"even": "odd", "odd": "even"}[domain]
+    xs = x.nums.items()
+
+    def moves(m):
+        operands = (xs, ((m, 1),)) if side == "left" else (((m, 1),), xs)
+        return _product_numerators(alg, *operands).items()
+
+    return induced_operator(alg.masks(domain), alg.index_map(codomain), moves, x.den * alg.scale)
 
 
 def embedding_matrix_stack(ks, v0):

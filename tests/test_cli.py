@@ -360,6 +360,18 @@ def test_ks_verify(fixture_dir, capsys):
     assert any(name.startswith("ks.commutators.rotation") for name in names)
 
 
+def test_ks_verify_seed_is_only_echoed(fixture_dir, capsys):
+    args = ["ks", "verify", "-f", str(fixture_dir / "space.json"), "-p", str(fixture_dir / "period.json"), "--json"]
+    reports = []
+    for seed in ([], ["--seed", "5"]):
+        assert main(args + seed) == 0
+        reports.append(_json_output(capsys))
+    assert (reports[0]["seed"], reports[1]["seed"]) == (0, 5)
+    assert {**reports[1], "seed": 0} == reports[0]
+    assert main(["ks", "verify", "--help"]) == 0
+    assert "only echoed into the report" in " ".join(capsys.readouterr().out.split())
+
+
 def test_ks_build_invalid_period(fixture_dir, capsys):
     bad = fixture_dir / "bad_period.json"
     bad.write_text(json.dumps({"alpha": ["1", "0", "0"], "beta": ["1", "1", "0"]}))

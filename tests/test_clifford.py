@@ -7,6 +7,9 @@ import pytest
 
 from ksw.clifford import (
     CliffordAlgebra,
+    _blade_columns,
+    _mul_block,
+    _product_numerators,
     blade_product,
     left_mul_operator,
     mul,
@@ -18,7 +21,7 @@ from ksw.linalg import Matrix
 from ksw.qspace import QuadraticSpace
 from ksw.randgen import random_congruence_scramble, random_vector
 
-from oracles import clifford_word_reduce, mask_word
+from oracles import clifford_word_reduce, mask_word, mul_block_reference
 
 
 def test_blade_product_vector_square():
@@ -207,6 +210,12 @@ def test_vector_conversion_through_scrambled_basis():
         w = random_vector(rng, 3)
         lhs = alg.vector(u) * alg.vector(w) + alg.vector(w) * alg.vector(u)
         assert lhs == alg.scalar(2 * space.bilinear(u, w))
+        # the integer row of the diagonal coordinates is the element, stored as vector_diag stores it
+        x, ref = alg.vector(u), alg.vector_diag(space.diag_basis_inv.matvec(u))
+        assert (list(x.nums.items()), x.den) == (list(ref.nums.items()), ref.den)
+    assert alg.vector((0, 0, 0)) == alg.element({})
+    with pytest.raises(ValueError):
+        alg.vector((1, 2))
 
 
 def test_cap_exceeded():
@@ -393,6 +402,55 @@ def test_mul_operators_match_element_products():
                     for pos, m in enumerate(masks[domain]):
                         terms = act(alg.blade(m)).terms
                         assert op.column(pos) == tuple(terms.get(c, 0) for c in masks[codomain])
+
+
+def _seeded_elements(rng, alg):
+    """Rational elements of each parity, a dense one, a vector and the zero element."""
+    masks = {"even": alg.even_masks, "odd": alg.odd_masks, "mixed": range(alg.dim)}
+    out = [alg.element({}), alg.vector_diag([Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(alg.h)])]
+    for parity in ("even", "odd", "mixed"):
+        for terms in (1, 3, alg.dim):
+            out.append(
+                alg.element(
+                    {rng.choice(masks[parity]): Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(terms)}
+                )
+            )
+    return out
+
+
+def test_blade_columns_are_the_unit_blade_products():
+    # x.e_b and e_b.x for every blade b, against the summing element kernel
+    rng = random.Random(53)
+    for h in range(1, 7):
+        alg = _fractional_algebra(rng, h)
+        blades = list(range(alg.dim))
+        for x in _seeded_elements(rng, alg):
+            xs = x.nums.items()
+            for side in ("left", "right"):
+                columns = list(_blade_columns(x, side, blades))
+                assert len(columns) == alg.dim
+                for b, column in zip(blades, columns):
+                    unit = ((b, 1),)
+                    assert column == _product_numerators(alg, *((xs, unit) if side == "left" else (unit, xs)))
+                    assert all(type(n) is int and n for n in column.values())
+            # any blade order, and a blade list read once
+            shuffled = rng.sample(blades, len(blades))
+            assert list(_blade_columns(x, "right", iter(shuffled))) == [
+                _product_numerators(alg, ((b, 1),), xs) for b in shuffled
+            ]
+
+
+def test_mul_block_matches_the_induced_operator_construction():
+    rng = random.Random(59)
+    for h in range(1, 8):
+        alg = _fractional_algebra(rng, h)
+        for x in _seeded_elements(rng, alg):
+            for side in ("left", "right"):
+                domains = ("full",) if x.parity == "mixed" else ("full", "even", "odd")
+                for domain in domains:
+                    got = _mul_block(x, side, domain)
+                    assert got == mul_block_reference(x, side, domain)
+                    assert (got.rows, got.cols) == ((alg.dim, alg.dim) if domain == "full" else (alg.dim // 2,) * 2)
 
 
 def test_element_refuses_floats_and_out_of_range_masks():

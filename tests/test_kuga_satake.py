@@ -6,7 +6,7 @@ import pytest
 
 from ksw import kuga_satake as ks_mod
 from ksw import suite
-from ksw.clifford import CliffordAlgebra, left_mul_operator
+from ksw.clifford import CliffordAlgebra, _product_numerators, left_mul_operator
 from ksw.errors import CapExceeded, CommutatorViolation, NotCommutingWithJ, NullReference
 from ksw.hodge import HKStructure, Weight1Structure
 from ksw.linalg import Matrix
@@ -153,7 +153,7 @@ def _right_mul_entries(ks, samples=3):
 def _generator_loop(ks):
     """Family (iv) without the table certificate: every generator, on the columns e.x."""
     alg = ks.algebra
-    columns = [ks_mod._product_numerators(alg, ks.e.nums.items(), ((x, 1),)) for x in range(alg.dim)]
+    columns = [_product_numerators(alg, ks.e.nums.items(), ((x, 1),)) for x in range(alg.dim)]
     return ks_mod._commutes_with_generators(alg, columns, range(alg.h))
 
 
@@ -188,7 +188,7 @@ def test_halved_generator_loop_matches_both_halves():
     for h in range(2, 8):
         ks = ks_mod.build(random_hk(rng, h))
         alg = ks.algebra
-        columns = [ks_mod._product_numerators(alg, ks.e.nums.items(), ((x, 1),)) for x in range(alg.dim)]
+        columns = [_product_numerators(alg, ks.e.nums.items(), ((x, 1),)) for x in range(alg.dim)]
         tables = [columns]
         for kind in (0, 1, 2) * 8:
             x = rng.randrange(alg.dim)
@@ -256,15 +256,14 @@ def test_right_mul_commutes_entries_split_the_generators(h, monkeypatch):
     # commutes with every R_(v_i) but the last, over an associative table
     ks = ks_mod.build(random_hk(random.Random(50 + h), h))
     top = 1 << (h - 1)
-    product = ks_mod._product_numerators
+    columns = ks_mod._blade_columns
 
-    def flipped(alg, xs, ys):
-        ((x, _),) = ys
-        nums = product(alg, xs, ys)
-        return {m: -n for m, n in nums.items()} if x & top else nums
+    def flipped(x, side, blades):
+        for b, column in zip(blades, columns(x, side, blades)):
+            yield {m: -n for m, n in column.items()} if b & top else column
 
     assert _right_mul_entries(ks, samples=h) == [True] * h
-    monkeypatch.setattr(ks_mod, "_product_numerators", flipped)
+    monkeypatch.setattr(ks_mod, "_blade_columns", flipped)
     assert _right_mul_entries(ks, samples=h) == [True] * (h - 1) + [False]
     assert _right_mul_entries(ks, samples=2) == [(h - 1) % 2 == 1, (h - 1) % 2 == 0]
 

@@ -185,7 +185,7 @@ _build = ks_mod.build
 _embedding_unit_block = ks_mod.embedding_unit_block
 _endomorphism_embedding = ks_mod.endomorphism_embedding
 _odd_even_inverse = ks_mod.odd_even_inverse
-_product_numerators = ks_mod._product_numerators
+_blade_columns = ks_mod._blade_columns
 
 
 class _OrientationLost:
@@ -201,11 +201,11 @@ def _first_row_repeated(ks, v0):
     return Matrix([block.row(0)] + [block.row(i) for i in range(block.rows - 1)])
 
 
-def _last_index_negated(alg, xs, ys):
+def _last_index_negated(x, side, blades):
     """The column e.x negated when x is odd and holds the last index: J^2 reads only even columns."""
-    ((x, _),) = ys
-    nums = _product_numerators(alg, xs, ys)
-    return {m: -n for m, n in nums.items()} if x.bit_count() & 1 and x >> (alg.h - 1) & 1 else nums
+    top = x.algebra.h - 1
+    for b, column in zip(blades, _blade_columns(x, side, blades)):
+        yield {m: -n for m, n in column.items()} if b.bit_count() & 1 and b >> top & 1 else column
 
 
 class _DoubledTripleContractions(CliffordAlgebra):
@@ -233,7 +233,7 @@ KS_ROWS = [
     ),
     ([(ks_mod, "odd_even_inverse", lambda ks, v0: 2 * _odd_even_inverse(ks, v0))], {"ks.odd_even_iso"}),
     # family (iv) alone: generator identities off by a sign, or the product table off
-    ([(ks_mod, "_product_numerators", _last_index_negated)], {"ks.commutators"}),
+    ([(ks_mod, "_blade_columns", _last_index_negated)], {"ks.commutators"}),
     ([(ks_mod, "CliffordAlgebra", _DoubledTripleContractions)], {"ks.commutators"}),
 ]
 
