@@ -14,7 +14,11 @@ data and verifies the commutation laws that make the construction tick:
 
 Families (i)-(iii) are element identities; by associativity (property-
 tested in the Clifford suite) they are equivalent to the corresponding
-operator identities on the full algebra.  Family (iv) is proved on the
+operator identities on the full algebra.  For grade-1 v, v.e and e.v are
+integer combinations of the 2h columns e_i.e and e.e_i, each a signed
+relabel of e written once by `clifford._blade_columns`, so one routine
+decides the three families, and the element half of the embedding sign
+laws, without an element product.  Family (iv) is proved on the
 generators: R_(cd) = R_d . R_c and the basis vectors v_i generate the
 algebra, so L_e commutes with every R_c once it commutes with the h
 operators R_(v_i), that is once (e.x).v_i == e.(x.v_i) for every blade x.
@@ -30,6 +34,11 @@ the sign parity is bilinear and every d_i is nonzero.
 J^2 = -I is checked the same way, on the integer columns e.e_m of the
 even blades: e.(e.x) is summed from them by linearity and compared
 unreduced, so no element product is formed per blade.
+
+The embedding v -> E_v = L_v . R_v0 of H in End(C+) has J E_v = -+E_v J
+as v lies in the plane or orthogonal to it.  At matrix level R_v0 is
+built once for all h vectors, and the element laws need no second check:
+`embedding_sign_laws` derives them from the matrix laws.
 """
 
 from __future__ import annotations
@@ -47,7 +56,7 @@ from .clifford import (
 )
 from .errors import CommutatorViolation, NullReference
 from .hodge import HKStructure
-from .linalg import Matrix, products_equal, rank_and_kernel, vector
+from .linalg import Matrix, _accumulate, products_equal, rank_and_kernel, vector
 from .qspace import QuadraticSpace
 
 _ONE = Fraction(1)
@@ -77,10 +86,7 @@ def complex_structure_element(hk: HKStructure, algebra: CliffordAlgebra | None =
     algebra = algebra or CliffordAlgebra(hk.space)
     a = algebra.vector(hk.period.alpha)
     b = algebra.vector(hk.period.beta)
-    e = (a * b) / hk.period.norm
-    if e.parity != "even":
-        raise CommutatorViolation("e is not even")  # unreachable for valid periods
-    return e
+    return (a * b) / hk.period.norm  # a product of two vectors is even
 
 
 def build(hk: HKStructure, cap: int | None = None) -> KSStructure:
@@ -88,13 +94,7 @@ def build(hk: HKStructure, cap: int | None = None) -> KSStructure:
     algebra = CliffordAlgebra(hk.space, cap=cap)
     e = complex_structure_element(hk, algebra)
     j_even = left_mul_operator(e, "even")
-    return KSStructure(
-        base=hk,
-        algebra=algebra,
-        e=e,
-        j_even=j_even,
-        torus_complex_dim=1 << (hk.space.h - 2),
-    )
+    return KSStructure(base=hk, algebra=algebra, e=e, j_even=j_even, torus_complex_dim=1 << (hk.space.h - 2))
 
 
 def verify_e_square(ks: KSStructure) -> bool:
@@ -170,44 +170,62 @@ def structure_commutators(
     ``raise_on_failure`` is False, in which case the report carries them.
     """
     alg = ks.algebra
-    e = ks.e
-    a = alg.vector(ks.base.period.alpha)
-    b = alg.vector(ks.base.period.beta)
-    checks: list[tuple[str, bool, str]] = []
-
-    for idx, w_coords in enumerate(plane_orthogonal_basis(ks.base)):
-        w = alg.vector(w_coords)
-        ok = w * e == e * w
-        checks.append(("perp_commutes[%d]" % idx, ok, "w.e == e.w on P-perp basis"))
-
-    ae, ea, be, eb = a * e, e * a, b * e, e * b
-    for name, ve, ev in (("alpha", ae, ea), ("beta", be, eb)):
-        checks.append(("plane_anticommutes[%s]" % name, ve == -ev, "v.e == -e.v for v in P"))
-
-    rotations = (
-        ("alpha.e == beta", ae == b),
-        ("e.alpha == -beta", ea == -b),
-        ("beta.e == -alpha", be == -a),
-        ("e.beta == alpha", eb == a),
-    )
-    for name, ok in rotations:
-        checks.append(("rotation[%s]" % name, ok, "rational rotation identity"))
-
+    laws, rotations = _vector_e_identities(ks)
+    checks = laws + rotations
     if samples > 0:
         table_ok = _table_is_clifford(alg)
-        columns = list(_blade_columns(e, "left", range(alg.dim)))
+        columns = list(_blade_columns(ks.e, "left", range(alg.dim)))
     for s in range(samples):
         ok = table_ok and _commutes_with_generators(alg, columns, range(s, alg.h, samples))
-        checks.append(
-            ("right_mul_commutes[%d]" % s, ok, "R_c . L_e == L_e . R_c on full Cliff")
-        )
-
+        checks.append(("right_mul_commutes[%d]" % s, ok, "R_c . L_e == L_e . R_c on full Cliff"))
     report = CommutatorReport(checks)
     if raise_on_failure and not report.ok:
-        raise CommutatorViolation(
-            "failed identities: %s" % ", ".join(report.failed_names())
-        )
+        raise CommutatorViolation("failed identities: %s" % ", ".join(report.failed_names()))
     return report
+
+
+def _vector_e_identities(ks: KSStructure):
+    """Families (i)-(iii) as (name, ok, detail) rows: the laws (i)-(ii), then the rotations (iii).
+
+    For grade-1 v = sum c_i e_i, v.e and e.v are sum c_i (e_i.e) and
+    sum c_i (e.e_i) over v.den * e.den * scale: integer combinations of
+    2h single-blade columns, each a signed relabel of e written once by
+    `_blade_columns`.  Each identity compares its sides unreduced,
+    cross-multiplied by each other's denominators, so no element product
+    is formed.  w.e - e.w reads the columns e_i.e - e.e_i, which keep only
+    the terms of e whose blade holds i.
+    """
+    alg, e, period = ks.algebra, ks.e, ks.base.period
+    bits = [1 << i for i in range(alg.h)]
+    blade_e = dict(zip(bits, _blade_columns(e, "right", bits)))
+    e_blade = dict(zip(bits, _blade_columns(e, "left", bits)))
+    commutators = {i: {k: n for k, n in _accumulate(dict(blade_e[i]), {i: 1}, e_blade, -1).items() if n} for i in bits}
+    laws = [
+        ("perp_commutes[%d]" % idx, not any(_accumulate({}, alg.vector(w).nums, commutators, 1).values()), "w.e == e.w on P-perp basis")
+        for idx, w in enumerate(plane_orthogonal_basis(ks.base))
+    ]
+    a, b = alg.vector(period.alpha), alg.vector(period.beta)
+    ae, ea, be, eb = (_accumulate({}, v.nums, columns, 1) for v in (a, b) for columns in (blade_e, e_blade))
+    laws += [
+        ("plane_anticommutes[%s]" % name, _same(ve, 1, ev, -1), "v.e == -e.v for v in P")
+        for name, ve, ev in (("alpha", ae, ea), ("beta", be, eb))
+    ]
+    da, db = a.den * e.den * alg.scale, b.den * e.den * alg.scale
+    rotations = [
+        ("rotation[%s]" % name, ok, "rational rotation identity")
+        for name, ok in (
+            ("alpha.e == beta", _same(ae, da, b.nums, b.den)),
+            ("e.alpha == -beta", _same(ea, da, b.nums, -b.den)),
+            ("beta.e == -alpha", _same(be, db, a.nums, -a.den)),
+            ("e.beta == alpha", _same(eb, db, a.nums, a.den)),
+        )
+    ]
+    return laws, rotations
+
+
+def _same(x: dict[int, int], dx: int, y: dict[int, int], dy: int) -> bool:
+    """x / dx == y / dy on integer numerator dicts, cross-multiplied; a missing key is 0."""
+    return all(x.get(k, 0) * dy == y.get(k, 0) * dx for k in x.keys() | y.keys())
 
 
 def _table_is_clifford(alg: CliffordAlgebra) -> bool:
@@ -261,17 +279,6 @@ def _commutes_with_generators(alg: CliffordAlgebra, columns, generators) -> bool
     return True
 
 
-def _random_element(alg: CliffordAlgebra, rng: random.Random) -> CliffordElement:
-    out = {}
-    for _ in range(3):
-        mask = rng.randrange(alg.dim)
-        out[mask] = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-    out = {m: c for m, c in out.items() if c}
-    if not out:
-        out = {0: _ONE}
-    return alg.element(out)
-
-
 def default_v0(ks: KSStructure):
     """First diagonal basis vector outside the period plane (original coords).
 
@@ -280,17 +287,9 @@ def default_v0(ks: KSStructure):
     basis vector lies outside the plane (h = 2), the first one is used:
     the odd/even isomorphism only needs a nonzero norm.
     """
-    space = ks.space
-    plane = Matrix([ks.base.period.alpha, ks.base.period.beta])
-    first = None
-    for i in range(space.h):
-        cand = space.from_diag_coords(tuple(_ONE if j == i else 0 for j in range(space.h)))
-        if first is None:
-            first = cand
-        stacked = Matrix(list(plane) + [cand])
-        if stacked.rank() == 3:
-            return cand
-    return first
+    space, plane = ks.space, [ks.base.period.alpha, ks.base.period.beta]
+    units = [space.from_diag_coords(tuple(_ONE if j == i else 0 for j in range(space.h))) for i in range(space.h)]
+    return next((u for u in units if Matrix(plane + [u]).rank() == 3), units[0])
 
 
 def _non_null(ks: KSStructure, v0) -> tuple[Fraction, ...]:
@@ -317,12 +316,8 @@ def embedding_unit_block(ks: KSStructure, v0) -> Matrix:
     """Rows = E_{b_i}(1) = b_i . v0 over the even blades, h x 2^(h-1)."""
     alg = ks.algebra
     ev0 = alg.vector(_non_null(ks, v0))
-    h = ks.space.h
-    rows = []
-    for i in range(h):
-        row = alg.vector(tuple(_ONE if j == i else 0 for j in range(h))) * ev0
-        rows.append(({alg.even_index[m]: x for m, x in row.nums.items()}, row.den))
-    return Matrix._of(rows, len(alg.even_masks))
+    rows = (alg.vector(tuple(_ONE if j == i else 0 for j in range(alg.h))) * ev0 for i in range(alg.h))
+    return Matrix._of([({alg.even_index[m]: x for m, x in r.nums.items()}, r.den) for r in rows], len(alg.even_masks))
 
 
 def embedding_has_full_rank(ks: KSStructure, v0) -> bool:
@@ -339,30 +334,23 @@ def embedding_has_full_rank(ks: KSStructure, v0) -> bool:
 def embedding_sign_laws(ks: KSStructure, v0, matrix_level: bool = False) -> bool:
     """J E_v = -E_v J for v in P and J E_w = E_w J for w in P-perp, exactly.
 
-    Element identities (v.e = -e.v, w.e = e.w) plus the universal
-    commutation of right and left multiplications give the operator laws;
-    ``matrix_level`` additionally compares the matrices themselves.
+    By default: the element laws v.e = -e.v and w.e = e.w of families
+    (i)-(ii), which give the operator laws since right multiplications
+    commute with left ones.  ``matrix_level`` decides the operator laws
+    instead, with `products_equal` on E_v = L_v . R_v0 and R_v0 built
+    once, and they imply the element laws: at the unit blade, J = L_e
+    makes J E_v = -+E_v J read e.(v.v0) = -+v.(e.v0); the product is
+    associative (family (iv)'s table certificate) and q(v0) != 0, so
+    right multiplication by v0 / q(v0) gives e.v = -+v.e.
     """
-    alg = ks.algebra
-    e = ks.e
-    a = alg.vector(ks.base.period.alpha)
-    b = alg.vector(ks.base.period.beta)
-    if a * e != -(e * a) or b * e != -(e * b):
-        return False
-    perp = plane_orthogonal_basis(ks.base)
-    for w_coords in perp:
-        w = alg.vector(w_coords)
-        if w * e != e * w:
+    if not matrix_level:
+        return all(ok for _, ok, _ in _vector_e_identities(ks)[0])
+    alg, j, period = ks.algebra, ks.j_even, ks.base.period
+    right = odd_even_isomorphism(ks, v0)
+    for v, sign in [(period.alpha, -1), (period.beta, -1)] + [(w, 1) for w in plane_orthogonal_basis(ks.base)]:
+        ev = _mul_block(alg.vector(v), "left", "odd") * right
+        if not products_equal(j, ev, -ev if sign < 0 else ev, j):
             return False
-    if matrix_level:
-        j = ks.j_even
-        for v_coords, sign in [
-            (ks.base.period.alpha, -1),
-            (ks.base.period.beta, -1),
-        ] + [(w, 1) for w in perp]:
-            ev = endomorphism_embedding(ks, v_coords, v0)
-            if not products_equal(j, ev, -ev if sign < 0 else ev, j):
-                return False
     return True
 
 

@@ -317,8 +317,17 @@ def _clifford_elements(cfg, rng):
         pairing = sum((a * b * d for a, b, d in zip(vc, wc, diag)), Fraction(0))
         yield _Instance(pair=True, v=alg.vector_diag(vc), w=alg.vector_diag(wc), two_vw=alg.scalar(2 * pairing))
     for _ in range(sub["triple_trials"]):
-        x, y, z = (kuga_satake._random_element(alg, rng) for _ in range(3))
+        x, y, z = (_random_element(alg, rng) for _ in range(3))
         yield _Instance(pair=False, x=x, y=y, z=z)
+
+
+def _random_element(alg, rng):
+    """Up to three blades with coefficients in [-5, 5] / [1, 4] (a repeated blade keeps its last); the unit if all are 0."""
+    terms = {}
+    for _ in range(3):
+        mask = rng.randrange(alg.dim)
+        terms[mask] = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+    return alg.element(terms if any(terms.values()) else {0: _ONE})
 
 
 def _even_part(u):

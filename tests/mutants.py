@@ -423,6 +423,76 @@ CATALOG = [
         "    return True\n",
         [_T_KS + "test_table_certificate_rejects_each_broken_law"],
     ),
+    (
+        "vector identities: plane anticommutes compares v.e with e.v, the negation dropped",
+        _KS,
+        "_same(ve, 1, ev, -1)",
+        "_same(ve, 1, ev, 1)",
+        [_T_KS + "test_vector_identities_match_element_products"],
+    ),
+    (
+        "vector identities: perp commutes compares w.e with -e.w",
+        _KS,
+        "_accumulate(dict(blade_e[i]), {i: 1}, e_blade, -1)",
+        "_accumulate(dict(blade_e[i]), {i: 1}, e_blade, 1)",
+        [_T_KS + "test_vector_identities_match_element_products"],
+    ),
+    (
+        "vector identities: the columns e_i.e and e.e_i swapped",
+        _KS,
+        '    blade_e = dict(zip(bits, _blade_columns(e, "right", bits)))\n    e_blade = dict(zip(bits, _blade_columns(e, "left", bits)))\n',
+        '    blade_e = dict(zip(bits, _blade_columns(e, "left", bits)))\n    e_blade = dict(zip(bits, _blade_columns(e, "right", bits)))\n',
+        [_T_KS + "test_vector_identities_match_element_products"],
+    ),
+    (
+        "matrix sign laws: skip the P-perp vectors",
+        _KS,
+        "[(period.alpha, -1), (period.beta, -1)] + [(w, 1) for w in plane_orthogonal_basis(ks.base)]",
+        "[(period.alpha, -1), (period.beta, -1)]",
+        [_T_KS + "test_matrix_sign_laws_read_the_perp_vectors"],
+    ),
+    (
+        "ks build --v0: index 0 refused",
+        "src/ksw/cli.py",
+        "        if not 0 <= args.v0 < h:\n",
+        "        if not 1 <= args.v0 < h:\n",
+        [_T_CLI + "test_ks_build_v0_edges"],
+    ),
+    (
+        "ks build --v0: the null-vector test inverted",
+        "src/ksw/cli.py",
+        "        if not hk.space.quadratic(v0):\n",
+        "        if hk.space.quadratic(v0):\n",
+        [_T_CLI + "test_ks_build_v0_edges"],
+    ),
+    (
+        "Weight1Structure: J refused only when both sides are off",
+        "src/ksw/hodge.py",
+        "        if j.rows != dim or j.cols != dim:\n",
+        "        if j.rows != dim and j.cols != dim:\n",
+        [_T_CLI + "test_weil_analyze_rejects_a_non_square_j"],
+    ),
+    (
+        "suite config: ks.instances_per_h must be at least 1",
+        _SUITE,
+        '    ("ks", "instances_per_h", 0),\n',
+        '    ("ks", "instances_per_h", 1),\n',
+        [_T_CLI + "test_suite_ks_with_no_instances_per_h_is_vacuous"],
+    ),
+    (
+        "randgen: a rotation pair off the unit circle",
+        "src/ksw/randgen.py",
+        "    (Fraction(5, 13), Fraction(12, 13)),\n",
+        "    (Fraction(5, 14), Fraction(12, 13)),\n",
+        ["tests/test_hodge.py::test_pythagorean_pairs_lie_on_the_unit_circle"],
+    ),
+    (
+        "CliffordElement repr: blade labels from e-1",
+        _CLIFFORD,
+        '"e%d" % (i + 1)',
+        '"e%d" % (i - 1)',
+        ["tests/test_clifford.py::test_element_repr_names_blades_from_e1"],
+    ),
 ]
 
 _FAULTS = _T_CONTROLS + "test_%s_checks_fail_under_their_faults"

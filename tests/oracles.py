@@ -181,7 +181,7 @@ def right_mul_commutes_reference(ks, samples, rng):
     For each sample c, drawn as `structure_commutators` draws its unused c, whether
     e.(e_A.c) == (e.e_A).c for every blade A.  Returns [(c, outcome)].
     """
-    from ksw.kuga_satake import _random_element
+    from ksw.suite import _random_element
 
     alg, e = ks.algebra, ks.e
     out = []
@@ -189,6 +189,29 @@ def right_mul_commutes_reference(ks, samples, rng):
         c = _random_element(alg, rng)
         out.append((c, all(e * (alg.blade(m) * c) == (e * alg.blade(m)) * c for m in range(alg.dim))))
     return out
+
+
+def vector_e_identities_reference(ks):
+    """Families (i)-(iii) of `structure_commutators` as element products, in report order."""
+    from ksw.kuga_satake import plane_orthogonal_basis
+
+    alg, e = ks.algebra, ks.e
+    a, b = alg.vector(ks.base.period.alpha), alg.vector(ks.base.period.beta)
+    checks = []
+    for idx, w_coords in enumerate(plane_orthogonal_basis(ks.base)):
+        w = alg.vector(w_coords)
+        checks.append(("perp_commutes[%d]" % idx, w * e == e * w, "w.e == e.w on P-perp basis"))
+    ae, ea, be, eb = a * e, e * a, b * e, e * b
+    for name, ve, ev in (("alpha", ae, ea), ("beta", be, eb)):
+        checks.append(("plane_anticommutes[%s]" % name, ve == -ev, "v.e == -e.v for v in P"))
+    for name, ok in (
+        ("alpha.e == beta", ae == b),
+        ("e.alpha == -beta", ea == -b),
+        ("beta.e == -alpha", be == -a),
+        ("e.beta == alpha", eb == a),
+    ):
+        checks.append(("rotation[%s]" % name, ok, "rational rotation identity"))
+    return checks
 
 
 def j_square_reference(ks):

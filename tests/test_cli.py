@@ -313,6 +313,14 @@ def test_ks_build_report(fixture_dir, capsys):
     }
 
 
+@pytest.mark.parametrize("index, v0", [(0, ["1", "0", "0"]), (2, ["0", "0", "1"])])
+def test_ks_build_v0_edges(fixture_dir, capsys, index, v0):
+    # the first and the last diagonal basis vector are valid choices
+    args = ["ks", "build", "-f", str(fixture_dir / "space.json"), "-p", str(fixture_dir / "period.json")]
+    assert main(args + ["--v0", str(index), "--json"]) == 0
+    assert _json_output(capsys)["data"]["v0"] == v0
+
+
 def test_matrix_content_hash_is_the_hash_of_the_dense_json():
     # the j_checksum of `ks build`, streamed row by row
     for h in range(3, 10):
@@ -441,6 +449,16 @@ def test_weil_analyze_non_fourfold_omits_class_space(tmp_path, capsys):
     assert report["data"]["is_weil"] is True
     assert report["data"]["weil_space_dim"] is None
     assert report["data"]["all_weil_classes_22"] is None
+
+
+def test_weil_analyze_rejects_a_non_square_j(tmp_path, capsys):
+    # J of shape 8 x 7 is refused by its shape, before any product is tried
+    (tmp_path / "weight1.json").write_text(json.dumps({"J": [["0"] * 7 for _ in range(8)]}))
+    (tmp_path / "phi.json").write_text(json.dumps({"phi": [["0"] * 8 for _ in range(8)]}))
+    assert main(["weil", "analyze", "-f", str(tmp_path / "weight1.json"), "--phi", str(tmp_path / "phi.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: J must be 8x8\n"
 
 
 def test_weil_analyze_rejects_non_endo(tmp_path):
@@ -625,6 +643,16 @@ def test_suite_empty_families_are_vacuous(tmp_path, capsys):
     ):
         assert checks[name]["status"] == "vacuous"
         assert checks[name]["detail"] == "no instances"
+
+
+def test_suite_ks_with_no_instances_per_h_is_vacuous(tmp_path, capsys):
+    # instances_per_h: 0 is the least valid count: the suite runs, and every ks check says it saw nothing
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(dict(SMALL_SUITE, ks=dict(SMALL_SUITE["ks"], instances_per_h=0))))
+    assert main(["suite", "--config", str(cfg), "--json"]) == 0
+    ks_checks = [c for c in _json_output(capsys)["checks"] if c["name"].startswith("ks.")]
+    assert len(ks_checks) == 9
+    assert all(c["status"] == "vacuous" and c["detail"] == NO_INSTANCES for c in ks_checks)
 
 
 @pytest.mark.parametrize(

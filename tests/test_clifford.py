@@ -467,3 +467,10 @@ def test_element_refuses_floats_and_out_of_range_masks():
             alg.element({mask: 1})
         # a zero coefficient is dropped before the mask is looked at
         assert alg.element({mask: 0, 1: Fraction(2, 4)}) == alg.blade(1, Fraction(1, 2))
+
+
+def test_element_repr_names_blades_from_e1():
+    alg = CliffordAlgebra(QuadraticSpace(Matrix.diagonal([1, 2, -3])))
+    x = alg.element({0: Fraction(3), 0b101: Fraction(-1, 2), 0b010: Fraction(2)})
+    assert repr(x) == "<3*1 + 2*e2 + -1/2*e1e3>"
+    assert repr(alg.element({})) == "<0>"

@@ -21,7 +21,7 @@ from ksw.hodge import (
 )
 from ksw.linalg import Matrix, rank_and_kernel
 from ksw.qspace import QuadraticSpace
-from ksw.randgen import random_hk
+from ksw.randgen import PYTHAGOREAN_PAIRS, random_hk
 from ksw import sympow
 
 from oracles import eigenvalue_counts, hstack
@@ -153,6 +153,12 @@ def test_q_times_h2_block_has_level_two():
     spec = type_spectrum(restricted, hk.period.norm, 6)
     assert hodge_level(spec) == 2
     assert spec.dims == {(4, 2): 1, (2, 4): 1, (3, 3): 3}
+
+
+def test_pythagorean_pairs_lie_on_the_unit_circle():
+    # the period rotations of randgen keep both norms only if a^2 + b^2 = 1
+    assert len(PYTHAGOREAN_PAIRS) == 5
+    assert all(a * a + b * b == 1 for a, b in PYTHAGOREAN_PAIRS)
 
 
 def test_weight1_structure_validation():

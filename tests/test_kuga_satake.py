@@ -20,6 +20,7 @@ from oracles import (
     generator_identities_reference,
     j_square_reference,
     right_mul_commutes_reference,
+    vector_e_identities_reference,
 )
 
 
@@ -143,6 +144,32 @@ def test_structure_commutators_random_h7():
     assert any(name.startswith("plane_anticommutes") for name in names)
     assert any(name.startswith("rotation") for name in names)
     assert any(name.startswith("right_mul_commutes") for name in names)
+
+
+def test_vector_identities_match_element_products():
+    # families (i)-(iii) and the element sign laws, on e and on elements that break some of them
+    rng = random.Random(49)
+    for h in (3, 4, 5, 6, 7):
+        ks = ks_mod.build(random_hk(rng, h))
+        alg = ks.algebra
+        v0 = ks_mod.default_v0(ks)
+        for e in (ks.e, ks.e + alg.unit, 2 * ks.e, ks.e + alg.blade(1), -ks.e, alg.blade(1 << (h - 1))):
+            ks_e = dataclasses.replace(ks, e=e)
+            want = vector_e_identities_reference(ks_e)
+            assert ks_mod.structure_commutators(ks_e, samples=0, raise_on_failure=False).checks == want
+            assert ks_mod.embedding_sign_laws(ks_e, v0) == all(ok for name, ok, _ in want if not name.startswith("rotation"))
+        assert all(ok for _, ok, _ in vector_e_identities_reference(ks))
+
+
+def test_matrix_sign_laws_read_the_perp_vectors():
+    # J = L_f for f = e1e2e3e4: f anticommutes with the plane e1, e2, as J must,
+    # but also with e3, e4 in P-perp, which J must commute with
+    hk = _hk([1, 1, 1, 1, -1], (1, 0, 0, 0, 0), (0, 1, 0, 0, 0))
+    ks = ks_mod.build(hk)
+    v0 = ks_mod.default_v0(ks)
+    assert ks_mod.embedding_sign_laws(ks, v0, matrix_level=True)
+    bad = dataclasses.replace(ks, j_even=left_mul_operator(ks.algebra.blade(0b01111), "even"))
+    assert not ks_mod.embedding_sign_laws(bad, v0, matrix_level=True)
 
 
 def _right_mul_entries(ks, samples=3):
