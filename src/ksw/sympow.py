@@ -273,65 +273,49 @@ def _primitive_int_vectors_in_box(h: int, height: int):
             yield v
 
 
-def isotropic_span_check(space: QuadraticSpace, k: int, max_height: int = 8) -> bool:
+def isotropic_span_check(space: QuadraticSpace, k: int) -> bool:
     """Do k-th powers of rational isotropic vectors span the harmonic space?
 
-    Enumerates isotropic vectors of growing height until the span
-    stabilizes for two consecutive rounds; NotApplicable when the form is
-    definite (no rational zeros) or none are found within the height cap.
-    A shell that leaves the span short also contributes, for the first zero
-    v found, the zeros q(w).v - 2b(v,w).w of every w in it: the shells'
-    own zeros can stall short (2xy - z^2 has no primitive zero of height
-    3 or 4).
+    One witness from one zero v, the first primitive one by height:
+    F(w) = q(w).v - 2b(v,w).w is isotropic for every w and constant along
+    v, so F^k is a form of degree 2k on the coordinates of a complement of
+    v, and its values at the points a in N^(h-1) with |a| = 2k span what
+    its coefficients span.  Those values and v^k (the second isotropic
+    line when h = 2) span the k-th powers of all rational zeros, hence
+    Harm^k, which is irreducible.  The stack is ranked once; a shortfall
+    contradicts this and raises DecompositionFailure.  NotApplicable when
+    the form is definite or no zero has height <= 8.
     """
     s_plus, s_minus = space.signature
     if s_plus == 0 or s_minus == 0:
         raise NotApplicable("definite form has no rational isotropic vectors")
-    sym = build_sym(space, k)
-    target = _harmonic_basis(sym).cols
     gram, _ = space.gram.cleared()  # a positive multiple of the form, for integer vectors
 
     def form(u, v) -> int:
         return sum(u[i] * x * v[j] for i, row in enumerate(gram) for j, x in row.items())
-    collected: list[tuple[dict[int, int], int]] = []
-    zero = None
-    prev_rank = -1
-    stable_rounds = 0
-    rank = 0
-    for height in range(1, max_height + 1):
-        shell = [
-            v for v in _primitive_int_vectors_in_box(space.h, height) if max(abs(x) for x in v) == height
-        ]
-        for v in shell:
-            if not form(v, v):
-                zero = zero or v
-                collected.append(_power_row(sym, v))
-        rank = _stack_rank(sym, collected, target) if collected else 0
-        if rank < target and zero is not None:
-            for w in shell:
-                # a positive multiple of the zero q(w).v - 2b(v,w).w, made
-                # primitive: it has the same k-th power line
-                a, c = form(w, w), -2 * form(zero, w)
-                u = [a * x + c * y for x, y in zip(zero, w)]
-                g = gcd(*u)
-                if g:
-                    collected.append(_power_row(sym, [x // g for x in u]))
-            rank = _stack_rank(sym, collected, target)
-        if rank == target:
-            return True
-        if zero is not None:
-            if rank == prev_rank:
-                stable_rounds += 1
-                if stable_rounds >= 2:
-                    return rank == target
-            else:
-                stable_rounds = 0
-        prev_rank = rank
+    zero = next((
+        v for height in range(1, 9) for v in _primitive_int_vectors_in_box(space.h, height)
+        if max(map(abs, v)) == height and not form(v, v)
+    ), None)
     if zero is None:
-        raise NotApplicable(
-            "no rational isotropic vectors of height <= %d" % max_height
-        )
-    return rank == target
+        raise NotApplicable("no rational isotropic vectors of height <= 8")
+    # the complement of v: the coordinates other than its first nonzero one
+    p = next(i for i, x in enumerate(zero) if x)
+    lines = {zero: None}
+    for a in _exponent_basis(space.h - 1, 2 * k):
+        w = a[:p] + (0,) + a[p:]
+        # F(w) up to a nonzero factor, made primitive with its first nonzero
+        # positive: the same k-th power line
+        qw, c = form(w, w), -2 * form(zero, w)
+        u = [qw * x + c * y for x, y in zip(zero, w)]
+        g = gcd(*u) * (1 if next((x for x in u if x), 0) > 0 else -1)
+        if g:
+            lines[tuple(x // g for x in u)] = None
+    sym = build_sym(space, k)
+    target = _harmonic_basis(sym).cols
+    if _stack_rank(sym, [_power_row(sym, u) for u in lines], target) != target:
+        raise DecompositionFailure("harmonic blocks failed to span; signals an arithmetic bug")
+    return True
 
 
 def _stack_rank(sym: SymTensorSpace, rows, target: int) -> int:

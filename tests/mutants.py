@@ -113,6 +113,27 @@ CATALOG = [
         [_T_SYMPOW + "test_isotropic_stack_rank_certifies_only_harmonic_stacks"],
     ),
     (
+        "isotropic_span_check: drop v^k from the witness",
+        _SYMPOW,
+        "    lines = {zero: None}\n",
+        "    lines = {}\n",
+        [_T_SYMPOW + "test_isotropic_span_hyperbolic_plane"],
+    ),
+    (
+        "isotropic_span_check: the points of degree 2k - 1",
+        _SYMPOW,
+        "_exponent_basis(space.h - 1, 2 * k)",
+        "_exponent_basis(space.h - 1, 2 * k - 1)",
+        [_T_SYMPOW + "test_isotropic_span_hyperbolic_plus_negative"],
+    ),
+    (
+        "isotropic_span_check: a shortfall returns False",
+        _SYMPOW,
+        '        raise DecompositionFailure("harmonic blocks failed to span; signals an arithmetic bug")\n',
+        "        return False\n",
+        [_T_SYMPOW + "test_isotropic_span_shortfall_raises"],
+    ),
+    (
         "build_sym: drop the off-diagonal 2 of the contraction",
         _SYMPOW,
         "g[i].get(j, 0) * (1 if i == j else 2)",
@@ -457,6 +478,13 @@ CATALOG = [
         "        if not 0 <= args.v0 < h:\n",
         "        if not 1 <= args.v0 < h:\n",
         [_T_CLI + "test_ks_build_v0_edges"],
+    ),
+    (
+        "ks build --v0: the message names h as the last index",
+        "src/ksw/cli.py",
+        '"--v0 index %d outside 0..%d" % (args.v0, h - 1)',
+        '"--v0 index %d outside 0..%d" % (args.v0, h)',
+        [_T_CLI + "test_ks_build_v0_out_of_range"],
     ),
     (
         "ks build --v0: the null-vector test inverted",

@@ -321,6 +321,15 @@ def test_ks_build_v0_edges(fixture_dir, capsys, index, v0):
     assert _json_output(capsys)["data"]["v0"] == v0
 
 
+def test_ks_build_v0_out_of_range(fixture_dir, capsys):
+    # one past the last diagonal index of the h = 3 fixture
+    args = ["ks", "build", "-f", str(fixture_dir / "space.json"), "-p", str(fixture_dir / "period.json")]
+    assert main(args + ["--v0", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --v0 index 3 outside 0..2\n"
+
+
 def test_matrix_content_hash_is_the_hash_of_the_dense_json():
     # the j_checksum of `ks build`, streamed row by row
     for h in range(3, 10):
@@ -870,3 +879,16 @@ def test_report_bytes_pinned(fixture_dir, capsys):
         assert main(argv + ["--json"]) == 0, name
         digests[name] = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
     assert digests == PINNED_REPORT_DIGESTS
+
+
+#: sha256 of `ksw suite --json` at the default config, and at --seed 7
+PINNED_SUITE_DIGESTS = {
+    (): "6bc1a8f99a5e649b7f0a8290be60c2ea74a21e58d77ab826d4f0b4a4a32c17de",
+    ("--seed", "7"): "4da4e14f0e1ea397299af332edd5292c394a972f4ccc2245e640181af57692d3",
+}
+
+
+@pytest.mark.parametrize("extra", list(PINNED_SUITE_DIGESTS), ids=["default", "seed-7"])
+def test_default_suite_bytes_pinned(capsys, extra):
+    assert main(["suite", "--json", *extra]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == PINNED_SUITE_DIGESTS[extra]

@@ -194,7 +194,22 @@ def test_isotropic_span_definite_not_applicable():
 def test_isotropic_span_indefinite_anisotropic_not_applicable():
     # x^2 = 2 y^2 has no rational solutions: indefinite but anisotropic
     with pytest.raises(NotApplicable):
-        isotropic_span_check(QuadraticSpace(Matrix.diagonal([1, -2])), 2, max_height=6)
+        isotropic_span_check(QuadraticSpace(Matrix.diagonal([1, -2])), 2)
+
+
+@pytest.mark.parametrize("gram", [Matrix([[0, 1], [1, 0]]), Matrix.diagonal([1, -1])], ids=["2xy", "x2-y2"])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_isotropic_span_hyperbolic_plane(gram, k):
+    # the complement of v is one point, whose F(w) is the other isotropic
+    # line: v^k itself is the second row of the witness
+    assert isotropic_span_check(QuadraticSpace(gram), k) is True
+
+
+def test_isotropic_span_shortfall_raises(monkeypatch):
+    # a stack short of Harm^k contradicts the witness identity: a fault, not a False
+    monkeypatch.setattr(sympow_mod, "_stack_rank", lambda sym, rows, target: target - 1)
+    with pytest.raises(DecompositionFailure, match="failed to span"):
+        isotropic_span_check(QuadraticSpace(Matrix([[0, 1, 0], [1, 0, 0], [0, 0, -1]])), 2)
 
 
 def test_isotropic_span_signature_33():
