@@ -825,14 +825,23 @@ def test_run_report_counts():
     assert report.exit_code == 1
 
 
-def _weil_block_files(tmp_path):
-    """The 8-dim block fixture of test_weil_analyze as weight1 and phi files."""
+def _weil_block():
+    """J (four 2x2 rotation blocks) and phi = J on the first two blocks, -J on the last two, as int rows."""
     j0 = [[0, -1], [1, 0]]
     j = [[j0[i % 2][k % 2] if i // 2 == k // 2 else 0 for k in range(8)] for i in range(8)]
-    phi = [[(1 if i < 4 else -1) * x for x in row] for i, row in enumerate(j)]
-    (tmp_path / "weight1.json").write_text(json.dumps({"dim": 8, "J": [[str(x) for x in r] for r in j]}))
+    return j, [[(1 if i < 4 else -1) * x for x in row] for i, row in enumerate(j)]
+
+
+def _weil_files(tmp_path, j, phi):
+    """J and phi (int rows) written as the weight1 and phi files of `weil analyze`."""
+    (tmp_path / "weight1.json").write_text(json.dumps({"dim": len(j), "J": [[str(x) for x in r] for r in j]}))
     (tmp_path / "phi.json").write_text(json.dumps({"phi": [[str(x) for x in r] for r in phi]}))
     return str(tmp_path / "weight1.json"), str(tmp_path / "phi.json")
+
+
+def _weil_block_files(tmp_path):
+    """The 8-dim block fixture of test_weil_analyze as weight1 and phi files."""
+    return _weil_files(tmp_path, *_weil_block())
 
 
 def test_weil_analyze_class_space_fault_is_a_violation(tmp_path, capsys, monkeypatch):
@@ -879,6 +888,42 @@ def test_report_bytes_pinned(fixture_dir, capsys):
         assert main(argv + ["--json"]) == 0, name
         digests[name] = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
     assert digests == PINNED_REPORT_DIGESTS
+
+
+def _signed_permutation_conjugate(rng, *mats):
+    """p^-1 m p for each int matrix m, one seeded signed permutation p: (row i, column order[i]) = sign[i]."""
+    n = len(mats[0])
+    order = rng.sample(range(n), n)
+    signs = [rng.choice((1, -1)) for _ in range(n)]
+    # p^-1 = p^T, so (p^-1 m p)[a][b] = sign[a] sign[b] m[order[a]][order[b]]
+    return [[[signs[a] * signs[b] * m[order[a]][order[b]] for b in range(n)] for a in range(n)] for m in mats]
+
+
+#: sha256 of `ksw weil analyze --json` on the block fixture, on phi = J and on
+#: four seeded signed-permutation conjugates of the block fixture
+PINNED_WEIL_DIGESTS = {
+    "block": "e18620d1ef9ddc8616a941dbf30fa5e591d9c0c4cc756454eb7fc1984400b011",
+    "phi = J": "d82f5429c02de70f9d235a9ab4b1aef1b4ebdb2e28bfbc635173f63d9f93ed48",
+    "conjugate 0": "8f040cefd59471098f2fe1292dc4721a8affb4d4c5ddedb45b182989d056dea6",
+    "conjugate 1": "a4bcf5090983e9ee127893c6c5ed738f6808b3c08fbdaba0a58be75a37b3caef",
+    "conjugate 2": "fdd4f78e65eb191f62358a0cac400a66caacc10f4e6eb5007c23adf6a972ffd8",
+    "conjugate 3": "fb4a4d05de1b2cce02d79914cb926c82f5874fdc33ea21b7849cb654146c5726",
+}
+
+
+def test_weil_analyze_bytes_pinned(tmp_path, capsys):
+    j, phi = _weil_block()
+    pairs = {"block": (j, phi), "phi = J": (j, j)}
+    rng = random.Random(3303)
+    for i in range(4):
+        pairs["conjugate %d" % i] = _signed_permutation_conjugate(rng, j, phi)
+    assert pairs["conjugate 0"] != [j, phi]
+    digests = {}
+    for name, (jj, pp) in pairs.items():
+        weight1, phi_file = _weil_files(tmp_path, jj, pp)
+        assert main(["weil", "analyze", "-f", weight1, "--phi", phi_file, "--json"]) == 0, name
+        digests[name] = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert digests == PINNED_WEIL_DIGESTS
 
 
 #: sha256 of `ksw suite --json` at the default config, and at --seed 7
