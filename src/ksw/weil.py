@@ -29,7 +29,8 @@ phi^2 = -d with d > 0 then phi has eigenvalues +-lam of multiplicity 4
 wedge^(4-a) E-, and the kernel wedge^4 E+ + wedge^4 E- has dimension 2.
 So that hypothesis, A and B in the kernel, and their independence certify
 span{A, B}.  The hypothesis is checked on entry; the first check that
-fails raises, and no 70x70 matrix is eliminated or formed.
+fails raises.  D_phi (twice) and D_J are applied to the two class vectors
+move by move, so no 70x70 matrix is eliminated or formed.
 """
 
 from __future__ import annotations
@@ -136,35 +137,59 @@ def is_weil(endo: QuadraticEndo) -> bool:
 
 # -- fourth exterior power -------------------------------------------------------
 
-def derivation_wedge4(op: Matrix) -> Matrix:
-    """Derivation extension of an operator to the fourth exterior power.
+def _wedge4_columns(op: Matrix) -> tuple[list[list[tuple[int, int]]], int]:
+    """(cols, den): cols[t] lists the nonzero (j, c) of column t of den.op, den > 0 an int."""
+    rows, den = op.cleared()
+    return [[(j, row[t]) for j, row in enumerate(rows) if t in row] for t in range(op.rows)], den
+
+
+def _wedge4_moves(cols, mask):
+    """(target mask, int weight) of each move e_t -> e_j of the wedge e_mask.
 
     Swapping e_t for e_j in the wedge e_S moves e_t to the front of
     e_(S-t), replaces it, and moves e_j back into sorted position: the
     sign is the parity of the indices of S - t strictly between j and t,
     one popcount of (low(t) ^ low(j)) & (S - t) with low(x) = 2^x - 1
     (the sign-mask identity of `clifford.reorder_parity`, for {t} and {j}).
-    Only the nonzero entries of each column t of op are visited.
+    Only the nonzero entries (j, c) of each column t are visited.
     """
-    dim = op.rows
-    masks = [sum(1 << i for i in subset) for subset in combinations(range(dim), 4)]
-    rows, den = op.cleared()
-    cols = [[] for _ in range(dim)]
-    for j, row in enumerate(rows):
-        for t, c in row.items():
-            cols[t].append((j, c))
+    for t, col in enumerate(cols):
+        if mask >> t & 1:
+            rest = mask ^ (1 << t)
+            low_t = (1 << t) - 1
+            for j, c in col:
+                if not rest >> j & 1:
+                    flip = ((low_t ^ ((1 << j) - 1)) & rest).bit_count() & 1
+                    yield rest | (1 << j), -c if flip else c
 
-    def moves(mask):
-        for t in range(dim):
-            if mask >> t & 1:
-                rest = mask ^ (1 << t)
-                low_t = (1 << t) - 1
-                for j, c in cols[t]:
-                    if not rest >> j & 1:
-                        flip = ((low_t ^ ((1 << j) - 1)) & rest).bit_count() & 1
-                        yield rest | (1 << j), -c if flip else c
 
-    return induced_operator(masks, {mask: i for i, mask in enumerate(masks)}, moves, den)
+def _wedge4_masks(dim: int) -> list[int]:
+    """The 4-subsets of range(dim) as bit masks, in the order of the wedge basis."""
+    return [1 << a | 1 << b | 1 << c | 1 << e for a, b, c, e in combinations(range(dim), 4)]
+
+
+def derivation_wedge4(op: Matrix) -> Matrix:
+    """Derivation extension of an operator to the fourth exterior power (moves: `_wedge4_moves`)."""
+    masks = _wedge4_masks(op.rows)
+    cols, den = _wedge4_columns(op)
+    return induced_operator(masks, {mask: i for i, mask in enumerate(masks)}, lambda mask: _wedge4_moves(cols, mask), den)
+
+
+def _apply_wedge4(cols, vec: dict[int, int]) -> dict[int, int]:
+    """den.D_op applied to a sparse int vector (mask -> nonzero int), with (cols, den) of `_wedge4_columns`."""
+    out: dict[int, int] = {}
+    for mask, x in vec.items():
+        for target, w in _wedge4_moves(cols, mask):
+            out[target] = out.get(target, 0) + w * x
+    return {mask: y for mask, y in out.items() if y}
+
+
+def _sparse_classes(classes, dim: int) -> list[dict[int, int]]:
+    """Dense class vectors as sparse mask -> int vectors; ValueError unless each has length C(dim, 4)."""
+    masks = _wedge4_masks(dim)
+    if any(len(v) != len(masks) for v in classes):
+        raise ValueError("class vectors must have length %d" % len(masks))
+    return [{mask: x for mask, x in zip(masks, v) if x} for v in classes]
 
 
 def weil_class_space(endo: QuadraticEndo) -> list[tuple[int, ...]]:
@@ -175,8 +200,9 @@ def weil_class_space(endo: QuadraticEndo) -> list[tuple[int, ...]]:
     above).  The basis is the reduced-echelon one of the exact kernel (one
     vector per free column, in column order), read off the eigenvector
     wedge A + lam.B.  UnexpectedDimension if A and B are dependent or if
-    D_phi(D_phi X) != -16 d X for the 70x2 matrix X of the basis (two
-    products).
+    D_phi(D_phi x) != -16 d x for a basis vector x; D_phi = D_P / den with
+    P = den.phi integral is applied to x move by move, and with d = n/m
+    the test is m.D_P(D_P x) == -16 n den^2 x in ints.
     """
     if endo.dim != 8:
         raise ValueError("weil_class_space is the fourfold case: dim V must be 8")
@@ -186,10 +212,14 @@ def weil_class_space(endo: QuadraticEndo) -> list[tuple[int, ...]]:
     basis = reduced_echelon_basis(Matrix(zip(*_eigenvector_wedge(endo)), 2))
     if basis is None:
         raise UnexpectedDimension("eigenvector wedge: A and B are dependent")
-    d_phi = derivation_wedge4(endo.phi)
-    if d_phi * (d_phi * basis) != (-16 * d) * basis:
-        raise UnexpectedDimension("eigenvector wedge lies outside the kernel of D_phi^2 + 16 d")
-    return _int_columns(basis)
+    classes = _int_columns(basis)
+    cols, den = _wedge4_columns(endo.phi)
+    scale = -16 * d.numerator * den * den
+    for x in _sparse_classes(classes, 8):
+        lhs = _apply_wedge4(cols, _apply_wedge4(cols, x))
+        if {mask: d.denominator * y for mask, y in lhs.items()} != {mask: scale * y for mask, y in x.items()}:
+            raise UnexpectedDimension("eigenvector wedge lies outside the kernel of D_phi^2 + 16 d")
+    return classes
 
 
 #: Laplace expansion of a 4x4 determinant along its first two columns:
@@ -252,11 +282,9 @@ def _eigenvector_wedge(endo: QuadraticEndo) -> tuple[list[int], list[int]]:
 
 
 def certify_22(classes, j: Matrix) -> bool:
-    """True iff every generator lies in ker(D_J), the exact (2,2) part."""
-    d_j = derivation_wedge4(j)
-    if any(len(v) != d_j.cols for v in classes):
-        raise ValueError("class vectors must have length %d" % d_j.cols)
-    return (d_j * Matrix(classes, d_j.cols).transpose()).is_zero()
+    """True iff every generator lies in ker(D_J), the exact (2,2) part; D_J is applied move by move."""
+    cols, _ = _wedge4_columns(j)
+    return not any(_apply_wedge4(cols, x) for x in _sparse_classes(classes, j.rows))
 
 
 def hodge_class_dimension(dim: int, j: Matrix) -> int:

@@ -178,9 +178,37 @@ CATALOG = [
     (
         "weil_class_space: drop the D_phi(D_phi X) = -16d X check",
         _WEIL,
-        "    if d_phi * (d_phi * basis) != (-16 * d) * basis:\n",
-        "    if False:\n",
+        "        if {mask: d.denominator * y for mask, y in lhs.items()} != {mask: scale * y for mask, y in x.items()}:\n",
+        "        if False:\n",
         [_T_WEIL + "test_a_wrong_eigenvector_wedge_raises"],
+    ),
+    (
+        "weil_class_space: drop the denominator of d from the cross-multiplication",
+        _WEIL,
+        "{mask: d.denominator * y for mask, y in lhs.items()}",
+        "{mask: y for mask, y in lhs.items()}",
+        [_T_WEIL + "test_constructed_class_space_is_the_exact_kernel_basis"],
+    ),
+    (
+        "weil_class_space: drop the denominator of phi from the cross-multiplication",
+        _WEIL,
+        "    scale = -16 * d.numerator * den * den\n",
+        "    scale = -16 * d.numerator\n",
+        [_T_WEIL + "test_constructed_class_space_is_the_exact_kernel_basis"],
+    ),
+    (
+        "_apply_wedge4: keep the entries that cancel to zero",
+        _WEIL,
+        "    return {mask: y for mask, y in out.items() if y}\n",
+        "    return out\n",
+        [_T_WEIL + "test_weil_class_space_block_instance"],
+    ),
+    (
+        "certify_22: the zero test always passes",
+        _WEIL,
+        "    return not any(_apply_wedge4(cols, x) for x in _sparse_classes(classes, j.rows))\n",
+        "    return not any({} for x in _sparse_classes(classes, j.rows))\n",
+        [_T_WEIL + "test_weil_class_space_exists_without_balance"],
     ),
     (
         "_LAPLACE: flip the sign of one term",
@@ -384,8 +412,8 @@ CATALOG = [
     (
         "derivation_wedge4: drop the move sign",
         _WEIL,
-        "                        flip = ((low_t ^ ((1 << j) - 1)) & rest).bit_count() & 1\n",
-        "                        flip = 0\n",
+        "                    flip = ((low_t ^ ((1 << j) - 1)) & rest).bit_count() & 1\n",
+        "                    flip = 0\n",
         [_T_WEIL + "test_derivation_wedge4_against_bruteforce"],
     ),
     (

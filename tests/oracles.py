@@ -13,7 +13,8 @@ sum every unit-blade product move by move into `induced_operator`,
 a k-th power of a linear form is expanded over every monomial, the
 contraction and the Q-multiplication of Sym^k apply sum G_ij d_i d_j and
 sum B_ij y_i y_j term by term over every ordered pair (i, j), and the
-graded product multiplies its three sign terms, each counted pair by pair.
+graded product multiplies its three sign terms, each counted pair by pair,
+and the (2,2) test multiplies the brute-force D_J into the class vectors.
 """
 
 from fractions import Fraction
@@ -113,6 +114,17 @@ def wedge4_derivation_bruteforce(op):
             col[pos] = out_tensor.get(s, Fraction(0))
         cols.append(col)
     return [[cols[j][i] for j in range(len(basis))] for i in range(len(basis))]
+
+
+def certify_22_operator_form(classes, j):
+    """The (2,2) test as one product: every class vector is in the kernel of the brute-force D_J.
+
+    ValueError, worded as `weil.certify_22`'s, unless each vector has length C(dim, 4).
+    """
+    d_j = wedge4_derivation_bruteforce(j)
+    if any(len(v) != len(d_j) for v in classes):
+        raise ValueError("class vectors must have length %d" % len(d_j))
+    return all(sum(x * y for x, y in zip(row, v)) == 0 for row in d_j for v in classes)
 
 
 def _perm_sign(perm):

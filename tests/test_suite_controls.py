@@ -27,7 +27,7 @@ from ksw import weil as weil_mod
 from ksw.errors import NotApplicable
 from ksw.clifford import CliffordAlgebra, CliffordElement
 from ksw.hodge import HKStructure, HodgeTypeSpectrum
-from ksw.linalg import Matrix, induced_operator
+from ksw.linalg import Matrix
 
 #: every family small, and every family still runs
 TRIMMED = {
@@ -317,28 +317,21 @@ def test_corr_checks_fail_under_their_faults(monkeypatch):
 _weil_class_space = weil_mod.weil_class_space
 
 
-def _unsigned_derivation_wedge4(op):
-    """derivation_wedge4 with the sign of every move dropped."""
-    dim = op.rows
-    masks = [sum(1 << i for i in subset) for subset in combinations(range(dim), 4)]
-    rows, den = op.cleared()
-
-    def moves(mask):
-        for t in range(dim):
-            if mask >> t & 1:
-                rest = mask ^ (1 << t)
-                for j, row in enumerate(rows):
-                    if t in row and not rest >> j & 1:
-                        yield rest | (1 << j), row[t]
-
-    return induced_operator(masks, {mask: i for i, mask in enumerate(masks)}, moves, den)
+def _unsigned_wedge4_moves(cols, mask):
+    """The moves of `weil._wedge4_moves` with the sign of every move dropped."""
+    for t, col in enumerate(cols):
+        if mask >> t & 1:
+            rest = mask ^ (1 << t)
+            for j, c in col:
+                if not rest >> j & 1:
+                    yield rest | (1 << j), c
 
 
 WEIL_ROWS = [
     # the block instance is a signed-permutation conjugate, so its moves
     # carry both signs and the block checks see the dropped sign too
     (
-        [(weil_mod, "derivation_wedge4", _unsigned_derivation_wedge4)],
+        [(weil_mod, "_wedge4_moves", _unsigned_wedge4_moves)],
         {"weil.balanced_block", "weil.unbalanced_control", "weil.conjugation_invariance"},
     ),
     ([(weil_mod, "weil_multiplicities", lambda endo: (endo.dim // 4, endo.dim // 4))], {"weil.unbalanced_control", "weil.trace_criterion"}),
@@ -354,7 +347,7 @@ def test_weil_checks_fail_under_their_faults(monkeypatch):
 
 def test_weil_block_checks_see_a_dropped_move_sign_without_conjugates(monkeypatch):
     no_conjugates = dict(TRIMMED, weil={"conjugations": 0})
-    patches = [(weil_mod, "derivation_wedge4", _unsigned_derivation_wedge4)]
+    patches = [(weil_mod, "_wedge4_moves", _unsigned_wedge4_moves)]
     _check_row(monkeypatch, patches, {"weil.balanced_block", "weil.unbalanced_control"}, no_conjugates)
 
 

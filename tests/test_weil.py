@@ -33,7 +33,7 @@ from ksw.weil import (
     _eigenvector_wedge,
 )
 
-from oracles import eigenvector_wedge_reference, to_float, wedge4_derivation_bruteforce
+from oracles import certify_22_operator_form, eigenvector_wedge_reference, to_float, wedge4_derivation_bruteforce
 
 
 def block_j(dim=8):
@@ -430,6 +430,78 @@ def test_derivation_wedge4_against_bruteforce():
         sparse[i][5] = 0
     for op in (j, phi, g.inverse() * phi * g, Matrix(sparse)):
         assert derivation_wedge4(op) == Matrix(wedge4_derivation_bruteforce(op))
+
+
+def _sparse_int_vector(rng, n):
+    return tuple(rng.randint(-5, 5) if rng.random() < 0.3 else 0 for _ in range(n))
+
+
+def test_apply_wedge4_is_the_derivation_times_the_vector():
+    # den.D_op applied move by move to a sparse int vector is den times
+    # derivation_wedge4(op) * X, with no zero entry kept
+    rng = random.Random(59)
+    j, phi = block_j(), block_phi()
+    g = random_unimodular(rng, 8)
+    ginv = g.inverse()
+    ops = [j, phi, ginv * phi * g]
+    for dim in range(4, 9):
+        for dens in ((1,), (1, 2, 3, 6)):
+            entries = [[Fraction(rng.randint(-3, 3), rng.choice(dens)) if rng.random() < 0.6 else 0 for _ in range(dim)] for _ in range(dim)]
+            ops.append(Matrix(entries))
+    assert any(op.cleared()[1] > 1 for op in ops)
+    for op in ops:
+        masks = weil_mod._wedge4_masks(op.rows)
+        vectors = [_sparse_int_vector(rng, len(masks)) for _ in range(3)] + [(0,) * len(masks)]
+        if op.rows == 8:
+            vectors += weil_class_space(check_quadratic_endo(ginv * j * g, ginv * phi * g))
+        expected = derivation_wedge4(op) * Matrix(vectors, len(masks)).transpose()
+        cols, den = weil_mod._wedge4_columns(op)
+        for t, v in enumerate(vectors):
+            out = weil_mod._apply_wedge4(cols, {mask: x for mask, x in zip(masks, v) if x})
+            assert all(out.values())
+            assert [Fraction(out.get(mask, 0), den) for mask in masks] == [expected[i, t] for i in range(len(masks))]
+
+
+def test_certify_22_is_the_operator_form_off_dimension_8():
+    # J of dimension 4..7 (odd ones with a zero row) and rational operators:
+    # kernel vectors of D_J, their sums with a vector outside, and random vectors
+    rng = random.Random(60)
+    answers = set()
+    for dim in range(4, 8):
+        rational = Matrix([[Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(dim)] for _ in range(dim)])
+        for j in (block_j(dim), rational):
+            n = len(weil_mod._wedge4_masks(dim))
+            kernel = rank_and_kernel(derivation_wedge4(j))[1]
+            outside = [_sparse_int_vector(rng, n) for _ in range(2)]
+            mixed = [tuple(x + y for x, y in zip(kernel[0], outside[0]))] if kernel else []
+            for classes in ([], kernel, kernel[:2], outside, kernel[:1] + outside[:1], mixed):
+                answer = certify_22(classes, j)
+                assert answer == certify_22_operator_form(classes, j)
+                answers.add(answer)
+            for bad in ([(0,) * (n + 1)], kernel[:1] + [(1,) * (n - 1)]):
+                for form in (certify_22, certify_22_operator_form):
+                    with pytest.raises(ValueError, match="must have length %d$" % n):
+                        form(bad, j)
+    assert answers == {True, False}
+
+
+def test_analyze_builds_no_70x70_operator(monkeypatch):
+    # the class checks apply D_phi and D_J to the two class vectors, so
+    # neither 70x70 derivation is built on the way to the report (the 70x2
+    # class basis is still transposed once for its echelon)
+    induced = linalg_mod.induced_operator
+
+    def refuse_70x70(keys, index, moves, den):
+        if len(keys) == len(index) == 70:
+            raise AssertionError("a 70x70 induced operator was built")
+        return induced(keys, index, moves, den)
+
+    monkeypatch.setattr(linalg_mod, "induced_operator", refuse_70x70)
+    monkeypatch.setattr(weil_mod, "induced_operator", refuse_70x70)
+    j, phi = block_j(), block_phi()
+    for cand, fields in ((phi, (2, 2, True, 2, True)), (j, (4, 0, False, 2, False))):
+        report = analyze(j, cand)
+        assert (report.mult_plus, report.mult_minus, report.is_weil, report.weil_space_dim, report.all_weil_classes_22) == fields
 
 
 def test_ks_invariant_subspace_is_weil():
