@@ -36,6 +36,7 @@ suite's oracles.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 
 from .errors import Singular
@@ -586,36 +587,47 @@ def solve_or_invert(m: Matrix) -> Matrix:
     return Matrix._of((_row({f - n: sign * v for f, v in y[j].items()}, abs(d)) for j in range(n)), n)
 
 
-def _rank_mod_p(m: Matrix, p: int) -> int | None:
-    """Rank of the stored integer rows mod p; None if p divides a denominator.
+def _echelon_mod_p(rows, cols: int, target: int, p: int) -> tuple[int | None, list]:
+    """(rank mod p, rows read) of integer rows read in order until the rank is target >= 1.
 
-    Each row is scaled by a unit mod p, so this is the rank of the entrywise
-    reduction num * den^-1.  Any pivot gives the rank: the sparsest row
-    spreads the least fill.
+    Each row, entrywise num * den^-1 mod p, is one int of ``cols`` slots,
+    column 0 the most significant.  It is reduced against the normalized
+    pivot rows (pivot slot 1, every slot below p) in the order they were
+    found, each zero at the pivot columns before it: each step is one
+    multiply-add r += (p - f) * pivot with f = r's pivot slot mod p, so a
+    slot gains at most (p - 1)^2 per step, over fewer than target steps.
+    A slot is the whole bytes that (p - 1) + target (p - 1)^2 and one more
+    bit need, so none carries; slots are reduced mod p once the row is.
+    The rank is None if p divides the denominator of the last row read.
     """
-    if any(d % p == 0 for _, d in m._rows):
-        return None
-    active = {i: {j: v for j, x in row.items() if (v := x % p)} for i, row in enumerate(_numerators(m))}
-    rank = 0
-    for c in range(m.cols):
-        hits = [i for i, row in active.items() if c in row]
-        if not hits:
-            continue
-        k = min(hits, key=lambda i: len(active[i]))
-        rr = active.pop(k)
-        inv = pow(rr.pop(c), -1, p)
-        for i in hits:
-            if i != k:
-                ri = active[i]
-                f = ri.pop(c) * inv % p
-                for j, x in rr.items():
-                    s = (ri.get(j, 0) - f * x) % p
-                    if s:
-                        ri[j] = s
-                    else:
-                        del ri[j]
-        rank += 1
-    return rank
+    size = (((p - 1) + target * (p - 1) ** 2).bit_length() + 8) // 8
+    width, total = 8 * size, cols * size
+    mask = (1 << width) - 1
+    pivots: list[tuple[int, int]] = []  # (shift of the pivot slot, packed row)
+    read = []
+    for nums, den in rows:
+        read.append((nums, den))
+        if den % p == 0:
+            return None, read
+        inv = pow(den, -1, p)
+        r = 0
+        for j, x in nums.items():
+            r |= x * inv % p << width * (cols - 1 - j)
+        for shift, pivot in pivots:
+            f = (r >> shift & mask) % p
+            if f:
+                r += (p - f) * pivot
+        packed = r.to_bytes(total, "big")
+        slots = (int.from_bytes(packed[i : i + size], "big") % p for i in range(0, total, size))
+        for c, x in enumerate(slots):
+            if x:  # the new pivot column: normalize the row from here on
+                inv = pow(x, -1, p)
+                row = b"".join((y * inv % p).to_bytes(size, "big") for y in chain((x,), slots))
+                pivots.append((width * (cols - 1 - c), int.from_bytes(row, "big")))
+                break
+        if len(pivots) == target:
+            break
+    return len(pivots), read
 
 
 def same_span(vectors_a, vectors_b) -> bool:

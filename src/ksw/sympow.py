@@ -27,9 +27,10 @@ stack is built by recursion on k and a space builds each Sym^j once
 sl2 relation contraction(Q.f) = (2h + 4 deg f).f + Q.contraction(f):
 the contraction kills the harmonic block, which owns one row per column,
 and sends block l to a nonzero multiple c_l of block l-1 of Sym^(k-2),
-one exact comparison per block and no rank.  Behind an exact product
-that bounds the rank from above, a rank modulo a fixed 61-bit prime
-certifies a full-rank stack of isotropic powers.  The level <= 2 block,
+one exact comparison per block and no rank.  Isotropic powers are
+certified to span the harmonic space by a rank modulo a fixed 61-bit
+prime, read row by row until it reaches dim Harm^k, behind one exact
+product that puts the rows read in ker(contraction).  The level <= 2 block,
 the Q-power image of H^2, is the top block of the stack.  The Hodge-level
 annihilators act on a block basis one product per factor.
 """
@@ -46,9 +47,9 @@ from .hodge import HKStructure, rotation_generator
 from .linalg import (
     CERTIFICATE_PRIME,
     Matrix,
+    _echelon_mod_p,
     _int_columns,
     _int_row,
-    _rank_mod_p,
     _row,
     induced_operator,
     kernel_basis,
@@ -282,9 +283,11 @@ def isotropic_span_check(space: QuadraticSpace, k: int) -> bool:
     v, and its values at the points a in N^(h-1) with |a| = 2k span what
     its coefficients span.  Those values and v^k (the second isotropic
     line when h = 2) span the k-th powers of all rational zeros, hence
-    Harm^k, which is irreducible.  The stack is ranked once; a shortfall
-    contradicts this and raises DecompositionFailure.  NotApplicable when
-    the form is definite or no zero has height <= 8.
+    Harm^k, which is irreducible.  The power rows are built one at a time,
+    v^k and then each new F(w) line in point order, and the certificate
+    reads them only until their rank mod p reaches dim Harm^k (`_stack_rank`);
+    a shortfall contradicts the above and raises DecompositionFailure.
+    NotApplicable when the form is definite or no zero has height <= 8.
     """
     s_plus, s_minus = space.signature
     if s_plus == 0 or s_minus == 0:
@@ -301,38 +304,43 @@ def isotropic_span_check(space: QuadraticSpace, k: int) -> bool:
         raise NotApplicable("no rational isotropic vectors of height <= 8")
     # the complement of v: the coordinates other than its first nonzero one
     p = next(i for i, x in enumerate(zero) if x)
-    lines = {zero: None}
-    for a in _exponent_basis(space.h - 1, 2 * k):
-        w = a[:p] + (0,) + a[p:]
-        # F(w) up to a nonzero factor, made primitive with its first nonzero
-        # positive: the same k-th power line
-        qw, c = form(w, w), -2 * form(zero, w)
-        u = [qw * x + c * y for x, y in zip(zero, w)]
-        g = gcd(*u) * (1 if next((x for x in u if x), 0) > 0 else -1)
-        if g:
-            lines[tuple(x // g for x in u)] = None
+
+    def lines():
+        yield zero
+        seen = {zero}
+        for a in _exponent_basis(space.h - 1, 2 * k):
+            w = a[:p] + (0,) + a[p:]
+            # F(w) up to a nonzero factor, made primitive with its first nonzero
+            # positive: the same k-th power line
+            qw, c = form(w, w), -2 * form(zero, w)
+            u = [qw * x + c * y for x, y in zip(zero, w)]
+            g = gcd(*u) * (1 if next((x for x in u if x), 0) > 0 else -1)
+            if g and (u := tuple(x // g for x in u)) not in seen:
+                seen.add(u)
+                yield u
     sym = build_sym(space, k)
     target = _harmonic_basis(sym).cols
-    if _stack_rank(sym, [_power_row(sym, u) for u in lines], target) != target:
+    if _stack_rank(sym, (_power_row(sym, u) for u in lines()), target) != target:
         raise DecompositionFailure("harmonic blocks failed to span; signals an arithmetic bug")
     return True
 
 
 def _stack_rank(sym: SymTensorSpace, rows, target: int) -> int:
-    """Exact rank of stacked power rows, certified mod p when it reaches target.
+    """target if the power rows read certify it, else the exact rank of all of them.
 
-    Rows that the contraction sends to zero (one exact product) span at
-    most the target dimension, the harmonic one, so a modular rank of
-    target is their exact rank.  On a shortfall, or with a row outside
-    ker(contraction), the exact elimination decides.
+    The modular echelon reads the rows in order and stops once their rank
+    mod p is target, so their exact rank is at least target.  One exact
+    product checks that the contraction sends each row read to zero: then
+    they lie in ker(contraction), of dimension target, and span it.  Rows
+    after them are never built and are no part of the certificate.  On a
+    modular shortfall, a denominator divisible by p or a row read outside
+    ker(contraction), the exact rank of the complete stack decides.
     """
-    stack = Matrix._of(rows, sym.dim)
-    if len(rows) >= target:
-        modular = _rank_mod_p(stack, CERTIFICATE_PRIME)
-        if modular is not None and modular >= target:
-            if (stack * sym.contraction.transpose()).is_zero():
-                return target
-    return stack.rank()
+    rows = iter(rows)
+    rank, read = _echelon_mod_p(rows, sym.dim, target, CERTIFICATE_PRIME)
+    if rank == target and (Matrix._of(read, sym.dim) * sym.contraction.transpose()).is_zero():
+        return target
+    return Matrix._of(read + list(rows), sym.dim).rank()
 
 
 def sym_derivation(sym: SymTensorSpace, op: Matrix) -> Matrix:

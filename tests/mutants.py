@@ -101,22 +101,36 @@ CATALOG = [
     (
         "_stack_rank: drop the exact fallback",
         _SYMPOW,
-        "    return stack.rank()\n",
+        "    return Matrix._of(read + list(rows), sym.dim).rank()\n",
         "    return 0\n",
         [_T_SYMPOW + "test_stack_rank_falls_back_to_the_exact_rank"],
     ),
     (
         "_stack_rank: drop the harmonicity product",
         _SYMPOW,
-        "            if (stack * sym.contraction.transpose()).is_zero():\n",
-        "            if True:\n",
+        "    if rank == target and (Matrix._of(read, sym.dim) * sym.contraction.transpose()).is_zero():\n",
+        "    if rank == target:\n",
         [_T_SYMPOW + "test_isotropic_stack_rank_certifies_only_harmonic_stacks"],
+    ),
+    (
+        "_echelon_mod_p: the slot width without the target term",
+        _LINALG,
+        "    size = (((p - 1) + target * (p - 1) ** 2).bit_length() + 8) // 8\n",
+        "    size = ((p - 1).bit_length() + 8) // 8\n",
+        ["tests/test_linalg.py::test_echelon_mod_p_slots_never_carry"],
+    ),
+    (
+        "_echelon_mod_p: never stops at the target",
+        _LINALG,
+        "        if len(pivots) == target:\n            break\n",
+        "        if False:\n            break\n",
+        [_T_SYMPOW + "test_isotropic_span_builds_only_the_power_rows_it_reads"],
     ),
     (
         "isotropic_span_check: drop v^k from the witness",
         _SYMPOW,
-        "    lines = {zero: None}\n",
-        "    lines = {}\n",
+        "        yield zero\n",
+        "        pass\n",
         [_T_SYMPOW + "test_isotropic_span_hyperbolic_plane"],
     ),
     (
@@ -665,6 +679,13 @@ CATALOG += [
         'lambda t: products_equal(_mul_block(t.ks.e, "left", "odd"), t.riso, t.riso, t.ks.j_even) if t.h <= 6 else None',
         "lambda t: None",
         [_T_KS + "test_operator_identity_checks_reject_a_perturbed_j"],
+    ),
+    (
+        "suite: the isotropic split forms split h // 3",
+        _SUITE,
+        "Matrix.diagonal([1] * (h // 2) + [-1] * (h - h // 2))",
+        "Matrix.diagonal([1] * (h // 3) + [-1] * (h - h // 2))",
+        [_T_CONTROLS + "test_isotropic_family_forms_keep_their_signatures"],
     ),
     (
         "suite driver: a check with no instances passes",

@@ -12,7 +12,8 @@ compared at both x and x ^ 2^i, the Clifford multiplication operators
 sum every unit-blade product move by move into `induced_operator`,
 a k-th power of a linear form is expanded over every monomial, the
 contraction and the Q-multiplication of Sym^k apply sum G_ij d_i d_j and
-sum B_ij y_i y_j term by term over every ordered pair (i, j), and the
+sum B_ij y_i y_j term by term over every ordered pair (i, j), the rank
+mod p eliminates sparse dict rows to the end, and the
 graded product multiplies its three sign terms, each counted pair by pair,
 and the (2,2) test multiplies the brute-force D_J into the class vectors.
 """
@@ -338,6 +339,38 @@ def hstack(*mats):
     if any(m.rows != mats[0].rows for m in mats):
         raise ValueError("row counts differ")
     return Matrix([sum((m.row(i) for m in mats), ()) for i in range(mats[0].rows)], sum(m.cols for m in mats))
+
+
+def rank_mod_p(m, p):
+    """Rank of the stored integer rows mod p, by sparse dict elimination; None if p divides a denominator.
+
+    Each row is scaled by a unit mod p, so this is the rank of the entrywise
+    reduction num * den^-1.  Every row is eliminated to the end, pivoting
+    column by column on the sparsest row.
+    """
+    if any(d % p == 0 for _, d in m._rows):
+        return None
+    active = {i: {j: v for j, x in nums.items() if (v := x % p)} for i, (nums, _) in enumerate(m._rows)}
+    rank = 0
+    for c in range(m.cols):
+        hits = [i for i, row in active.items() if c in row]
+        if not hits:
+            continue
+        k = min(hits, key=lambda i: len(active[i]))
+        rr = active.pop(k)
+        inv = pow(rr.pop(c), -1, p)
+        for i in hits:
+            if i != k:
+                ri = active[i]
+                f = ri.pop(c) * inv % p
+                for j, x in rr.items():
+                    s = (ri.get(j, 0) - f * x) % p
+                    if s:
+                        ri[j] = s
+                    else:
+                        del ri[j]
+        rank += 1
+    return rank
 
 
 def _cancel(row, p, prow):

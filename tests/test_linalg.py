@@ -13,8 +13,8 @@ from ksw.linalg import (
     _int_columns,
     _int_row,
     _numerators,
+    _echelon_mod_p,
     _primitive_columns,
-    _rank_mod_p,
     kernel_basis,
     products_equal,
     rank_and_kernel,
@@ -22,7 +22,7 @@ from ksw.linalg import (
     solve_or_invert,
 )
 
-from oracles import float_rank, hstack
+from oracles import float_rank, hstack, rank_mod_p
 
 
 def test_rank_kernel_identity():
@@ -445,8 +445,47 @@ def test_echelon_and_kernel_match_dense_references(a):
     assert rank == len(pivots)
     assert kernel == _rref_kernel(a, m.cols)
     # cleared entries are at most 108 in size, so every minor (<= 324^7) is below the prime
-    assert _rank_mod_p(m, CERTIFICATE_PRIME) == rank
-    assert _rank_mod_p(Matrix([[Fraction(1, 3), 1]]), 3) is None
+    assert rank_mod_p(m, CERTIFICATE_PRIME) == _modular_rank(m) == rank
+    # a denominator divisible by p: no rank, and the rows after it are not read
+    bad = Matrix([[1, 0], [Fraction(1, 3), 1], [0, 1]])
+    assert rank_mod_p(bad, 3) is None
+    assert _echelon_mod_p(iter(bad._rows), 2, 2, 3) == (None, list(bad._rows[:2]))
+
+
+def _modular_rank(m):
+    """The rank of `_echelon_mod_p` over all rows of m: the target is one past every row."""
+    return _echelon_mod_p(iter(m._rows), m.cols, m.rows + 1, CERTIFICATE_PRIME)[0]
+
+
+def test_echelon_mod_p_matches_the_reference_and_stops_at_the_target():
+    rng = random.Random(34)
+    for trial in range(40):
+        r, c, inner = rng.randint(1, 9), rng.randint(1, 9), rng.randint(1, 5)
+        left = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(inner)] for _ in range(r)]
+        right = [[rng.randint(-3, 3) if rng.random() < 0.7 else 0 for _ in range(c)] for _ in range(inner)]
+        # rank at most `inner`, with repeated and scaled rows: dependent rows in every stack
+        a = [[sum(x * right[t][j] for t, x in enumerate(row)) for j in range(c)] for row in left]
+        a += [[Fraction(2, 3) * x for x in a[rng.randrange(r)]] for _ in range(rng.randint(0, 3))]
+        for m in (Matrix(a), Matrix(a).transpose()):
+            rank = m.rank()
+            assert _modular_rank(m) == rank_mod_p(m, CERTIFICATE_PRIME) == rank, trial
+            if rank:
+                got, read = _echelon_mod_p(iter(m._rows), m.cols, rank, CERTIFICATE_PRIME)
+                # the read rows are a prefix whose last row brought the rank to the target
+                assert got == rank and read == list(m._rows[: len(read)]), trial
+                assert Matrix._of(read, m.cols).rank() == rank > Matrix._of(read[:-1], m.cols).rank(), trial
+
+
+def test_echelon_mod_p_slots_never_carry():
+    # t pivots e_i + (p - 1) sum_(j > i) e_j, then x with x_i = 1 - i and x_t = -t:
+    # x meets slot 1 at every pivot, so each step adds (p - 1)^2 to its last
+    # slot, which ends at (p - t) + t (p - 1)^2 and is 0 mod p: x is dependent
+    p = CERTIFICATE_PRIME
+    for t in (1, 2, 7, 40):
+        rows = [({i: 1, **{j: p - 1 for j in range(i + 1, t + 1)}}, 1) for i in range(t)]
+        rows.append(({**{i: (1 - i) % p for i in range(t) if (1 - i) % p}, t: p - t}, 1))
+        assert _echelon_mod_p(iter(rows), t + 1, t + 1, p) == (t, rows), t
+        assert rank_mod_p(Matrix._of(rows, t + 1), p) == t
 
 
 def test_kernel_basis_matches_the_rref_oracle_on_seeded_matrices():

@@ -498,6 +498,15 @@ def test_each_family_draws_what_it_drew(monkeypatch):
         assert _draws(monkeypatch, None if seed is None else {"seed": seed}) == pinned, seed
 
 
+def test_isotropic_family_forms_keep_their_signatures():
+    # the isotropic family draws nothing and every split form passes its
+    # check, so neither the draws nor the report bytes see a form change
+    for overrides in (None, {"seed": 7}):
+        cfg = suite_mod.load_config(overrides)
+        forms = [(t.h, t.k, t.space.signature) for t in suite_mod._split_forms(cfg, random.Random(0))]
+        assert forms == [(3, 2, (1, 2)), (6, 3, (3, 3))], overrides
+
+
 # -- ks instances over the cap ------------------------------------------------------
 
 KS_NAMES = [

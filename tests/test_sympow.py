@@ -225,15 +225,30 @@ def test_isotropic_stack_rank_certifies_only_harmonic_stacks(monkeypatch):
     target = harmonic_dim(3, 2)
     exact = Matrix.rank
     assert sympow_mod._stack_rank(sym, rows[:2], target) == 2
-    # a row outside ker(contraction) lifts the rank past the harmonic
-    # target, which only the exact elimination can see
-    assert sympow_mod._stack_rank(sym, rows + [sympow_mod._power_row(sym, (1, 0, 0))], target) == target + 1
+    # a row outside ker(contraction), read before the rank mod p reaches the
+    # target, lifts the rank past it, which only the exact elimination can see
+    assert sympow_mod._stack_rank(sym, [sympow_mod._power_row(sym, (1, 0, 0))] + rows, target) == target + 1
 
     def refuse(m):
         raise AssertionError("exact rank of a certified stack")
 
     monkeypatch.setattr(Matrix, "rank", refuse)
     assert sympow_mod._stack_rank(sym, rows, target) == target == exact(Matrix._of(rows, sym.dim))
+
+
+def test_isotropic_span_builds_only_the_power_rows_it_reads(monkeypatch):
+    # at (6,3) the first 50 witness lines already span Harm^3, of dimension
+    # 50: the echelon stops there, and the other 77 rows are never built
+    built = []
+    power_row = sympow_mod._power_row
+
+    def counted(sym, v):
+        built.append(v)
+        return power_row(sym, v)
+
+    monkeypatch.setattr(sympow_mod, "_power_row", counted)
+    assert isotropic_span_check(QuadraticSpace(Matrix.diagonal([1, 1, 1, -1, -1, -1])), 3) is True
+    assert len(built) == harmonic_dim(6, 3) == 50
 
 
 def test_stack_rank_falls_back_to_the_exact_rank():
@@ -510,7 +525,7 @@ def test_sympow_certificates_take_no_rank(monkeypatch):
         raise AssertionError("a rank was taken")
 
     monkeypatch.setattr(Matrix, "rank", refuse)
-    monkeypatch.setattr(sympow_mod, "_rank_mod_p", refuse)
+    monkeypatch.setattr(sympow_mod, "_echelon_mod_p", refuse)
     for name, (fn, subject, k) in built.items():
         assert fn(subject, k) == expected[name], name
 
