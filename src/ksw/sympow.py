@@ -319,7 +319,7 @@ def isotropic_span_check(space: QuadraticSpace, k: int) -> bool:
                 seen.add(u)
                 yield u
     sym = build_sym(space, k)
-    target = _harmonic_basis(sym).cols
+    target = sym.dim - sym.contraction.rank()  # dim ker C = dim Harm^k
     if _stack_rank(sym, (_power_row(sym, u) for u in lines()), target) != target:
         raise DecompositionFailure("harmonic blocks failed to span; signals an arithmetic bug")
     return True

@@ -21,12 +21,13 @@ take standard basis vectors u_1..u_4 with {u_i, phi u_i} a basis of V,
 the pivots of one fraction-free echelon of the pairs (e_c, phi e_c).
 Then w_i = phi u_i + lam u_i are lam-eigenvectors, w_1^w_2^w_3^w_4 =
 A + lam B with A, B rational, and it spans the kernel together with its
-conjugate A - lam B, so the kernel is span{A, B}.  The coordinates of A
-and B are 4x4 minors of an 8x4 matrix over Z[mu], mu = m.lam for d = n/m,
-computed in ints.  By a theorem (Weil 1977; van Geemen, LNM 1594), if
-phi^2 = -d with d > 0 then phi has eigenvalues +-lam of multiplicity 4
-(conjugation swaps them), D_phi is (2a - 4) lam on wedge^a E+ (x)
-wedge^(4-a) E-, and the kernel wedge^4 E+ + wedge^4 E- has dimension 2.
+conjugate A - lam B, so the kernel is span{A, B}.  The wedge is built
+one factor at a time as X + mu.Y, mu = m.lam for d = n/m, with X and Y
+integer vectors: mu^2 = -n.m keeps each step in ints.  By a theorem
+(Weil 1977; van Geemen, LNM 1594), if phi^2 = -d with d > 0 then phi
+has eigenvalues +-lam of multiplicity 4 (conjugation swaps them), D_phi
+is (2a - 4) lam on wedge^a E+ (x) wedge^(4-a) E-, and the kernel
+wedge^4 E+ + wedge^4 E- has dimension 2.
 So that hypothesis, A and B in the kernel, and their independence certify
 span{A, B}.  The hypothesis is checked on entry; the first check that
 fails raises.  D_phi (twice) and D_J are applied to the two class vectors
@@ -222,16 +223,17 @@ def weil_class_space(endo: QuadraticEndo) -> list[tuple[int, ...]]:
     return classes
 
 
-#: Laplace expansion of a 4x4 determinant along its first two columns:
-#: (rows for columns 0,1), (rows for columns 2,3), sign
-_LAPLACE = (
-    ((0, 1), (2, 3), 1),
-    ((0, 2), (1, 3), -1),
-    ((0, 3), (1, 2), 1),
-    ((1, 2), (0, 3), 1),
-    ((1, 3), (0, 2), -1),
-    ((2, 3), (0, 1), 1),
-)
+def _wedge_into(out: dict[int, int], acc: dict[int, int], vec: dict[int, int]) -> None:
+    """Add acc^vec into out: acc maps masks S to ints, vec indices r to ints.
+
+    e_S^e_r is e_(S+r) for r not in S, signed by the parity of the bits of S
+    above r (the sign-mask identity of `clifford.reorder_parity` for {r}).
+    """
+    for mask, x in acc.items():
+        for r, y in vec.items():
+            if not mask >> r & 1:
+                key = mask | 1 << r
+                out[key] = out.get(key, 0) + (-x * y if (mask >> r).bit_count() & 1 else x * y)
 
 
 def _eigenvector_wedge(endo: QuadraticEndo) -> tuple[list[int], list[int]]:
@@ -245,40 +247,28 @@ def _eigenvector_wedge(endo: QuadraticEndo) -> tuple[list[int], list[int]]:
     columns e_c, P e_c for c = 0..7: a pivot column lies outside the span
     of the columns before it, and that span is the span of the earlier u_i
     and phi u_i, since a skipped e_j lies in it and so does phi e_j.
-    With P = den.phi integral, m.den.w_i = m.P u_i + den.mu u_i, and each
-    coordinate is a 4x4 minor of that 8x4 matrix over Z[mu], mu^2 = -n.m,
-    expanded along the 2x2 minors of its first and last two columns.
+    With P = den.phi integral, m.den.w_i = R + mu.den.e_c for u_i = e_c and
+    R = m.P e_c.  The wedge X + mu.Y is built one factor at a time from
+    X = 1, Y = 0: since mu^2 = -n.m, the product with R + mu.den.e_c is
+    X^R - n.m.den.(Y^e_c) + mu.(Y^R + den.(X^e_c)), all in ints.
+    Returned dense, in `_wedge4_masks` order.
     """
     rows, den = endo.phi.cleared()
-    cols = [{r: row[c] for r, row in enumerate(rows) if c in row} for c in range(8)]
     pairs = [{2 * r: 1, **{2 * c + 1: x for c, x in row.items()}} for r, row in enumerate(rows)]
     us = [p // 2 for p in _bareiss_echelon(pairs, 16) if p % 2 == 0]
     d = Fraction(endo.d)
     n, m = d.numerator, d.denominator
-    nm = n * m
-    w = [[(m * cols[c].get(r, 0), den if r == c else 0) for c in us] for r in range(8)]
-
-    def mul(x, y):
-        return x[0] * y[0] - nm * x[1] * y[1], x[0] * y[1] + x[1] * y[0]
-
-    def minors(k):
-        out = {}
-        for r, s in combinations(range(8), 2):
-            a, b = mul(w[r][k], w[s][k + 1]), mul(w[s][k], w[r][k + 1])
-            out[r, s] = (a[0] - b[0], a[1] - b[1])
-        return out
-
-    left, right = minors(0), minors(2)
-    xs, ys = [], []
-    for s in combinations(range(8), 4):
-        x = y = 0
-        for (i, j), (k, l), sign in _LAPLACE:
-            a, b = mul(left[s[i], s[j]], right[s[k], s[l]])
-            x += sign * a
-            y += sign * b
-        xs.append(x)
-        ys.append(y)
-    return xs, ys
+    xs, ys = {0: 1}, {}
+    for c in us:
+        r_col = {r: m * row[c] for r, row in enumerate(rows) if c in row}
+        x_next, y_next = {}, {}
+        _wedge_into(x_next, xs, r_col)
+        _wedge_into(x_next, ys, {c: -n * m * den})
+        _wedge_into(y_next, ys, r_col)
+        _wedge_into(y_next, xs, {c: den})
+        xs, ys = x_next, y_next
+    masks = _wedge4_masks(8)
+    return [xs.get(mask, 0) for mask in masks], [ys.get(mask, 0) for mask in masks]
 
 
 def certify_22(classes, j: Matrix) -> bool:

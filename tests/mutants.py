@@ -127,6 +127,13 @@ CATALOG = [
         [_T_SYMPOW + "test_isotropic_span_builds_only_the_power_rows_it_reads"],
     ),
     (
+        "isotropic_span_check: the target without the rank of C",
+        _SYMPOW,
+        "    target = sym.dim - sym.contraction.rank()",
+        "    target = sym.dim",
+        [_T_SYMPOW + "test_isotropic_span_signature_33"],
+    ),
+    (
         "isotropic_span_check: drop v^k from the witness",
         _SYMPOW,
         "        yield zero\n",
@@ -225,17 +232,24 @@ CATALOG = [
         [_T_WEIL + "test_weil_class_space_exists_without_balance"],
     ),
     (
-        "_LAPLACE: flip the sign of one term",
+        "_wedge_into: e_S^e_r always signed +",
         _WEIL,
-        "    ((0, 2), (1, 3), -1),\n",
-        "    ((0, 2), (1, 3), 1),\n",
+        "(-x * y if (mask >> r).bit_count() & 1 else x * y)",
+        "x * y",
         [_T_WEIL + "test_weil_class_space_bases_are_pinned"],
     ),
     (
-        "_eigenvector_wedge: mu^2 = +n.m in the Z[mu] product",
+        "_wedge_into: drop the r not in S guard",
         _WEIL,
-        "        return x[0] * y[0] - nm * x[1] * y[1], x[0] * y[1] + x[1] * y[0]\n",
-        "        return x[0] * y[0] + nm * x[1] * y[1], x[0] * y[1] + x[1] * y[0]\n",
+        "            if not mask >> r & 1:\n                key",
+        "            if True:\n                key",
+        [_T_WEIL + "test_wedge_into_adds_the_exterior_product_of_basis_vectors"],
+    ),
+    (
+        "_eigenvector_wedge: mu^2 = +n.m in the cross term",
+        _WEIL,
+        "{c: -n * m * den}",
+        "{c: n * m * den}",
         [_T_WEIL + "test_weil_class_space_bases_are_pinned"],
     ),
     (
@@ -686,6 +700,48 @@ CATALOG += [
         "Matrix.diagonal([1] * (h // 2) + [-1] * (h - h // 2))",
         "Matrix.diagonal([1] * (h // 3) + [-1] * (h - h // 2))",
         [_T_CONTROLS + "test_isotropic_family_forms_keep_their_signatures"],
+    ),
+    (
+        "suite: the qspace diagonal entries from -3..2, 4",
+        _SUITE,
+        "(-3, -2, -1, 1, 2, 3)) for _ in range(h)]\n        base = ",
+        "(-3, -2, -1, 1, 2, 4)) for _ in range(h)]\n        base = ",
+        [_T_CONTROLS + "test_each_family_draws_the_instances_it_drew"],
+    ),
+    (
+        "suite: the clifford element diagonal from -3..2, 4",
+        _SUITE,
+        "diag = tuple(Fraction(rng.choice((-3, -2, -1, 1, 2, 3)))",
+        "diag = tuple(Fraction(rng.choice((-3, -2, -1, 1, 2, 4)))",
+        [_T_CONTROLS + "test_each_family_draws_the_instances_it_drew"],
+    ),
+    (
+        "suite: the sympow decompose diagonal entries from -3..2, 4",
+        _SUITE,
+        "(-3, -2, -1, 1, 2, 3)) for _ in range(h)]\n        yield ",
+        "(-3, -2, -1, 1, 2, 4)) for _ in range(h)]\n        yield ",
+        [_T_CONTROLS + "test_each_family_draws_the_instances_it_drew"],
+    ),
+    (
+        "randgen: the Pythagorean pair (1, 0) read as (1, 1)",
+        "src/ksw/randgen.py",
+        "(Fraction(1), Fraction(0)),",
+        "(Fraction(1), Fraction(1)),",
+        [_T_CONTROLS + "test_each_family_draws_the_instances_it_drew"],
+    ),
+    (
+        "randgen: the Pythagorean pair 5/13 read as 5/14",
+        "src/ksw/randgen.py",
+        "Fraction(5, 13)",
+        "Fraction(5, 14)",
+        [_T_CONTROLS + "test_each_family_draws_the_instances_it_drew"],
+    ),
+    (
+        "randgen: the Pythagorean pair 20/29 read as 20/30",
+        "src/ksw/randgen.py",
+        "Fraction(20, 29)",
+        "Fraction(20, 30)",
+        [_T_CONTROLS + "test_each_family_draws_the_instances_it_drew"],
     ),
     (
         "suite driver: a check with no instances passes",

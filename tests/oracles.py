@@ -16,6 +16,8 @@ sum B_ij y_i y_j term by term over every ordered pair (i, j), the rank
 mod p eliminates sparse dict rows to the end, and the
 graded product multiplies its three sign terms, each counted pair by pair,
 and the (2,2) test multiplies the brute-force D_J into the class vectors.
+The seeded signed-permutation conjugates that the Weil and CLI tests
+share are built here too.
 """
 
 from fractions import Fraction
@@ -478,3 +480,12 @@ def graded_product_reference(x, y):
             else:
                 out.pop(key, None)
     return out
+
+
+def signed_permutation_conjugate(rng, *mats):
+    """p^-1 m p for each square matrix m (rows of numbers), one seeded signed permutation p: (row i, column order[i]) = sign[i]."""
+    n = len(mats[0])
+    order = rng.sample(range(n), n)
+    signs = [rng.choice((1, -1)) for _ in range(n)]
+    # p^-1 = p^T, so (p^-1 m p)[a][b] = sign[a] sign[b] m[order[a]][order[b]]
+    return [[[signs[a] * signs[b] * m[order[a]][order[b]] for b in range(n)] for a in range(n)] for m in mats]

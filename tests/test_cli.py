@@ -21,6 +21,7 @@ from ksw.linalg import Matrix
 from ksw.randgen import random_hk
 from ksw.serialize import content_hash, matrix_content_hash, matrix_from_json, matrix_to_json, parse_rational
 from ksw.suite import NO_INSTANCES, RunReport, exit_code_from_checks, load_config
+from oracles import signed_permutation_conjugate
 
 
 SPACE_JSON = {"dim": 3, "gram": [["2", "0", "0"], ["0", "8", "0"], ["0", "0", "-1"]]}
@@ -890,15 +891,6 @@ def test_report_bytes_pinned(fixture_dir, capsys):
     assert digests == PINNED_REPORT_DIGESTS
 
 
-def _signed_permutation_conjugate(rng, *mats):
-    """p^-1 m p for each int matrix m, one seeded signed permutation p: (row i, column order[i]) = sign[i]."""
-    n = len(mats[0])
-    order = rng.sample(range(n), n)
-    signs = [rng.choice((1, -1)) for _ in range(n)]
-    # p^-1 = p^T, so (p^-1 m p)[a][b] = sign[a] sign[b] m[order[a]][order[b]]
-    return [[[signs[a] * signs[b] * m[order[a]][order[b]] for b in range(n)] for a in range(n)] for m in mats]
-
-
 #: sha256 of `ksw weil analyze --json` on the block fixture, on phi = J and on
 #: four seeded signed-permutation conjugates of the block fixture
 PINNED_WEIL_DIGESTS = {
@@ -916,7 +908,7 @@ def test_weil_analyze_bytes_pinned(tmp_path, capsys):
     pairs = {"block": (j, phi), "phi = J": (j, j)}
     rng = random.Random(3303)
     for i in range(4):
-        pairs["conjugate %d" % i] = _signed_permutation_conjugate(rng, j, phi)
+        pairs["conjugate %d" % i] = signed_permutation_conjugate(rng, j, phi)
     assert pairs["conjugate 0"] != [j, phi]
     digests = {}
     for name, (jj, pp) in pairs.items():

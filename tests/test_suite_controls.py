@@ -6,9 +6,9 @@ well-typed result; with them in place the named checks must report
 that cannot fail (a comparison dropped or short-circuited) leaves its
 check `pass` under the row's fault, so the row catches it.
 
-Two pins guard what the rows cannot see: the values each family draws
-from its own random stream, and the shapes of a ks family with instances
-over the cap.
+Three pins guard what the rows cannot see: the values each family draws
+from its own random stream, the instances it makes of them, and the
+shapes of a ks family with instances over the cap.
 """
 
 import dataclasses
@@ -28,6 +28,8 @@ from ksw.errors import NotApplicable
 from ksw.clifford import CliffordAlgebra, CliffordElement
 from ksw.hodge import HKStructure, HodgeTypeSpectrum
 from ksw.linalg import Matrix
+from ksw.qspace import QuadraticSpace
+from ksw.serialize import content_hash
 
 #: every family small, and every family still runs
 TRIMMED = {
@@ -496,6 +498,78 @@ def test_each_family_draws_what_it_drew(monkeypatch):
     # the report digests cannot see a family's instances move to other draws
     for seed, pinned in PINNED_DRAWS.items():
         assert _draws(monkeypatch, None if seed is None else {"seed": seed}) == pinned, seed
+
+
+#: stream key -> sha256 prefix of the canonical JSON of its instances, default config and seed 7
+PINNED_INSTANCES = {
+    None: {
+        "_linalg_checks": "0299b19e72d9c020",
+        "_qspace_checks": "1a8e15dc7bfee181",
+        "_clifford_checks": "1dcda589d597c7ab",
+        "_ks_checks": "f39db411b766937f",
+        "_hodge_checks": "4835a587a410cb3f",
+        "_sympow_checks": "f201ba8bcaec062b",
+        "_weil_checks": "c44242cadd8ab8b0",
+    },
+    7: {
+        "_linalg_checks": "623d6f138299462d",
+        "_qspace_checks": "2be0011402bbc99f",
+        "_clifford_checks": "66398b65342789cb",
+        "_ks_checks": "6e638c87618b58d3",
+        "_hodge_checks": "fe8664aa692832eb",
+        "_sympow_checks": "f810ec686ca00a65",
+        "_weil_checks": "8492aa35edb8efde",
+    },
+}
+
+#: the instance fields a family draws or takes from its config; built results are left out
+_DRAWN_FIELDS = ("h", "k", "m", "base", "scrambled", "space", "hk", "v", "w", "two_vw", "x", "y", "z", "j", "phi", "endo", "balanced")
+
+
+def _plain(x):
+    """A JSON value for an instance field: Grams, periods and matrices as rows, elements as terms, numbers as strings."""
+    if isinstance(x, QuadraticSpace):
+        x = x.gram
+    if isinstance(x, Matrix):
+        return [[str(c) for c in row] for row in x]
+    if isinstance(x, HKStructure):
+        return [_plain(x.space), _plain(x.period.alpha), _plain(x.period.beta)]
+    if isinstance(x, weil_mod.QuadraticEndo):
+        return [_plain(x.j), _plain(x.phi)]
+    if isinstance(x, CliffordElement):
+        return [_plain(x.algebra.space), sorted([mask, str(c)] for mask, c in x.terms.items())]
+    if isinstance(x, tuple):
+        return [_plain(y) for y in x]
+    return x if x is None or isinstance(x, bool) else str(x)
+
+
+def _instances(monkeypatch, overrides) -> dict[str, str]:
+    """The drawn fields of every instance each family yields to the suite, digested by stream key."""
+    logs: dict[str, list] = {}
+    run_family = suite_mod._run_family
+
+    def recording(family, cfg, rng):
+        log = logs.setdefault(family.key, [])
+
+        def instances(cfg, rng):
+            drawn = family.instances(cfg, rng)
+            for t in drawn or ():
+                log.append({name: _plain(value) for name, value in vars(t).items() if name in _DRAWN_FIELDS})
+                yield t
+
+        return run_family(family._replace(instances=instances), cfg, rng)
+
+    with monkeypatch.context() as m:
+        m.setattr(suite_mod, "_run_family", recording)
+        suite_mod.run_full_suite(overrides)
+    return {key: content_hash(logs[key])[:16] for key in PINNED_INSTANCES[None]}
+
+
+def test_each_family_draws_the_instances_it_drew(monkeypatch):
+    # the same draws can make other instances (an entry list changed), and
+    # no report digest names an instance
+    for seed, pinned in PINNED_INSTANCES.items():
+        assert _instances(monkeypatch, None if seed is None else {"seed": seed}) == pinned, seed
 
 
 def test_isotropic_family_forms_keep_their_signatures():

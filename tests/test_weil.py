@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from hashlib import sha256
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -31,9 +32,16 @@ from ksw.weil import (
     weil_class_space,
     weil_multiplicities,
     _eigenvector_wedge,
+    _wedge_into,
 )
 
-from oracles import certify_22_operator_form, eigenvector_wedge_reference, to_float, wedge4_derivation_bruteforce
+from oracles import (
+    certify_22_operator_form,
+    eigenvector_wedge_reference,
+    signed_permutation_conjugate,
+    to_float,
+    wedge4_derivation_bruteforce,
+)
 
 
 def block_j(dim=8):
@@ -289,6 +297,10 @@ def test_eigenvector_choice_is_the_greedy_reference(monkeypatch):
         g = random_unimodular(rng, 8)
         ginv = g.inverse()
         endos += [check_quadratic_endo(ginv * j * g, ginv * cand * g) for cand in (phi, j, 3 * phi)]
+    # the sparse phi of the pinned `weil analyze` conjugates, whose wedge factors have one or two entries
+    rng = random.Random(3303)
+    for _ in range(4):
+        endos.append(check_quadratic_endo(*map(Matrix, signed_permutation_conjugate(rng, list(j), list(phi)))))
     echelon = weil_mod._bareiss_echelon
     pivots = []
 
@@ -306,6 +318,19 @@ def test_eigenvector_choice_is_the_greedy_reference(monkeypatch):
         assert pivots == [q for u in us for q in (2 * u, 2 * u + 1)]
     # the block fixtures take every other basis vector, the conjugates the first four
     assert {(0, 2, 4, 6), (0, 1, 2, 3)} <= choices
+
+
+def test_wedge_into_adds_the_exterior_product_of_basis_vectors():
+    # e_S^e_r is e_(S+r) signed by the inversions of the factor order, and
+    # 0 for r in S; the eigenvector wedge reads only grade 4, which a term
+    # kept for r in S never reaches, so that case is checked here
+    for mask in range(1 << 6):
+        factors = [i for i in range(6) if mask >> i & 1]
+        for r in range(6):
+            out = {mask | 1 << r: 5}
+            _wedge_into(out, {mask: 2}, {r: 3})
+            sign = -1 if sum(a > b for a, b in combinations(factors + [r], 2)) % 2 else 1
+            assert out == {mask | 1 << r: 5 if r in factors else 5 + 6 * sign}, (mask, r)
 
 
 def _assert_refused_before_any_elimination(monkeypatch, phi, d):
