@@ -439,7 +439,7 @@ def _weil_block_instance() -> tuple[Matrix, Matrix]:
 
 
 #: one fixed signed permutation, (row i, column order[i]) = sign[i]: inside the
-#: 2x2 blocks every move of `derivation_wedge4` has sign +1, across them not
+#: 2x2 blocks every move of `weil._wedge4_moves` has sign +1, across them not
 _WEIL_ORDER = (0, 2, 4, 6, 1, 3, 5, 7)
 _WEIL_SIGNS = (1, -1, 1, 1, -1, 1, 1, -1)
 

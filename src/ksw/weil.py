@@ -28,10 +28,10 @@ integer vectors: mu^2 = -n.m keeps each step in ints.  By a theorem
 has eigenvalues +-lam of multiplicity 4 (conjugation swaps them), D_phi
 is (2a - 4) lam on wedge^a E+ (x) wedge^(4-a) E-, and the kernel
 wedge^4 E+ + wedge^4 E- has dimension 2.
-So that hypothesis, A and B in the kernel, and their independence certify
-span{A, B}.  The hypothesis is checked on entry; the first check that
-fails raises.  D_phi (twice) and D_J are applied to the two class vectors
-move by move, so no 70x70 matrix is eliminated or formed.
+So that hypothesis (checked on entry), X and Y independent, and two
+first-order relations, the rational and mu parts of D_phi W = 4 lam.W,
+certify span{X, Y}; the basis is read straight off X and Y, D_phi and D_J
+are applied move by move, and no 70x70 matrix is formed.
 """
 
 from __future__ import annotations
@@ -39,25 +39,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import comb, gcd
 
-from .errors import (
-    NonScalarSquare,
-    NotCommutingWithJ,
-    NotQuadratic,
-    UnexpectedDimension,
-    WorkbenchError,
-)
-from .linalg import (
-    Matrix,
-    _bareiss_echelon,
-    _int_columns,
-    induced_operator,
-    products_equal,
-    reduced_echelon_basis,
-)
+from .errors import NonScalarSquare, NotCommutingWithJ, NotQuadratic, UnexpectedDimension, WorkbenchError
+from .hodge import Weight1Structure
+from .linalg import Matrix, _bareiss_echelon, products_equal
 from .qspace import rational_sqrt
-
-_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -91,7 +78,7 @@ def check_quadratic_endo(j: Matrix, phi: Matrix) -> QuadraticEndo:
     if phi.cols != n or j.rows != n or j.cols != n:
         raise ValueError("phi and J must be square of equal dimension")
     sq = phi * phi
-    scalar = sq[0, 0] if n else _ZERO
+    scalar = sq[0, 0] if n else Fraction(0)
     if sq != scalar * Matrix.identity(n):
         raise NonScalarSquare("phi^2 is not a scalar matrix")
     d = -scalar
@@ -116,9 +103,7 @@ def weil_multiplicities(endo: QuadraticEndo) -> tuple[int, int]:
     m = rational_sqrt(endo.d)
     if m is None:
         if fj.trace() != 0:
-            raise WorkbenchError(
-                "nonsquare d but trace(phi.J) != 0; module structure is inconsistent"
-            )
+            raise WorkbenchError("nonsquare d but trace(phi.J) != 0; module structure is inconsistent")
         if g % 2:
             raise WorkbenchError("nonsquare d forces even complex dimension")
         return g // 2, g // 2
@@ -169,11 +154,7 @@ def _wedge4_masks(dim: int) -> list[int]:
     return [1 << a | 1 << b | 1 << c | 1 << e for a, b, c, e in combinations(range(dim), 4)]
 
 
-def derivation_wedge4(op: Matrix) -> Matrix:
-    """Derivation extension of an operator to the fourth exterior power (moves: `_wedge4_moves`)."""
-    masks = _wedge4_masks(op.rows)
-    cols, den = _wedge4_columns(op)
-    return induced_operator(masks, {mask: i for i, mask in enumerate(masks)}, lambda mask: _wedge4_moves(cols, mask), den)
+_POSITIONS_8 = {mask: i for i, mask in enumerate(_wedge4_masks(8))}
 
 
 def _apply_wedge4(cols, vec: dict[int, int]) -> dict[int, int]:
@@ -185,12 +166,33 @@ def _apply_wedge4(cols, vec: dict[int, int]) -> dict[int, int]:
     return {mask: y for mask, y in out.items() if y}
 
 
-def _sparse_classes(classes, dim: int) -> list[dict[int, int]]:
-    """Dense class vectors as sparse mask -> int vectors; ValueError unless each has length C(dim, 4)."""
-    masks = _wedge4_masks(dim)
-    if any(len(v) != len(masks) for v in classes):
-        raise ValueError("class vectors must have length %d" % len(masks))
-    return [{mask: x for mask, x in zip(masks, v) if x} for v in classes]
+def _combine(a: int, u: dict[int, int], b: int, v: dict[int, int]) -> dict[int, int]:
+    """The nonzero entries of a.u + b.v for sparse int vectors u and v."""
+    out = {key: a * u.get(key, 0) + b * v.get(key, 0) for key in u.keys() | v.keys()}
+    return {key: x for key, x in out.items() if x}
+
+
+def _span_basis(xs: dict[int, int], ys: dict[int, int]) -> list[tuple[int, ...]] | None:
+    """Primitive reduced-echelon basis of span{X, Y} read from the right, dense; None if dependent.
+
+    Pivots are last nonzero positions in `_wedge4_masks(8)` order.  Z is
+    nonzero at q2, the last position where X or Y is, and W is the other:
+    v1 = Z[q2].W - W[q2].Z is zero at q2, empty iff X, Y are dependent, and
+    with q1 its last nonzero, v2 = v1[q1].Z - Z[q1].v1 is zero at q1.  Each
+    is made primitive, first nonzero positive; they come in pivot order.
+    """
+    position = _POSITIONS_8.__getitem__
+    q2 = max(xs.keys() | ys.keys(), key=position, default=None)
+    z, w = (xs, ys) if q2 in xs else (ys, xs)
+    v1 = _combine(z.get(q2, 0), w, -w.get(q2, 0), z)
+    if not v1:
+        return None
+    q1 = max(v1, key=position)
+    basis = []
+    for v in (v1, _combine(v1[q1], z, -z.get(q1, 0), v1)):
+        g = gcd(*v.values()) if v[min(v, key=position)] > 0 else -gcd(*v.values())
+        basis.append(tuple(v.get(mask, 0) // g for mask in _POSITIONS_8))
+    return basis
 
 
 def weil_class_space(endo: QuadraticEndo) -> list[tuple[int, ...]]:
@@ -200,27 +202,28 @@ def weil_class_space(endo: QuadraticEndo) -> list[tuple[int, ...]]:
     exactly (NotQuadratic): then the kernel is 2-dimensional (the theorem
     above).  The basis is the reduced-echelon one of the exact kernel (one
     vector per free column, in column order), read off the eigenvector
-    wedge A + lam.B.  UnexpectedDimension if A and B are dependent or if
-    D_phi(D_phi x) != -16 d x for a basis vector x; D_phi = D_P / den with
-    P = den.phi integral is applied to x move by move, and with d = n/m
-    the test is m.D_P(D_P x) == -16 n den^2 x in ints.
+    wedge X + mu.Y by `_span_basis`.  UnexpectedDimension if X and Y are
+    dependent, or unless D_P X = -4 n.den.Y and m.D_P Y = 4 den.X (P =
+    den.phi integral, d = n/m, D_P applied move by move): these are the
+    rational and mu parts of D_phi W = 4 lam.W, which holds as each w_i is a
+    lam-eigenvector, and they give D_phi^2 = -16 d on X and on Y.
     """
     if endo.dim != 8:
         raise ValueError("weil_class_space is the fourfold case: dim V must be 8")
     d = endo.d
     if not (d > 0 and endo.phi * endo.phi == -d * Matrix.identity(8)):
         raise NotQuadratic("class space needs phi^2 = -d.I with d > 0; d = %s" % d)
-    basis = reduced_echelon_basis(Matrix(zip(*_eigenvector_wedge(endo)), 2))
+    xs, ys = _eigenvector_wedge(endo)
+    basis = _span_basis(xs, ys)
     if basis is None:
         raise UnexpectedDimension("eigenvector wedge: A and B are dependent")
-    classes = _int_columns(basis)
     cols, den = _wedge4_columns(endo.phi)
-    scale = -16 * d.numerator * den * den
-    for x in _sparse_classes(classes, 8):
-        lhs = _apply_wedge4(cols, _apply_wedge4(cols, x))
-        if {mask: d.denominator * y for mask, y in lhs.items()} != {mask: scale * y for mask, y in x.items()}:
-            raise UnexpectedDimension("eigenvector wedge lies outside the kernel of D_phi^2 + 16 d")
-    return classes
+    n, m = d.numerator, d.denominator
+    if _apply_wedge4(cols, xs) != {mask: -4 * n * den * y for mask, y in ys.items()} or (
+        {mask: m * y for mask, y in _apply_wedge4(cols, ys).items()} != {mask: 4 * den * x for mask, x in xs.items()}
+    ):
+        raise UnexpectedDimension("eigenvector wedge is no 4 lam-eigenvector of D_phi: it may lie outside the kernel of D_phi^2 + 16 d")
+    return basis
 
 
 def _wedge_into(out: dict[int, int], acc: dict[int, int], vec: dict[int, int]) -> None:
@@ -236,7 +239,7 @@ def _wedge_into(out: dict[int, int], acc: dict[int, int], vec: dict[int, int]) -
                 out[key] = out.get(key, 0) + (-x * y if (mask >> r).bit_count() & 1 else x * y)
 
 
-def _eigenvector_wedge(endo: QuadraticEndo) -> tuple[list[int], list[int]]:
+def _eigenvector_wedge(endo: QuadraticEndo) -> tuple[dict[int, int], dict[int, int]]:
     """Integer (X, Y) with w_1^w_2^w_3^w_4 a positive multiple of X + mu.Y.
 
     u_i = e_c is taken greedily whenever e_c is outside the span of the
@@ -251,13 +254,12 @@ def _eigenvector_wedge(endo: QuadraticEndo) -> tuple[list[int], list[int]]:
     R = m.P e_c.  The wedge X + mu.Y is built one factor at a time from
     X = 1, Y = 0: since mu^2 = -n.m, the product with R + mu.den.e_c is
     X^R - n.m.den.(Y^e_c) + mu.(Y^R + den.(X^e_c)), all in ints.
-    Returned dense, in `_wedge4_masks` order.
+    Returned as sparse mask -> nonzero int dicts.
     """
     rows, den = endo.phi.cleared()
     pairs = [{2 * r: 1, **{2 * c + 1: x for c, x in row.items()}} for r, row in enumerate(rows)]
     us = [p // 2 for p in _bareiss_echelon(pairs, 16) if p % 2 == 0]
-    d = Fraction(endo.d)
-    n, m = d.numerator, d.denominator
+    n, m = endo.d.numerator, endo.d.denominator
     xs, ys = {0: 1}, {}
     for c in us:
         r_col = {r: m * row[c] for r, row in enumerate(rows) if c in row}
@@ -267,44 +269,41 @@ def _eigenvector_wedge(endo: QuadraticEndo) -> tuple[list[int], list[int]]:
         _wedge_into(y_next, ys, r_col)
         _wedge_into(y_next, xs, {c: den})
         xs, ys = x_next, y_next
-    masks = _wedge4_masks(8)
-    return [xs.get(mask, 0) for mask in masks], [ys.get(mask, 0) for mask in masks]
+    return {mask: x for mask, x in xs.items() if x}, {mask: y for mask, y in ys.items() if y}
 
 
 def certify_22(classes, j: Matrix) -> bool:
-    """True iff every generator lies in ker(D_J), the exact (2,2) part; D_J is applied move by move."""
+    """True iff every generator lies in ker(D_J), the exact (2,2) part; D_J is applied move by move.
+
+    ValueError unless each class vector has length C(dim, 4).
+    """
+    masks = _wedge4_masks(j.rows)
+    if any(len(v) != len(masks) for v in classes):
+        raise ValueError("class vectors must have length %d" % len(masks))
     cols, _ = _wedge4_columns(j)
-    return not any(_apply_wedge4(cols, x) for x in _sparse_classes(classes, j.rows))
+    return not any(_apply_wedge4(cols, {mask: x for mask, x in zip(masks, v) if x}) for v in classes)
 
 
 def hodge_class_dimension(dim: int, j: Matrix) -> int:
-    """Rational dimension of the (2,2) part of the fourth exterior power.
+    """Rational dimension C(m, 2)^2 of the (2,2) part of the fourth exterior power, dim = 2m.
 
-    j is the complex structure on V = Q^dim; ValueError unless it is dim x dim.
+    ValueError unless j is dim x dim with j.j == -I (`hodge.Weight1Structure`).
+    Then wedge^4 V (x) C is the sum of wedge^p V^(1,0) (x) wedge^q V^(0,1)
+    over p + q = 4, the +-i eigenspaces V^(1,0), V^(0,1) of J being m-dimensional,
+    and D_J acts on each piece by i(p - q); the rational D_J has the same
+    nullity over Q as over C, that of the p = q = 2 piece.
     """
     if j.rows != dim or j.cols != dim:
         raise ValueError("J is %dx%d, expected %dx%d" % (j.rows, j.cols, dim, dim))
-    if dim < 4:
-        return 0
-    d_j = derivation_wedge4(j)
-    return d_j.cols - d_j.rank()
+    Weight1Structure(dim, j)
+    return comb(dim // 2, 2) ** 2
 
 
 def analyze(j: Matrix, phi: Matrix) -> WeilReport:
     """Full report: multiplicities, balance, class-space dimension, (2,2) check."""
     endo = check_quadratic_endo(j, phi)
     a, b = weil_multiplicities(endo)
-    balanced = a == b
-    space_dim = None
-    classes_22 = None
-    if endo.dim == 8:
-        classes = weil_class_space(endo)
-        space_dim = len(classes)
-        classes_22 = certify_22(classes, j)
-    return WeilReport(
-        mult_plus=a,
-        mult_minus=b,
-        is_weil=balanced,
-        weil_space_dim=space_dim,
-        all_weil_classes_22=classes_22,
-    )
+    if endo.dim != 8:
+        return WeilReport(mult_plus=a, mult_minus=b, is_weil=a == b, weil_space_dim=None, all_weil_classes_22=None)
+    classes = weil_class_space(endo)
+    return WeilReport(mult_plus=a, mult_minus=b, is_weil=a == b, weil_space_dim=len(classes), all_weil_classes_22=certify_22(classes, j))

@@ -197,25 +197,83 @@ CATALOG = [
         [_T_WEIL + "test_a_wrong_eigenvector_wedge_raises"],
     ),
     (
-        "weil_class_space: drop the D_phi(D_phi X) = -16d X check",
+        "weil_class_space: drop both relations D_P X = -4n.den.Y and m.D_P Y = 4den.X",
         _WEIL,
-        "        if {mask: d.denominator * y for mask, y in lhs.items()} != {mask: scale * y for mask, y in x.items()}:\n",
-        "        if False:\n",
+        "    if _apply_wedge4(cols, xs) != {mask: -4 * n * den * y for mask, y in ys.items()} or (\n"
+        "        {mask: m * y for mask, y in _apply_wedge4(cols, ys).items()} != {mask: 4 * den * x for mask, x in xs.items()}\n"
+        "    ):\n",
+        "    if False:\n",
         [_T_WEIL + "test_a_wrong_eigenvector_wedge_raises"],
     ),
     (
-        "weil_class_space: drop the denominator of d from the cross-multiplication",
+        "weil_class_space: drop the second relation m.D_P Y = 4den.X",
         _WEIL,
-        "{mask: d.denominator * y for mask, y in lhs.items()}",
-        "{mask: y for mask, y in lhs.items()}",
+        "    if _apply_wedge4(cols, xs) != {mask: -4 * n * den * y for mask, y in ys.items()} or (\n",
+        "    if _apply_wedge4(cols, xs) != {mask: -4 * n * den * y for mask, y in ys.items()} and (\n",
+        [_T_WEIL + "test_each_relation_is_checked_on_its_own"],
+    ),
+    (
+        "weil_class_space: drop the first relation D_P X = -4n.den.Y",
+        _WEIL,
+        "    if _apply_wedge4(cols, xs) != {mask: -4 * n * den * y for mask, y in ys.items()} or (\n",
+        "    if False or (\n",
+        [_T_WEIL + "test_each_relation_is_checked_on_its_own"],
+    ),
+    (
+        "weil_class_space: drop the numerator of d from D_P X = -4n.den.Y",
+        _WEIL,
+        "{mask: -4 * n * den * y for mask, y in ys.items()}",
+        "{mask: -4 * den * y for mask, y in ys.items()}",
         [_T_WEIL + "test_constructed_class_space_is_the_exact_kernel_basis"],
     ),
     (
-        "weil_class_space: drop the denominator of phi from the cross-multiplication",
+        "weil_class_space: drop the denominator of phi from m.D_P Y = 4den.X",
         _WEIL,
-        "    scale = -16 * d.numerator * den * den\n",
-        "    scale = -16 * d.numerator\n",
+        "{mask: 4 * den * x for mask, x in xs.items()}",
+        "{mask: 4 * x for mask, x in xs.items()}",
         [_T_WEIL + "test_constructed_class_space_is_the_exact_kernel_basis"],
+    ),
+    (
+        "weil_class_space: D_P X = +4n.den.Y, the sign of mu^2 lost",
+        _WEIL,
+        "{mask: -4 * n * den * y for mask, y in ys.items()}",
+        "{mask: 4 * n * den * y for mask, y in ys.items()}",
+        [_T_WEIL + "test_weil_class_space_block_instance"],
+    ),
+    (
+        "weil_class_space: drop the denominator m of d from m.D_P Y = 4den.X",
+        _WEIL,
+        "{mask: m * y for mask, y in _apply_wedge4(cols, ys).items()}",
+        "_apply_wedge4(cols, ys)",
+        [_T_WEIL + "test_constructed_class_space_is_the_exact_kernel_basis"],
+    ),
+    (
+        "_span_basis: the second pivot is the first nonzero position, not the last",
+        _WEIL,
+        "    q2 = max(xs.keys() | ys.keys(), key=position, default=None)\n",
+        "    q2 = min(xs.keys() | ys.keys(), key=position, default=None)\n",
+        [_T_WEIL + "test_weil_class_space_bases_are_pinned"],
+    ),
+    (
+        "_span_basis: the first pivot is the first nonzero of v1, not the last",
+        _WEIL,
+        "    q1 = max(v1, key=position)\n",
+        "    q1 = min(v1, key=position)\n",
+        [_T_WEIL + "test_weil_class_space_bases_are_pinned"],
+    ),
+    (
+        "_span_basis: first nonzero made negative",
+        _WEIL,
+        "if v[min(v, key=position)] > 0 else",
+        "if v[min(v, key=position)] < 0 else",
+        [_T_WEIL + "test_weil_class_space_bases_are_pinned"],
+    ),
+    (
+        "hodge_class_dimension: drop the J.J == -I check",
+        _WEIL,
+        "    Weight1Structure(dim, j)\n",
+        "    pass\n",
+        [_T_WEIL + "test_hodge_class_dimension_needs_j_squared_minus_identity"],
     ),
     (
         "_apply_wedge4: keep the entries that cancel to zero",
@@ -227,8 +285,8 @@ CATALOG = [
     (
         "certify_22: the zero test always passes",
         _WEIL,
-        "    return not any(_apply_wedge4(cols, x) for x in _sparse_classes(classes, j.rows))\n",
-        "    return not any({} for x in _sparse_classes(classes, j.rows))\n",
+        "    return not any(_apply_wedge4(cols, {mask: x for mask, x in zip(masks, v) if x}) for v in classes)\n",
+        "    return not any({} for v in classes)\n",
         [_T_WEIL + "test_weil_class_space_exists_without_balance"],
     ),
     (
@@ -438,18 +496,39 @@ CATALOG = [
         ["tests/test_clifford.py::test_one_element_built_several_ways_is_equal_and_hashes_equal"],
     ),
     (
-        "derivation_wedge4: drop the move sign",
+        "check_quadratic_endo: phi and J refused only when every side is off",
+        _WEIL,
+        "    if phi.cols != n or j.rows != n or j.cols != n:\n",
+        "    if phi.cols != n and j.rows != n and j.cols != n:\n",
+        [_T_CLI + "test_weil_analyze_rejects_phi_of_another_dimension"],
+    ),
+    (
+        "space_from_json: a declared dim refused when it equals the gram size",
+        "src/ksw/serialize.py",
+        '_json_int(data["dim"], "dim") != gram.rows',
+        '_json_int(data["dim"], "dim") == gram.rows',
+        [_T_CLI + "test_qform_inspect_holds_the_declared_dim_to_the_gram"],
+    ),
+    (
+        "kunneth_coefficient: unequal pair coefficients pass as uniform",
+        _CORR,
+        "            if c is None or (coef is not None and c != coef):\n",
+        "            if c is None and (coef is not None and c != coef):\n",
+        [_T_CORR + "test_kunneth_coefficient_refuses_unequal_pair_coefficients"],
+    ),
+    (
+        "_wedge4_moves: drop the move sign",
         _WEIL,
         "                    flip = ((low_t ^ ((1 << j) - 1)) & rest).bit_count() & 1\n",
         "                    flip = 0\n",
-        [_T_WEIL + "test_derivation_wedge4_against_bruteforce"],
+        [_T_WEIL + "test_apply_wedge4_is_the_derivation_times_the_vector"],
     ),
     (
-        "derivation_wedge4: sign of moving e_t out alone",
+        "_wedge4_moves: sign of moving e_t out alone",
         _WEIL,
         "flip = ((low_t ^ ((1 << j) - 1)) & rest)",
         "flip = (low_t & rest)",
-        [_T_WEIL + "test_derivation_wedge4_against_bruteforce"],
+        [_T_WEIL + "test_apply_wedge4_is_the_derivation_times_the_vector"],
     ),
     (
         "matrix_from_json: a digit string over the int limit is a bad matrix payload",

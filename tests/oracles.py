@@ -10,6 +10,8 @@ the generators, J^2 = -I is checked as e.(e.x) == -x with two element
 products per even blade, the generator identities of that proof are
 compared at both x and x ^ 2^i, the Clifford multiplication operators
 sum every unit-blade product move by move into `induced_operator`,
+as the wedge-4 derivation sums the package's moves when a test needs
+the whole 70x70 operator,
 a k-th power of a linear form is expanded over every monomial, the
 contraction and the Q-multiplication of Sym^k apply sum G_ij d_i d_j and
 sum B_ij y_i y_j term by term over every ordered pair (i, j), the rank
@@ -117,6 +119,21 @@ def wedge4_derivation_bruteforce(op):
             col[pos] = out_tensor.get(s, Fraction(0))
         cols.append(col)
     return [[cols[j][i] for j in range(len(basis))] for i in range(len(basis))]
+
+
+def derivation_wedge4(op):
+    """Derivation extension of op to the 4th exterior power: `weil._wedge4_moves` summed by `induced_operator`.
+
+    The 70x70 operator that `weil analyze` never builds, for the tests that
+    need it whole; its moves are held against the raw 4-tensor expansion of
+    `wedge4_derivation_bruteforce`.
+    """
+    from ksw.linalg import induced_operator
+    from ksw.weil import _wedge4_columns, _wedge4_masks, _wedge4_moves
+
+    masks = _wedge4_masks(op.rows)
+    cols, den = _wedge4_columns(op)
+    return induced_operator(masks, {mask: i for i, mask in enumerate(masks)}, lambda mask: _wedge4_moves(cols, mask), den)
 
 
 def certify_22_operator_form(classes, j):

@@ -471,6 +471,31 @@ def test_weil_analyze_rejects_a_non_square_j(tmp_path, capsys):
     assert captured.err == "error: J must be 8x8\n"
 
 
+def test_weil_analyze_rejects_phi_of_another_dimension(tmp_path, capsys):
+    # a 6x6 phi against the 8x8 J: refused by the shape test of
+    # check_quadratic_endo with its one line, before any product is tried
+    j, _ = _weil_block()
+    weight1, phi = _weil_files(tmp_path, j, [row[:6] for row in j[:6]])
+    assert main(["weil", "analyze", "-f", weight1, "--phi", phi]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: phi and J must be square of equal dimension\n"
+
+
+def test_qform_inspect_holds_the_declared_dim_to_the_gram(tmp_path, capsys):
+    # a declared dim equal to the Gram size is taken; any other exits 2 with one line
+    gram = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "-1"]]
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps({"dim": 3, "gram": gram}))
+    assert main(["qform", "inspect", "-f", str(path)]) == 0
+    capsys.readouterr()
+    path.write_text(json.dumps({"dim": 4, "gram": gram}))
+    assert main(["qform", "inspect", "-f", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: declared dim 4 != gram size 3\n"
+
+
 def test_weil_analyze_rejects_non_endo(tmp_path):
     j0 = [[0, -1], [1, 0]]
     j_rows = [
@@ -693,7 +718,7 @@ def test_suite_weil_certificate_failure_fails_its_checks_and_reports_the_rest(tm
     cfg.write_text(json.dumps(SMALL_SUITE))
     assert main(["suite", "--config", str(cfg), "--json"]) == 0
     before = {c["name"]: c for c in _json_output(capsys)["checks"]}
-    e1 = [0, 1] + [0] * 68
+    e1 = {weil_mod._wedge4_masks(8)[1]: 1}
     monkeypatch.setattr(weil_mod, "_eigenvector_wedge", lambda endo: (e1, e1))
     assert main(["suite", "--config", str(cfg), "--json"]) == 1
     captured = capsys.readouterr()
@@ -847,7 +872,7 @@ def _weil_block_files(tmp_path):
 
 def test_weil_analyze_class_space_fault_is_a_violation(tmp_path, capsys, monkeypatch):
     # checked input, then a failed class-space step: a program fault, exit 1
-    pair = ([1] + [0] * 69, [0, 1] + [0] * 68)
+    pair = tuple({mask: 1} for mask in weil_mod._wedge4_masks(8)[:2])
     monkeypatch.setattr(weil_mod, "_eigenvector_wedge", lambda endo: pair)
     weight1, phi = _weil_block_files(tmp_path)
     assert main(["weil", "analyze", "-f", weight1, "--phi", phi]) == 1

@@ -161,6 +161,17 @@ def test_uniformity_and_pushforward_exhaustive_small_range():
                     assert gamma_pushforward(gamma, j, i) == -expected
 
 
+def test_kunneth_coefficient_refuses_unequal_pair_coefficients():
+    # every one of the C(b3, 2) pair coefficients is present and no other
+    # monomial, but the (1, 2) coefficient is doubled: not uniform
+    gamma = kunneth_square(4, 2)
+    _, coef, _ = kunneth_coefficient(gamma, 4, 2)
+    skewed = gamma + gamma.algebra.term(0b11, 0b11, 0, coef)
+    assert len(skewed.terms) == comb(4, 2) and is_kunneth_concentrated(skewed)
+    assert skewed.terms[(0b11, 0b11, 0)] == 2 * coef
+    assert kunneth_coefficient(skewed, 4, 2) == (comb(4, 2), None, False)
+
+
 def test_pushforward_matches_pairing_map():
     gamma = kunneth_square(8, 2)
     _, coef, _ = kunneth_coefficient(gamma, 8, 2)

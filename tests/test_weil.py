@@ -26,7 +26,6 @@ from ksw.weil import (
     analyze,
     certify_22,
     check_quadratic_endo,
-    derivation_wedge4,
     hodge_class_dimension,
     is_weil,
     weil_class_space,
@@ -37,6 +36,7 @@ from ksw.weil import (
 
 from oracles import (
     certify_22_operator_form,
+    derivation_wedge4,
     eigenvector_wedge_reference,
     signed_permutation_conjugate,
     to_float,
@@ -224,8 +224,8 @@ def _refuse(*args):
 def _no_elimination(patch):
     """Make every rank, kernel, 70x70 by 70x70 product and large echelon raise inside the context.
 
-    The echelons left are those of the 8 rows of the eigenvector choice and
-    of the 2 columns of the class space basis.
+    The one echelon left is the 8x16 one of the eigenvector choice; none
+    runs over the 70 wedge coordinates, not even on the two class vectors.
     """
     for name in ("rank_and_kernel", "kernel_basis"):
         patch.setattr(weil_mod, name, _refuse, raising=False)
@@ -234,7 +234,7 @@ def _no_elimination(patch):
     echelon = linalg_mod._bareiss_echelon
 
     def small_echelon(rows, ncols):
-        if len(rows) > 8 or (ncols == 70 and len(rows) > 2):
+        if len(rows) > 8 or ncols > 16:
             raise AssertionError("an echelon of %d rows and %d columns ran" % (len(rows), ncols))
         return echelon(rows, ncols)
 
@@ -314,7 +314,7 @@ def test_eigenvector_choice_is_the_greedy_reference(monkeypatch):
         us, xs, ys = eigenvector_wedge_reference(endo)
         assert len(us) == 4
         choices.add(tuple(us))
-        assert _eigenvector_wedge(endo) == (xs, ys)
+        assert _eigenvector_wedge(endo) == tuple({mask: x for mask, x in zip(weil_mod._wedge4_masks(8), v) if x} for v in (xs, ys))
         assert pivots == [q for u in us for q in (2 * u, 2 * u + 1)]
     # the block fixtures take every other basis vector, the conjugates the first four
     assert {(0, 2, 4, 6), (0, 1, 2, 3)} <= choices
@@ -366,7 +366,7 @@ def test_class_space_refuses_phi_squared_not_minus_d_before_any_elimination(monk
 def test_a_wrong_eigenvector_wedge_raises(monkeypatch):
     # two independent standard basis vectors of the fourth exterior power
     # are no class space, and X = Y spans a line: each raises at its step
-    e0, e1 = [1] + [0] * 69, [0, 1] + [0] * 68
+    e0, e1 = ({mask: 1} for mask in weil_mod._wedge4_masks(8)[:2])
     j, phi = block_j(), block_phi()
     g = random_unimodular(random.Random(57), 8)
     ginv = g.inverse()
@@ -376,6 +376,32 @@ def test_a_wrong_eigenvector_wedge_raises(monkeypatch):
                 _no_elimination(patch)
                 patch.setattr(weil_mod, "_eigenvector_wedge", lambda endo: pair)
                 with pytest.raises(UnexpectedDimension, match=step):
+                    weil_class_space(endo)
+
+
+def test_each_relation_is_checked_on_its_own(monkeypatch):
+    # from v outside the kernel, (4n.den.v, -D_P v) satisfies D_P X =
+    # -4n.den.Y alone and (m.D_P v, 4den.v) satisfies m.D_P Y = 4den.X
+    # alone: each pair is independent and raises at the relation step
+    def scale(c, vec):
+        return {mask: c * x for mask, x in vec.items()}
+
+    v = {weil_mod._wedge4_masks(8)[1]: 1}
+    j, phi = block_j(), block_phi()
+    g = random_unimodular(random.Random(62), 8)
+    ginv = g.inverse()
+    for endo in (check_quadratic_endo(j, phi * Fraction(3, 2)), check_quadratic_endo(ginv * j * g, ginv * phi * g)):
+        cols, den = weil_mod._wedge4_columns(endo.phi)
+        n, m = endo.d.numerator, endo.d.denominator
+        dv = weil_mod._apply_wedge4(cols, v)
+        first = (scale(4 * n * den, v), scale(-1, dv))
+        second = (scale(m, dv), scale(4 * den, v))
+        assert weil_mod._apply_wedge4(cols, first[0]) == scale(-4 * n * den, first[1])
+        assert scale(m, weil_mod._apply_wedge4(cols, second[1])) == scale(4 * den, second[0])
+        for pair in (first, second):
+            with monkeypatch.context() as patch:
+                patch.setattr(weil_mod, "_eigenvector_wedge", lambda endo: pair)
+                with pytest.raises(UnexpectedDimension, match="outside the kernel"):
                     weil_class_space(endo)
 
 
@@ -429,6 +455,27 @@ def test_hodge_class_dimension_needs_j_of_size_dim():
             hodge_class_dimension(dim, j)
 
 
+def test_hodge_class_dimension_needs_j_squared_minus_identity():
+    # the right shape is not enough: J.J must be -I exactly, and no J on an
+    # odd-dimensional space squares to -I
+    for j in (Matrix.identity(8), 2 * block_j(), block_j() + Matrix.identity(8), Matrix.zeros(6, 6)):
+        with pytest.raises(ValueError, match="J\\^2 != -identity"):
+            hodge_class_dimension(j.rows, j)
+    with pytest.raises(ValueError, match="even dimension"):
+        hodge_class_dimension(5, Matrix.zeros(5, 5))
+
+
+def test_hodge_class_dimension_is_the_nullity_of_d_j():
+    # C(m, 2)^2 against the rank of the whole 70x70 (or smaller) D_J of the
+    # reference, on unimodular conjugates of the block J at 2m = 4, 6, 8
+    rng = random.Random(61)
+    for dim in (4, 6, 8):
+        g = random_unimodular(rng, dim)
+        j = g.inverse() * block_j(dim) * g
+        d_j = derivation_wedge4(j)
+        assert hodge_class_dimension(dim, j) == d_j.cols - d_j.rank() == (1, 9, 36)[dim // 2 - 2]
+
+
 def test_hodge_class_dimension_conjugation_invariant():
     rng = random.Random(53)
     j = block_j()
@@ -463,7 +510,7 @@ def _sparse_int_vector(rng, n):
 
 def test_apply_wedge4_is_the_derivation_times_the_vector():
     # den.D_op applied move by move to a sparse int vector is den times
-    # derivation_wedge4(op) * X, with no zero entry kept
+    # the raw 4-tensor derivation of op times X, with no zero entry kept
     rng = random.Random(59)
     j, phi = block_j(), block_phi()
     g = random_unimodular(rng, 8)
@@ -479,7 +526,7 @@ def test_apply_wedge4_is_the_derivation_times_the_vector():
         vectors = [_sparse_int_vector(rng, len(masks)) for _ in range(3)] + [(0,) * len(masks)]
         if op.rows == 8:
             vectors += weil_class_space(check_quadratic_endo(ginv * j * g, ginv * phi * g))
-        expected = derivation_wedge4(op) * Matrix(vectors, len(masks)).transpose()
+        expected = Matrix(wedge4_derivation_bruteforce(op)) * Matrix(vectors, len(masks)).transpose()
         cols, den = weil_mod._wedge4_columns(op)
         for t, v in enumerate(vectors):
             out = weil_mod._apply_wedge4(cols, {mask: x for mask, x in zip(masks, v) if x})
@@ -511,9 +558,10 @@ def test_certify_22_is_the_operator_form_off_dimension_8():
 
 
 def test_analyze_builds_no_70x70_operator(monkeypatch):
-    # the class checks apply D_phi and D_J to the two class vectors, so
-    # neither 70x70 derivation is built on the way to the report (the 70x2
-    # class basis is still transposed once for its echelon)
+    # the class checks apply D_phi and D_J to the class vectors, whose basis
+    # is read straight off the eigenvector wedge, and the (2,2) dimension is
+    # C(m, 2)^2: no 70x70 derivation is built on the way to either
+    assert not hasattr(weil_mod, "induced_operator") and not hasattr(weil_mod, "reduced_echelon_basis")
     induced = linalg_mod.induced_operator
 
     def refuse_70x70(keys, index, moves, den):
@@ -522,8 +570,8 @@ def test_analyze_builds_no_70x70_operator(monkeypatch):
         return induced(keys, index, moves, den)
 
     monkeypatch.setattr(linalg_mod, "induced_operator", refuse_70x70)
-    monkeypatch.setattr(weil_mod, "induced_operator", refuse_70x70)
     j, phi = block_j(), block_phi()
+    assert hodge_class_dimension(8, j) == hodge_class_dimension(8, phi) == 36
     for cand, fields in ((phi, (2, 2, True, 2, True)), (j, (4, 0, False, 2, False))):
         report = analyze(j, cand)
         assert (report.mult_plus, report.mult_minus, report.is_weil, report.weil_space_dim, report.all_weil_classes_22) == fields
