@@ -19,7 +19,8 @@ from ksw.errors import UsageError
 from ksw.formal_corr import CAP_B3, CAP_N
 from ksw.linalg import Matrix
 from ksw.randgen import random_hk
-from ksw.serialize import content_hash, matrix_content_hash, matrix_from_json, matrix_to_json, parse_rational
+from ksw.hodge import HKStructure
+from ksw.serialize import content_hash, matrix_content_hash, matrix_from_json, matrix_to_json, parse_rational, vector_to_json
 from ksw.suite import NO_INSTANCES, RunReport, exit_code_from_checks, load_config
 from oracles import signed_permutation_conjugate
 
@@ -914,6 +915,54 @@ def test_report_bytes_pinned(fixture_dir, capsys):
         assert main(argv + ["--json"]) == 0, name
         digests[name] = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
     assert digests == PINNED_REPORT_DIGESTS
+
+
+def _dense_hk(h: int) -> HKStructure:
+    """The period of random_hk(Random(100 h + 1), h) reflected in two non-null vectors: e has every C(h, 2) bivector."""
+    hk = random_hk(random.Random(100 * h + 1), h)
+    space, alpha, beta = hk.space, hk.period.alpha, hk.period.beta
+    for step in (1, 2):
+        v = [1 + step * i for i in range(h)]
+        while not space.quadratic(v):
+            v[0] += 1
+        q = space.quadratic(v)
+        alpha, beta = (tuple(x - 2 * space.bilinear(u, v) / q * y for x, y in zip(u, v)) for u in (alpha, beta))
+    return HKStructure.build(space, alpha, beta)
+
+
+#: sha256 of `ksw ks build --json` and `ksw ks verify --json` for h = 3..9, on
+#: random_hk(Random(100 h), h) ("random") and on `_dense_hk(h)` ("dense")
+PINNED_KS_DIGESTS = {
+    ("random", 3): ("c33e240615f07f754637f1125f31f45a7ce30793c6d38278bdd92d736f654c18", "c87612dda4ca36ddcbc1c6593e67199a563a3f698b8fb1d73e14a811fffd0b14"),
+    ("random", 4): ("babaaa36f9d5cf025485e6f7f06123ce78ec9ead09248454d63bb4112b39f263", "bba208fbef866cf6305ef7bc02c3796a25c4571aa6ce6c9e78e7b4b109dfdfc0"),
+    ("random", 5): ("6eac98b2b0959a47527498ff6433db577ae131d0c614ce14b296e1acaab727a8", "b4e7911b2bdaebcc5cc972c9711b93821f3bb91031c28eed76e59cded822aa34"),
+    ("random", 6): ("34b79f18a44c4e5d8c789b931f790520f7cc9c6c277912f57d0fd06cae8f4c20", "7709727836ea7a38b1b7a4e99b9971f82574961cb4a3859bbcbe26d34dd87d0b"),
+    ("random", 7): ("6e2cf7c95255b81ca03b8094a2b2a4f09aab4855a8630ac757d57089a0818177", "61df00cbcebfb5dbc313b1cce2b0113db5b93911c591d35558c984a55d95a4b6"),
+    ("random", 8): ("598829c595b418906e01098cf80271a7bc71419ef59aa68b893d9817142ac99c", "e17c508ee0f4e5c5ba8d279348698222b2c521d257a14e018e23d13b4e463b78"),
+    ("random", 9): ("3fa97d05a9a630e2b362c9006b87085f16e05c4d3d4330e86cf89ccb90a2698e", "8f5859994b7622f01b2315949f6b4715300c4707cac2cac47d77e7e59ee34e91"),
+    ("dense", 3): ("41478f4b9f0e11ec7a19324233be315860af73d5f0fefd1c26d15110305da943", "7852a87ac18b5c5edcb90b1d8ca48f799767a559cf515d5f3d6546081ca7a0d0"),
+    ("dense", 4): ("ee731bc9acd663ae4f16cbea538a8bc6431d3d3efdf1b181d65d37eb97c5d516", "6e529099bbdfa0896321a7b4576a4e6833c097323d09e6ae0bf7676c166491b5"),
+    ("dense", 5): ("98dda30a8ae94b6cd60228834fa512cfea8d90c2f942d6c988a8e48563c4c712", "707c3bdef4894f52ba32d3913933fbfc30f9a86502689b2cda3b475617295db1"),
+    ("dense", 6): ("0201f91ab353bf08cdd47dfb0d34d249d86578a0100f7eace7159815d24e1af0", "9730ff2b326bc99ab06d96287101545a03825ba0fb9b9010f6557b538b78a2fc"),
+    ("dense", 7): ("a7f647a588d9e14aa2a0efeb91d9544bc5cb49b1284f1bcbffd8ce7fdd624dc5", "db39b146df1a44745d994e97d2fbab535085de72622531c4cc70a8cc38926a1a"),
+    ("dense", 8): ("7d1a0f03d2fe1df0b2c0aafa432072d9e9474e6d0211dfd626892dd8ea38b99d", "7d7ed0ee15de0e05e93d024d11ecc3b674eb6eac587084932b702b9769a0e8b5"),
+    ("dense", 9): ("b82655992138489e5e05d0e2be2d77d0d39e42c67a4baea2cdfec5ccab1586e6", "d4a5c05d8c4ad3b23609c5b6521e1ed3ce95d81aafc7c0027860ca344ef27174"),
+}
+
+
+def test_ks_report_bytes_pinned_for_h_3_to_9(tmp_path, capsys):
+    space, period = tmp_path / "space.json", tmp_path / "period.json"
+    digests = {}
+    for kind, h in PINNED_KS_DIGESTS:
+        hk = random_hk(random.Random(100 * h), h) if kind == "random" else _dense_hk(h)
+        space.write_text(json.dumps({"dim": h, "gram": matrix_to_json(hk.space.gram)}))
+        period.write_text(json.dumps({"alpha": vector_to_json(hk.period.alpha), "beta": vector_to_json(hk.period.beta)}))
+        pair = []
+        for command in ("build", "verify"):
+            assert main(["ks", command, "-f", str(space), "-p", str(period), "--json"]) == 0, (kind, h, command)
+            pair.append(hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest())
+        digests[kind, h] = tuple(pair)
+    assert digests == PINNED_KS_DIGESTS
 
 
 #: sha256 of `ksw weil analyze --json` on the block fixture, on phi = J and on
