@@ -31,7 +31,6 @@ from .errors import (
     WorkbenchError,
 )
 from .hodge import HKStructure
-from .linalg import Matrix
 from .qspace import QuadraticSpace
 from .serialize import (
     catalog_from_json,
@@ -132,28 +131,6 @@ def cmd_qform_inspect(args) -> RunReport:
     )
 
 
-def _ks_identity_checks(ks, verbose_families: bool) -> list[dict]:
-    checks = [
-        _check("ks.e_square", kuga_satake.verify_e_square(ks), "e.e == -unit"),
-        _check("ks.j_square", kuga_satake.verify_j_square(ks), "J^2 == -I on C+"),
-    ]
-    report = kuga_satake.structure_commutators(ks, raise_on_failure=False)
-    if verbose_families:
-        for name, ok, detail in report.checks:
-            checks.append(_check("ks.commutators.%s" % name, ok, detail))
-    else:
-        checks.append(
-            _check(
-                "ks.commutators",
-                report.ok,
-                "four identity families"
-                if report.ok
-                else "failed: %s" % ", ".join(report.failed_names()),
-            )
-        )
-    return checks
-
-
 def cmd_ks_build(args) -> RunReport:
     hk, inputs = _load_hk(args.form, args.period)
     ks = kuga_satake.build(hk, cap=resolve_cap())
@@ -167,7 +144,10 @@ def cmd_ks_build(args) -> RunReport:
             raise UsageError("--v0 names a null vector")
     else:
         v0 = kuga_satake.default_v0(ks)
-    checks = _ks_identity_checks(ks, verbose_families=False)
+    e_square, j_square, *commutators = kuga_satake.verify_sequence(ks)
+    failed = [name.removeprefix("ks.commutators.") for name, ok, _ in commutators if not ok]
+    summary = "failed: %s" % ", ".join(failed) if failed else "four identity families"
+    checks = [_check(*e_square), _check(*j_square), _check("ks.commutators", not failed, summary)]
     return RunReport(
         command="ks build",
         inputs=inputs,
@@ -189,24 +169,12 @@ def cmd_ks_build(args) -> RunReport:
 def cmd_ks_verify(args) -> RunReport:
     hk, inputs = _load_hk(args.form, args.period)
     ks = kuga_satake.build(hk, cap=resolve_cap())
-    checks = _ks_identity_checks(ks, verbose_families=True)
-    h = hk.space.h
-    v0 = kuga_satake.default_v0(ks)
-    rank_ok = kuga_satake.embedding_has_full_rank(ks, v0)
-    sign_ok = kuga_satake.embedding_sign_laws(ks, v0, matrix_level=h <= 5)
-    riso = kuga_satake.odd_even_isomorphism(ks, v0)
-    inverse_ok = kuga_satake.odd_even_inverse(ks, v0) * riso == Matrix.identity(1 << (h - 1))
-    checks += [
-        _check("ks.endo_rank", rank_ok, "rank of v -> E_v equals h"),
-        _check("ks.endo_sign_laws", sign_ok, "J (anti)commutes with E_v by plane membership"),
-        _check("ks.odd_even_iso", inverse_ok, "R_v0 has exact two-sided inverse R_v0/(v0,v0)"),
-    ]
     return RunReport(
         command="ks verify",
         inputs=inputs,
-        checks=checks,
+        checks=[_check(*row) for row in kuga_satake.verify_sequence(ks, kuga_satake.default_v0(ks))],
         seed=args.seed,
-        data={"dims": {"h": h, "c_plus": 1 << (h - 1)}},
+        data={"dims": {"h": hk.space.h, "c_plus": len(ks.algebra.even_masks)}},
     )
 
 

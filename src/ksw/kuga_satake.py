@@ -36,9 +36,12 @@ even blades: e.(e.x) is summed from them by linearity and compared
 unreduced, so no element product is formed per blade.
 
 The embedding v -> E_v = L_v . R_v0 of H in End(C+) has J E_v = -+E_v J
-as v lies in the plane or orthogonal to it.  At matrix level R_v0 is
-built once for all h vectors, and the element laws need no second check:
-`embedding_sign_laws` derives them from the matrix laws.
+as v lies in the plane or orthogonal to it; `embedding_sign_laws` derives
+the element laws from the matrix laws.  `verify_sequence` runs every check
+once, in order, for `ks build`, `ks verify` and the suite, and builds each
+shared piece once: one P-perp basis, the element sign laws read off the
+rows of families (i)-(ii), and one R_v0 behind the matrix-level laws, its
+inverse and J_odd . R_v0 == R_v0 . J_even.
 """
 
 from __future__ import annotations
@@ -169,8 +172,36 @@ def structure_commutators(
     Raises CommutatorViolation naming the first failed identity unless
     ``raise_on_failure`` is False, in which case the report carries them.
     """
+    report = CommutatorReport(_commutator_rows(ks, samples, plane_orthogonal_basis(ks.base))[1])
+    if raise_on_failure and not report.ok:
+        raise CommutatorViolation("failed identities: %s" % ", ".join(report.failed_names()))
+    return report
+
+
+def verify_sequence(ks: KSStructure, v0=None, samples: int = 2) -> list[tuple[str, bool, str]]:
+    """The checks of `ks verify` in order as (name, ok, detail) rows; the rows after the commutators need ``v0``."""
+    rows = [("ks.e_square", verify_e_square(ks), "e.e == -unit"), ("ks.j_square", verify_j_square(ks), "J^2 == -I on C+")]
+    perp = plane_orthogonal_basis(ks.base)
+    laws, commutators = _commutator_rows(ks, samples, perp)
+    rows += [("ks.commutators." + name, ok, detail) for name, ok, detail in commutators]
+    if v0 is None:
+        return rows
+    h, rank_ok, right = ks.space.h, embedding_has_full_rank(ks, v0), odd_even_isomorphism(ks, v0)
+    sign_ok = _matrix_sign_laws(ks, right, perp) if h <= 5 else all(ok for _, ok, _ in laws)
+    iso_ok = odd_even_inverse(ks, v0) * right == Matrix.identity(1 << (h - 1))
+    if h <= 6:
+        iso_ok = iso_ok and products_equal(left_mul_operator(ks.e, "odd"), right, right, ks.j_even)
+    return rows + [
+        ("ks.endo_rank", rank_ok, "rank of v -> E_v equals h"),
+        ("ks.endo_sign_laws", sign_ok, "J (anti)commutes with E_v by plane membership"),
+        ("ks.odd_even_iso", iso_ok, "R_v0 has exact two-sided inverse R_v0/(v0,v0)"),
+    ]
+
+
+def _commutator_rows(ks: KSStructure, samples: int, perp):
+    """(the laws (i)-(ii), every row of `structure_commutators`), with ``perp`` the P-perp basis."""
     alg = ks.algebra
-    laws, rotations = _vector_e_identities(ks)
+    laws, rotations = _vector_e_identities(ks, perp)
     checks = laws + rotations
     if samples > 0:
         table_ok = _table_is_clifford(alg)
@@ -178,14 +209,11 @@ def structure_commutators(
     for s in range(samples):
         ok = table_ok and _commutes_with_generators(alg, columns, range(s, alg.h, samples))
         checks.append(("right_mul_commutes[%d]" % s, ok, "R_c . L_e == L_e . R_c on full Cliff"))
-    report = CommutatorReport(checks)
-    if raise_on_failure and not report.ok:
-        raise CommutatorViolation("failed identities: %s" % ", ".join(report.failed_names()))
-    return report
+    return laws, checks
 
 
-def _vector_e_identities(ks: KSStructure):
-    """Families (i)-(iii) as (name, ok, detail) rows: the laws (i)-(ii), then the rotations (iii).
+def _vector_e_identities(ks: KSStructure, perp):
+    """Families (i)-(iii) as (name, ok, detail) rows: the laws (i)-(ii) on the P-perp basis ``perp``, then the rotations (iii).
 
     For grade-1 v = sum c_i e_i, v.e and e.v are sum c_i (e_i.e) and
     sum c_i (e.e_i) over v.den * e.den * scale: integer combinations of
@@ -202,7 +230,7 @@ def _vector_e_identities(ks: KSStructure):
     commutators = {i: {k: n for k, n in _accumulate(dict(blade_e[i]), {i: 1}, e_blade, -1).items() if n} for i in bits}
     laws = [
         ("perp_commutes[%d]" % idx, not any(_accumulate({}, alg.vector(w).nums, commutators, 1).values()), "w.e == e.w on P-perp basis")
-        for idx, w in enumerate(plane_orthogonal_basis(ks.base))
+        for idx, w in enumerate(perp)
     ]
     a, b = alg.vector(period.alpha), alg.vector(period.beta)
     ae, ea, be, eb = (_accumulate({}, v.nums, columns, 1) for v in (a, b) for columns in (blade_e, e_blade))
@@ -307,9 +335,7 @@ def endomorphism_embedding(ks: KSStructure, v, v0) -> Matrix:
     E_v for v in the plane and commutes for v orthogonal to it.  E_v is
     R_v0 from C+ to C- followed by L_v from C- back to C+.
     """
-    alg = ks.algebra
-    right = _mul_block(alg.vector(_non_null(ks, v0)), "right", "even")
-    return _mul_block(alg.vector(vector(v)), "left", "odd") * right
+    return _mul_block(ks.algebra.vector(vector(v)), "left", "odd") * odd_even_isomorphism(ks, v0)
 
 
 def embedding_unit_block(ks: KSStructure, v0) -> Matrix:
@@ -343,11 +369,16 @@ def embedding_sign_laws(ks: KSStructure, v0, matrix_level: bool = False) -> bool
     associative (family (iv)'s table certificate) and q(v0) != 0, so
     right multiplication by v0 / q(v0) gives e.v = -+v.e.
     """
+    perp = plane_orthogonal_basis(ks.base)
     if not matrix_level:
-        return all(ok for _, ok, _ in _vector_e_identities(ks)[0])
+        return all(ok for _, ok, _ in _vector_e_identities(ks, perp)[0])
+    return _matrix_sign_laws(ks, odd_even_isomorphism(ks, v0), perp)
+
+
+def _matrix_sign_laws(ks: KSStructure, right: Matrix, perp) -> bool:
+    """J E_v == -+E_v J for v = alpha, beta and the ``perp`` basis, with E_v = L_v . ``right``."""
     alg, j, period = ks.algebra, ks.j_even, ks.base.period
-    right = odd_even_isomorphism(ks, v0)
-    for v, sign in [(period.alpha, -1), (period.beta, -1)] + [(w, 1) for w in plane_orthogonal_basis(ks.base)]:
+    for v, sign in [(period.alpha, -1), (period.beta, -1)] + [(w, 1) for w in perp]:
         ev = _mul_block(alg.vector(v), "left", "odd") * right
         if not products_equal(j, ev, -ev if sign < 0 else ev, j):
             return False

@@ -603,7 +603,7 @@ CATALOG = [
     (
         "matrix sign laws: skip the P-perp vectors",
         _KS,
-        "[(period.alpha, -1), (period.beta, -1)] + [(w, 1) for w in plane_orthogonal_basis(ks.base)]",
+        "[(period.alpha, -1), (period.beta, -1)] + [(w, 1) for w in perp]",
         "[(period.alpha, -1), (period.beta, -1)]",
         [_T_KS + "test_matrix_sign_laws_read_the_perp_vectors"],
     ),
@@ -681,14 +681,9 @@ CATALOG += [
         ("clifford.anticommutation", "t.v * t.w + t.w * t.v == t.two_vw if t.pair", "True if t.pair", "clifford"),
         ("clifford.associativity", "(t.x * t.y) * t.z == t.x * (t.y * t.z)", "True", "clifford"),
         ("clifford.parity_additivity", '(_even_part(t.x) * _even_part(t.y)).parity == "even"', "True", "clifford"),
-        ("ks.e_square", "lambda t: kuga_satake.verify_e_square(t.ks)", "lambda t: True", "ks"),
-        ("ks.j_square", "lambda t: kuga_satake.verify_j_square(t.ks)", "lambda t: True", "ks"),
-        (
-            "ks.commutators",
-            "lambda t: kuga_satake.structure_commutators(t.ks, samples=t.samples, raise_on_failure=False).ok",
-            "lambda t: True",
-            "ks",
-        ),
+        ("ks.e_square", 'lambda t: _sequence(t, "ks.e_square")', "lambda t: True", "ks"),
+        ("ks.j_square", 'lambda t: _sequence(t, "ks.j_square")', "lambda t: True", "ks"),
+        ("ks.commutators", 'lambda t: _sequence(t, "ks.commutators")', "lambda t: True", "ks"),
         ("ks.torus_dimension", "lambda t: t.ks.torus_complex_dim == 2 ** (t.h - 2)", "lambda t: True", "ks"),
         (
             "ks.basis_independence",
@@ -702,14 +697,9 @@ CATALOG += [
             "lambda t: True",
             "ks",
         ),
-        ("ks.endo_rank", "lambda t: kuga_satake.embedding_has_full_rank(t.ks, t.v0)", "lambda t: True", "ks"),
-        ("ks.endo_sign_laws", "lambda t: kuga_satake.embedding_sign_laws(t.ks, t.v0, matrix_level=t.h <= 5)", "lambda t: True", "ks"),
-        (
-            "ks.odd_even_iso inverse",
-            "lambda t: kuga_satake.odd_even_inverse(t.ks, t.v0) * t.riso == Matrix.identity(1 << (t.h - 1))",
-            "lambda t: True",
-            "ks",
-        ),
+        ("ks.endo_rank", 'lambda t: _sequence(t, "ks.endo_rank")', "lambda t: True", "ks"),
+        ("ks.endo_sign_laws", 'lambda t: _sequence(t, "ks.endo_sign_laws")', "lambda t: True", "ks"),
+        ("ks.odd_even_iso", 'lambda t: _sequence(t, "ks.odd_even_iso")', "lambda t: True", "ks"),
         ("hodge.period_isotropy", "    return d_aa == 0 and cross == 0 and half == t.hk.period.norm > 0\n", "    return True\n", "hodge"),
         ("hodge.rotation_skew", "    return (a.transpose() * g + g * a).is_zero()\n", "    return True\n", "hodge"),
         (
@@ -764,15 +754,70 @@ CATALOG += [
     )
 ]
 
-#: the intertwining row of ks.odd_even_iso, and the driver that folds the table
+_T_SEQUENCE = _T_KS + "test_verify_sequence_matches_the_routines_one_at_a_time"
+_T_SHARED = _T_KS + "test_verify_sequence_builds_each_shared_piece_once"
+
+#: the ks verification sequence: its steps, what it shares, and how ks build and the suite read it
 CATALOG += [
     (
-        "suite: drop the ks.odd_even_iso intertwining",
-        _SUITE,
-        'lambda t: products_equal(_mul_block(t.ks.e, "left", "odd"), t.riso, t.riso, t.ks.j_even) if t.h <= 6 else None',
-        "lambda t: None",
+        "verify_sequence: drop the J-intertwining of R_v0",
+        _KS,
+        '        iso_ok = iso_ok and products_equal(left_mul_operator(ks.e, "odd"), right, right, ks.j_even)\n',
+        "        pass\n",
         [_T_KS + "test_operator_identity_checks_reject_a_perturbed_j"],
     ),
+    ("verify_sequence: the intertwining gated at h <= 5", _KS, "    if h <= 6:\n", "    if h <= 5:\n", [_T_SEQUENCE]),
+    (
+        "verify_sequence: the inverse of R_v0 always holds",
+        _KS,
+        "    iso_ok = odd_even_inverse(ks, v0) * right == Matrix.identity(1 << (h - 1))\n",
+        "    iso_ok = True\n",
+        [_FAULTS % "ks"],
+    ),
+    ("verify_sequence: the element sign laws read every commutator row", _KS, "else all(ok for _, ok, _ in laws)", "else all(ok for _, ok, _ in commutators)", [_T_SEQUENCE]),
+    ("verify_sequence: the matrix-level sign laws gated at h <= 4", _KS, "right, perp) if h <= 5 else", "right, perp) if h <= 4 else", [_T_SEQUENCE]),
+    (
+        "verify_sequence: a second P-perp basis for the matrix-level sign laws",
+        _KS,
+        "_matrix_sign_laws(ks, right, perp) if",
+        "_matrix_sign_laws(ks, right, plane_orthogonal_basis(ks.base)) if",
+        [_T_SHARED],
+    ),
+    (
+        "verify_sequence: a second R_v0 for the inverse",
+        _KS,
+        "odd_even_inverse(ks, v0) * right ==",
+        "odd_even_inverse(ks, v0) * odd_even_isomorphism(ks, v0) ==",
+        [_T_SHARED],
+    ),
+    ("suite: the ks sequence run again for each check", _SUITE, 'if not hasattr(t, "sequence"):', "if True:", [_T_SHARED]),
+    ("suite: ks.commutators reads none of its rows", _SUITE, 'name == check or name.startswith(check + ".")', "name == check", [_FAULTS % "ks"]),
+    (
+        "ks build: a failed commutator row leaves ks.commutators passing",
+        "src/ksw/cli.py",
+        '_check("ks.commutators", not failed,',
+        '_check("ks.commutators", True,',
+        [_T_CLI + "test_ks_build_folds_the_commutator_rows_of_ks_verify"],
+    ),
+]
+
+#: a cap edge, an odd weight and the last corr pair, and the driver that folds the table
+CATALOG += [
+    (
+        "kunneth_square: n = CAP_N refused",
+        _CORR,
+        "    if b3 > CAP_B3 or n > CAP_N:\n",
+        "    if b3 > CAP_B3 or n >= CAP_N:\n",
+        [_T_CLI + "test_corr_verify_at_the_n_cap_exits_0"],
+    ),
+    (
+        "type_spectrum: the |p-q| classes run below 0",
+        "src/ksw/hodge.py",
+        "range(weight, -1, -2)",
+        "range(weight, -2, -2)",
+        ["tests/test_hodge.py::test_type_spectrum_at_odd_weight"],
+    ),
+    ("suite: the corr pushforward pairing stops short of b3", _SUITE, "range(i + 1, t.b3 + 1)", "range(i + 1, t.b3 - 1)", [_FAULTS % "corr"]),
     (
         "suite: the isotropic split forms split h // 3",
         _SUITE,

@@ -209,6 +209,12 @@ def test_corr_verify_over_the_cap_exits_2(capsys):
     assert _json_output(capsys)["data"]["pairs"] == CAP_B3 * (CAP_B3 - 1) // 2
 
 
+def test_corr_verify_at_the_n_cap_exits_0(capsys):
+    # n = CAP_N is the largest n that runs
+    assert main(["corr", "verify", "--b3", "2", "--n", str(CAP_N), "--json"]) == 0
+    assert _json_output(capsys)["data"]["pairs"] == 1
+
+
 def test_suite_corr_over_the_cap_is_skipped(tmp_path, capsys):
     capped = dict(SMALL_SUITE, corr=dict(SMALL_SUITE["corr"], b3=CAP_B3 + 1, n=[2, 3]))
     cfg = tmp_path / "config.json"
@@ -377,6 +383,23 @@ def test_ks_verify(fixture_dir, capsys):
     assert "ks.endo_sign_laws" in names
     assert "ks.odd_even_iso" in names
     assert any(name.startswith("ks.commutators.rotation") for name in names)
+
+
+def test_ks_build_folds_the_commutator_rows_of_ks_verify(fixture_dir, capsys, monkeypatch):
+    # e doubled: e^2, J^2 and the rotation identities fail, the other families hold
+    make_e = kuga_satake.complex_structure_element
+    monkeypatch.setattr(kuga_satake, "complex_structure_element", lambda hk, algebra=None: 2 * make_e(hk, algebra))
+    args = ["-f", str(fixture_dir / "space.json"), "-p", str(fixture_dir / "period.json"), "--json"]
+    assert main(["ks", "verify", *args]) == 1
+    verify = _json_output(capsys)["checks"]
+    assert main(["ks", "build", *args]) == 1
+    build = _json_output(capsys)["checks"]
+    family = "ks.commutators."
+    rows = [c for c in verify if c["name"].startswith(family)]
+    failed = [c["name"].removeprefix(family) for c in rows if c["status"] == "fail"]
+    assert 0 < len(failed) < len(rows)
+    assert build == verify[:2] + [{"name": "ks.commutators", "status": "fail", "detail": "failed: " + ", ".join(failed)}]
+    assert [c["status"] for c in verify[:2]] == ["fail", "fail"]
 
 
 def test_ks_verify_seed_is_only_echoed(fixture_dir, capsys):

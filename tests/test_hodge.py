@@ -112,6 +112,13 @@ def test_type_spectrum_sym2_matches_float_oracle():
     assert spec.dim(4, 0) == spec.dim(0, 4) == 1
 
 
+def test_type_spectrum_at_odd_weight():
+    # the |p-q| classes of an odd weight are odd and stop at 1: no class 0, none below
+    assert type_spectrum(Matrix([[0, -1], [1, 0]]), Fraction(2), 1).dims == {(1, 0): 1, (0, 1): 1}
+    blocks = Matrix([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -3], [0, 0, 3, 0]])
+    assert type_spectrum(blocks, Fraction(2), 3).dims == {(3, 0): 1, (0, 3): 1, (2, 1): 1, (1, 2): 1}
+
+
 def test_type_spectrum_inconsistent_weight():
     # a nilpotent operator is not a valid derivation extension: the kernel
     # ranks cannot partition the space

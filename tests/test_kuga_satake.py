@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from oracles import (
     right_mul_commutes_reference,
     vector_e_identities_reference,
 )
+from test_suite_controls import KS_ROWS
 
 
 def _hk(diag, alpha, beta):
@@ -494,3 +496,94 @@ def test_cap_exceeded_propagates():
     hk = _hk([1, 1, -1], (1, 0, 0), (0, 1, 0))
     with pytest.raises(CapExceeded):
         ks_mod.build(hk, cap=2)
+
+
+def _routine_rows(ks, v0, samples):
+    """(name, ok) of each `verify_sequence` row from the public routines, called one at a time in the benchmark's ks order."""
+    h = ks.space.h
+    report = ks_mod.structure_commutators(ks, samples=samples, raise_on_failure=False)
+    right = ks_mod.odd_even_isomorphism(ks, v0)
+    iso = ks_mod.odd_even_inverse(ks, v0) * right == Matrix.identity(1 << (h - 1))
+    if h <= 6:
+        iso = iso and left_mul_operator(ks.e, "odd") * right == right * ks.j_even
+    return (
+        [("ks.e_square", ks_mod.verify_e_square(ks)), ("ks.j_square", ks_mod.verify_j_square(ks))]
+        + [("ks.commutators." + name, ok) for name, ok, _ in report.checks]
+        + [
+            ("ks.endo_rank", ks_mod.embedding_has_full_rank(ks, v0)),
+            ("ks.endo_sign_laws", ks_mod.embedding_sign_laws(ks, v0, matrix_level=h <= 5)),
+            ("ks.odd_even_iso", iso),
+        ]
+    )
+
+
+def _sequence_rows(ks, v0, samples):
+    return [(name, ok) for name, ok, _ in ks_mod.verify_sequence(ks, v0, samples)]
+
+
+def test_verify_sequence_matches_the_routines_one_at_a_time(monkeypatch):
+    # h = 3..8 spans both sides of the matrix-level sign laws (h <= 5) and of the intertwining (h <= 6)
+    hks = [random_hk(random.Random(90 + h), h) for h in range(3, 9)]
+    failed = set()
+    for patches, _ in [([], set())] + KS_ROWS:
+        with monkeypatch.context() as m:
+            for owner, attr, value in patches:
+                m.setattr(owner, attr, value)
+            for hk in hks:
+                ks = ks_mod.build(hk)
+                v0 = ks_mod.default_v0(ks)
+                want = _routine_rows(ks, v0, 2)
+                assert _sequence_rows(ks, v0, 2) == want, (hk.space.h, patches)
+                failed |= {name.partition("[")[0] for name, ok in want if not ok}
+    # e replaced and J perturbed: the element laws hold for 2e and -e while the rotations fail
+    for hk in hks:
+        ks = ks_mod.build(hk)
+        v0 = ks_mod.default_v0(ks)
+        for bad in (dataclasses.replace(ks, e=2 * ks.e), dataclasses.replace(ks, e=-ks.e), _perturbed(ks)):
+            want = _routine_rows(bad, v0, 1)
+            assert _sequence_rows(bad, v0, 1) == want, hk.space.h
+            failed |= {name.partition("[")[0] for name, ok in want if not ok}
+    assert failed == {
+        "ks.e_square", "ks.j_square", "ks.commutators.rotation", "ks.commutators.right_mul_commutes",
+        "ks.endo_rank", "ks.endo_sign_laws", "ks.odd_even_iso",
+    }
+
+
+def test_verify_sequence_without_v0_stops_after_the_commutators():
+    ks = ks_mod.build(random_hk(random.Random(97), 4))
+    rows = _sequence_rows(ks, None, 2)
+    assert rows == _routine_rows(ks, ks_mod.default_v0(ks), 2)[:-3]
+
+
+_SHARED = ("_vector_e_identities", "plane_orthogonal_basis", "odd_even_isomorphism")
+
+
+def _count_shared(monkeypatch) -> Counter:
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in _SHARED:
+        monkeypatch.setattr(ks_mod, name, counted(name, getattr(ks_mod, name)))
+    return counts
+
+
+def test_verify_sequence_builds_each_shared_piece_once(monkeypatch):
+    counts = _count_shared(monkeypatch)
+    for h in range(3, 9):
+        ks = ks_mod.build(random_hk(random.Random(80 + h), h))
+        for v0, want in ((None, {"_vector_e_identities": 1, "plane_orthogonal_basis": 1}), (ks_mod.default_v0(ks), dict.fromkeys(_SHARED, 1))):
+            counts.clear()
+            ks_mod.verify_sequence(ks, v0)
+            assert counts == want, (h, v0)
+    # the suite runs one sequence per ks instance, read by six checks
+    counts.clear()
+    cfg = suite.load_config({"ks": {"h_range": [3, 6], "instances_per_h": 2}})
+    checks = suite._stream_checks("_ks_checks", cfg, random.Random(0))
+    assert {c["status"] for c in checks} == {"pass"}
+    assert counts == dict.fromkeys(_SHARED, 8)

@@ -24,7 +24,7 @@ from ksw import kuga_satake as ks_mod
 from ksw import suite as suite_mod
 from ksw import sympow as sympow_mod
 from ksw import weil as weil_mod
-from ksw.errors import NotApplicable
+from ksw.errors import CapExceeded, CommutatorViolation, NotApplicable
 from ksw.clifford import CliffordAlgebra, CliffordElement
 from ksw.hodge import HKStructure, HodgeTypeSpectrum
 from ksw.linalg import Matrix
@@ -240,6 +240,8 @@ KS_ROWS = [
     ([(ks_mod, "embedding_unit_block", _first_row_repeated)], {"ks.endo_rank"}),
     ([(ks_mod, "_mul_block", _left_odd_shifted)], {"ks.endo_sign_laws"}),
     ([(ks_mod, "odd_even_inverse", lambda ks, v0: 2 * _odd_even_inverse(ks, v0))], {"ks.odd_even_iso"}),
+    # the first instance alone (h = 3): the last instance of a check must not decide it
+    ([(ks_mod, "odd_even_inverse", lambda ks, v0: (1 + (ks.space.h == 3)) * _odd_even_inverse(ks, v0))], {"ks.odd_even_iso"}),
     # family (iv) alone: generator identities off by a sign, or the product table off
     ([(ks_mod, "_blade_columns", _last_index_negated)], {"ks.commutators"}),
     ([(ks_mod, "CliffordAlgebra", _DoubledTripleContractions)], {"ks.commutators"}),
@@ -295,6 +297,12 @@ def _with_cross_term(b3, n, sign_rule=corr_mod.SIGN_KOSZUL):
     return gamma + gamma.algebra.term(0b111, 0b11, n - 2)
 
 
+def _last_pair_doubled(gamma, i, j):
+    """The contraction doubled at the last pair (b3 - 1, b3) alone: a pairing loop that stops short of b3 misses it."""
+    b3 = TRIMMED["corr"]["b3"]
+    return (2 if (i, j) == (b3 - 1, b3) else 1) * _gamma_pushforward(gamma, i, j)
+
+
 CORR_ROWS = [
     (
         [(corr_mod, "kunneth_square", _with_cross_term)],
@@ -305,6 +313,7 @@ CORR_ROWS = [
         [(corr_mod, "gamma_pushforward", lambda gamma, i, j: _gamma_pushforward(gamma, min(i, j), max(i, j)))],
         {"corr.pushforward_pairing[n=2]"},
     ),
+    ([(corr_mod, "gamma_pushforward", _last_pair_doubled)], {"corr.pushforward_pairing[n=2]"}),
     ([(corr_mod, "kunneth_square", lambda b3, n, sign_rule=None: _kunneth_square(b3, n))], {"corr.negative_control"}),
 ]
 
@@ -604,3 +613,25 @@ def test_ks_instances_over_the_cap_keep_their_shapes():
     assert partly[-1] == ("ks.build", "skipped", cap)
     # none built: every ks check takes the cap outcome
     assert _ks_lines([4, 4]) == [(name, "skipped", cap) for name in KS_NAMES]
+
+
+#: the ks checks that read `kuga_satake.verify_sequence`
+SEQUENCE_NAMES = {"ks.e_square", "ks.j_square", "ks.commutators", "ks.endo_rank", "ks.endo_sign_laws", "ks.odd_even_iso"}
+
+
+def test_a_raising_sequence_step_is_the_status_of_the_checks_that_read_it(monkeypatch):
+    for error, status in ((CommutatorViolation, "fail"), (CapExceeded, "skipped")):
+
+        def raising(ks):
+            raise error("the J^2 step raised")
+
+        with monkeypatch.context() as m:
+            m.setattr(ks_mod, "verify_j_square", raising)
+            lines = [(c["name"], c["status"], c["detail"]) for c in suite_mod.run_full_suite(TRIMMED).checks if c["name"].startswith("ks.")]
+        # never a ks.build line: the build itself went through
+        assert [name for name, _, _ in lines] == KS_NAMES
+        for name, got, detail in lines:
+            if name in SEQUENCE_NAMES:
+                assert (got, detail) == (status, "the J^2 step raised"), name
+            else:
+                assert got == "pass", name
