@@ -18,7 +18,7 @@ from ksw.cli import main
 from ksw.errors import UsageError
 from ksw.formal_corr import CAP_B3, CAP_N
 from ksw.linalg import Matrix
-from ksw.randgen import random_hk
+from ksw.randgen import random_congruence_scramble, random_hk
 from ksw.hodge import HKStructure
 from ksw.serialize import content_hash, matrix_content_hash, matrix_from_json, matrix_to_json, parse_rational, vector_to_json
 from ksw.suite import NO_INSTANCES, RunReport, exit_code_from_checks, load_config
@@ -940,6 +940,14 @@ def test_report_bytes_pinned(fixture_dir, capsys):
     assert digests == PINNED_REPORT_DIGESTS
 
 
+def _write_hk(tmp_path, hk: HKStructure) -> tuple[str, str]:
+    """The form and period files of hk."""
+    space, period = tmp_path / "space.json", tmp_path / "period.json"
+    space.write_text(json.dumps({"dim": hk.space.h, "gram": matrix_to_json(hk.space.gram)}))
+    period.write_text(json.dumps({"alpha": vector_to_json(hk.period.alpha), "beta": vector_to_json(hk.period.beta)}))
+    return str(space), str(period)
+
+
 def _dense_hk(h: int) -> HKStructure:
     """The period of random_hk(Random(100 h + 1), h) reflected in two non-null vectors: e has every C(h, 2) bivector."""
     hk = random_hk(random.Random(100 * h + 1), h)
@@ -974,18 +982,137 @@ PINNED_KS_DIGESTS = {
 
 
 def test_ks_report_bytes_pinned_for_h_3_to_9(tmp_path, capsys):
-    space, period = tmp_path / "space.json", tmp_path / "period.json"
     digests = {}
     for kind, h in PINNED_KS_DIGESTS:
-        hk = random_hk(random.Random(100 * h), h) if kind == "random" else _dense_hk(h)
-        space.write_text(json.dumps({"dim": h, "gram": matrix_to_json(hk.space.gram)}))
-        period.write_text(json.dumps({"alpha": vector_to_json(hk.period.alpha), "beta": vector_to_json(hk.period.beta)}))
+        space, period = _write_hk(tmp_path, random_hk(random.Random(100 * h), h) if kind == "random" else _dense_hk(h))
         pair = []
         for command in ("build", "verify"):
-            assert main(["ks", command, "-f", str(space), "-p", str(period), "--json"]) == 0, (kind, h, command)
+            assert main(["ks", command, "-f", space, "-p", period, "--json"]) == 0, (kind, h, command)
             pair.append(hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest())
         digests[kind, h] = tuple(pair)
     assert digests == PINNED_KS_DIGESTS
+
+
+#: the small catalog of the `betti audit` grid entry: a tight, a failing, a
+#: vacuous and a missing-data odd audit
+GRID_CATALOG = [
+    {"name": "tight", "dim2n": 6, "b2": 7, "b3": 8, "b_odd_first_nonzero": [3, 8], "h_2n_minus_3_vanishes": False},
+    {"name": "short", "dim2n": 8, "b2": 23, "b3": 0, "b_odd_first_nonzero": [7, 2], "h_2n_minus_3_vanishes": True},
+    {"name": "odd-vanishing", "dim2n": 8, "b2": 6, "b3": 16, "h_2n_minus_3_vanishes": True},
+    {"name": "unflagged", "dim2n": 6, "b2": 9, "b3": 16},
+]
+
+
+def _grid_argvs(tmp_path) -> dict:
+    """The argv of each entry of `PINNED_GRID_DIGESTS`, its fixtures written under tmp_path."""
+    argvs = {}
+    for h in range(3, 7):
+        (tmp_path / ("h%d" % h)).mkdir()
+        space, period = _write_hk(tmp_path / ("h%d" % h), random_hk(random.Random(100 * h), h))
+        for k in range(6):
+            argvs["sym h=%d k=%d" % (h, k)] = ["sym", "decompose", "-f", space, "--k", str(k)]
+            argvs["sym h=%d k=%d -p" % (h, k)] = ["sym", "decompose", "-f", space, "--k", str(k), "-p", period]
+    rng = random.Random(2207)
+    for i in range(6):
+        h = 2 + i % 4
+        entries = [rng.choice((-7, -3, -2, -1, 1, 2, 3, 5)) for _ in range(h)]
+        path = tmp_path / ("qform%d.json" % i)
+        gram = random_congruence_scramble(rng, Matrix.diagonal(entries))
+        path.write_text(json.dumps({"dim": h, "gram": matrix_to_json(gram)}))
+        argvs["qform %d" % i] = ["qform", "inspect", "-f", str(path)]
+    for b3, n in [(2, 2), (4, 2), (6, 3)]:
+        argvs["corr b3=%d n=%d" % (b3, n)] = ["corr", "verify", "--b3", str(b3), "--n", str(n)]
+    argvs["corr b3=4 n=2 broken"] = ["corr", "verify", "--b3", "4", "--n", "2", "--broken-sign"]
+    catalog = tmp_path / "catalog.json"
+    catalog.write_text(json.dumps(GRID_CATALOG))
+    argvs["betti audit"] = ["betti", "audit", "--catalog", str(catalog)]
+    for b2 in (3, 7, 23, 24):
+        argvs["betti bound b2=%d" % b2] = ["betti", "bound", "--b2", str(b2)]
+        argvs["betti bound b2=%d div4" % b2] = ["betti", "bound", "--b2", str(b2), "--div4-improve"]
+    return argvs
+
+
+#: (exit code, sha256 of the --json stdout) of `sym decompose` for h = 3..6 on
+#: random_hk(Random(100 h), h), k = 0..5, with and without -p; of `qform
+#: inspect` on six seeded scrambled diagonals; and of small `corr verify`,
+#: `betti audit` and `betti bound` calls (`_grid_argvs`)
+PINNED_GRID_DIGESTS = {
+    "sym h=3 k=0": (0, "982e01f258bc871f44002dced62f2528462c14317def0216473e247213764a21"),
+    "sym h=3 k=0 -p": (0, "7e772d1e960a13dfb6ad1cc1409767d0a89764cbae45832dc56fd14de81a277c"),
+    "sym h=3 k=1": (0, "7ced87de36c81a624d27fa38a6a5f2189a9ae10b30ed6607a41055ff05a97f23"),
+    "sym h=3 k=1 -p": (0, "6ed47ce20f7e3077166cee4456fdf6c49bbf56b3fed5009df8838620a9f4ef1c"),
+    "sym h=3 k=2": (0, "50441d3ce1b703d5f905a033425544a5d9bd0c02324d03af045cf094871c8212"),
+    "sym h=3 k=2 -p": (0, "d1de2c1e032ece0c389fee5fa89ae84eba7e7e55aa43d190f349f7da8e5babf0"),
+    "sym h=3 k=3": (0, "60984f05de16ed8ec796a450d6e7144aae180664d96a75b341a0bdd03bef7429"),
+    "sym h=3 k=3 -p": (0, "dcf78f939f48a18213529e1c7661ff442a30ae1611a4ad509d2e38c3a3512bff"),
+    "sym h=3 k=4": (0, "38e55e891ba94fc0a4c05888cd1770a0859edc13b806c895df87ea2832f653e4"),
+    "sym h=3 k=4 -p": (0, "cd8af41ba565866af5779438c780fe67ca0b635a8847c965b8f8bdcb914471ec"),
+    "sym h=3 k=5": (0, "73a4734769488cf86f618dc45ef85e9d12ae37a9220f94f5573057885f698780"),
+    "sym h=3 k=5 -p": (0, "04c18e331aa04a3a64f22db52e6f95c454aa0ed4b4273c8c7e2ef49a194ca3bb"),
+    "sym h=4 k=0": (0, "60c8655e62e9e67cbe8f95d27a6a393bced7a41224691c58ba614ad87b088fce"),
+    "sym h=4 k=0 -p": (0, "25997e6f57afa73248986b016a01a9c074ff0d77aa2d3979311bf7417ac72b5a"),
+    "sym h=4 k=1": (0, "18cee3d5eab08616ffc9a848efc46efc0572266cf1360e676df5544d72d65102"),
+    "sym h=4 k=1 -p": (0, "cd2463e4f9fe6541e0f4b70dff7d25d881c7dd5a4a9cf7ac3409393cc100618a"),
+    "sym h=4 k=2": (0, "3cb9e6e9a6363c23532ec32eea1b0bc52132b1c7ee92341cc6892c08f7fc229d"),
+    "sym h=4 k=2 -p": (0, "ec695484f7e2123e660478bd833d5470cc3893ffed7c3adf7f79641bd1498257"),
+    "sym h=4 k=3": (0, "7ea62831fa62936d7f0d5a8a8ea28caedfd41e4c7c7ca800571121a36ab66653"),
+    "sym h=4 k=3 -p": (0, "f5b001644a04c0f2a479b06a22d890dcff13b6af611256dc5e212ffcdd3dc1a4"),
+    "sym h=4 k=4": (0, "134e2717544974acec610518316a0eed2ec3cd1cbeb94b95ba1f3957fa980913"),
+    "sym h=4 k=4 -p": (0, "26fb0e8e293de600993e8d5392529824720fee703698e6afd273c0bf6ecc672a"),
+    "sym h=4 k=5": (0, "6d6c0007a44f9d210fbb715da54718a7561dc8e08d4f00341cce01c25561f083"),
+    "sym h=4 k=5 -p": (0, "d5c26f7073c504d06d7cdc7bd4389fb74a2eb5749d66ecc6e76ee218ca79da08"),
+    "sym h=5 k=0": (0, "4a1b127de4e934a14d31be8d17403eef123d2423a367dc6466a3fa47fd06af4b"),
+    "sym h=5 k=0 -p": (0, "1baad169d90776f4fcb43b1da735c9d3aa838c8c4a386da82691a940d48b8c8a"),
+    "sym h=5 k=1": (0, "ff85653f4ac5004f9dad6d5a7ca08d9fb1b30b8cb5770e86e9bcb1719dbf168d"),
+    "sym h=5 k=1 -p": (0, "b79afbd408cbf2d391990d7622a155465aa1929df39985b4bce5d3e63aa5bebc"),
+    "sym h=5 k=2": (0, "b444a7905c9ab7ec53429acb181fb86c82d5bf9ede8e0609167a8588e937a61e"),
+    "sym h=5 k=2 -p": (0, "b1460ba4369001ca04c6d2d052cf42e0a752df21ed2af3c8a228c1729ca257e7"),
+    "sym h=5 k=3": (0, "50772c64d6eacce07c8d088cd632594027054fe88857b37997f04c2d20a00a1a"),
+    "sym h=5 k=3 -p": (0, "e3a78874c4f162507ba90262ac5f1c9f6bf29ad80167efb503e18bb8b60628f5"),
+    "sym h=5 k=4": (0, "3475a4154959856dcc4d3d59f0d54dba4062228c19a60bd2ef293ad8cbbce3b6"),
+    "sym h=5 k=4 -p": (0, "81bcbe84067c4f68199ad3ade8201b1c6211ce7c99e54604fa841f22649fec41"),
+    "sym h=5 k=5": (0, "d9357a72396425c76f7d1ac4515592fee485f69c1961f07208b50b161c8d4880"),
+    "sym h=5 k=5 -p": (0, "218f89f0a07d3f3d2bc77cd0f51fa24b07b5f41ce11ce4617f1c94f3ffccf333"),
+    "sym h=6 k=0": (0, "beae899e9093bc0a2e2c1561bc66fa49dffaf378fdece7556aa5c8f717d58121"),
+    "sym h=6 k=0 -p": (0, "f282990d9040210de39dec88249ca9665cd4592e7d3dadc56060e1a763011d00"),
+    "sym h=6 k=1": (0, "6e19ee2bff9fc687d38a68225992fdfa5454063f4fce4ad9701c47a9899f7cef"),
+    "sym h=6 k=1 -p": (0, "b35783853f5eda91bfb093cce3304fa2e88f10cea7a0a25ebbdf1699097b2d6a"),
+    "sym h=6 k=2": (0, "b3f0f442377f0883d259b1e660ab168789c449c7cba437ddd6ba71db8819567a"),
+    "sym h=6 k=2 -p": (0, "2fd741c12baff137b369a7e21a27e9dab8f1be02fda28c3aff5755e494705c33"),
+    "sym h=6 k=3": (0, "8c9898f01f92007c50192c320d3fb390676082d1cfed1fb217fa679ec7b4fbef"),
+    "sym h=6 k=3 -p": (0, "e2b28367a8ee569148b3ebce554729a7ba3cd01e4ccf16497d60eaea24c5c9f1"),
+    "sym h=6 k=4": (0, "6203fbd071a601029815ad3e8f62c7f2cc1f87e9f6de60abc880ab4680276c39"),
+    "sym h=6 k=4 -p": (0, "21e5754f9f8038f8c1b7691e55e8449fcea870b4124cd7dd1e7b7b76e6eb5349"),
+    "sym h=6 k=5": (0, "d4cae28e78bb2df0a6a833bb4dae23bc4ad493b4940138241301782f631a8b45"),
+    "sym h=6 k=5 -p": (0, "69e5982969c74767704bb133f9919834fdb8df06e80abc5c2147f90a60a22173"),
+    "qform 0": (0, "f2c88c59e6e4fb97c149905aebd0062548a29ae527eaea1b1743128a03ec901c"),
+    "qform 1": (0, "0a34dd5f556b976738c006af023c9226dc0f6d4b1898e43b8a1a32c3b8693499"),
+    "qform 2": (0, "0836d78a507cc676a76068a12a0da4176dac9d2ca764db052628b65b3386907f"),
+    "qform 3": (0, "80c738d3ee71db207e47286e8fe82fc3173dd555ea29f81e41d3f7ee3167671d"),
+    "qform 4": (0, "e58b35780ea986d54ff548b213393f8085971f821a5413ab23749a0edae18fff"),
+    "qform 5": (0, "e4b2b62892dfb1270e032d5fcbcf914dd71ae17e2f0183f6fa6192e481ccaa3b"),
+    "corr b3=2 n=2": (0, "ea387a94e3eb017c3d628f2fd469cad44e68cd976775f1fbec8437bc1a462773"),
+    "corr b3=4 n=2": (0, "07651d4eecc01b5359abfa845e70c50ce5d03999cb01af52b213330c81363ed5"),
+    "corr b3=6 n=3": (0, "b1aa4bfc7037d4ce5e6c0cbc726ecf9ccec17c3c636f142c8239555232f328ed"),
+    "corr b3=4 n=2 broken": (1, "4172a2ef67dffbf439829fa5444e119df409a45b7335f361404769d37c6a11b5"),
+    "betti audit": (1, "19c4e57f9f67785be6211a2496280893999dcb6b017b22bc13f2346e3fd290ec"),
+    "betti bound b2=3": (0, "05f9a9fc7aaa9a673f7f0cbaefaa9bb9dc6a8fe75922625470ebd1bd63b95123"),
+    "betti bound b2=3 div4": (0, "05f9a9fc7aaa9a673f7f0cbaefaa9bb9dc6a8fe75922625470ebd1bd63b95123"),
+    "betti bound b2=7": (0, "c25c5b362637aa7f6c03186f80d1fe5b93f307722d05813ce48b6da3169cafa8"),
+    "betti bound b2=7 div4": (0, "c25c5b362637aa7f6c03186f80d1fe5b93f307722d05813ce48b6da3169cafa8"),
+    "betti bound b2=23": (0, "e61c197011df402915092a2b42d5e66beb468f8ae8b6c596410d5a5db3e37e53"),
+    "betti bound b2=23 div4": (0, "e61c197011df402915092a2b42d5e66beb468f8ae8b6c596410d5a5db3e37e53"),
+    "betti bound b2=24": (0, "7773bfaa5a168936e211197fddfbe81e9f51db2e61ec6b6b5b1336980b7864e6"),
+    "betti bound b2=24 div4": (0, "cfc7093eb9fe24ccf92341c0e1077f370f08592f5ac3de5cc399b293c506e13b"),
+}
+
+
+def test_report_grid_bytes_pinned(tmp_path, capsys):
+    digests = {}
+    for name, argv in _grid_argvs(tmp_path).items():
+        code = main(argv + ["--json"])
+        digests[name] = (code, hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest())
+    assert digests == PINNED_GRID_DIGESTS
 
 
 #: sha256 of `ksw weil analyze --json` on the block fixture, on phi = J and on
