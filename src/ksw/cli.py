@@ -232,7 +232,7 @@ def cmd_sym_decompose(args) -> RunReport:
     }
     if args.period:
         hk, inputs["period"] = _load_period(space, args.period)
-        levels = sympow.block_max_level(hk, args.k)
+        levels = sympow._block_levels(hk, args.k, dec.lifts)
         for entry, (l, lvl) in zip(blocks, levels):
             entry["level"] = lvl
         checks.append(
@@ -243,11 +243,11 @@ def cmd_sym_decompose(args) -> RunReport:
             )
         )
         if args.k % 2 == 1:
-            part = sympow.level_two_part(hk, args.k)
+            # the top block: independent by the decomposition certificate, of level exactly 2 by the block levels
             checks.append(
                 _check(
                     "sympow.level_filtration",
-                    len(part) == space.h,
+                    dec.lifts[-1].cols == space.h,
                     "level <= 2 part is Q^((k-1)/2).H^2, dim h",
                 )
             )

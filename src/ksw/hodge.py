@@ -98,6 +98,17 @@ def rotation_generator(hk: HKStructure) -> Matrix:
     return Matrix([b, a]).transpose() * Matrix.diagonal([1, -1]) * (Matrix([a, b]) * hk.space.gram)
 
 
+def level_factor(op: Matrix, norm: Fraction, m: int, v: Matrix) -> Matrix:
+    """The annihilator factor of the types |p - q| = m on the columns of v.
+
+    op.v for m = 0, else op.(op.v) + (norm m / 2)^2 v: op, a derivation-extended
+    rotation generator, acts on a (p, q) component by -i(norm/2)(p - q).
+    """
+    if m == 0:
+        return op * v
+    return op * (op * v) + Fraction(norm * m, 2) ** 2 * v
+
+
 @dataclass
 class HodgeTypeSpectrum:
     """Dimensions of the (p, q) components of a weight-w structure."""
@@ -117,32 +128,24 @@ def type_spectrum(op_matrix: Matrix, norm: Fraction, weight: int) -> HodgeTypeSp
 
     ``op_matrix`` acts on the ambient space with eigenvalue -i(norm/2)(p-q)
     on the (p, q) part; the dimension of each |p-q| class is the exact
-    kernel rank of op^2 + ((norm/2)(p-q))^2, and the symmetric split
-    between (p, q) and (q, p) is asserted, not assumed.
+    kernel rank of its `level_factor`, and the symmetric split between
+    (p, q) and (q, p) is asserted, not assumed.
     """
     ambient = op_matrix.rows
     if op_matrix.cols != ambient:
         raise ValueError("operator matrix must be square")
-    op2 = op_matrix * op_matrix
+    identity = Matrix.identity(ambient)
     dims: dict[tuple[int, int], int] = {}
     total = 0
     for m in range(weight, -1, -2):
-        if m == 0:
-            k = ambient - op_matrix.rank() if ambient else 0
-            if k:
-                dims[(weight // 2, weight // 2)] = k
-        else:
-            c = norm * m / 2
-            shifted = op2 + (c * c) * Matrix.identity(ambient) if ambient else op2
-            k = ambient - shifted.rank() if ambient else 0
-            if k % 2:
-                raise InconsistentWeight(
-                    "|p-q| = %d class has odd rational dimension %d" % (m, k)
-                )
-            if k:
-                p, q = (weight + m) // 2, (weight - m) // 2
-                dims[(p, q)] = k // 2
-                dims[(q, p)] = k // 2
+        k = ambient - level_factor(op_matrix, norm, m, identity).rank()
+        if m and k % 2:
+            raise InconsistentWeight(
+                "|p-q| = %d class has odd rational dimension %d" % (m, k)
+            )
+        if k:
+            p, q = (weight + m) // 2, (weight - m) // 2
+            dims[(p, q)] = dims[(q, p)] = k // 2 if m else k
         total += k
     if total != ambient:
         raise InconsistentWeight(

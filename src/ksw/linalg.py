@@ -260,6 +260,11 @@ class Matrix:
         d = lcm(*(den for _, den in self._rows))
         return [n if den == d else {j: x * (d // den) for j, x in n.items()} for n, den in self._rows], d
 
+    def cleared_columns(self) -> tuple[list[list[tuple[int, int]]], int]:
+        """(columns, d) with d as in `cleared`: columns[t] lists the nonzero (i, x) of column t of d * self, in row order."""
+        rows, d = self.cleared()
+        return [[(i, row[t]) for i, row in enumerate(rows) if t in row] for t in range(self.cols)], d
+
     # -- structure ------------------------------------------------------------
 
     def transpose(self) -> "Matrix":

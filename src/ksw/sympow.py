@@ -31,8 +31,9 @@ one exact comparison per block and no rank.  Isotropic powers are
 certified to span the harmonic space by a rank modulo a fixed 61-bit
 prime, read row by row until it reaches dim Harm^k, behind one exact
 product that puts the rows read in ker(contraction).  The level <= 2 block,
-the Q-power image of H^2, is the top block of the stack.  The Hodge-level
-annihilators act on a block basis one product per factor.
+the Q-power image of H^2, is the top block of the stack.  One routine,
+`_certify_level`, certifies the top Hodge level of a block, applying the
+annihilator factors of `hodge.level_factor` to its basis one at a time.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from itertools import combinations_with_replacement, product
 from math import comb, factorial, gcd
 
 from .errors import CapExceeded, DecompositionFailure, LevelMismatch, NotApplicable
-from .hodge import HKStructure, rotation_generator
+from .hodge import HKStructure, level_factor, rotation_generator
 from .linalg import (
     CERTIFICATE_PRIME,
     Matrix,
@@ -348,10 +349,9 @@ def sym_derivation(sym: SymTensorSpace, op: Matrix) -> Matrix:
     h = sym.space.h
     if op.rows != h or op.cols != h:
         raise ValueError("operator must be %dx%d" % (h, h))
-    rows, den = op.cleared()
     # y_i -> sum_j A_ji y_j, once per slot: A_ji y_j d/dy_i, for the i in the
     # support of mu and the nonzeros of column i; every i = j move lands on mu
-    columns = [[(j, row[i]) for j, row in enumerate(rows) if i in row] for i in range(h)]
+    columns, den = op.cleared_columns()
 
     def moves(mu):
         for i, e in enumerate(mu):
@@ -394,56 +394,50 @@ def level_two_part(hk: HKStructure, k: int):
 
       * the h columns of the top block are independent
         (`reduced_echelon_basis`);
-      * D_A(D_A^2 + N^2) kills them, D_A the derivation of the rotation
-        generator: they carry only types |p-q| <= 2.
+      * their top level is exactly 2 (`_certify_level`): D_A(D_A^2 + N^2)
+        kills them and D_A does not, D_A the derivation of the rotation
+        generator.
 
     The basis returned is the one `kernel_basis` would return for Q.C - a
     (`reduced_echelon_basis`).  No dim Sym^k square is formed.
     """
     if k % 2 != 1:
         raise ValueError("level filtration applies to odd symmetric powers")
-    sym = build_sym(hk.space, k)
     image = reduced_echelon_basis(_blocks(hk.space, k)[-1])
     if image is None:
         raise LevelMismatch("Q-power image of H^2 is degenerate")
-    d_a, norm = sym_derivation(sym, rotation_generator(hk)), hk.period.norm
-    if not _level_factor(d_a, norm, 2, _level_factor(d_a, norm, 0, image)).is_zero():
-        raise LevelMismatch("kernel vector carries a type with |p-q| > 2")
+    d_a = sym_derivation(build_sym(hk.space, k), rotation_generator(hk))
+    _certify_level(d_a, hk.period.norm, k, (k - 1) // 2, image)
     return _int_columns(image)
 
 
 def block_max_level(hk: HKStructure, k: int):
-    """For each block l, certify max |p - q| on it equals 2(k - 2l).
+    """For each block l, certify max |p - q| on it equals 2(k - 2l) (`_certify_level`).
 
-    The full annihilator (all even m up to 2(k-2l), including the D_A
-    factor for m = 0) kills the block; dropping the top factor must leave
-    some block vector alive.  Returns [(l, level)] on success.
+    Returns [(l, level)] on success.
     """
-    space = hk.space
-    sym = build_sym(space, k)
-    norm = hk.period.norm
-    d_a = sym_derivation(sym, rotation_generator(hk))
-    out = []
-    for l, reduced in enumerate(_blocks(space, k)):
-        level = 2 * (k - 2 * l)
-        for m in range(0, level - 1, 2):
-            reduced = _level_factor(d_a, norm, m, reduced)
-        if not _level_factor(d_a, norm, level, reduced).is_zero():
-            raise LevelMismatch("block l=%d not annihilated at level %d" % (l, level))
-        if level > 0 and reduced.is_zero():
-            raise LevelMismatch(
-                "block l=%d already killed below level %d" % (l, level)
-            )
-        out.append((l, level))
-    return out
+    return _block_levels(hk, k, _blocks(hk.space, k))
 
 
-def _level_factor(d_a: Matrix, norm: Fraction, m: int, v: Matrix) -> Matrix:
-    """The annihilator factor of |p - q| = m applied to the columns of v.
+def _block_levels(hk: HKStructure, k: int, lifts: list[Matrix]) -> list[tuple[int, int]]:
+    """[(l, level)] of the blocks lifts of Sym^k, each certified by `_certify_level` under one D_A."""
+    d_a = sym_derivation(build_sym(hk.space, k), rotation_generator(hk))
+    return [(l, _certify_level(d_a, hk.period.norm, k, l, lift)) for l, lift in enumerate(lifts)]
 
-    D_A for m = 0 and D_A^2 + (N m / 2)^2 otherwise: D_A acts on a (p, q)
-    component by -i(N/2)(p - q).
+
+def _certify_level(d_a: Matrix, norm: Fraction, k: int, l: int, block: Matrix) -> int:
+    """Certify that the top Hodge level on the columns of block l of Sym^k is exactly 2(k - 2l).
+
+    The factors of m = 0, 2, ..., level (`hodge.level_factor`) applied in
+    turn kill the block, and for level > 0 the factors below level leave
+    some column alive.  Raises LevelMismatch at the first failed step;
+    returns the level.
     """
-    if m == 0:
-        return d_a * v
-    return d_a * (d_a * v) + Fraction(norm * m, 2) ** 2 * v
+    level = 2 * (k - 2 * l)
+    for m in range(0, level - 1, 2):
+        block = level_factor(d_a, norm, m, block)
+    if level > 0 and block.is_zero():
+        raise LevelMismatch("block l=%d already killed below level %d" % (l, level))
+    if not level_factor(d_a, norm, level, block).is_zero():
+        raise LevelMismatch("block l=%d not annihilated at level %d" % (l, level))
+    return level

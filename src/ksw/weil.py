@@ -123,12 +123,6 @@ def is_weil(endo: QuadraticEndo) -> bool:
 
 # -- fourth exterior power -------------------------------------------------------
 
-def _wedge4_columns(op: Matrix) -> tuple[list[list[tuple[int, int]]], int]:
-    """(cols, den): cols[t] lists the nonzero (j, c) of column t of den.op, den > 0 an int."""
-    rows, den = op.cleared()
-    return [[(j, row[t]) for j, row in enumerate(rows) if t in row] for t in range(op.rows)], den
-
-
 def _wedge4_moves(cols, mask):
     """(target mask, int weight) of each move e_t -> e_j of the wedge e_mask.
 
@@ -158,7 +152,7 @@ _POSITIONS_8 = {mask: i for i, mask in enumerate(_wedge4_masks(8))}
 
 
 def _apply_wedge4(cols, vec: dict[int, int]) -> dict[int, int]:
-    """den.D_op applied to a sparse int vector (mask -> nonzero int), with (cols, den) of `_wedge4_columns`."""
+    """den.D_op applied to a sparse int vector (mask -> nonzero int), with (cols, den) of `Matrix.cleared_columns`."""
     out: dict[int, int] = {}
     for mask, x in vec.items():
         for target, w in _wedge4_moves(cols, mask):
@@ -217,7 +211,7 @@ def weil_class_space(endo: QuadraticEndo) -> list[tuple[int, ...]]:
     basis = _span_basis(xs, ys)
     if basis is None:
         raise UnexpectedDimension("eigenvector wedge: A and B are dependent")
-    cols, den = _wedge4_columns(endo.phi)
+    cols, den = endo.phi.cleared_columns()
     n, m = d.numerator, d.denominator
     if _apply_wedge4(cols, xs) != {mask: -4 * n * den * y for mask, y in ys.items()} or (
         {mask: m * y for mask, y in _apply_wedge4(cols, ys).items()} != {mask: 4 * den * x for mask, x in xs.items()}
@@ -280,7 +274,7 @@ def certify_22(classes, j: Matrix) -> bool:
     masks = _wedge4_masks(j.rows)
     if any(len(v) != len(masks) for v in classes):
         raise ValueError("class vectors must have length %d" % len(masks))
-    cols, _ = _wedge4_columns(j)
+    cols, _ = j.cleared_columns()
     return not any(_apply_wedge4(cols, {mask: x for mask, x in zip(masks, v) if x}) for v in classes)
 
 

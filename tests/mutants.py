@@ -57,11 +57,18 @@ CATALOG = [
         [_T_SYMPOW + "test_level_two_part_rejects_a_degenerate_image"],
     ),
     (
-        "level_two_part: drop the |p-q| <= 2 check",
+        "_certify_level: drop the top-factor test (level_two_part's |p-q| <= 2)",
         _SYMPOW,
-        "    if not _level_factor(d_a, norm, 2, _level_factor(d_a, norm, 0, image)).is_zero():\n",
+        "    if not level_factor(d_a, norm, level, block).is_zero():\n",
         "    if False:\n",
         [_T_SYMPOW + "test_level_two_part_rejects_a_wrong_rotation_generator"],
+    ),
+    (
+        "_certify_level: level_two_part's exactly-level-2 test skipped",
+        _SYMPOW,
+        "    if level > 0 and block.is_zero():\n",
+        "    if level > 2 and block.is_zero():\n",
+        [_T_SYMPOW + "test_level_two_part_rejects_a_zero_rotation_generator"],
     ),
     (
         "_blocks: drop (a), the harmonic block owns its rows",
@@ -430,10 +437,10 @@ CATALOG = [
         [_T_BLADE_COLUMNS],
     ),
     (
-        "block_max_level: drop the already-killed test",
+        "_certify_level: drop the already-killed test (block_max_level)",
         _SYMPOW,
-        "        if level > 0 and reduced.is_zero():\n",
-        "        if False:\n",
+        "    if level > 0 and block.is_zero():\n",
+        "    if False:\n",
         [_T_SYMPOW + "test_block_max_level_rejects_a_wrong_annihilator"],
     ),
     (
@@ -809,6 +816,20 @@ CATALOG += [
         "    if b3 > CAP_B3 or n > CAP_N:\n",
         "    if b3 > CAP_B3 or n >= CAP_N:\n",
         [_T_CLI + "test_corr_verify_at_the_n_cap_exits_0"],
+    ),
+    (
+        "suite config: linalg.max_size 1 refused",
+        _SUITE,
+        '    ("linalg", "max_size", 1),\n',
+        '    ("linalg", "max_size", 2),\n',
+        [_T_CLI + "test_suite_linalg_at_max_size_1_loads_and_passes"],
+    ),
+    (
+        "GradedAlgebra.term: the mask limit one generator too high",
+        _CORR,
+        "        limit = 1 << self.generators\n",
+        "        limit = 2 << self.generators\n",
+        [_T_CORR + "test_term_masks_stop_at_the_generator_count"],
     ),
     (
         "type_spectrum: the |p-q| classes run below 0",

@@ -129,10 +129,10 @@ def derivation_wedge4(op):
     `wedge4_derivation_bruteforce`.
     """
     from ksw.linalg import induced_operator
-    from ksw.weil import _wedge4_columns, _wedge4_masks, _wedge4_moves
+    from ksw.weil import _wedge4_masks, _wedge4_moves
 
     masks = _wedge4_masks(op.rows)
-    cols, den = _wedge4_columns(op)
+    cols, den = op.cleared_columns()
     return induced_operator(masks, {mask: i for i, mask in enumerate(masks)}, lambda mask: _wedge4_moves(cols, mask), den)
 
 
@@ -415,8 +415,7 @@ def greedy_eigenvector_choice(phi):
     Each e_c is reduced against a pairwise Gauss-Jordan echelon of the
     vectors taken so far; when it survives, e_c and phi e_c join it.
     """
-    rows, _ = phi.cleared()
-    cols = [{r: row[c] for r, row in enumerate(rows) if c in row} for c in range(phi.cols)]
+    cols = [dict(col) for col in phi.cleared_columns()[0]]
     echelon = {}  # pivot -> row, zero at the earlier pivots
 
     def extend(v):

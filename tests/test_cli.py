@@ -176,6 +176,19 @@ def test_betti_audit_custom_catalog(tmp_path, capsys):
     assert report["data"]["entries"][0]["b3"]["status"] == "fail"
 
 
+def test_betti_audit_names_the_missing_data_row_of_an_unflagged_entry(tmp_path, capsys):
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps([{"name": "unflagged", "dim2n": 6, "b2": 9, "b3": 16}]))
+    assert main(["betti", "audit", "--catalog", str(path), "--json"]) == 0
+    report = _json_output(capsys)
+    assert report["checks"][1] == {
+        "name": "betti.audit_b2n_minus_1[unflagged]",
+        "status": "vacuous",
+        "detail": "entry 'unflagged' has no vanishing flag for degree 3",
+    }
+    assert report["data"]["entries"][0]["b2n_minus_1"] == {"status": "missing-data"}
+
+
 def test_betti_audit_empty_catalog_is_vacuous(tmp_path, capsys):
     path = tmp_path / "catalog.json"
     path.write_text("[]")
@@ -566,6 +579,24 @@ def test_sym_decompose(fixture_dir, capsys):
     assert "sympow.level_filtration" in names
 
 
+@pytest.mark.parametrize("k, blocks, factors", [(3, 2, 6), (5, 3, 12)])
+def test_sym_decompose_reads_levels_off_one_block_stack(tmp_path, capsys, monkeypatch, k, blocks, factors):
+    # one _blocks call per degree k, k - 2, ..., one D_A, and one annihilator
+    # factor per level step of each block: the level <= 2 row repeats none
+    space, period = _write_hk(tmp_path, random_hk(random.Random(500), 5))
+    calls = dict.fromkeys(("_blocks", "sym_derivation", "level_factor"), 0)
+    for name in calls:
+        real = getattr(sympow_mod, name)
+
+        def counted(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(sympow_mod, name, counted)
+    assert main(["sym", "decompose", "-f", space, "--k", str(k), "-p", period, "--json"]) == 0
+    assert calls == {"_blocks": blocks, "sym_derivation": 1, "level_factor": factors}
+
+
 def test_malformed_json_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -702,6 +733,13 @@ def test_suite_empty_families_are_vacuous(tmp_path, capsys):
     ):
         assert checks[name]["status"] == "vacuous"
         assert checks[name]["detail"] == "no instances"
+
+
+def test_suite_linalg_at_max_size_1_loads_and_passes():
+    # max_size 1 is the least valid size: the config loads, and 1x1 matrices invert
+    cfg = load_config({"linalg": {"trials": 4, "max_size": 1}})
+    checks = suite_mod._stream_checks("_linalg_checks", cfg, random.Random(3))
+    assert [(c["name"], c["status"]) for c in checks] == [("linalg.inverse_roundtrip", "pass")]
 
 
 def test_suite_ks_with_no_instances_per_h_is_vacuous(tmp_path, capsys):

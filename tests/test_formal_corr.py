@@ -183,6 +183,14 @@ def test_pushforward_matches_pairing_map():
             assert gamma_pushforward(gamma, j, i) == -fwd
 
 
+def test_term_masks_stop_at_the_generator_count():
+    alg = GradedAlgebra(3)
+    assert alg.term(7, 7, 0).terms == {(7, 7, 0): 1}
+    for fmask, emask in [(8, 0), (0, 8)]:
+        with pytest.raises(IndexOutOfRange, match="generator mask out of range"):
+            alg.term(fmask, emask, 0)
+
+
 def test_pushforward_diagonal_and_range():
     gamma = kunneth_square(4, 2)
     assert gamma_pushforward(gamma, 2, 2).is_zero()

@@ -367,7 +367,7 @@ def test_level_two_part_rejects_an_image_off_the_kernel(monkeypatch):
     # of the Casimir kernel, and they carry types with |p-q| > 2
     hk = random_hk(random.Random(71), 4)
     _patched_top_block(monkeypatch, 5, lambda cols: [Matrix.identity(len(cols[0])).column(j) for j in range(len(cols))])
-    with pytest.raises(LevelMismatch, match="kernel vector carries a type with \\|p-q\\| > 2"):
+    with pytest.raises(LevelMismatch, match="block l=2 not annihilated at level 2"):
         level_two_part(hk, 5)
 
 
@@ -377,7 +377,16 @@ def test_level_two_part_rejects_a_wrong_rotation_generator(monkeypatch):
     hk = random_hk(random.Random(71), 5)
     real = sympow_mod.rotation_generator
     monkeypatch.setattr(sympow_mod, "rotation_generator", lambda hk: 2 * real(hk))
-    with pytest.raises(LevelMismatch, match="kernel vector carries a type with \\|p-q\\| > 2"):
+    with pytest.raises(LevelMismatch, match="block l=1 not annihilated at level 2"):
+        level_two_part(hk, 3)
+
+
+def test_level_two_part_rejects_a_zero_rotation_generator(monkeypatch):
+    # A = 0: D_A(D_A^2 + N^2) kills the top block, but so does D_A alone, so
+    # its level is not exactly 2
+    hk = random_hk(random.Random(71), 5)
+    monkeypatch.setattr(sympow_mod, "rotation_generator", lambda hk: Matrix.zeros(hk.space.h, hk.space.h))
+    with pytest.raises(LevelMismatch, match="block l=1 already killed below level 2"):
         level_two_part(hk, 3)
 
 

@@ -391,7 +391,7 @@ def test_each_relation_is_checked_on_its_own(monkeypatch):
     g = random_unimodular(random.Random(62), 8)
     ginv = g.inverse()
     for endo in (check_quadratic_endo(j, phi * Fraction(3, 2)), check_quadratic_endo(ginv * j * g, ginv * phi * g)):
-        cols, den = weil_mod._wedge4_columns(endo.phi)
+        cols, den = endo.phi.cleared_columns()
         n, m = endo.d.numerator, endo.d.denominator
         dv = weil_mod._apply_wedge4(cols, v)
         first = (scale(4 * n * den, v), scale(-1, dv))
@@ -527,7 +527,7 @@ def test_apply_wedge4_is_the_derivation_times_the_vector():
         if op.rows == 8:
             vectors += weil_class_space(check_quadratic_endo(ginv * j * g, ginv * phi * g))
         expected = Matrix(wedge4_derivation_bruteforce(op)) * Matrix(vectors, len(masks)).transpose()
-        cols, den = weil_mod._wedge4_columns(op)
+        cols, den = op.cleared_columns()
         for t, v in enumerate(vectors):
             out = weil_mod._apply_wedge4(cols, {mask: x for mask, x in zip(masks, v) if x})
             assert all(out.values())
